@@ -19,7 +19,9 @@ namespace {
 // carries tests_zero, and the KB snapshot/fingerprint cover the refcount-field
 // and dialect-free-function registries (P10-P12, DESIGN.md §5.12). v4: units
 // and report shards carry the quarantined-function list (DESIGN.md §5.15).
-constexpr uint32_t kFormatVersion = 4;
+// v5: keys, checksums and fingerprints use the word-at-a-time HashBytes
+// (serial.h) instead of FNV-1a.
+constexpr uint32_t kFormatVersion = 5;
 constexpr char kMagic[4] = {'R', 'F', 'S', 'C'};
 
 constexpr uint8_t kKindFacts = 1;

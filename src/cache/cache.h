@@ -20,10 +20,12 @@
 //                   fingerprint — discovery is purely additive and
 //                   deterministic in that pair, so a snapshot hit replaces
 //                   both replay rounds (the warm-rescan bottleneck:
-//                   classifying ~1k discovered APIs from scratch)
+//                   classifying ~1k discovered APIs from scratch). Stored
+//                   only by scans that parsed all or none of their files
+//                   (RunDiscoverStage, src/checkers/scan_stages.h).
 //
-// <key> is 128 bits of FNV-1a over (format version, file path, file
-// content, options fingerprint); <kbfp> additionally pins the exact
+// <key> is 128 bits of HashBytes (serial.h) over (format version, file path,
+// file content, options fingerprint); <kbfp> additionally pins the exact
 // post-discovery knowledge base, because a file's reports are a pure
 // function of (content, KB, options). Loads validate magic, version, kind
 // and a payload checksum, and treat any mismatch as a miss — a corrupted or
@@ -52,7 +54,7 @@
 
 namespace refscan {
 
-// 128-bit content address (two independently-seeded FNV-1a streams).
+// 128-bit content address (two independently seeded HashBytes lanes).
 struct CacheKey {
   uint64_t hi = 0;
   uint64_t lo = 0;
@@ -72,7 +74,8 @@ CacheKey MakeFileKey(std::string_view path, std::string_view content, uint64_t o
 // by the facts sequence. Hashing exactly those inputs (plus the options
 // fingerprint and format version, via MakeFileKey's framing) is what makes
 // a snapshot hit sound. Note a comment-only edit leaves a file's facts
-// unchanged, so small cosmetic diffs still hit.
+// unchanged, so small cosmetic diffs still hit — a snapshot that an earlier
+// cold or unchanged scan stored (RunDiscoverStage's store rule).
 CacheKey MakeKbSnapshotKey(uint64_t base_kb_fp, int nesting_threshold,
                            const std::vector<const DiscoveryFacts*>& facts, uint64_t options_fp);
 

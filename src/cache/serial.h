@@ -17,13 +17,16 @@
 
 namespace refscan {
 
-// FNV-1a over `data`, seedable so independent hash streams stay independent
-// (the 128-bit cache keys hash the same bytes under two seeds).
-uint64_t HashBytes(std::string_view data, uint64_t seed = 0xcbf29ce484222325ull);
+// Word-at-a-time 64-bit hash of `data`, XXH64-style but written for this
+// repo: 8-byte little-endian loads feed four multiply-rotate accumulators,
+// then the last words, the tail bytes and the length fold in before a final
+// avalanche. Seedable so independent streams stay independent. It computes
+// the cache's file keys, payload checksums and KB/options fingerprints, so
+// changing it means bumping the cache format version.
+uint64_t HashBytes(std::string_view data, uint64_t seed = 0);
 
-// Both FNV-1a streams in a single pass over `data` — equivalent to two
-// HashBytes calls with the two seeds, at half the memory traffic (file
-// contents are the largest input the cache keys ever hash).
+// The two halves of a 128-bit cache key: HashBytes under two independent
+// seeds.
 struct Hash128 {
   uint64_t hi = 0;
   uint64_t lo = 0;

@@ -11,10 +11,10 @@
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <unordered_set>
 
 #include "src/cache/serial.h"
+#include "src/support/fs.h"
 
 namespace refscan {
 
@@ -45,6 +45,28 @@ bool WriteFull(int fd, std::string_view data) {
     written += static_cast<size_t>(n);
   }
   return true;
+}
+
+// Object names reach LocalStore from ScanCache's key formatter and, through
+// `refscan cached`, from any client of the socket. Only a relative name made
+// of real segments stays inside the store directory once joined to it: an
+// absolute name, an empty, `.` or `..` segment, or a NUL (which would cut
+// the path short at the syscall) is refused.
+bool IsSafeObjectName(std::string_view name) {
+  if (name.empty() || name.front() == '/' || name.find('\0') != std::string_view::npos) {
+    return false;
+  }
+  for (size_t start = 0;;) {
+    const size_t slash = name.find('/', start);
+    const std::string_view segment = name.substr(start, slash - start);
+    if (segment.empty() || segment == "." || segment == "..") {
+      return false;
+    }
+    if (slash == std::string_view::npos) {
+      return true;
+    }
+    start = slash + 1;
+  }
 }
 
 std::vector<CacheIndexEntry> ParseIndexFile(const stdfs::path& path) {
@@ -90,26 +112,27 @@ LocalStore::LocalStore(std::string dir) : dir_(std::move(dir)) {
 }
 
 bool LocalStore::Get(const std::string& name, std::string& blob) {
-  if (dir_.empty()) {
+  if (dir_.empty() || !IsSafeObjectName(name)) {
     return false;
   }
-  const stdfs::path target = stdfs::path(dir_) / name;
-  std::ifstream in(target, std::ios::binary);
-  if (!in) {
+  const std::string target = dir_ + "/" + name;
+  const int fd = ::open(target.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return false;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  blob = std::move(buf).str();
-  // Touch mtime on every hit so `cache gc` LRU order reflects use, not
-  // write time. Best effort; a read-only cache still serves hits.
-  ::utimensat(AT_FDCWD, target.c_str(), nullptr, 0);
-  return true;
+  const bool ok = ReadOpenFile(fd, blob);
+  if (ok) {
+    // Touch mtime on every hit so `cache gc` LRU order reflects use, not
+    // write time. Best effort; a read-only cache still serves hits.
+    ::futimens(fd, nullptr);
+  }
+  ::close(fd);
+  return ok;
 }
 
 void LocalStore::Put(const std::string& name, std::string_view blob, std::string_view kind_name,
                      std::string_view source) {
-  if (dir_.empty()) {
+  if (dir_.empty() || !IsSafeObjectName(name)) {
     return;
   }
   const stdfs::path target = stdfs::path(dir_) / name;

@@ -74,7 +74,9 @@ class ObjectStore {
 };
 
 // On-disk store. An inaccessible directory yields ok() == false; callers
-// degrade to a disabled cache.
+// degrade to a disabled cache. A name that could reach outside the directory
+// (absolute, or with an empty, `.` or `..` segment) reads as a miss and is
+// never written: CacheServer hands client-supplied names straight to it.
 class LocalStore : public ObjectStore {
  public:
   explicit LocalStore(std::string dir);

@@ -149,7 +149,6 @@ ScanResult CheckerEngine::Scan(const SourceTree& tree) {
   ScanCache cache(MakeScanStore(options_));
   const ScanStageContext ctx = MakeScanStageContext(options_, cache);
   const bool use_cache = ctx.use_cache;
-  const bool want_facts = ctx.want_facts;
 
   // Stage 1: obtain per-file discovery facts — and units where needed —
   // (parallel; each file is independent). The per-file body lives in
@@ -211,53 +210,10 @@ ScanResult CheckerEngine::Scan(const SourceTree& tree) {
   // depends on what the first one found, so parallelising it would change
   // results. It is also cheap next to parsing and checking. Replaying the
   // pre-extracted facts in file order is exactly DiscoverFromUnit in file
-  // order (see kb.h), whether the facts came from a parse or the cache.
-  if (want_facts) {
-    TelemetrySpan stage_span("stage.discover");
-    // With the cache on, try the tree-level KB snapshot first. Discovery
-    // is purely additive — every Discover* pass only inserts, and every
-    // insert is determined by (current KB, facts sequence) — so the
-    // post-discovery KB is a pure function of the pre-discovery KB and the
-    // ordered facts, which is exactly what the snapshot key hashes. A hit
-    // replaces both replay rounds, which otherwise dominate a warm rescan
-    // (re-classifying every discovered API from scratch each run).
-    // Quarantined files are excluded from both the replay and the snapshot
-    // key: the KB — and therefore every healthy file's report shard — is
-    // exactly what a scan of the healthy subset alone would build.
-    bool kb_from_snapshot = false;
-    CacheKey kb_key;
-    if (use_cache) {
-      std::vector<const DiscoveryFacts*> all_facts;
-      all_facts.reserve(states.size());
-      for (const FileScanState& st : states) {
-        if (st.failure) {
-          continue;
-        }
-        all_facts.push_back(&st.facts);
-      }
-      kb_key = MakeKbSnapshotKey(FingerprintKnowledgeBase(kb_), options_.nesting_threshold,
-                                 all_facts, ctx.options_fp);
-      if (std::optional<KnowledgeBase> snapshot = cache.LoadKb(kb_key)) {
-        kb_ = std::move(*snapshot);
-        kb_from_snapshot = true;
-        m.kb_snapshot_hits.Add(1);
-      }
-    }
-    if (!kb_from_snapshot) {
-      // Two discovery rounds: the first classifies directly-visible APIs,
-      // the second lets wrappers of discovered APIs classify too.
-      for (int round = 0; round < 2; ++round) {
-        for (const FileScanState& st : states) {
-          if (st.failure) {
-            continue;
-          }
-          kb_.DiscoverFromFacts(st.facts, options_.nesting_threshold);
-        }
-      }
-      if (use_cache) {
-        cache.StoreKb(kb_key, kb_, "<tree>");
-      }
-    }
+  // order (see kb.h), whether the facts came from a parse or the cache. With
+  // the cache on, a tree-level KB snapshot hit replaces both replay rounds.
+  if (RunDiscoverStage(states, kb_, ctx)) {
+    m.kb_snapshot_hits.Add(1);
   }
   // Stage 2.5: interprocedural ref-delta summaries (src/ipa). Bottom-up
   // over the call-graph SCCs, parallel within a level; registration into

@@ -299,6 +299,51 @@ FileScanState RunParseStage(const SourceFile& f, const ScanStageContext& ctx) {
   return st;
 }
 
+bool RunDiscoverStage(const std::vector<FileScanState>& states, KnowledgeBase& kb,
+                      const ScanStageContext& ctx) {
+  if (!ctx.want_facts) {
+    return false;
+  }
+  TelemetrySpan stage_span("stage.discover");
+  const int nesting_threshold = ctx.options->nesting_threshold;
+  // Quarantined files are excluded from both the replay and the snapshot
+  // key: the KB — and therefore every healthy file's report shard — is
+  // exactly what a scan of the healthy subset alone would build.
+  std::vector<const DiscoveryFacts*> live;
+  live.reserve(states.size());
+  size_t parsed = 0;
+  for (const FileScanState& st : states) {
+    if (!st.failure) {
+      live.push_back(&st.facts);
+      parsed += st.parsed ? 1 : 0;
+    }
+  }
+  // Discovery is purely additive — every Discover* pass only inserts, and
+  // every insert is determined by (current KB, facts sequence) — so the
+  // post-discovery KB is a pure function of the pre-discovery KB and the
+  // ordered facts, which is exactly what the snapshot key hashes.
+  CacheKey kb_key;
+  if (ctx.use_cache) {
+    kb_key = MakeKbSnapshotKey(FingerprintKnowledgeBase(kb), nesting_threshold, live,
+                               ctx.options_fp);
+    if (std::optional<KnowledgeBase> snapshot = ctx.cache->LoadKb(kb_key)) {
+      kb = std::move(*snapshot);
+      return true;
+    }
+  }
+  // Two rounds: the first classifies directly-visible APIs, the second lets
+  // wrappers of discovered APIs classify too.
+  for (int round = 0; round < 2; ++round) {
+    for (const DiscoveryFacts* facts : live) {
+      kb.DiscoverFromFacts(*facts, nesting_threshold);
+    }
+  }
+  if (ctx.use_cache && (parsed == 0 || parsed == live.size())) {
+    ctx.cache->StoreKb(kb_key, kb, "<tree>");
+  }
+  return false;
+}
+
 FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const KnowledgeBase& kb,
                         uint64_t kb_fp, const ScanStageContext& ctx) {
   const ScanOptions& options = *ctx.options;

@@ -7,10 +7,11 @@
 // report splice) bodies in the worker and proving them equivalent, both
 // callers invoke the exact same functions: a file's FileScanState and
 // FileShard cannot depend on which process computed them, because only one
-// implementation exists. The engine keeps the parts that are inherently
-// whole-tree — the KB-discovery barrier, the circuit breaker, the
-// file-ordered merge — and the sharded coordinator replays those same steps
-// over worker-supplied per-file facts.
+// implementation exists. The whole-tree KB-discovery barrier lives here
+// too (RunDiscoverStage), called by the engine and by the sharded
+// coordinator over worker-supplied per-file facts. The engine keeps the
+// circuit breaker and the file-ordered merge, and the coordinator replays
+// those same steps.
 //
 // Each stage body runs inside the DESIGN.md §5.9 sandbox: a fresh deadline
 // per attempt, one transient-I/O retry while idempotent, and exception →
@@ -100,6 +101,20 @@ ScanStageContext MakeScanStageContext(const ScanOptions& options, ScanCache& cac
 // comes back with `failure` set and all partial state discarded, so the KB
 // replay and stage 3 see a file that simply is not there.
 FileScanState RunParseStage(const SourceFile& file, const ScanStageContext& ctx);
+
+// Stage 2, the discovery barrier, for the engine and the sharded coordinator
+// alike: replays the live (non-quarantined) files' facts into `kb` in file
+// order, two rounds, unless the cache holds a tree-level KB snapshot for
+// exactly these facts, which replaces both rounds. A no-op with discovery
+// off. Returns true on a snapshot hit.
+//
+// Every cached scan looks the snapshot up, but only a scan whose stage 1
+// parsed all of its live files (cold) or none of them (an unchanged tree)
+// stores one. A scan with a diff yields a facts sequence that the next diff
+// changes again, so its snapshot would never be read back; a cold or
+// unchanged scan's is exactly what the next unchanged rescan looks up.
+bool RunDiscoverStage(const std::vector<FileScanState>& states, KnowledgeBase& kb,
+                      const ScanStageContext& ctx);
 
 // Stage 3 for one file: splice the cached report shard when the KB
 // fingerprint proves it valid, otherwise build contexts and run the enabled

@@ -33,31 +33,37 @@ constexpr uint8_t kResults = 5;
 // worker startup is exec + connect, not a scan.
 constexpr int kAcceptTimeoutMs = 30000;
 
-// Per-file failure + retried flag, shared by the kFacts and kResults
-// payloads. The path never travels: the coordinator knows which global
-// index each entry is, and fills paths from its own file list.
-void WriteFileMeta(ByteWriter& w, const std::optional<FileFailure>& failure, bool retried) {
-  w.Bool(failure.has_value());
-  if (failure) {
-    w.U8(static_cast<uint8_t>(failure->stage));
-    w.U8(static_cast<uint8_t>(failure->kind));
-    w.Str(failure->what);
-    w.I32(failure->retries);
+// Per-file failure, retried flag and `parsed` bit, shared by the kFacts and
+// kResults payloads. kFacts carries the stage-1 values the discovery
+// stage's snapshot store rule reads; kResults carries the final ones (a
+// stage-3 quarantine or re-parse overwrites them). The path never travels:
+// the coordinator knows which global index each entry is, and fills paths
+// from its own file list.
+void WriteFileMeta(ByteWriter& w, const FileScanState& st) {
+  w.Bool(st.failure.has_value());
+  if (st.failure) {
+    w.U8(static_cast<uint8_t>(st.failure->stage));
+    w.U8(static_cast<uint8_t>(st.failure->kind));
+    w.Str(st.failure->what);
+    w.I32(st.failure->retries);
   }
-  w.Bool(retried);
+  w.Bool(st.retried);
+  w.Bool(st.parsed);
 }
 
-void ReadFileMeta(ByteReader& r, std::optional<FileFailure>& failure, bool& retried) {
-  failure.reset();
+void ReadFileMeta(ByteReader& r, const std::string& path, FileScanState& st) {
+  st.failure.reset();
   if (r.Bool()) {
     FileFailure f;
+    f.path = path;
     f.stage = static_cast<FailureStage>(r.U8());
     f.kind = static_cast<FailureKind>(r.U8());
     f.what = r.Str();
     f.retries = r.I32();
-    failure = std::move(f);
+    st.failure = std::move(f);
   }
-  retried = r.Bool();
+  st.retried = r.Bool();
+  st.parsed = r.Bool();
 }
 
 // ---- coordinator-side worker bookkeeping ------------------------------
@@ -174,18 +180,6 @@ ScanResult RescueScan(const std::vector<const SourceFile*>& files,
   result.stats.files_quarantined += dead_count;
   return result;
 }
-
-// Per-file state the coordinator accumulates from the kFacts / kResults
-// frames, indexed by global file order — the same order the engine's
-// `states` vector uses, so the discovery replay and the merge are
-// order-identical by construction.
-struct CoordFileState {
-  DiscoveryFacts facts;
-  std::optional<FileFailure> failure;
-  bool retried = false;
-  bool report_hit = false;
-  bool parsed = false;
-};
 
 }  // namespace
 
@@ -326,8 +320,10 @@ ScanResult ShardedScan(const SourceTree& tree, const ScanOptions& options,
 
   // Phase 1 of the KB exchange: collect per-file facts (stage-1 output)
   // from every worker. Span-named like the engine's stage so traces line up
-  // across --workers values.
-  std::vector<CoordFileState> states(files.size());
+  // across --workers values. `states` is indexed by global file order — the
+  // order of the engine's own `states` — so the discovery replay and the
+  // merge are order-identical by construction.
+  std::vector<FileScanState> states(files.size());
   {
     TelemetrySpan stage_span("stage.parse");
     for (size_t i = 0; i < nworkers; ++i) {
@@ -349,11 +345,8 @@ ScanResult ShardedScan(const SourceTree& tree, const ScanOptions& options,
       }
       bool ok = true;
       for (size_t j = 0; j < shards[i].size() && ok; ++j) {
-        CoordFileState& st = states[shards[i][j]];
-        ReadFileMeta(r, st.failure, st.retried);
-        if (st.failure) {
-          st.failure->path = files[shards[i][j]]->path();
-        }
+        FileScanState& st = states[shards[i][j]];
+        ReadFileMeta(r, files[shards[i][j]]->path(), st);
         const std::string facts_bytes = r.Str();
         if (!r.ok()) {
           ok = false;
@@ -388,13 +381,13 @@ ScanResult ShardedScan(const SourceTree& tree, const ScanOptions& options,
   };
   const auto count_failed = [&] {
     size_t failed = 0;
-    for (const CoordFileState& st : states) {
+    for (const FileScanState& st : states) {
       failed += st.failure.has_value() ? 1 : 0;
     }
     return failed;
   };
   const auto collect_failures = [&] {
-    for (CoordFileState& st : states) {
+    for (FileScanState& st : states) {
       if (st.retried) {
         ++result.stats.files_retried;
       }
@@ -433,48 +426,15 @@ ScanResult ShardedScan(const SourceTree& tree, const ScanOptions& options,
 
   // Stage 2 runs here, in one process, in global file order: discovery is
   // the order-sensitive serial barrier, which is exactly why it never
-  // moved into the workers. The KB snapshot cache works unchanged.
+  // moved into the workers. It is the engine's own stage-2 function, KB
+  // snapshot lookup and store rule included.
   KnowledgeBase kb = KnowledgeBase::BuiltIn();
   for (const std::string& dialect : options.dialects) {
     ApplyDialect(kb, dialect);
   }
   ScanCache cache(MakeScanStore(options));
   const ScanStageContext ctx = MakeScanStageContext(options, cache);
-  if (ctx.want_facts) {
-    TelemetrySpan stage_span("stage.discover");
-    bool kb_from_snapshot = false;
-    CacheKey kb_key;
-    if (ctx.use_cache) {
-      std::vector<const DiscoveryFacts*> all_facts;
-      all_facts.reserve(states.size());
-      for (const CoordFileState& st : states) {
-        if (st.failure) {
-          continue;
-        }
-        all_facts.push_back(&st.facts);
-      }
-      kb_key = MakeKbSnapshotKey(FingerprintKnowledgeBase(kb), options.nesting_threshold,
-                                 all_facts, ctx.options_fp);
-      if (std::optional<KnowledgeBase> snapshot = cache.LoadKb(kb_key)) {
-        kb = std::move(*snapshot);
-        kb_from_snapshot = true;
-        result.stats.kb_snapshot_hits = 1;
-      }
-    }
-    if (!kb_from_snapshot) {
-      for (int round = 0; round < 2; ++round) {
-        for (const CoordFileState& st : states) {
-          if (st.failure) {
-            continue;
-          }
-          kb.DiscoverFromFacts(st.facts, options.nesting_threshold);
-        }
-      }
-      if (ctx.use_cache) {
-        cache.StoreKb(kb_key, kb, "<tree>");
-      }
-    }
-  }
+  result.stats.kb_snapshot_hits = RunDiscoverStage(states, kb, ctx) ? 1 : 0;
   result.stats.discovered_apis = kb.apis().size();
   result.stats.discovered_smart_loops = kb.smart_loops().size();
   result.stats.refcounted_structs = kb.refcounted_structs().size();
@@ -512,13 +472,9 @@ ScanResult ShardedScan(const SourceTree& tree, const ScanOptions& options,
       }
       bool ok = true;
       for (size_t j = 0; j < shards[i].size() && ok; ++j) {
-        CoordFileState& st = states[shards[i][j]];
-        ReadFileMeta(r, st.failure, st.retried);
-        if (st.failure) {
-          st.failure->path = files[shards[i][j]]->path();
-        }
+        FileScanState& st = states[shards[i][j]];
+        ReadFileMeta(r, files[shards[i][j]]->path(), st);
         st.report_hit = r.Bool();
-        st.parsed = r.Bool();
         const std::string reports_bytes = r.Str();
         if (!r.ok()) {
           ok = false;
@@ -558,7 +514,7 @@ ScanResult ShardedScan(const SourceTree& tree, const ScanOptions& options,
   }
 
   if (ctx.use_cache) {
-    for (const CoordFileState& st : states) {
+    for (const FileScanState& st : states) {
       if (st.failure) {
         continue;  // quarantined files are neither hits nor misses
       }
@@ -702,7 +658,7 @@ int RunShardWorker(const std::string& socket_path, int worker_id) {
     ByteWriter w;
     w.U32(static_cast<uint32_t>(states.size()));
     for (const FileScanState& st : states) {
-      WriteFileMeta(w, st.failure, st.retried);
+      WriteFileMeta(w, st);
       w.Str(st.failure || !ctx.want_facts ? std::string() : SerializeFacts(st.facts));
     }
     if (!SendFrame(conn.get(), kFacts, w.bytes(), &error)) {
@@ -742,9 +698,8 @@ int RunShardWorker(const std::string& socket_path, int worker_id) {
     w.U32(static_cast<uint32_t>(states.size()));
     for (size_t i = 0; i < states.size(); ++i) {
       const FileScanState& st = states[i];
-      WriteFileMeta(w, st.failure, st.retried);
+      WriteFileMeta(w, st);
       w.Bool(st.report_hit);
-      w.Bool(st.parsed);
       std::string reports_bytes;
       if (!st.failure) {
         CachedFileReports entry;

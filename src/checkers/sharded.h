@@ -9,7 +9,8 @@
 //
 //   worker → coordinator   kHello    worker id
 //   coordinator → worker   kJob      ScanOptions + the shard's (path, text)
-//   worker → coordinator   kFacts    per-file DiscoveryFacts / failures
+//   worker → coordinator   kFacts    per-file DiscoveryFacts / failures /
+//                                    stage-1 parsed bits
 //   coordinator → worker   kKb       the post-discovery KB snapshot
 //   worker → coordinator   kResults  per-file report shards + cache flags
 //

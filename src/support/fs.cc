@@ -5,10 +5,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <thread>
@@ -32,33 +31,34 @@ struct ReadResult {
   int retries = 0;
 };
 
-// One pre-sized read: stat the size, resize the string once, read straight
-// into it. Falls back to chunked appends only when the size is unknowable
-// (procfs-style files report 0/err); the old ostringstream-rdbuf copy paid
-// for the stream machinery plus a full extra buffer copy per file.
-ReadResult ReadFileContents(const fs::path& path) {
-  ReadResult result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return result;
-  }
-  std::error_code ec;
-  const uintmax_t size = fs::file_size(path, ec);
-  if (!ec && size > 0) {
-    result.text.resize(static_cast<size_t>(size));
-    in.read(result.text.data(), static_cast<std::streamsize>(result.text.size()));
-    result.text.resize(static_cast<size_t>(std::max<std::streamsize>(in.gcount(), 0)));
-    result.ok = true;
-    return result;
-  }
-  char buffer[1 << 16];
-  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-    result.text.append(buffer, static_cast<size_t>(in.gcount()));
-    if (!in) {
+// read(2) into [buf, buf + size), retrying EINTR and short reads. Returns the
+// bytes read (fewer than `size` only at EOF), or -1 on a read error.
+ssize_t ReadFull(int fd, char* buf, size_t size) {
+  size_t filled = 0;
+  while (filled < size) {
+    const ssize_t n = ::read(fd, buf + filled, size - filled);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return -1;
+    }
+    if (n == 0) {
       break;
     }
+    filled += static_cast<size_t>(n);
   }
-  result.ok = true;
+  return static_cast<ssize_t>(filled);
+}
+
+ReadResult ReadFileContents(const fs::path& path) {
+  ReadResult result;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return result;
+  }
+  result.ok = ReadOpenFile(fd, result.text);
+  ::close(fd);
   return result;
 }
 
@@ -124,6 +124,34 @@ ReadResult ReadCandidate(const fs::path& path, const std::string& key, bool use_
 
 }  // namespace
 
+bool ReadOpenFile(int fd, std::string& out) {
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    return false;
+  }
+  if (st.st_size > 0) {
+    out.resize(static_cast<size_t>(st.st_size));
+    const ssize_t n = ReadFull(fd, out.data(), out.size());
+    if (n < 0) {
+      return false;
+    }
+    out.resize(static_cast<size_t>(n));  // shorter only if the file shrank since fstat
+    return true;
+  }
+  out.clear();
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ReadFull(fd, chunk, sizeof(chunk));
+    if (n < 0) {
+      return false;
+    }
+    out.append(chunk, static_cast<size_t>(n));
+    if (static_cast<size_t>(n) < sizeof(chunk)) {
+      return true;
+    }
+  }
+}
+
 SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& options,
                                   std::vector<LoadFailure>* failures, LoadStats* stats) {
   TelemetrySpan stage_span("stage.load");
@@ -184,9 +212,13 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
         continue;
       }
     }
-    const std::string relative = fs::relative(entry.path(), root_path, ec).generic_string();
+    // The iterator builds each entry path by appending to `root_path`, so the
+    // tree key is the rest of it, taken lexically: no filesystem lookups
+    // (fs::relative canonicalised both paths for every file), and a symlink
+    // inside the tree keeps its tree path.
+    std::string relative = entry.path().lexically_relative(root_path).generic_string();
     candidates.push_back(
-        {entry.path(), relative.empty() ? entry.path().generic_string() : relative});
+        {entry.path(), relative.empty() ? entry.path().generic_string() : std::move(relative)});
     it.increment(ec);
   }
 

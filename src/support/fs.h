@@ -71,6 +71,13 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
 SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& options,
                                   std::vector<std::string>* errors);
 
+// Reads the whole of the open file `fd` into `out`: one fstat for the size,
+// then read(2) straight into a string of exactly that size, with no stream
+// buffer and no slack capacity. Files whose size fstat cannot tell
+// (procfs-style, reported as 0) are read in chunks until EOF. False on a
+// read error, such as `fd` naming a directory.
+bool ReadOpenFile(int fd, std::string& out);
+
 }  // namespace refscan
 
 #endif  // REFSCAN_SUPPORT_FS_H_

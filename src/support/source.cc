@@ -1,6 +1,7 @@
 #include "src/support/source.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/support/strings.h"
 
@@ -23,9 +24,16 @@ SourceFile::SourceFile(std::string path, std::shared_ptr<const char[]> mapping, 
 void SourceFile::IndexLines() {
   const std::string_view t = text();
   line_starts_.push_back(0);
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (t[i] == '\n' && i + 1 < t.size()) {
-      line_starts_.push_back(static_cast<uint32_t>(i + 1));
+  const char* const begin = t.data();
+  const char* const end = begin + t.size();
+  for (const char* p = begin; p < end;) {
+    const void* newline = std::memchr(p, '\n', static_cast<size_t>(end - p));
+    if (newline == nullptr) {
+      break;
+    }
+    p = static_cast<const char*>(newline) + 1;
+    if (p < end) {
+      line_starts_.push_back(static_cast<uint32_t>(p - begin));
     }
   }
 }

@@ -10,15 +10,19 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/ast/parser.h"
 #include "src/cache/cache.h"
+#include "src/cache/serial.h"
 #include "src/cache/store.h"
 #include "src/checkers/engine.h"
 #include "src/corpus/generator.h"
@@ -449,6 +453,42 @@ TEST_F(CacheTest, CorruptedKbSnapshotFallsBackToReplay) {
   EXPECT_EQ(warm.stats.cache_parse_skips, tree.size());
 }
 
+size_t KbObjects(const std::string& dir) {
+  size_t count = 0;
+  for (const auto& entry : stdfs::recursive_directory_iterator(dir)) {
+    count += entry.is_regular_file() && entry.path().extension() == ".kb" ? 1 : 0;
+  }
+  return count;
+}
+
+TEST_F(CacheTest, KbSnapshotIsStoredOnlyByColdAndUnchangedScans) {
+  const SourceTree tree = SmallTree();
+  ScanTree(tree, cache_dir_);  // cold: every file parsed
+  EXPECT_EQ(KbObjects(cache_dir_), 1u);
+
+  // One function body gains a call, so that file's facts change. The scan
+  // parses one file of four: it looks the snapshot up, misses, and stores
+  // none — nothing would ever read it back.
+  SourceTree edited = SmallTree();
+  std::string text(edited.Find("drivers/a/leak.c")->text());
+  text.insert(text.find("{\n") + 2, "  barrier();\n");
+  edited.Add("drivers/a/leak.c", text);
+  const ScanResult changed = ScanTree(edited, cache_dir_);
+  ExpectSameReports(ScanTree(edited, /*cache_dir=*/""), changed);
+  EXPECT_EQ(changed.stats.kb_snapshot_hits, 0u);
+  EXPECT_EQ(KbObjects(cache_dir_), 1u);
+
+  // The unchanged tree parses nothing: it misses the lookup, replays, and
+  // stores the snapshot for these facts, which the next rescan hits.
+  const ScanResult unchanged = ScanTree(edited, cache_dir_);
+  EXPECT_EQ(unchanged.stats.cache_parse_skips, edited.size());
+  EXPECT_EQ(unchanged.stats.kb_snapshot_hits, 0u);
+  EXPECT_EQ(KbObjects(cache_dir_), 2u);
+  const ScanResult again = ScanTree(edited, cache_dir_);
+  EXPECT_EQ(again.stats.kb_snapshot_hits, 1u);
+  ExpectSameReports(changed, again);
+}
+
 TEST_F(CacheTest, ReportsRoundTrip) {
   CachedFileReports entry;
   BugReport r;
@@ -606,6 +646,132 @@ TEST_F(CacheTest, CacheGcEvictsLruObjectsDownToTheByteBudget) {
     EXPECT_EQ(blob, std::string(100, 'a' + i));
   }
   EXPECT_EQ(after.Index().size(), 4u);
+}
+
+TEST_F(CacheTest, GetRefreshesMtimeSoGcEvictsARecentlyReadObjectLast) {
+  LocalStore store(cache_dir_);
+  ASSERT_TRUE(store.ok());
+  const auto name = [](int i) { return "objects/ab/cd" + std::to_string(i) + ".unit"; };
+  const stdfs::file_time_type yesterday =
+      stdfs::file_time_type::clock::now() - std::chrono::hours(24);
+  for (int i = 0; i < 3; ++i) {
+    store.Put(name(i), std::string(100, 'a' + i), "unit", "f.c");
+    // Written a day ago, in order: object 0 is the oldest.
+    stdfs::last_write_time(stdfs::path(cache_dir_) / name(i), yesterday + std::chrono::seconds(i));
+  }
+  // Reading the oldest object makes it the most recently used one.
+  std::string blob;
+  ASSERT_TRUE(store.Get(name(0), blob));
+
+  const CacheGcStats gc = RunCacheGc(cache_dir_, 100);
+  EXPECT_EQ(gc.kept_objects, 1u);
+  LocalStore after(cache_dir_);
+  EXPECT_TRUE(after.Get(name(0), blob));
+  EXPECT_EQ(blob, std::string(100, 'a'));
+  EXPECT_FALSE(after.Get(name(1), blob));
+  EXPECT_FALSE(after.Get(name(2), blob));
+}
+
+TEST(CacheHashTest, BitFlipsAndZeroRunsGiveDistinctHashes) {
+  // Zero-filled and patterned inputs of every length 0-64 plus every
+  // single-bit flip of each. The zero runs differ only in length.
+  std::set<std::string> inputs;
+  for (size_t len = 0; len <= 64; ++len) {
+    std::string pattern(len, '\0');
+    for (size_t i = 0; i < len; ++i) {
+      pattern[i] = static_cast<char>(i * 37 + len);
+    }
+    for (const std::string& base : {std::string(len, '\0'), pattern}) {
+      inputs.insert(base);
+      for (size_t bit = 0; bit < 8 * len; ++bit) {
+        std::string flipped = base;
+        flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+        inputs.insert(std::move(flipped));
+      }
+    }
+  }
+  std::set<uint64_t> single;
+  std::set<uint64_t> hi;
+  std::set<uint64_t> lo;
+  for (const std::string& input : inputs) {
+    single.insert(HashBytes(input));
+    const Hash128 dual = HashBytesDual(input);
+    hi.insert(dual.hi);
+    lo.insert(dual.lo);
+  }
+  EXPECT_EQ(single.size(), inputs.size());
+  EXPECT_EQ(hi.size(), inputs.size());
+  EXPECT_EQ(lo.size(), inputs.size());
+}
+
+TEST_F(CacheTest, CacheServerRefusesObjectNamesOutsideItsDirectory) {
+  const std::string socket = cache_dir_ + ".sock";
+  CacheServer server(cache_dir_, socket);
+  ASSERT_TRUE(server.Start());
+  // A file beside the cache directory, and one a put must never create.
+  const stdfs::path outside = cache_dir_ + "_outside.txt";
+  const stdfs::path probe = cache_dir_ + "_escape_probe.txt";
+  {
+    std::ofstream out(outside, std::ios::binary);
+    out << "secret";
+  }
+  const std::string dir_name = stdfs::path(cache_dir_).filename().string();
+
+  // Raw frames on one connection, as a hostile client sends them (the
+  // protocol's frame types: 1 get, 2 hit, 3 miss, 4 put, 5 put ack).
+  OwnedFd conn = UnixConnect(socket);
+  ASSERT_TRUE(conn.valid());
+  const auto request = [&](uint8_t type, const ByteWriter& w, std::string& reply) {
+    uint8_t reply_type = 0;
+    if (!SendFrame(conn.get(), type, w.bytes()) ||
+        RecvFrame(conn.get(), reply_type, reply) != RecvOutcome::kFrame) {
+      return uint8_t{0};
+    }
+    return reply_type;
+  };
+  const auto get = [&](const std::string& name, std::string& reply) {
+    ByteWriter w;
+    w.Str(name);
+    return request(1, w, reply);
+  };
+  const auto put = [&](const std::string& name, const std::string& blob) {
+    ByteWriter w;
+    w.Str(name);
+    w.Str("facts");
+    w.Str("a.c");
+    w.Str(blob);
+    std::string reply;
+    return request(4, w, reply);
+  };
+
+  const std::string up = "../" + dir_name;
+  const std::vector<std::string> hostile_gets = {
+      up + "_outside.txt", outside.string(), "objects/../" + up + "_outside.txt",
+      "objects//x.facts",  "objects/./x.facts", "./x.facts", "objects/x.facts/", ""};
+  std::string reply;
+  for (const std::string& name : hostile_gets) {
+    EXPECT_EQ(get(name, reply), 3) << "get " << name;  // a miss, not the file
+  }
+  const std::vector<std::string> hostile_puts = {
+      up + "_escape_probe.txt", probe.string(), "objects/../" + up + "_escape_probe.txt"};
+  for (const std::string& name : hostile_puts) {
+    EXPECT_EQ(put(name, "planted"), 5) << "put " << name;  // acked, dropped
+  }
+  EXPECT_FALSE(stdfs::exists(probe));
+  std::ifstream in(outside, std::ios::binary);
+  std::stringstream outside_text;
+  outside_text << in.rdbuf();
+  EXPECT_EQ(outside_text.str(), "secret");
+
+  // The same connection still serves well-formed names.
+  EXPECT_EQ(put("objects/fe/ed.facts", "kept"), 5);
+  EXPECT_EQ(get("objects/fe/ed.facts", reply), 2);
+  EXPECT_EQ(reply, "kept");
+  conn.Reset();
+  server.Stop();
+  ::unlink(socket.c_str());
+  stdfs::remove(outside);
+  stdfs::remove(probe);
 }
 
 TEST_F(CacheTest, CacheServerServesGetsAndPutsAcrossClients) {

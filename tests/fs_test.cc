@@ -62,6 +62,58 @@ TEST_F(FsTest, LoadsOnlyMatchingExtensionsKeyedByRelativePath) {
   EXPECT_EQ(tree.Find("README.md"), nullptr);
 }
 
+std::vector<std::string> Keys(const SourceTree& tree) {
+  std::vector<std::string> keys;
+  for (const auto& [path, file] : tree.files()) {
+    keys.push_back(path);
+  }
+  return keys;
+}
+
+TEST_F(FsTest, RootSpellingsYieldTheSameKeys) {
+  WriteFile("drivers/gpu/a.c", "int a;\n");
+  WriteFile("include/b.h", "int b;\n");
+  const std::vector<std::string> want = {"drivers/gpu/a.c", "include/b.h"};
+  EXPECT_EQ(Keys(LoadSourceTreeFromDisk(root_)), want);
+  EXPECT_EQ(Keys(LoadSourceTreeFromDisk(root_ + "/")), want);
+
+  // A ./-relative root, resolved from the root's parent directory.
+  const stdfs::path cwd = stdfs::current_path();
+  stdfs::current_path(stdfs::path(root_).parent_path());
+  const SourceTree relative =
+      LoadSourceTreeFromDisk("./" + stdfs::path(root_).filename().string());
+  stdfs::current_path(cwd);
+  EXPECT_EQ(Keys(relative), want);
+
+  // A root reached through a symlinked directory.
+  const std::string link = root_ + "_link";
+  stdfs::remove(link);
+  stdfs::create_directory_symlink(root_, link);
+  const SourceTree through_link = LoadSourceTreeFromDisk(link);
+  stdfs::remove(link);
+  EXPECT_EQ(Keys(through_link), want);
+}
+
+TEST_F(FsTest, SymlinkInsideTheTreeIsKeyedByItsTreePath) {
+  WriteFile("drivers/real.c", "int real;\n");
+  const std::string outside = root_ + "_outside.c";
+  {
+    std::ofstream out(outside, std::ios::binary);
+    out << "int outside;\n";
+  }
+  stdfs::create_symlink("real.c", stdfs::path(root_) / "drivers" / "alias.c");
+  stdfs::create_symlink(outside, stdfs::path(root_) / "drivers" / "external.c");
+
+  const SourceTree tree = LoadSourceTreeFromDisk(root_);
+  stdfs::remove(outside);
+  EXPECT_EQ(Keys(tree),
+            (std::vector<std::string>{"drivers/alias.c", "drivers/external.c", "drivers/real.c"}));
+  ASSERT_NE(tree.Find("drivers/alias.c"), nullptr);
+  EXPECT_EQ(tree.Find("drivers/alias.c")->text(), "int real;\n");
+  ASSERT_NE(tree.Find("drivers/external.c"), nullptr);
+  EXPECT_EQ(tree.Find("drivers/external.c")->text(), "int outside;\n");
+}
+
 TEST_F(FsTest, SkipDirsPruneWholeSubtreesAtAnyDepth) {
   WriteFile("drivers/a.c", "int a;\n");
   WriteFile(".git/objects/deep/fake.c", "int git;\n");

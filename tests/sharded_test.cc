@@ -176,6 +176,55 @@ TEST(ShardedScanTest, ByteIdenticalWarmAndColdWithSharedLocalCache) {
   stdfs::remove_all(cache_dir2);
 }
 
+size_t KbObjects(const std::string& dir) {
+  size_t count = 0;
+  for (const auto& entry : stdfs::recursive_directory_iterator(dir)) {
+    count += entry.is_regular_file() && entry.path().extension() == ".kb" ? 1 : 0;
+  }
+  return count;
+}
+
+TEST(ShardedScanTest, KbSnapshotStoreRuleMatchesInProcess) {
+  const SourceTree tree = TestTree();
+  // One function body gains a call, so that file's discovery facts change.
+  SourceTree edited;
+  bool done = false;
+  for (const auto& [path, file] : tree.files()) {
+    std::string text(file.text());
+    const size_t body = text.find("\n{\n");
+    if (!done && body != std::string::npos) {
+      text.insert(body + 3, "\tbarrier();\n");
+      done = true;
+    }
+    edited.Add(path, std::move(text));
+  }
+  ASSERT_TRUE(done);
+
+  const std::string local_dir = TempDir("kbrule-local");
+  const std::string sharded_dir = TempDir("kbrule-sharded");
+  ScanOptions local;
+  local.jobs = 2;
+  local.cache_dir = local_dir;
+  ScanOptions sharded = local;
+  sharded.cache_dir = sharded_dir;
+  // Cold, one body edited, unchanged, unchanged again: the coordinator
+  // stores and hits KB snapshots exactly where the engine does (the stage-1
+  // `parsed` bits it reads travel in kFacts).
+  const std::vector<const SourceTree*> steps = {&tree, &edited, &edited, &edited};
+  const std::vector<size_t> kb_objects = {1, 1, 2, 2};
+  for (size_t i = 0; i < steps.size(); ++i) {
+    CheckerEngine engine(KnowledgeBase::BuiltIn(), local);
+    const ScanResult want = engine.Scan(*steps[i]);
+    const ScanResult got = ShardedScan(*steps[i], sharded, Config(2));
+    ExpectSameResult(want, got);
+    EXPECT_EQ(KbObjects(local_dir), kb_objects[i]) << "step " << i;
+    EXPECT_EQ(KbObjects(sharded_dir), kb_objects[i]) << "step " << i;
+    EXPECT_EQ(got.stats.kb_snapshot_hits, i == 3 ? 1u : 0u) << "step " << i;
+  }
+  stdfs::remove_all(local_dir);
+  stdfs::remove_all(sharded_dir);
+}
+
 TEST(ShardedScanTest, WorkerFleetSharesOneCacheServer) {
   const SourceTree tree = TestTree();
   const std::string store_dir = TempDir("serverstore");

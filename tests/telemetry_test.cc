@@ -6,6 +6,7 @@
 // degraded accounting consistency.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <filesystem>
@@ -353,7 +354,13 @@ TEST(ScanTelemetryTest, TraceCoversEveryStageAndEveryFile) {
 }
 
 TEST(ScanTelemetryTest, DiskLoadEmitsLoadSpans) {
-  const stdfs::path root = stdfs::temp_directory_path() / "refscan_telemetry_fs_test";
+  // Named for this test and process, so no concurrently running test
+  // process can remove it mid-load.
+  const stdfs::path root =
+      stdfs::temp_directory_path() /
+      (std::string("refscan_telemetry_test_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+       std::to_string(::getpid()));
   stdfs::remove_all(root);
   stdfs::create_directories(root);
   std::ofstream(root / "one.c") << "int one;\n";

@@ -2,11 +2,13 @@
 // comments, disk loading and the git-log round trip.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string>
 
 #include "src/checkers/engine.h"
 #include "src/histmine/gitlog.h"
@@ -177,7 +179,12 @@ TEST(PatternListTest, EnabledPatternsRestrictTheScan) {
 class DiskTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = std::filesystem::temp_directory_path() / "refscan_fs_test";
+    // One directory per test and process: ctest -j runs each case as its
+    // own process, and a shared directory let them remove each other's tree.
+    root_ = std::filesystem::temp_directory_path() /
+            (std::string("refscan_disk_tree_test_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+             std::to_string(::getpid()));
     std::filesystem::remove_all(root_);
     std::filesystem::create_directories(root_ / "drivers" / "usb");
     std::filesystem::create_directories(root_ / ".git");
