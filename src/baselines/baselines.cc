@@ -1,11 +1,12 @@
 #include "src/baselines/baselines.h"
 
 #include <deque>
-#include <set>
 #include <map>
+#include <optional>
+#include <set>
 
-#include "src/ast/parser.h"
 #include "src/checkers/engine.h"
+#include "src/checkers/scan_stages.h"
 #include "src/cpg/cpg.h"
 
 namespace refscan {
@@ -76,22 +77,16 @@ BaselineReport MakeReport(const char* checker, const FunctionProfile& profile,
 }  // namespace
 
 BaselineResult RunBaselines(const SourceTree& tree, KnowledgeBase kb) {
-  // Parse + discover, mirroring the engine's two-round discovery.
-  std::vector<TranslationUnit> units;
-  units.reserve(tree.size());
-  for (const auto& [path, file] : tree.files()) {
-    units.push_back(ParseFile(file));
-  }
-  for (int round = 0; round < 2; ++round) {
-    for (const TranslationUnit& unit : units) {
-      kb.DiscoverFromUnit(unit);
-    }
-  }
-
+  // The scan spine's front half: the engine's parse and discovery. Without
+  // a cache or streaming, every healthy file's unit stays resident.
+  ScanSpine spine(tree, std::move(kb), ScanOptions{});
+  spine.RunFront();
   std::deque<UnitContext> contexts;
-  size_t index = 0;
-  for (const auto& [path, file] : tree.files()) {
-    contexts.push_back(BuildUnitContext(file, std::move(units[index++]), kb));
+  for (size_t i = 0; i < spine.files().size(); ++i) {
+    std::optional<TranslationUnit>& unit = spine.states()[i].unit;
+    if (unit) {
+      contexts.push_back(BuildUnitContext(*spine.files()[i], std::move(*unit), spine.kb()));
+    }
   }
 
   std::deque<FunctionProfile> profiles;

@@ -40,8 +40,8 @@ struct BaselineResult {
   std::vector<BaselineReport> cross_check;
 };
 
-// Runs all three baselines over the tree (parsing it independently of the
-// anti-pattern engine, with the same KB and discovery).
+// Runs all three baselines over the tree: the scan spine's front half
+// (the engine's parse and discovery over seed `kb`), then its units.
 BaselineResult RunBaselines(const SourceTree& tree, KnowledgeBase kb);
 
 }  // namespace refscan

@@ -5,8 +5,8 @@
 // API) the analysis aggregates, across every enumerated CFG path, what
 // became of the reference: released, transferred to the caller, stored into
 // longer-lived state, kfree'd, overwritten, or leaked (on a normal or an
-// error path). The engine computes this once per function and caches it on
-// the FunctionContext; it is also a useful public surface for building new
+// error path). The engine computes this once per function and memoizes it
+// on the FunctionContext; it is also a useful public surface for building new
 // checkers.
 
 #ifndef REFSCAN_CHECKERS_ANALYSIS_H_
@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "src/kb/kb.h"
@@ -42,23 +41,16 @@ struct AcqSite {
 // Keyed by "line:object:api" so one site aggregates across paths.
 using AcquisitionAnalysis = std::map<std::string, AcqSite>;
 
-// One immutable cache generation: the option key and the analysis built
-// under it, published together behind a single atomic pointer swap on the
-// FunctionContext. Readers either see a whole generation or none. `prev`
-// chains superseded generations so references handed out from older
-// generations stay valid for the lifetime of the FunctionContext (option
-// keys change at most a handful of times per context, so the chain stays
-// tiny).
+// The FunctionContext's memo slot: the option key and the analysis built
+// under it.
 struct AcquisitionCache {
   uint64_t key = 0;
   AcquisitionAnalysis analysis;
-  std::shared_ptr<const AcquisitionCache> prev;
 };
 
-// Computes (or returns the cached) analysis for `fc`. The returned
-// reference stays valid for the lifetime of `fc`, even if a racing caller
-// with different options swaps in a newer generation (superseded
-// generations are retained on the context).
+// Computes (or returns the memoized) analysis for `fc`. The returned
+// reference stays valid until `fc` dies or the next call on `fc` with a
+// different option key rebuilds the memo.
 const AcquisitionAnalysis& AnalyzeAcquisitions(const FunctionContext& fc,
                                                const ScanOptions& options);
 

@@ -9,14 +9,12 @@
 // matching. See engine.h for the public entry points.
 //
 // Paths are enumerated once per function into a flat PathTraceSet
-// (DESIGN.md §5.11) cached on the FunctionContext; every checker and the
+// (DESIGN.md §5.11) memoized on the FunctionContext; every checker and the
 // acquisition analysis walk that shared storage. Object identity checks
 // (ObjectsMatch / RootsMatch) compare interned Symbols — integer compares,
 // with spelling roots memoized by RootSymbol.
 
-#include <atomic>
 #include <map>
-#include <memory>
 #include <set>
 #include <span>
 
@@ -30,39 +28,31 @@ namespace {
 
 using TraceItem = PathTraceItem;
 
-// Builds (or returns the cached) flattened paths+traces for `fc`. The hit
-// path is one lock-free acquire load of the raw generation pointer; the
-// shared_ptr chain on the context only exists to own the generations.
+// Builds (or returns the memoized) flattened paths+traces for `fc`.
 const PathTraceSet& GetTraces(const FunctionContext& fc, const ScanOptions& options) {
   const uint64_t key = static_cast<uint64_t>(options.max_paths_per_function);
-  const PathTraceSet* fast =
-      std::atomic_ref<const PathTraceSet*>(fc.trace_fast).load(std::memory_order_acquire);
-  if (fast != nullptr && fast->key == key) {
-    return *fast;
+  if (fc.trace_cache && fc.trace_cache->key == key) {
+    return *fc.trace_cache;
   }
-  auto fresh = std::make_shared<PathTraceSet>();
-  fresh->key = key;
-  fresh->path_offsets.push_back(0);
-  fresh->item_offsets.push_back(0);
+  PathTraceSet fresh;
+  fresh.key = key;
+  fresh.path_offsets.push_back(0);
+  fresh.item_offsets.push_back(0);
   fc.cfg->EnumeratePaths(
       [&](const std::vector<int>& path) {
         for (size_t p = 0; p < path.size(); ++p) {
-          fresh->path_nodes.push_back(path[p]);
+          fresh.path_nodes.push_back(path[p]);
           for (const SemEvent& ev : fc.cpg->events(path[p])) {
-            fresh->items.push_back(TraceItem{&ev, path[p], static_cast<uint32_t>(p)});
+            fresh.items.push_back(TraceItem{&ev, path[p], static_cast<uint32_t>(p)});
           }
         }
-        fresh->path_offsets.push_back(static_cast<uint32_t>(fresh->path_nodes.size()));
-        fresh->item_offsets.push_back(static_cast<uint32_t>(fresh->items.size()));
+        fresh.path_offsets.push_back(static_cast<uint32_t>(fresh.path_nodes.size()));
+        fresh.item_offsets.push_back(static_cast<uint32_t>(fresh.items.size()));
       },
       options.max_paths_per_function);
-  fresh->prev = std::atomic_load_explicit(&fc.trace_cache, std::memory_order_acquire);
-  std::atomic_store_explicit(&fc.trace_cache,
-                             std::shared_ptr<const PathTraceSet>(fresh),
-                             std::memory_order_release);
-  std::atomic_ref<const PathTraceSet*>(fc.trace_fast)
-      .store(fresh.get(), std::memory_order_release);
-  return *fresh;
+  // Published only once complete: a deadline thrown mid-enumeration leaves
+  // the memo as it was.
+  return fc.trace_cache.emplace(std::move(fresh));
 }
 
 // Invokes `fn` once per enumerated path with (path-node-ids, trace).
@@ -235,33 +225,15 @@ AcqMap ComputeAcquisitions(const FunctionContext& fc, const ScanOptions& options
 
 const AcquisitionAnalysis& AnalyzeAcquisitions(const FunctionContext& fc,
                                                const ScanOptions& options) {
-  // The cache is valid only for one option configuration; engines construct
-  // fresh contexts per scan, so a mismatch only occurs when a caller mixes
-  // configurations on one context — recompute in that case. Key and
-  // analysis live in one immutable generation swapped atomically, so racing
-  // readers with different options never observe a torn key/analysis pair;
-  // the worst case is a redundant recompute, never a wrong result. The hit
-  // path is one lock-free acquire load (see FunctionContext); superseded
-  // generations chain via `prev`, so returned references outlive any swap.
+  // The memo holds one option configuration; a caller with another one
+  // (only tests mix configurations on one context) rebuilds it.
   const uint64_t key = (options.prune_null_branches ? 1u : 0u) |
                        (options.model_ownership_transfer ? 2u : 0u) |
                        (static_cast<uint64_t>(options.max_paths_per_function) << 2);
-  const AcquisitionCache* fast =
-      std::atomic_ref<const AcquisitionCache*>(fc.acquisition_fast)
-          .load(std::memory_order_acquire);
-  if (fast != nullptr && fast->key == key) {
-    return fast->analysis;
+  if (!fc.acquisition_cache || fc.acquisition_cache->key != key) {
+    fc.acquisition_cache = AcquisitionCache{key, ComputeAcquisitions(fc, options)};
   }
-  auto fresh = std::make_shared<AcquisitionCache>();
-  fresh->key = key;
-  fresh->analysis = ComputeAcquisitions(fc, options);
-  fresh->prev = std::atomic_load_explicit(&fc.acquisition_cache, std::memory_order_acquire);
-  std::atomic_store_explicit(&fc.acquisition_cache,
-                             std::shared_ptr<const AcquisitionCache>(fresh),
-                             std::memory_order_release);
-  std::atomic_ref<const AcquisitionCache*>(fc.acquisition_fast)
-      .store(fresh.get(), std::memory_order_release);
-  return fresh->analysis;
+  return fc.acquisition_cache->analysis;
 }
 
 namespace {

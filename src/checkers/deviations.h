@@ -7,13 +7,13 @@
 // family) — so the deviants can be documented before they cause the next
 // hundred bugs.
 
-#ifndef REFSCAN_KB_DEVIATIONS_H_
-#define REFSCAN_KB_DEVIATIONS_H_
+#ifndef REFSCAN_CHECKERS_DEVIATIONS_H_
+#define REFSCAN_CHECKERS_DEVIATIONS_H_
 
 #include <string>
 #include <vector>
 
-#include "src/kb/kb.h"
+#include "src/checkers/engine.h"
 #include "src/support/source.h"
 
 namespace refscan {
@@ -34,16 +34,18 @@ struct DeviationReport {
   std::string note;
 };
 
-// Parses + discovers over `tree`, then reports every API *defined in the
-// tree* whose implementation carries a deviation flag. Already-catalogued
-// deviants (the built-in Table 6 entries) are reported too when the tree
-// contains their definitions. `jobs` fans the parse stage out over a
-// thread pool (0 = one per hardware thread); the report list is identical
-// at every thread count.
+// Runs the scan spine's front half over `tree` under `options` (dialects,
+// discovery, jobs, governors and faults act as in a scan), then reports
+// every API *defined in the tree* whose implementation carries a deviation
+// flag. Already-catalogued deviants (the built-in Table 6 entries) are
+// reported too when the tree contains their definitions. Quarantined files
+// are left out; `scan`, when given, receives the front half's failures,
+// abort state and stats. The report list is identical at every thread
+// count.
 std::vector<DeviationReport> DetectDeviations(const SourceTree& tree,
-                                              KnowledgeBase kb = KnowledgeBase::BuiltIn(),
-                                              size_t jobs = 1);
+                                              const ScanOptions& options = {},
+                                              ScanResult* scan = nullptr);
 
 }  // namespace refscan
 
-#endif  // REFSCAN_KB_DEVIATIONS_H_
+#endif  // REFSCAN_CHECKERS_DEVIATIONS_H_

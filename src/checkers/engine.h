@@ -10,13 +10,15 @@
 // order-sensitive (wrappers classify off APIs found in the first round);
 // after it the KB is read-only and shared by every stage-3 worker. Reports
 // are deduplicated one-per-site with the most specific pattern, and are
-// byte-identical at every `ScanOptions::jobs` value.
+// byte-identical at every `ScanOptions::jobs` value. The skeleton itself
+// is ScanSpine (src/checkers/scan_stages.h).
 
 #ifndef REFSCAN_CHECKERS_ENGINE_H_
 #define REFSCAN_CHECKERS_ENGINE_H_
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -43,8 +45,8 @@ struct ScanOptions {
 
   // Userspace dialect catalogues folded into the KB before any discovery or
   // checking (`--dialect NAME`, repeatable; see KnownDialects / DESIGN.md
-  // §5.12). Unknown names are rejected by the CLI; the engine constructor
-  // ignores them (the fingerprint still records the request).
+  // §5.12). Unknown names are rejected by the CLI; the scan ignores them
+  // (the fingerprint still records the request).
   std::vector<std::string> dialects;
 
   // Worker threads for the parallel scan stages (parse, context build +
@@ -92,7 +94,7 @@ struct ScanOptions {
   // ---- fault isolation & resource governors (DESIGN.md §5.9) ----
 
   // Fault-injection spec (see support/faultinject.h), armed for the
-  // duration of Scan() and restored afterwards; empty = whatever is armed
+  // duration of a scan and restored afterwards; empty = whatever is armed
   // process-wide (e.g. via REFSCAN_FAULTS). A malformed spec aborts the
   // scan with a diagnostic rather than silently running un-faulted.
   std::string fault_spec;
@@ -182,10 +184,6 @@ struct PathTraceSet {
   std::vector<uint32_t> path_offsets;  // paths()+1 entries
   std::vector<PathTraceItem> items;
   std::vector<uint32_t> item_offsets;  // paths()+1 entries
-  // Chains the generation this one superseded (see FunctionContext): old
-  // generations stay alive for the context's lifetime so checkers can hold
-  // plain references across a racing rebuild.
-  std::shared_ptr<const PathTraceSet> prev;
   size_t paths() const { return path_offsets.empty() ? 0 : path_offsets.size() - 1; }
 };
 
@@ -196,26 +194,14 @@ struct FunctionContext {
   std::unique_ptr<Cfg> cfg;
   std::unique_ptr<Cpg> cpg;
 
-  // Lazily-computed acquisition analysis (see analysis.h); checkers share
-  // one computation per function instead of re-enumerating paths. The
-  // cached key and analysis travel in one immutable struct behind a single
-  // atomically-swapped pointer, so a reader can never pair a fresh key with
-  // a stale analysis (or vice versa) when checkers race on the same
-  // function. Superseded generations are chained via `prev`, never freed
-  // before the context dies.
-  //
-  // The `*_fast` raw pointers duplicate the newest generation for the hit
-  // path: they are read/written through std::atomic_ref, so a cache hit is
-  // one lock-free acquire load instead of a locked shared_ptr atomic_load
-  // (libstdc++ takes a spinlock pool mutex for those, and checkers hit the
-  // cache several times per function).
-  mutable std::shared_ptr<const AcquisitionCache> acquisition_cache;
-  mutable const AcquisitionCache* acquisition_fast = nullptr;
-
-  // Lazily-built flattened paths+traces, same generation-swap discipline as
-  // acquisition_cache.
-  mutable std::shared_ptr<const PathTraceSet> trace_cache;
-  mutable const PathTraceSet* trace_fast = nullptr;
+  // Single-slot memos (DESIGN.md §5.11): the acquisition analysis (see
+  // analysis.h) and the flattened paths+traces, each built on first use and
+  // rebuilt only when a caller's option key differs, so the checkers share
+  // one computation per function. Plain members: a context belongs to one
+  // thread — stage 3 hands each file to one worker, and IPA, `match` and
+  // the baselines build their own contexts.
+  mutable std::optional<AcquisitionCache> acquisition_cache;
+  mutable std::optional<PathTraceSet> trace_cache;
 };
 
 // One parsed translation unit plus its function contexts.
@@ -323,6 +309,8 @@ std::string ScanResultToJson(const ScanResult& result, bool include_stats = fals
 
 class CheckerEngine {
  public:
+  // `kb` is the seed every scan starts from; options.dialects fold into it
+  // per scan.
   explicit CheckerEngine(KnowledgeBase kb = KnowledgeBase::BuiltIn(), ScanOptions options = {});
 
   // Scans a whole tree (two passes: discovery, then checking).
@@ -331,10 +319,8 @@ class CheckerEngine {
   // Scans a single in-memory file (tests / quickstart example).
   ScanResult ScanFileText(std::string path, std::string text);
 
-  const KnowledgeBase& kb() const { return kb_; }
-
  private:
-  KnowledgeBase kb_;
+  KnowledgeBase seed_;
   ScanOptions options_;
 };
 

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "src/cache/store.h"
-#include "src/support/faultinject.h"
 #include "src/support/governor.h"
 #include "src/support/strings.h"
 #include "src/support/telemetry.h"
@@ -399,6 +398,313 @@ FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const Knowled
     shard = FileShard{};  // discard any partial shard
   }
   return shard;
+}
+
+// Pre-resolved counter handles for one scan. The spine counts in here (one
+// relaxed atomic add per event, no name lookups on the hot path) and
+// materialises the stable ScanStats façade from the registry in Finish via
+// ScanStatsFields(); an armed telemetry session then absorbs the whole
+// registry, so --metrics-out carries the scan counters alongside the
+// support-layer ones (load.*, sched.*, fault.*, governor.*).
+struct ScanSpine::Metrics {
+  MetricsRegistry reg;
+  MetricCounter& files = reg.Counter("scan.files");
+  MetricCounter& functions = reg.Counter("scan.functions");
+  MetricCounter& discovered_apis = reg.Counter("scan.discovered_apis");
+  MetricCounter& discovered_smart_loops = reg.Counter("scan.discovered_smart_loops");
+  MetricCounter& refcounted_structs = reg.Counter("scan.refcounted_structs");
+  MetricCounter& summarized_functions = reg.Counter("scan.summarized_functions");
+  MetricCounter& files_quarantined = reg.Counter("scan.files_quarantined");
+  MetricCounter& files_retried = reg.Counter("scan.files_retried");
+  MetricCounter& functions_degraded = reg.Counter("scan.functions_degraded");
+  MetricCounter& cache_hits = reg.Counter("scan.cache_hits");
+  MetricCounter& cache_misses = reg.Counter("scan.cache_misses");
+  MetricCounter& cache_parse_skips = reg.Counter("scan.cache_parse_skips");
+  MetricCounter& cache_corrupt = reg.Counter("scan.cache_corrupt");
+  MetricCounter& kb_snapshot_hits = reg.Counter("scan.kb_snapshot_hits");
+  MetricCounter& raw_reports = reg.Counter("scan.raw_reports");
+  MetricCounter& reports = reg.Counter("scan.reports");
+};
+
+ScanSpine::ScanSpine(const SourceTree& tree, KnowledgeBase seed, ScanOptions options,
+                     bool keep_units)
+    : tree_(tree),
+      options_(std::move(options)),
+      kb_(std::move(seed)),
+      cache_(MakeScanStore(options_)),
+      ctx_(MakeScanStageContext(options_, cache_)),
+      metrics_(std::make_unique<Metrics>()) {
+  if (keep_units) {
+    ctx_.need_units = true;
+    ctx_.stream_units = false;
+  }
+  // Dialect catalogues merge into the seed before any discovery runs, so
+  // discovered wrappers classify against them exactly like builtin APIs.
+  // Unknown names were rejected at the CLI; here they are simply inert.
+  for (const std::string& dialect : options_.dialects) {
+    ApplyDialect(kb_, dialect);
+  }
+  // Files in path order: index i is the fan-out key for both halves, so
+  // merge order never depends on thread scheduling or sharding.
+  files_.reserve(tree.size());
+  for (const auto& [path, file] : tree.files()) {
+    files_.push_back(&file);
+  }
+  // Scoped fault arming from the options: library callers and tests get a
+  // hermetic plan that restores whatever was armed before. A malformed spec
+  // aborts loudly — silently scanning un-faulted would make a fault-matrix
+  // CI job pass vacuously.
+  if (!options_.fault_spec.empty()) {
+    FaultPlan plan;
+    std::string spec_error;
+    if (!ParseFaultSpec(options_.fault_spec, plan, &spec_error)) {
+      result_.aborted = true;
+      result_.abort_reason = "invalid fault spec: " + spec_error;
+      return;
+    }
+    fault_arm_.emplace(std::move(plan));
+  }
+}
+
+ScanSpine::~ScanSpine() = default;
+
+ThreadPool& ScanSpine::pool() {
+  if (!pool_) {
+    pool_.emplace(options_.jobs);
+  }
+  return *pool_;
+}
+
+bool ScanSpine::FanOutParse(std::vector<FileScanState>& states) {
+  states = ParallelMap(pool(), files_.size(),
+                       [&](size_t i) { return RunParseStage(*files_[i], ctx_); });
+  return true;
+}
+
+bool ScanSpine::FanOutCheck(uint64_t kb_fp, std::vector<FileScanState>& states,
+                            std::vector<FileShard>& shards) {
+  shards = ParallelMap(pool(), files_.size(),
+                       [&](size_t i) { return CheckFile(*files_[i], states[i], kb_fp); });
+  return true;
+}
+
+FileShard ScanSpine::CheckFile(const SourceFile& file, FileScanState& st, uint64_t kb_fp) {
+  return RunCheckStage(file, st, kb_, kb_fp, ctx_);
+}
+
+bool ScanSpine::BreakerTrips(const char* where) {
+  // Off by default: a mostly-broken tree — wrong directory, filesystem
+  // fault, bad deploy — should abort loudly instead of "completing" with a
+  // handful of reports from the wreckage.
+  size_t failed = 0;
+  for (const FileScanState& st : states_) {
+    failed += st.failure.has_value() ? 1 : 0;
+  }
+  if (options_.max_failure_ratio <= 0 || files_.empty() ||
+      static_cast<double>(failed) / static_cast<double>(files_.size()) <=
+          options_.max_failure_ratio) {
+    return false;
+  }
+  result_.aborted = true;
+  result_.abort_reason = StrFormat("%zu of %zu files failed%s (max_failure_ratio %.2f)", failed,
+                                   files_.size(), where, options_.max_failure_ratio);
+  return true;
+}
+
+bool ScanSpine::RunFront() {
+  if (result_.aborted) {
+    return false;  // malformed fault spec
+  }
+  started_ = true;
+  Metrics& m = *metrics_;
+
+  // Stage 1: per-file discovery facts — and units where needed — each file
+  // inside its sandbox. A throw from the size cap, the parser (deadline /
+  // AST caps / injected fault) or the cache quarantines that one file and
+  // resets its partial state; the rest of the scan never sees it again. A
+  // quarantined file stores no cache artifacts, so nothing injection- or
+  // wall-clock-dependent can ever be replayed.
+  {
+    TelemetrySpan stage_span("stage.parse");
+    if (!FanOutParse(states_)) {
+      return false;
+    }
+  }
+  if (BreakerTrips(" in the parse stage")) {
+    return false;
+  }
+
+  // Stage 2: feed the KB (structure parser, API and smartloop discovery).
+  // Discovery must see all units before checking so that cross-file APIs (a
+  // helper defined in one file, used in another) classify correctly — the
+  // paper runs its lexer parsers over the whole kernel first. This is the
+  // serial merge barrier: discovery mutates the KB and the second round
+  // depends on what the first one found, so parallelising it would change
+  // results. It is also cheap next to parsing and checking.
+  if (RunDiscoverStage(states_, kb_, ctx_)) {
+    m.kb_snapshot_hits.Add(1);
+  }
+
+  // Stage 2.5: interprocedural ref-delta summaries (src/ipa). Bottom-up
+  // over the call-graph SCCs, parallel within a level; registration into
+  // the still-mutable KB is serial in call-graph node order, so the KB the
+  // checkers read is identical at every `jobs` value. Summaries are always
+  // recomputed (they are whole-tree), but the units they walk come from
+  // cached parses on a warm rescan.
+  if (options_.interprocedural) {
+    // A summary-stage failure degrades the whole scan (path "<tree>") but
+    // does not abort it: the checkers still run with the intraprocedural KB,
+    // exactly as if --ipa had been off. The fault hook fires before
+    // ComputeSummaries so an injected failure can never leave the KB with a
+    // partial set of registered summaries.
+    TelemetrySpan stage_span("stage.summarize");
+    try {
+      MaybeFault("ipa.summarize", "<tree>");
+      std::vector<const TranslationUnit*> unit_ptrs;
+      unit_ptrs.reserve(states_.size());
+      for (const FileScanState& st : states_) {
+        if (!st.failure) {
+          unit_ptrs.push_back(&*st.unit);
+        }
+      }
+      SummaryOptions sopts;
+      sopts.max_paths_per_function = options_.max_paths_per_function;
+      summaries_ = ComputeSummaries(unit_ptrs, kb_, sopts, pool());
+      m.summarized_functions.Add(summaries_.summaries.size());
+    } catch (const std::exception& e) {
+      FileFailure f;
+      f.path = "<tree>";
+      f.stage = FailureStage::kSummarize;
+      f.kind = FailureKind::kInternal;
+      f.what = e.what();
+      tree_failures_.push_back(std::move(f));
+    }
+  }
+
+  // The KB is frozen from here on.
+  m.discovered_apis.Add(kb_.apis().size());
+  m.discovered_smart_loops.Add(kb_.smart_loops().size());
+  m.refcounted_structs.Add(kb_.refcounted_structs().size());
+  return true;
+}
+
+bool ScanSpine::RunBack() {
+  Metrics& m = *metrics_;
+  summaries_ = SummaryResult{};  // it points into the units stage 3 frees
+
+  // A file's stage-3 shard is a pure function of (file content, KB,
+  // options): fingerprint the KB and the cache can prove a stored shard is
+  // still valid. Any content change that altered discovery shifts this
+  // fingerprint and invalidates every stored shard at once — the
+  // conservative, correct reaction.
+  const uint64_t kb_fp = ctx_.use_cache ? FingerprintKnowledgeBase(kb_) : 0;
+
+  // Stage 3: build contexts and run the enabled checkers (the KB is
+  // read-only; KnowledgeBase lookups are safe for concurrent readers). Each
+  // file gets its own shard; cached shards splice in without parsing or
+  // checking.
+  std::vector<FileShard> shards;
+  {
+    TelemetrySpan stage_span("stage.check");
+    if (!FanOutCheck(kb_fp, states_, shards)) {
+      return false;
+    }
+  }
+  if (BreakerTrips("")) {
+    return false;
+  }
+
+  if (ctx_.use_cache) {
+    for (const FileScanState& st : states_) {
+      if (st.failure) {
+        continue;  // quarantined files are neither hits nor misses
+      }
+      (st.report_hit ? m.cache_hits : m.cache_misses).Add(1);
+      if (!st.parsed) {
+        m.cache_parse_skips.Add(1);
+      }
+    }
+    m.cache_corrupt.Add(CorruptLoads());
+  }
+
+  // Merge the shards in file order: the concatenation equals what a
+  // single-threaded loop produces, so DeduplicateReports (whose tie-breaks
+  // are first-seen-wins) yields byte-identical output at any thread or
+  // worker count.
+  TelemetrySpan merge_span("stage.merge");
+  std::vector<BugReport> raw;
+  for (size_t i = 0; i < shards.size(); ++i) {
+    FileShard& shard = shards[i];
+    m.functions.Add(shard.functions);
+    raw.insert(raw.end(), std::make_move_iterator(shard.raw.begin()),
+               std::make_move_iterator(shard.raw.end()));
+    // Function-granular parse casualties, already in source order within the
+    // shard; shards are walked in file order, so the merged list is
+    // (file, line)-ordered.
+    m.functions_degraded.Add(shard.degraded.size());
+    for (DegradedFunction& d : shard.degraded) {
+      result_.degraded_functions.push_back(
+          DegradedFunctionReport{files_[i]->path(), std::move(d.name), d.line, std::move(d.what)});
+    }
+  }
+  m.raw_reports.Add(raw.size());
+  result_.reports = DeduplicateReports(std::move(raw));
+
+  // Suppression comments: a `refscan: ignore` marker on the reported line
+  // (or the line above it) silences the report — the escape hatch for
+  // intentional patterns the checkers cannot see are safe (the paper's
+  // maintainer-disputed UAD cases, for example).
+  std::erase_if(result_.reports, [this](const BugReport& r) {
+    const SourceFile* file = tree_.Find(r.file);
+    if (file == nullptr) {
+      return false;
+    }
+    std::vector<uint32_t> probe_lines = {r.line};
+    if (r.line > 1) {
+      probe_lines.push_back(r.line - 1);  // only when distinct: line 1 has no line above
+    }
+    for (uint32_t line : probe_lines) {
+      if (file->Line(line).find("refscan: ignore") != std::string_view::npos ||
+          file->Line(line).find("refscan:ignore") != std::string_view::npos) {
+        return true;
+      }
+    }
+    return false;
+  });
+  return true;
+}
+
+ScanResult ScanSpine::Finish() {
+  if (!started_) {
+    return std::move(result_);  // the fault spec was malformed: nothing ran
+  }
+  Metrics& m = *metrics_;
+  m.files.Add(files_.size());
+  // Quarantined files in tree (path) order — states already are — then any
+  // whole-tree stage failures, unless a breaker gave up on the scan.
+  for (FileScanState& st : states_) {
+    if (st.retried) {
+      m.files_retried.Add(1);
+    }
+    if (st.failure) {
+      m.files_quarantined.Add(1);
+      result_.failures.push_back(std::move(*st.failure));
+    }
+  }
+  if (!result_.aborted) {
+    for (FileFailure& f : tree_failures_) {
+      m.files_quarantined.Add(1);
+      result_.failures.push_back(std::move(f));
+    }
+  }
+  m.reports.Add(result_.reports.size());
+  for (const ScanStatsField& f : ScanStatsFields()) {
+    result_.stats.*f.member = static_cast<size_t>(m.reg.CounterValue(f.metric));
+  }
+  if (Telemetry* t = CurrentTelemetry()) {
+    t->metrics().MergeFrom(m.reg);
+  }
+  return std::move(result_);
 }
 
 }  // namespace refscan

@@ -1,17 +1,18 @@
-// Per-file pipeline stage bodies, shared verbatim by the in-process engine
-// (CheckerEngine::Scan) and the shard worker (src/checkers/sharded).
+// The scan spine (DESIGN.md §5.6) and the per-file stage bodies it fans
+// out.
 //
-// The sharded scan's hard requirement is byte-identical output to a
-// single-process scan at any --jobs × --workers combination. Rather than
-// reimplementing the stage-1 (parse / cache replay) and stage-3 (check /
-// report splice) bodies in the worker and proving them equivalent, both
-// callers invoke the exact same functions: a file's FileScanState and
+// Every tree-level client runs one skeleton, ScanSpine, split at the frozen
+// KB. Its front half runs stage 1 in the per-file sandboxes, circuit
+// breaker #1, stage 2 (dialects, discovery barrier, KB snapshot) and stage
+// 2.5 (interprocedural summaries); its back half runs stage 3, breaker #2,
+// the cache accounting, the file-ordered merge, dedup, the
+// `refscan: ignore` filter and the stats/metrics publication. Only the
+// per-file fan-out of the two halves varies: in-process it is ParallelMap
+// over RunParseStage and RunCheckStage; the sharded coordinator
+// (src/checkers/sharded) overrides it with its worker exchange, and the
+// shard worker runs the same per-file bodies. A file's FileScanState and
 // FileShard cannot depend on which process computed them, because only one
-// implementation exists. The whole-tree KB-discovery barrier lives here
-// too (RunDiscoverStage), called by the engine and by the sharded
-// coordinator over worker-supplied per-file facts. The engine keeps the
-// circuit breaker and the file-ordered merge, and the coordinator replays
-// those same steps.
+// implementation exists.
 //
 // Each stage body runs inside the DESIGN.md §5.9 sandbox: a fresh deadline
 // per attempt, one transient-I/O retry while idempotent, and exception →
@@ -28,6 +29,9 @@
 #include "src/cache/cache.h"
 #include "src/cache/serial.h"
 #include "src/checkers/engine.h"
+#include "src/ipa/summary.h"
+#include "src/support/faultinject.h"
+#include "src/support/threadpool.h"
 
 namespace refscan {
 
@@ -102,8 +106,7 @@ ScanStageContext MakeScanStageContext(const ScanOptions& options, ScanCache& cac
 // replay and stage 3 see a file that simply is not there.
 FileScanState RunParseStage(const SourceFile& file, const ScanStageContext& ctx);
 
-// Stage 2, the discovery barrier, for the engine and the sharded coordinator
-// alike: replays the live (non-quarantined) files' facts into `kb` in file
+// Stage 2, the discovery barrier: replays the live (non-quarantined) files' facts into `kb` in file
 // order, two rounds, unless the cache holds a tree-level KB snapshot for
 // exactly these facts, which replaces both rounds. A no-op with discovery
 // off. Returns true on a snapshot hit.
@@ -122,6 +125,82 @@ bool RunDiscoverStage(const std::vector<FileScanState>& states, KnowledgeBase& k
 // a stage-3 quarantine sets `st.failure` and returns an empty shard.
 FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const KnowledgeBase& kb,
                         uint64_t kb_fp, const ScanStageContext& ctx);
+
+// One scan of one tree: the skeleton every tree-level client runs.
+// CheckerEngine::Scan and ShardedScan run both halves; `match` runs both
+// with template matching as its per-file stage 3; `deviations`,
+// `summaries` and the baselines run the front half and walk its units and
+// KB. Call RunFront, then RunBack while it returns true (or walk the front
+// half's output instead), then Finish once.
+class ScanSpine {
+ public:
+  // Seeds the KB with `seed` plus options.dialects and arms
+  // options.fault_spec for the spine's lifetime; a malformed spec aborts
+  // the scan before it starts. `keep_units`: the caller walks every unit
+  // after the front half, so stage 1 keeps them resident whatever the
+  // cache or streaming would allow.
+  ScanSpine(const SourceTree& tree, KnowledgeBase seed, ScanOptions options,
+            bool keep_units = false);
+  virtual ~ScanSpine();
+  ScanSpine(const ScanSpine&) = delete;
+  ScanSpine& operator=(const ScanSpine&) = delete;
+
+  // Stage 1, breaker #1, stage 2, stage 2.5. False when the scan stopped:
+  // it aborted, or the fan-out lost a worker.
+  bool RunFront();
+  // Stage 3, breaker #2, cache accounting, merge, dedup and suppression.
+  // Frees each unit as it checks it. False when the scan stopped.
+  bool RunBack();
+  // Collects the quarantined files, publishes the stats and the scan.*
+  // metrics, and hands over the result. Call once, after whichever halves
+  // ran; not after a lost worker, whose scan the caller rescues instead.
+  ScanResult Finish();
+
+  const ScanOptions& options() const { return options_; }
+  const std::vector<const SourceFile*>& files() const { return files_; }
+  // One per file, in file order; quarantined files carry `failure`.
+  std::vector<FileScanState>& states() { return states_; }
+  // Frozen after RunFront.
+  const KnowledgeBase& kb() const { return kb_; }
+  // Stage 2.5's output (empty without options.interprocedural). Points
+  // into the units, so it lives until RunBack.
+  const SummaryResult& summaries() const { return summaries_; }
+
+ protected:
+  // The per-file fan-out. The defaults are in-process: ParallelMap over
+  // RunParseStage, and over CheckFile. Each returns false when it lost a
+  // worker.
+  virtual bool FanOutParse(std::vector<FileScanState>& states);
+  virtual bool FanOutCheck(uint64_t kb_fp, std::vector<FileScanState>& states,
+                           std::vector<FileShard>& shards);
+  // Stage 3 for one file; RunCheckStage unless a client matches instead.
+  virtual FileShard CheckFile(const SourceFile& file, FileScanState& st, uint64_t kb_fp);
+  // Cache objects that failed validation during this scan, in any process.
+  virtual uint64_t CorruptLoads() const { return cache_.corrupt_loads(); }
+
+ private:
+  struct Metrics;
+
+  ThreadPool& pool();
+  // Breaker #1 and #2: sets the abort reason when more than
+  // options.max_failure_ratio of the files are quarantined.
+  bool BreakerTrips(const char* where);
+
+  const SourceTree& tree_;
+  ScanOptions options_;
+  std::optional<ScopedFaultArm> fault_arm_;
+  bool started_ = false;  // the fault spec parsed and RunFront began
+  std::vector<const SourceFile*> files_;
+  KnowledgeBase kb_;
+  ScanCache cache_;
+  ScanStageContext ctx_;
+  std::optional<ThreadPool> pool_;  // built on first use: the coordinator never needs it
+  std::vector<FileScanState> states_;
+  SummaryResult summaries_;
+  std::vector<FileFailure> tree_failures_;  // whole-tree stage failures ("<tree>")
+  std::unique_ptr<Metrics> metrics_;
+  ScanResult result_;
+};
 
 }  // namespace refscan
 

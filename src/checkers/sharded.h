@@ -14,15 +14,15 @@
 //   coordinator → worker   kKb       the post-discovery KB snapshot
 //   worker → coordinator   kResults  per-file report shards + cache flags
 //
+// The coordinator is the scan spine (scan_stages.h) with only its per-file
+// fan-out replaced: kJob → kFacts is stage 1, kKb → kResults is stage 3.
 // The kFacts/kKb round trip is the two-phase KB exchange: workers parse
-// their shards (stage 1, sharing the per-file bodies in scan_stages.cc with
-// the in-process engine), the coordinator replays DiscoverFromFacts over
-// every healthy file in global tree order — exactly the serial barrier the
-// engine runs — and broadcasts the resulting KB, which the workers use for
-// stage 3. Output is byte-identical to `--workers 0` because every
-// divergence point is pinned: same stage bodies, same discovery order, same
-// KB bytes (SerializeKb round-trips everything the KB fingerprint
-// observes), same file-ordered merge and dedup on the coordinator.
+// their shards with the in-process per-file bodies, the spine replays
+// discovery over every healthy file in global tree order and broadcasts
+// the resulting KB, which the workers use for stage 3. Output is
+// byte-identical to `--workers 0` because every divergence point is
+// pinned: same stage bodies, same spine, same KB bytes (SerializeKb
+// round-trips everything the KB fingerprint observes).
 //
 // Failure semantics: a worker that dies mid-protocol (crash, kill, protocol
 // error) costs its shard, not the scan. The coordinator discards all worker
@@ -63,8 +63,9 @@ struct ShardedScanConfig {
 // Coordinator entry point: scans `tree` across config.workers subprocesses.
 // Drop-in replacement for CheckerEngine(...).Scan(tree) — reports, stats,
 // failures and abort behaviour match it byte for byte (asserted by
-// tests/sharded_test.cc). Incompatible with options.interprocedural (a
-// whole-tree stage); callers handle that by falling back to in-process.
+// tests/sharded_test.cc). Runs in-process instead when there is nothing to
+// shard (empty tree, no workers) and with options.interprocedural, whose
+// stage 2.5 walks every unit of the tree at once.
 ScanResult ShardedScan(const SourceTree& tree, const ScanOptions& options,
                        const ShardedScanConfig& config);
 

@@ -3,10 +3,9 @@
 #include <functional>
 #include <set>
 
-#include "src/ast/parser.h"
+#include "src/checkers/scan_stages.h"
 #include "src/cpg/cpg.h"
 #include "src/support/strings.h"
-#include "src/support/threadpool.h"
 
 namespace refscan {
 
@@ -348,58 +347,65 @@ std::vector<TemplateMatch> MatchTemplate(const SemanticTemplate& tmpl, const Fun
   return matches;
 }
 
-std::vector<BugReport> RunTemplateChecker(const SemanticTemplate& tmpl, const SourceTree& tree,
-                                          KnowledgeBase kb, const ScanOptions& options) {
-  // Same three-stage shape as CheckerEngine::Scan: parallel parse, serial
-  // discovery barrier, parallel per-file matching with shards merged in
-  // file order for deterministic output.
-  std::vector<const SourceFile*> files;
-  files.reserve(tree.size());
-  for (const auto& [path, file] : tree.files()) {
-    files.push_back(&file);
-  }
+namespace {
 
-  ThreadPool pool(options.jobs);
-  std::vector<TranslationUnit> units =
-      ParallelMap(pool, files.size(), [&](size_t i) { return ParseFile(*files[i]); });
-  if (options.discover_from_source) {
-    for (int round = 0; round < 2; ++round) {
-      for (const TranslationUnit& unit : units) {
-        kb.DiscoverFromUnit(unit, options.nesting_threshold);
+// The scan spine with template matching as its per-file stage 3, so the
+// matches ride the spine's merge, dedup and `refscan: ignore` filter
+// exactly like checker reports.
+class TemplateScan : public ScanSpine {
+ public:
+  TemplateScan(const SemanticTemplate& tmpl, const SourceTree& tree, KnowledgeBase kb,
+               const ScanOptions& options)
+      : ScanSpine(tree, std::move(kb), options, /*keep_units=*/true), tmpl_(tmpl) {}
+
+ protected:
+  FileShard CheckFile(const SourceFile& file, FileScanState& st, uint64_t /*kb_fp*/) override {
+    FileShard shard;
+    if (st.failure) {
+      return shard;
+    }
+    shard.degraded = std::move(st.unit->degraded);
+    const UnitContext uc = BuildUnitContext(file, std::move(*st.unit), kb());
+    st.unit.reset();
+    shard.functions = uc.functions.size();
+    for (const FunctionContext& fc : uc.functions) {
+      for (const TemplateMatch& m : MatchTemplate(tmpl_, fc, options())) {
+        BugReport r;
+        r.anti_pattern = 0;  // custom template
+        r.impact = Impact::kLeak;
+        r.file = uc.unit.path;
+        r.function = fc.fn->name.str();
+        r.line = m.line;
+        r.exit_line = m.last_line;
+        r.object = m.object;
+        r.api = m.api;
+        r.template_path = tmpl_.source;
+        r.message = StrFormat("custom template matched: %s", tmpl_.source.c_str());
+        shard.raw.push_back(std::move(r));
       }
     }
+    return shard;
   }
 
-  const KnowledgeBase& frozen_kb = kb;
-  std::vector<std::vector<BugReport>> shards =
-      ParallelMap(pool, files.size(), [&](size_t i) {
-        std::vector<BugReport> shard;
-        const UnitContext uc = BuildUnitContext(*files[i], std::move(units[i]), frozen_kb);
-        for (const FunctionContext& fc : uc.functions) {
-          for (const TemplateMatch& m : MatchTemplate(tmpl, fc, options)) {
-            BugReport r;
-            r.anti_pattern = 0;  // custom template
-            r.impact = Impact::kLeak;
-            r.file = uc.unit.path;
-            r.function = fc.fn->name.str();
-            r.line = m.line;
-            r.exit_line = m.last_line;
-            r.object = m.object;
-            r.api = m.api;
-            r.template_path = tmpl.source;
-            r.message = StrFormat("custom template matched: %s", tmpl.source.c_str());
-            shard.push_back(std::move(r));
-          }
-        }
-        return shard;
-      });
+ private:
+  const SemanticTemplate& tmpl_;
+};
 
-  std::vector<BugReport> reports;
-  for (std::vector<BugReport>& shard : shards) {
-    reports.insert(reports.end(), std::make_move_iterator(shard.begin()),
-                   std::make_move_iterator(shard.end()));
+}  // namespace
+
+std::vector<BugReport> RunTemplateChecker(const SemanticTemplate& tmpl, const SourceTree& tree,
+                                          KnowledgeBase kb, const ScanOptions& options,
+                                          ScanResult* scan) {
+  TemplateScan spine(tmpl, tree, std::move(kb), options);
+  if (spine.RunFront()) {
+    spine.RunBack();
   }
-  return DeduplicateReports(std::move(reports));
+  ScanResult result = spine.Finish();
+  std::vector<BugReport> reports = std::move(result.reports);
+  if (scan != nullptr) {
+    *scan = std::move(result);
+  }
+  return reports;
 }
 
 }  // namespace refscan

@@ -89,11 +89,15 @@ struct TemplateMatch {
 std::vector<TemplateMatch> MatchTemplate(const SemanticTemplate& tmpl, const FunctionContext& fc,
                                          const ScanOptions& options);
 
-// Convenience: runs a template over a whole tree and produces BugReports
-// (anti_pattern = 0, template_path = the template source).
+// Runs a template over a whole tree through the scan spine, with template
+// matching as its per-file stage 3, and produces BugReports (anti_pattern =
+// 0, template_path = the template source) deduplicated and filtered by
+// `refscan: ignore` like a scan's. `scan`, when given, receives the rest
+// of the scan's result: failures, abort state and stats.
 std::vector<BugReport> RunTemplateChecker(const SemanticTemplate& tmpl, const SourceTree& tree,
                                           KnowledgeBase kb = KnowledgeBase::BuiltIn(),
-                                          const ScanOptions& options = {});
+                                          const ScanOptions& options = {},
+                                          ScanResult* scan = nullptr);
 
 }  // namespace refscan
 

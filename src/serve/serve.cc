@@ -5,12 +5,11 @@
 
 #include <algorithm>
 
-#include "src/ast/parser.h"
+#include "src/checkers/scan_stages.h"
 #include "src/ipa/summary.h"
 #include "src/serve/protocol.h"
 #include "src/support/faultinject.h"
 #include "src/support/strings.h"
-#include "src/support/threadpool.h"
 
 namespace refscan {
 
@@ -268,19 +267,13 @@ void ScanServer::ServeConn(OwnedFd conn) {
   conns_.Remove(conn.get());
 }
 
-std::string ScanServer::HandleScan(std::string_view payload, uint8_t& type) {
-  SourceTree tree;
-  ScanOptions options;
-  if (!DecodeScanRequest(payload, tree, options)) {
-    type = kServeErr;
-    return "malformed scan request";
-  }
-  // Sanitize: requests scan against the resident store, never a path or
-  // socket of the client's choosing, and a client fault spec must not arm
-  // sites in the server process beyond its own request... which is exactly
-  // what ScanOptions::fault_spec would do (ScopedFaultArm is process-global
-  // for the scan's duration). Strip it: fault injection into the server is
-  // the server operator's knob (REFSCAN_FAULTS / serve.* sites).
+ScanOptions ScanServer::RequestOptions(ScanOptions options) const {
+  // Requests scan against the resident store, never a path or socket of
+  // the client's choosing, and a client fault spec must not arm sites in
+  // the server process beyond its own request... which is exactly what
+  // ScanOptions::fault_spec would do (ScopedFaultArm is process-global for
+  // the scan's duration). Strip it: fault injection into the server is the
+  // server operator's knob (REFSCAN_FAULTS / serve.* sites).
   options.object_store = store_;
   options.cache_dir.clear();
   options.cache_server.clear();
@@ -290,7 +283,17 @@ std::string ScanServer::HandleScan(std::string_view payload, uint8_t& type) {
                                   ? config_.request_timeout_ms
                                   : std::min(options.file_timeout_ms, config_.request_timeout_ms);
   }
-  CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
+  return options;
+}
+
+std::string ScanServer::HandleScan(std::string_view payload, uint8_t& type) {
+  SourceTree tree;
+  ScanOptions options;
+  if (!DecodeScanRequest(payload, tree, options)) {
+    type = kServeErr;
+    return "malformed scan request";
+  }
+  CheckerEngine engine(KnowledgeBase::BuiltIn(), RequestOptions(std::move(options)));
   const ScanResult result = engine.Scan(tree);
   scans_.fetch_add(1, std::memory_order_relaxed);
   {
@@ -333,29 +336,20 @@ std::string ScanServer::HandleSummaries(std::string_view payload, uint8_t& type)
     type = kServeErr;
     return "malformed summaries request";
   }
-  // Same front half as `refscan summaries`: parse, two discovery rounds,
-  // then the bottom-up summary computation, rendered as JSON.
-  std::vector<const SourceFile*> files;
-  for (const auto& [path, file] : tree.files()) {
-    files.push_back(&file);
+  // Same front half as `refscan summaries`, against the resident store:
+  // the scan spine up to stage 2.5, rendered as JSON. Quarantined files
+  // are left out of the summaries.
+  options = RequestOptions(std::move(options));
+  options.interprocedural = true;
+  ScanSpine spine(tree, KnowledgeBase::BuiltIn(), std::move(options));
+  std::string json = spine.RunFront() ? SummariesToJson(spine.summaries()) : std::string();
+  const ScanResult result = spine.Finish();
+  if (result.aborted) {
+    type = kServeErr;
+    return result.abort_reason;
   }
-  ThreadPool pool(options.jobs);
-  const std::vector<TranslationUnit> units =
-      ParallelMap(pool, files.size(), [&](size_t i) { return ParseFile(*files[i]); });
-  KnowledgeBase kb = KnowledgeBase::BuiltIn();
-  for (int round = 0; round < 2; ++round) {
-    for (const TranslationUnit& unit : units) {
-      kb.DiscoverFromUnit(unit);
-    }
-  }
-  std::vector<const TranslationUnit*> unit_ptrs;
-  unit_ptrs.reserve(units.size());
-  for (const TranslationUnit& unit : units) {
-    unit_ptrs.push_back(&unit);
-  }
-  const SummaryResult result = ComputeSummaries(unit_ptrs, kb, SummaryOptions{}, pool);
   type = kServeText;
-  return SummariesToJson(result);
+  return json;
 }
 
 }  // namespace refscan

@@ -113,6 +113,9 @@ class ScanServer {
   void ReleaseSession();
   void Reply(ReplyState& rs, uint8_t type, const std::string& payload);
 
+  // A request's options, cleaned for this server: the resident store, no
+  // client cache location or fault spec, the request deadline as a cap.
+  ScanOptions RequestOptions(ScanOptions options) const;
   std::string HandleScan(std::string_view payload, uint8_t& type);
   std::string HandleStats() const;
   std::string HandleSummaries(std::string_view payload, uint8_t& type);

@@ -84,11 +84,6 @@ TEST(AnalysisTest, CacheInvalidatedWhenOptionsChange) {
   const AcqSite& naive = second.begin()->second;
   EXPECT_FALSE(naive.transferred);
   EXPECT_TRUE(naive.unpaired_path);
-
-  // The first generation stays valid after the swap: superseded
-  // generations are chained on the context, not freed.
-  EXPECT_TRUE(modelled.transferred);
-  EXPECT_NE(&first, &second);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 #include "src/checkers/template_matcher.h"
 #include "src/corpus/generator.h"
 #include "src/histmine/miner.h"
-#include "src/kb/deviations.h"
+#include "src/checkers/deviations.h"
 #include "src/support/threadpool.h"
 
 namespace refscan {
@@ -123,8 +123,12 @@ TEST(ScanParallelTest, TemplateCheckerDeterministicAcrossJobs) {
 
 TEST(ScanParallelTest, DeviationDetectorDeterministicAcrossJobs) {
   const Corpus& corpus = SharedCorpus();
-  const auto serial = DetectDeviations(corpus.tree, KnowledgeBase::BuiltIn(), 1);
-  const auto wide = DetectDeviations(corpus.tree, KnowledgeBase::BuiltIn(), 8);
+  ScanOptions serial_options;
+  serial_options.jobs = 1;
+  ScanOptions wide_options;
+  wide_options.jobs = 8;
+  const auto serial = DetectDeviations(corpus.tree, serial_options);
+  const auto wide = DetectDeviations(corpus.tree, wide_options);
   ASSERT_EQ(serial.size(), wide.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].api, wide[i].api);

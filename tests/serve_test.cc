@@ -16,7 +16,9 @@
 #include "gtest/gtest.h"
 #include "src/checkers/engine.h"
 #include "src/checkers/report.h"
+#include "src/checkers/scan_stages.h"
 #include "src/corpus/generator.h"
+#include "src/ipa/summary.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/watch.h"
@@ -205,6 +207,41 @@ TEST(ServeTest, InjectedRequestFaultDegradesOnlyThatRequest) {
   ExpectSameOutput(local, *clean);
   EXPECT_TRUE(server.Drain());
   EXPECT_EQ(server.counters().faulted, 1u);
+}
+
+TEST(ServeTest, SummariesHonourRequestDialects) {
+  CorpusOptions corpus_options;
+  corpus_options.new_family_modules = true;
+  const Corpus corpus = GenerateKernelCorpus(corpus_options);
+  ScanOptions options;
+  options.jobs = 2;
+  options.dialects = {"glib", "uacpi"};
+
+  // Local summaries: the scan spine's front half under the same options.
+  const auto local_summaries = [&](ScanOptions local) {
+    local.interprocedural = true;
+    ScanSpine spine(corpus.tree, KnowledgeBase::BuiltIn(), std::move(local));
+    EXPECT_TRUE(spine.RunFront());
+    return SummariesToJson(spine.summaries());
+  };
+  const std::string want = local_summaries(options);
+  ScanOptions plain = options;
+  plain.dialects.clear();
+  ASSERT_NE(want, local_summaries(plain)) << "the dialects must matter on this corpus";
+
+  ServeConfig config;
+  config.socket_path = TestSocketPath("summaries");
+  ScanServer server(config);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then warm from the resident store
+    std::string got;
+    ASSERT_TRUE(RemoteRequestText(config.socket_path, kServeSummariesReq,
+                                  EncodeScanRequest(corpus.tree, options), got, &error))
+        << error;
+    EXPECT_EQ(want, got) << "pass " << pass;
+  }
+  server.Stop();
 }
 
 TEST(ServeTest, ClientFaultSpecIsStrippedServerSide) {

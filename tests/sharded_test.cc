@@ -352,6 +352,22 @@ TEST(ShardedScanTest, BreakerAbortMatchesInProcess) {
   ExpectSameResult(want, got);
 }
 
+TEST(ShardedScanTest, InterproceduralFallsBackInProcess) {
+  // Stage 2.5 walks every unit at once, so it cannot shard: the scan must
+  // run in-process and equal it, summaries included, instead of silently
+  // dropping the summaries.
+  CorpusOptions corpus_options;
+  corpus_options.wrapper_chain_depths = {2};
+  const Corpus corpus = GenerateKernelCorpus(corpus_options);
+  ScanOptions options;
+  options.jobs = 2;
+  options.interprocedural = true;
+  CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
+  const ScanResult want = engine.Scan(corpus.tree);
+  EXPECT_GT(want.stats.summarized_functions, 0u);
+  ExpectSameResult(want, ShardedScan(corpus.tree, options, Config(2)));
+}
+
 TEST(ShardedScanTest, MoreWorkersThanFilesClampsAndStaysIdentical) {
   SourceTree tree;
   tree.Add("a.c", "void f(void) { }\n");

@@ -13,7 +13,7 @@
 #include "src/checkers/engine.h"
 #include "src/histmine/gitlog.h"
 #include "src/histmine/miner.h"
-#include "src/kb/deviations.h"
+#include "src/checkers/deviations.h"
 #include "src/support/fs.h"
 
 namespace refscan {

@@ -1,16 +1,17 @@
 // refscan — command-line front end.
 //
-//   refscan scan <dir> [--fix] [--no-discovery] [--jobs N] [--cache-dir DIR]
-//                                                 scan a C tree on disk
-//   refscan match <dir> "<template>" [--jobs N]   run a custom semantic template
+//   refscan scan <dir> [flags]                    scan a C tree on disk
+//   refscan stats <dir> [flags]                   scan and print only the stats table
+//   refscan demo [flags]                          scan the built-in synthetic kernel corpus
+//   refscan match <dir> "<template>" [flags]      run a custom semantic template
+//   refscan deviations <dir> [flags]              find deviant refcounting APIs
+//   refscan summaries <dir> [flags]               interprocedural ref-delta summaries
 //   refscan dump <file.c> [tokens|ast|cfg|cpg]    inspect front-end stages
-//   refscan deviations <dir> [--jobs N]           find deviant refcounting APIs
-//   refscan summaries <dir> [--json] [--jobs N]   interprocedural ref-delta summaries
-//   refscan stats <dir> [--json] [--jobs N]       scan and print only the stats table
-//   refscan demo [--jobs N] [--emit <dir>]        scan the built-in synthetic kernel corpus
 //
-// --jobs/-j N picks the scan parallelism (0 = one thread per hardware
-// thread, the default); reports are identical at every thread count.
+// The six tree subcommands share one flow (RunTreeCommand): arm --faults
+// and telemetry, load or generate the tree, run the scan spine, then write
+// --trace-out and --metrics-out. Which flags each of them honours is one
+// table, kFlagTable; a flag outside its subcommand's row exits 64.
 //
 // Exit codes are disjoint (ScanExitCode, DESIGN.md §5.9): 0 = clean scan,
 // 10 = completed healthy with >= 1 report, 2 = completed degraded (some
@@ -34,29 +35,31 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <atomic>
 #include <thread>
 
 #include "src/cache/store.h"
+#include "src/checkers/deviations.h"
 #include "src/checkers/engine.h"
+#include "src/checkers/scan_stages.h"
 #include "src/checkers/sharded.h"
 #include "src/ipa/summary.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/serve.h"
 #include "src/serve/watch.h"
-#include "src/support/threadpool.h"
 #include "src/checkers/fixes.h"
 #include "src/checkers/template_matcher.h"
 #include "src/checkers/templates.h"
 #include "src/ast/parser.h"
 #include "src/corpus/generator.h"
 #include "src/cpg/dump.h"
-#include "src/kb/deviations.h"
 #include "src/support/faultinject.h"
 #include "src/support/fs.h"
+#include "src/support/strings.h"
 #include "src/support/telemetry.h"
 
 namespace {
@@ -64,19 +67,16 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  refscan scan <dir> [--fix] [--json] [--no-discovery] [--patterns LIST]\n"
-               "                    [--dialect NAME] [--interprocedural] [--jobs N]\n"
-               "                    [--cache-dir DIR] [--cache-server PATH] [--no-cache]\n"
-               "                    [--workers N] [--streaming] [--mmap]\n"
-               "                    [--stats] [--faults SPEC] [--file-timeout-ms N]\n"
-               "                    [--max-failure-ratio R] [--trace-out FILE] [--metrics-out FILE]\n"
-               "  refscan match <dir> \"<template>\" [--jobs N]   e.g. \"F_start -> S_P(p0) "
-               "-> S_D(p0) -> F_end\"\n"
+               "  refscan scan <dir> [--fix] [--json] [--stats] [--patterns LIST] [--workers N]\n"
+               "                    [--remote SOCKET] [--cache-dir DIR] [--cache-server PATH]\n"
+               "                    [--no-cache] [--streaming] [--mmap] [TREE FLAGS]\n"
+               "  refscan stats <dir> [scan's flags but --fix]   scan, print only the stats table\n"
+               "  refscan demo [--emit <dir>] [--kernelish N] [scan's flags but --mmap]\n"
+               "  refscan match <dir> \"<template>\" [--mmap] [TREE FLAGS]   e.g. \"F_start -> "
+               "S_P(p0) -> S_D(p0) -> F_end\"\n"
+               "  refscan deviations <dir> [--mmap] [TREE FLAGS]\n"
+               "  refscan summaries <dir> [--json] [--mmap] [TREE FLAGS]\n"
                "  refscan dump <file.c> [tokens|ast|cfg|cpg]\n"
-               "  refscan deviations <dir> [--jobs N]\n"
-               "  refscan summaries <dir> [--json] [--jobs N]\n"
-               "  refscan stats <dir> [--json] [--jobs N]   scan, print only the stats table\n"
-               "  refscan demo [--jobs N] [--emit <dir>] [--kernelish N]\n"
                "  refscan cached <dir> [--socket PATH]      serve <dir> as a shared\n"
                "                                            content-addressed cache\n"
                "  refscan serve <socket> [--watch TREE] [--sessions N] [--max-pending N]\n"
@@ -89,6 +89,9 @@ int Usage() {
                "                                            prints its counters JSON)\n"
                "  refscan cache gc <dir> --max-bytes N      evict LRU cache objects over N\n"
                "  refscan worker --socket PATH --id N       (internal) shard worker process\n"
+               "\n"
+               "  TREE FLAGS (any tree subcommand): --dialect --no-discovery --ipa --jobs --faults\n"
+               "  --file-timeout-ms --max-failure-ratio --trace-out --metrics-out; others exit 64\n"
                "\n"
                "  --patterns LIST       comma-separated anti-pattern ids in 1..12, e.g. 1,4,10\n"
                "                        (P10-P12 are opt-in; the default is 1..9)\n"
@@ -107,7 +110,7 @@ int Usage() {
                "                        precedence over --cache-dir)\n"
                "  --workers N       shard the scan across N worker subprocesses; output is\n"
                "                    byte-identical to --workers 0 at any N (0 = in-process,\n"
-               "                    the default; incompatible with --interprocedural)\n"
+               "                    the default; runs in-process with --interprocedural)\n"
                "  --streaming       bounded-memory unit lifecycle for multi-MLOC trees: each\n"
                "                    file's AST is dropped after stage 1 and re-parsed just in\n"
                "                    time in stage 3, so at most --jobs ASTs coexist; output is\n"
@@ -137,6 +140,19 @@ int Usage() {
   return refscan::kExitUsage;
 }
 
+// The tree subcommands, as bits of the flag table's rows.
+enum TreeCommand : unsigned {
+  kScan = 1u << 0,
+  kStats = 1u << 1,
+  kDemo = 1u << 2,
+  kMatch = 1u << 3,
+  kDeviations = 1u << 4,
+  kSummaries = 1u << 5,
+};
+constexpr unsigned kScanLike = kScan | kStats | kDemo;  // run the checkers over the tree
+constexpr unsigned kAnyTree = kScanLike | kMatch | kDeviations | kSummaries;
+constexpr unsigned kFromDisk = kAnyTree & ~kDemo;
+
 // Shared flag state across the subcommands.
 struct CliFlags {
   bool print_fixes = false;
@@ -164,177 +180,143 @@ struct CliFlags {
   bool stats_only = false;  // `refscan stats`: suppress the report listing
 };
 
-// Parses flags from argv[first..); returns false on an unknown flag or a
-// missing/garbled flag argument.
-bool ParseFlags(int argc, char** argv, int first, CliFlags& flags) {
+// Flag-table actions: a switch sets its member to `Value`, a text flag
+// stores its argument, a count flag parses an unsigned decimal.
+template <auto Member, bool Value = true>
+bool Switch(CliFlags& flags, const char* /*value*/) {
+  flags.*Member = Value;
+  return true;
+}
+
+template <auto Member>
+bool Text(CliFlags& flags, const char* value) {
+  flags.*Member = value;
+  return true;
+}
+
+template <auto Member>
+bool Count(CliFlags& flags, const char* text) {
+  char* end = nullptr;
+  const unsigned long value = std::strtoul(text, &end, 10);
+  if (end == nullptr || *end != '\0') {
+    std::fprintf(stderr, "bad number: %s\n", text);
+    return false;
+  }
+  flags.*Member = static_cast<std::remove_reference_t<decltype(flags.*Member)>>(value);
+  return true;
+}
+
+bool ParseDialect(CliFlags& flags, const char* name) {
+  const auto& known = refscan::KnownDialects();
+  if (std::find(known.begin(), known.end(), name) == known.end()) {
+    std::fprintf(stderr, "unknown dialect '%s' (known:", name);
+    for (const std::string& k : known) {
+      std::fprintf(stderr, " %s", k.c_str());
+    }
+    std::fprintf(stderr, ")\n");
+    return false;
+  }
+  flags.dialects.push_back(name);
+  return true;
+}
+
+bool ParsePatterns(CliFlags& flags, const char* list) {
+  if (!refscan::ParsePatternList(list, flags.patterns)) {
+    std::fprintf(stderr, "bad pattern list '%s': expected comma-separated ids in 1..12\n", list);
+    return false;
+  }
+  return true;
+}
+
+bool ParseFailureRatio(CliFlags& flags, const char* text) {
+  char* end = nullptr;
+  flags.max_failure_ratio = std::strtod(text, &end);
+  if (end == nullptr || *end != '\0' || flags.max_failure_ratio < 0.0 ||
+      flags.max_failure_ratio > 1.0) {
+    std::fprintf(stderr, "bad failure ratio: %s\n", text);
+    return false;
+  }
+  return true;
+}
+
+// Every flag of the tree subcommands, with the subcommands that honour it
+// (README.md, "Flags per subcommand"). A flag given to a subcommand outside
+// its row is a usage error, never silently ignored. match, deviations and
+// summaries walk every unit of the spine's front half in memory, so the
+// cache, the shard workers, the serve daemon and streaming are not theirs.
+struct FlagRule {
+  const char* name;   // canonical spelling: -j is --jobs, --interprocedural is --ipa
+  const char* value;  // what the argument is, for messages; nullptr for a switch
+  unsigned commands;
+  bool (*apply)(CliFlags& flags, const char* value);
+};
+constexpr FlagRule kFlagTable[] = {
+    {"--dialect", "a name (known: glib, uacpi)", kAnyTree, ParseDialect},
+    {"--no-discovery", nullptr, kAnyTree, Switch<&CliFlags::discovery, false>},
+    {"--ipa", nullptr, kAnyTree, Switch<&CliFlags::interprocedural>},
+    {"--jobs", "a number", kAnyTree, Count<&CliFlags::jobs>},
+    {"--faults", "a spec (see src/support/faultinject.h)", kAnyTree, Text<&CliFlags::fault_spec>},
+    {"--file-timeout-ms", "a number", kAnyTree, Count<&CliFlags::file_timeout_ms>},
+    {"--max-failure-ratio", "a number in (0, 1]", kAnyTree, ParseFailureRatio},
+    {"--trace-out", "a file path", kAnyTree, Text<&CliFlags::trace_out>},
+    {"--metrics-out", "a file path", kAnyTree, Text<&CliFlags::metrics_out>},
+    {"--mmap", nullptr, kFromDisk, Switch<&CliFlags::use_mmap>},
+    {"--json", nullptr, kScanLike | kSummaries, Switch<&CliFlags::json>},
+    {"--stats", nullptr, kScanLike, Switch<&CliFlags::stats>},
+    {"--patterns", "a comma-separated list (e.g. 1,4,8)", kScanLike, ParsePatterns},
+    {"--cache-dir", "a directory", kScanLike, Text<&CliFlags::cache_dir>},
+    {"--cache-server", "a socket path", kScanLike, Text<&CliFlags::cache_server>},
+    {"--no-cache", nullptr, kScanLike, Switch<&CliFlags::no_cache>},
+    {"--workers", "a number", kScanLike, Count<&CliFlags::workers>},
+    {"--remote", "a socket path", kScanLike, Text<&CliFlags::remote>},
+    {"--streaming", nullptr, kScanLike, Switch<&CliFlags::streaming>},
+    {"--fix", nullptr, kScan | kDemo, Switch<&CliFlags::print_fixes>},
+    {"--emit", "a directory", kDemo, Text<&CliFlags::emit_dir>},
+    {"--kernelish", "a number", kDemo, Count<&CliFlags::kernelish>},
+};
+
+// Parses flags from argv[first..) for tree subcommand `command`; returns
+// false on an unknown flag, a flag outside the subcommand's row of
+// kFlagTable, or a missing/garbled flag argument.
+bool ParseFlags(int argc, char** argv, int first, unsigned command, CliFlags& flags) {
   for (int i = first; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fix") == 0) {
-      flags.print_fixes = true;
-    } else if (std::strcmp(argv[i], "--no-discovery") == 0) {
-      flags.discovery = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      flags.json = true;
-    } else if (std::strcmp(argv[i], "--interprocedural") == 0 ||
-               std::strcmp(argv[i], "--ipa") == 0) {
-      flags.interprocedural = true;
-    } else if (std::strcmp(argv[i], "--patterns") == 0) {
+    std::string_view name = argv[i];
+    name = name == "-j" ? "--jobs" : name == "--interprocedural" ? "--ipa" : name;
+    const FlagRule* rule = std::find_if(std::begin(kFlagTable), std::end(kFlagTable),
+                                        [&](const FlagRule& r) { return name == r.name; });
+    if (rule == std::end(kFlagTable)) {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      return false;
+    }
+    if ((rule->commands & command) == 0) {
+      std::fprintf(stderr, "%s does not apply to %s (README.md, \"Flags per subcommand\")\n",
+                   argv[i], argv[1]);
+      return false;
+    }
+    const char* value = nullptr;
+    if (rule->value != nullptr) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "--patterns needs a comma-separated list (e.g. 1,4,8)\n");
+        std::fprintf(stderr, "%s needs %s\n", argv[i], rule->value);
         return false;
       }
-      if (!refscan::ParsePatternList(argv[++i], flags.patterns)) {
-        std::fprintf(stderr, "bad pattern list '%s': expected comma-separated ids in 1..12\n",
-                     argv[i]);
-        return false;
-      }
-    } else if (std::strcmp(argv[i], "--dialect") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--dialect needs a name (known: ");
-        const auto& known = refscan::KnownDialects();
-        for (size_t k = 0; k < known.size(); ++k) {
-          std::fprintf(stderr, "%s%s", k == 0 ? "" : ", ", known[k].c_str());
-        }
-        std::fprintf(stderr, ")\n");
-        return false;
-      }
-      const std::string name = argv[++i];
-      const auto& known = refscan::KnownDialects();
-      if (std::find(known.begin(), known.end(), name) == known.end()) {
-        std::fprintf(stderr, "unknown dialect '%s' (known:", name.c_str());
-        for (const std::string& k : known) {
-          std::fprintf(stderr, " %s", k.c_str());
-        }
-        std::fprintf(stderr, ")\n");
-        return false;
-      }
-      flags.dialects.push_back(name);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 || std::strcmp(argv[i], "-j") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a number\n", argv[i]);
-        return false;
-      }
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "bad thread count: %s\n", argv[i]);
-        return false;
-      }
-      flags.jobs = static_cast<size_t>(value);
-    } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--cache-dir needs a directory\n");
-        return false;
-      }
-      flags.cache_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--cache-server") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--cache-server needs a socket path\n");
-        return false;
-      }
-      flags.cache_server = argv[++i];
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--workers needs a number\n");
-        return false;
-      }
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "bad worker count: %s\n", argv[i]);
-        return false;
-      }
-      flags.workers = static_cast<size_t>(value);
-    } else if (std::strcmp(argv[i], "--remote") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--remote needs a socket path\n");
-        return false;
-      }
-      flags.remote = argv[++i];
-    } else if (std::strcmp(argv[i], "--streaming") == 0) {
-      flags.streaming = true;
-    } else if (std::strcmp(argv[i], "--mmap") == 0) {
-      flags.use_mmap = true;
-    } else if (std::strcmp(argv[i], "--kernelish") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--kernelish needs a number\n");
-        return false;
-      }
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "bad module count: %s\n", argv[i]);
-        return false;
-      }
-      flags.kernelish = static_cast<size_t>(value);
-    } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-      flags.no_cache = true;
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
-      flags.stats = true;
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--faults needs a spec (see src/support/faultinject.h)\n");
-        return false;
-      }
-      flags.fault_spec = argv[++i];
-    } else if (std::strcmp(argv[i], "--file-timeout-ms") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--file-timeout-ms needs a number\n");
-        return false;
-      }
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "bad timeout: %s\n", argv[i]);
-        return false;
-      }
-      flags.file_timeout_ms = static_cast<uint32_t>(value);
-    } else if (std::strcmp(argv[i], "--max-failure-ratio") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--max-failure-ratio needs a number in (0, 1]\n");
-        return false;
-      }
-      char* end = nullptr;
-      const double value = std::strtod(argv[++i], &end);
-      if (end == nullptr || *end != '\0' || value < 0.0 || value > 1.0) {
-        std::fprintf(stderr, "bad failure ratio: %s\n", argv[i]);
-        return false;
-      }
-      flags.max_failure_ratio = value;
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--trace-out needs a file path\n");
-        return false;
-      }
-      flags.trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--metrics-out needs a file path\n");
-        return false;
-      }
-      flags.metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--emit") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--emit needs a directory\n");
-        return false;
-      }
-      flags.emit_dir = argv[++i];
-    } else {
+      value = argv[++i];
+    }
+    if (!rule->apply(flags, value)) {
       return false;
     }
   }
   return true;
 }
 
-// Converts the tree loader's structured failures into quarantine entries
-// (stage "load"), merges them with the engine's, and keeps the whole list
-// deterministically ordered: by path, with whole-tree entries ("<tree>")
-// last.
-std::vector<refscan::FileFailure> MergeFailures(
-    const std::vector<refscan::LoadFailure>& load_failures,
-    std::vector<refscan::FileFailure> engine_failures) {
+// Folds the tree loader's structured failures into the scan's quarantine
+// list (stage "load") and keeps the whole list deterministically ordered:
+// by path, with whole-tree entries ("<tree>") last.
+void AddLoadFailures(refscan::ScanResult& result,
+                     const std::vector<refscan::LoadFailure>& load_failures,
+                     const refscan::LoadStats& load_stats) {
   using namespace refscan;
   std::vector<FileFailure> all;
-  all.reserve(load_failures.size() + engine_failures.size());
+  all.reserve(load_failures.size() + result.failures.size());
   for (const LoadFailure& lf : load_failures) {
     FileFailure f;
     f.path = lf.path;
@@ -344,7 +326,7 @@ std::vector<refscan::FileFailure> MergeFailures(
     f.retries = lf.retries;
     all.push_back(std::move(f));
   }
-  for (FileFailure& f : engine_failures) {
+  for (FileFailure& f : result.failures) {
     all.push_back(std::move(f));
   }
   std::stable_sort(all.begin(), all.end(),
@@ -356,14 +338,17 @@ std::vector<refscan::FileFailure> MergeFailures(
                      }
                      return a.path < b.path;
                    });
-  return all;
+  result.failures = std::move(all);
+  result.stats.files_quarantined += load_failures.size();
+  // Loader retry accounting comes from LoadStats, not from counting retries
+  // in the failure list: a retried-then-SUCCEEDED read produces no
+  // LoadFailure. Same semantics as the engine's files_retried — retried !=
+  // degraded, only quarantined files appear in the degraded list.
+  result.stats.files_retried += load_stats.files_retried;
 }
 
-int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
-            const std::vector<refscan::LoadFailure>& load_failures = {},
-            const refscan::LoadStats& load_stats = {}) {
-  using namespace refscan;
-  ScanOptions options;
+refscan::ScanOptions ScanOptionsFor(const CliFlags& flags) {
+  refscan::ScanOptions options;
   options.discover_from_source = flags.discovery;
   options.jobs = flags.jobs;
   options.interprocedural = flags.interprocedural;
@@ -376,27 +361,54 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
     options.cache_dir = flags.cache_dir;
     options.cache_server = flags.cache_server;
   }
+  return options;
+}
 
-  size_t workers = flags.workers;
-  if (workers > 0 && flags.interprocedural) {
-    // Stage 2.5 is a whole-tree pass over every unit; it cannot shard.
-    std::fprintf(stderr, "refscan: --workers is incompatible with --interprocedural; "
-                         "running in-process\n");
-    workers = 0;
+// The quarantine sections every tree subcommand ends with.
+void PrintDegraded(std::FILE* out, const refscan::ScanResult& result) {
+  using namespace refscan;
+  if (!result.failures.empty()) {
+    std::fprintf(out, "\n## Degraded files\n\n");
+    for (const FileFailure& f : result.failures) {
+      std::fprintf(out, "%s: %s failure (%s): %s", f.path.c_str(),
+                   std::string(FailureStageName(f.stage)).c_str(),
+                   std::string(FailureKindName(f.kind)).c_str(), f.what.c_str());
+      if (f.retries > 0) {
+        std::fprintf(out, " [after %d retry]", f.retries);
+      }
+      std::fprintf(out, "\n");
+    }
+    std::fprintf(out,
+                 "\n%zu file(s) quarantined; the reports above cover the healthy remainder.\n",
+                 result.failures.size());
   }
-  ScanResult result;
-  bool have_result = false;
+  if (!result.degraded_functions.empty()) {
+    std::fprintf(out, "\n## Degraded functions\n\n");
+    for (const DegradedFunctionReport& d : result.degraded_functions) {
+      std::fprintf(out, "%s:%u: %s(): %s\n", d.file.c_str(), d.line, d.function.c_str(),
+                   d.what.c_str());
+    }
+    std::fprintf(out,
+                 "\n%zu function(s) quarantined; sibling functions in the same files were "
+                 "scanned normally.\n",
+                 result.degraded_functions.size());
+  }
+}
+
+int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
+            const std::vector<refscan::LoadFailure>& load_failures,
+            const refscan::LoadStats& load_stats) {
+  using namespace refscan;
+  const ScanOptions options = ScanOptionsFor(flags);
+  std::optional<ScanResult> remote;
   if (!flags.remote.empty()) {
-    if (workers > 0) {
+    if (flags.workers > 0) {
       std::fprintf(stderr, "refscan: --workers is ignored with --remote (the server picks "
                            "its own parallelism from --jobs)\n");
-      workers = 0;
     }
     std::string note;
-    if (std::optional<ScanResult> remote = RemoteScan(tree, options, flags.remote, {}, &note)) {
-      result = std::move(*remote);
-      have_result = true;
-    } else {
+    remote = RemoteScan(tree, options, flags.remote, {}, &note);
+    if (!remote) {
       // Unreachable after the whole backoff budget: the local fallback
       // produces byte-identical stdout, so availability costs time, never
       // output.
@@ -404,31 +416,23 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
                    note.c_str());
     }
   }
-  if (have_result) {
-    // remote result already in hand
-  } else if (workers > 0) {
+  ScanResult result;
+  if (remote) {
+    result = std::move(*remote);
+  } else if (flags.workers > 0 && flags.remote.empty()) {
     // The worker subprocesses re-exec this binary; they inherit
     // REFSCAN_FAULTS from the environment, and a --faults spec travels in
     // the options so worker-side sites fire either way.
     ShardedScanConfig config;
-    config.workers = workers;
+    config.workers = flags.workers;
     config.worker_cmd = "/proc/self/exe";
     ScanOptions sharded_options = options;
     sharded_options.fault_spec = flags.fault_spec;
     result = ShardedScan(tree, sharded_options, config);
   } else {
-    CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
-    result = engine.Scan(tree);
+    result = CheckerEngine(KnowledgeBase::BuiltIn(), options).Scan(tree);
   }
-
-  result.failures = MergeFailures(load_failures, std::move(result.failures));
-  result.stats.files_quarantined += load_failures.size();
-  // Loader retry accounting comes from LoadStats, not from counting retries
-  // in the failure list: a retried-then-SUCCEEDED read produces no
-  // LoadFailure, so the old count_if undercounted. Same semantics as the
-  // engine's files_retried — retried != degraded, only quarantined files
-  // appear in the degraded list.
-  result.stats.files_retried += load_stats.files_retried;
+  AddLoadFailures(result, load_failures, load_stats);
 
   if (result.aborted) {
     std::fprintf(stderr, "scan aborted: %s\n", result.abort_reason.c_str());
@@ -485,32 +489,7 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
     }
   }
   std::printf("%zu report(s).\n", result.reports.size());
-
-  if (!result.failures.empty()) {
-    std::printf("\n## Degraded files\n\n");
-    for (const FileFailure& f : result.failures) {
-      std::printf("%s: %s failure (%s): %s", f.path.c_str(),
-                  std::string(FailureStageName(f.stage)).c_str(),
-                  std::string(FailureKindName(f.kind)).c_str(), f.what.c_str());
-      if (f.retries > 0) {
-        std::printf(" [after %d retry]", f.retries);
-      }
-      std::printf("\n");
-    }
-    std::printf("\n%zu file(s) quarantined; the reports above cover the healthy remainder.\n",
-                result.failures.size());
-  }
-
-  if (!result.degraded_functions.empty()) {
-    std::printf("\n## Degraded functions\n\n");
-    for (const DegradedFunctionReport& d : result.degraded_functions) {
-      std::printf("%s:%u: %s(): %s\n", d.file.c_str(), d.line, d.function.c_str(),
-                  d.what.c_str());
-    }
-    std::printf("\n%zu function(s) quarantined; sibling functions in the same files were "
-                "scanned normally.\n",
-                result.degraded_functions.size());
-  }
+  PrintDegraded(stdout, result);
 
   if (flags.stats) {
     // Driven by the same field table as the JSON stats object, so the text
@@ -521,6 +500,57 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
     }
   }
   return exit_code;
+}
+
+// Runs match, deviations or summaries: a client of the scan spine with its
+// own output, followed by the abort reason or the quarantine sections (on
+// stderr under --json, which keeps stdout parseable). The exit code is the
+// scan's, with "found something" standing in for scan reports.
+int RunClient(unsigned command, const refscan::SourceTree& tree, const CliFlags& flags,
+              const std::optional<refscan::SemanticTemplate>& tmpl,
+              const std::vector<refscan::LoadFailure>& load_failures,
+              const refscan::LoadStats& load_stats) {
+  using namespace refscan;
+  ScanOptions options = ScanOptionsFor(flags);
+  ScanResult scan;
+  std::string out;
+  bool found = false;
+  if (command == kMatch) {
+    const std::vector<BugReport> matches =
+        RunTemplateChecker(*tmpl, tree, KnowledgeBase::BuiltIn(), options, &scan);
+    for (const BugReport& r : matches) {
+      out += StrFormat("%s:%u: [template] %s in %s() (object '%s')\n", r.file.c_str(), r.line,
+                       r.template_path.c_str(), r.function.c_str(), r.object.c_str());
+    }
+    out += StrFormat("%zu match(es).\n", matches.size());
+    found = !matches.empty();
+  } else if (command == kDeviations) {
+    const std::vector<DeviationReport> reports = DetectDeviations(tree, options, &scan);
+    for (const DeviationReport& r : reports) {
+      out += StrFormat("%s:%u: [%s%s] %s\n", r.file.c_str(), r.line,
+                       std::string(DeviationKindName(r.kind)).c_str(),
+                       r.hidden ? ", hidden" : "", r.note.c_str());
+    }
+    out += StrFormat("%zu deviant API(s).\n", reports.size());
+    found = !reports.empty();
+  } else {
+    // The summaries are stage 2.5 of the spine's front half.
+    options.interprocedural = true;
+    ScanSpine spine(tree, KnowledgeBase::BuiltIn(), options);
+    if (spine.RunFront()) {
+      out = flags.json ? SummariesToJson(spine.summaries()) : SummariesToText(spine.summaries());
+    }
+    scan = spine.Finish();
+  }
+  AddLoadFailures(scan, load_failures, load_stats);
+  if (scan.aborted) {
+    std::fprintf(stderr, "scan aborted: %s\n", scan.abort_reason.c_str());
+    return kExitHardFailure;
+  }
+  std::fputs(out.c_str(), stdout);
+  PrintDegraded(flags.json ? stderr : stdout, scan);
+  const int rc = ScanExitCodeFor(scan);
+  return rc == kExitClean && found ? kExitReports : rc;
 }
 
 // Writes `text` to `path` (for --trace-out / --metrics-out).
@@ -561,6 +591,100 @@ bool EmitTree(const refscan::SourceTree& tree, const std::string& dir) {
   return true;
 }
 
+// The flow every tree subcommand shares: parse its flags against its row
+// of kFlagTable, arm --faults and telemetry, load or generate the tree,
+// run, then write --trace-out and --metrics-out.
+int RunTreeCommand(unsigned command, int argc, char** argv) {
+  using namespace refscan;
+  // Positional arguments: <dir> for all but demo, then match's template.
+  const int first_flag = command == kDemo ? 2 : command == kMatch ? 4 : 3;
+  CliFlags flags;
+  if (argc < first_flag || !ParseFlags(argc, argv, first_flag, command, flags)) {
+    return Usage();
+  }
+  std::optional<SemanticTemplate> tmpl;
+  if (command == kMatch) {
+    tmpl = ParseTemplate(argv[3]);
+    if (!tmpl.has_value()) {
+      std::fprintf(stderr, "cannot parse template: %s\n", argv[3]);
+      return kExitUsage;
+    }
+  }
+  if (command == kStats) {
+    flags.stats = true;
+    flags.stats_only = true;
+  }
+  // Arm --faults process-wide before the tree load so fs.read rules fire
+  // during it (ScanOptions::fault_spec would only cover the scan). A
+  // malformed spec on the command line is a usage error (the env-var
+  // variant stays a hard failure: nothing was typed to correct).
+  if (!flags.fault_spec.empty()) {
+    FaultPlan plan;
+    std::string fault_error;
+    if (!ParseFaultSpec(flags.fault_spec, plan, &fault_error)) {
+      std::fprintf(stderr, "bad --faults spec: %s\n", fault_error.c_str());
+      return kExitUsage;
+    }
+    ArmFaults(std::move(plan));
+  }
+  // Arm a telemetry session around the whole run (load + scan) when any
+  // export was requested, and disarm before writing: no span can still be
+  // in flight when the buffers are read.
+  Telemetry session;
+  std::optional<ScopedTelemetry> telemetry_arm;
+  if (!flags.trace_out.empty() || !flags.metrics_out.empty()) {
+    telemetry_arm.emplace(session);
+  }
+
+  SourceTree tree;
+  std::vector<LoadFailure> load_failures;
+  LoadStats load_stats;
+  if (command == kDemo) {
+    std::printf("generating the synthetic kernel corpus and scanning it...\n\n");
+    CorpusOptions corpus_options;
+    corpus_options.kernelish_modules = static_cast<int>(flags.kernelish);
+    tree = GenerateKernelCorpus(corpus_options).tree;
+    if (!flags.emit_dir.empty() && !EmitTree(tree, flags.emit_dir)) {
+      return kExitHardFailure;
+    }
+  } else {
+    LoadOptions load_options;
+    load_options.jobs = flags.jobs;
+    load_options.use_mmap = flags.use_mmap;
+    tree = LoadSourceTreeFromDisk(argv[2], load_options, &load_failures, &load_stats);
+    for (const LoadFailure& f : load_failures) {
+      std::fprintf(stderr, "warning: %s: %s\n", f.path.c_str(), f.what.c_str());
+    }
+    if (tree.size() == 0) {
+      std::fprintf(stderr, "no C sources found under %s\n", argv[2]);
+      return kExitHardFailure;
+    }
+  }
+
+  int rc = (command & kScanLike) != 0
+               ? RunScan(tree, flags, load_failures, load_stats)
+               : RunClient(command, tree, flags, tmpl, load_failures, load_stats);
+  telemetry_arm.reset();
+  if (!flags.trace_out.empty() && !WriteTextFile(flags.trace_out, session.TraceToChromeJson())) {
+    return kExitHardFailure;
+  }
+  if (!flags.metrics_out.empty() &&
+      !WriteTextFile(flags.metrics_out, session.MetricsToPrometheusText())) {
+    return kExitHardFailure;
+  }
+  if (command == kStats && rc == kExitReports) {
+    rc = kExitClean;  // reports are not what `stats` asks about
+  }
+  if (command == kDemo) {
+    // The corpus is a bug corpus — finding reports is the expected outcome,
+    // so only a degraded or failed scan is an error here. The kernelish
+    // extension plants deliberately unparseable functions, so with it a
+    // degraded (function-quarantine) exit is the expected outcome too.
+    rc = rc == kExitHardFailure || (rc == kExitDegraded && flags.kernelish == 0) ? 1 : 0;
+  }
+  return rc;
+}
+
 int RealMain(int argc, char** argv) {
   using namespace refscan;
 
@@ -568,29 +692,6 @@ int RealMain(int argc, char** argv) {
     return Usage();
   }
   const std::string command = argv[1];
-
-  if (command == "demo") {
-    CliFlags flags;
-    if (!ParseFlags(argc, argv, 2, flags)) {
-      return Usage();
-    }
-    std::printf("generating the synthetic kernel corpus and scanning it...\n\n");
-    CorpusOptions corpus_options;
-    corpus_options.kernelish_modules = static_cast<int>(flags.kernelish);
-    const Corpus corpus = GenerateKernelCorpus(corpus_options);
-    if (!flags.emit_dir.empty() && !EmitTree(corpus.tree, flags.emit_dir)) {
-      return kExitHardFailure;
-    }
-    // The corpus is a bug corpus — finding reports is the expected outcome,
-    // so only a degraded or failed scan is an error here. The kernelish
-    // extension plants deliberately unparseable functions, so with it a
-    // degraded (function-quarantine) exit is the expected outcome too.
-    const int rc = RunScan(corpus.tree, flags);
-    if (rc == kExitHardFailure) {
-      return 1;
-    }
-    return (rc == kExitDegraded && flags.kernelish == 0) ? 1 : 0;
-  }
 
   if (command == "worker") {
     // Internal: spawned by `scan --workers N`. Not part of the documented
@@ -818,37 +919,6 @@ int RealMain(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "match") {
-    if (argc < 4) {
-      return Usage();
-    }
-    CliFlags flags;
-    if (!ParseFlags(argc, argv, 4, flags)) {
-      return Usage();
-    }
-    const auto tmpl = ParseTemplate(argv[3]);
-    if (!tmpl.has_value()) {
-      std::fprintf(stderr, "cannot parse template: %s\n", argv[3]);
-      return kExitUsage;
-    }
-    LoadOptions load_options;
-    load_options.jobs = flags.jobs;
-    const SourceTree tree = LoadSourceTreeFromDisk(argv[2], load_options);
-    if (tree.size() == 0) {
-      std::fprintf(stderr, "no C sources found under %s\n", argv[2]);
-      return kExitHardFailure;
-    }
-    ScanOptions options;
-    options.jobs = flags.jobs;
-    const auto reports = RunTemplateChecker(*tmpl, tree, KnowledgeBase::BuiltIn(), options);
-    for (const BugReport& r : reports) {
-      std::printf("%s:%u: [template] %s in %s() (object '%s')\n", r.file.c_str(), r.line,
-                  r.template_path.c_str(), r.function.c_str(), r.object.c_str());
-    }
-    std::printf("%zu match(es).\n", reports.size());
-    return reports.empty() ? kExitClean : kExitReports;
-  }
-
   if (command == "dump") {
     if (argc < 3) {
       return Usage();
@@ -891,121 +961,14 @@ int RealMain(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "summaries") {
-    if (argc < 3) {
-      return Usage();
+  for (const auto& [name, bit] : {std::pair{"scan", kScan}, std::pair{"stats", kStats},
+                                   std::pair{"demo", kDemo}, std::pair{"match", kMatch},
+                                   std::pair{"deviations", kDeviations},
+                                   std::pair{"summaries", kSummaries}}) {
+    if (command == name) {
+      return RunTreeCommand(bit, argc, argv);
     }
-    CliFlags flags;
-    if (!ParseFlags(argc, argv, 3, flags)) {
-      return Usage();
-    }
-    std::vector<std::string> errors;
-    LoadOptions load_options;
-    load_options.jobs = flags.jobs;
-    const SourceTree tree = LoadSourceTreeFromDisk(argv[2], load_options, &errors);
-    for (const std::string& error : errors) {
-      std::fprintf(stderr, "warning: %s\n", error.c_str());
-    }
-    if (tree.size() == 0) {
-      std::fprintf(stderr, "no C sources found under %s\n", argv[2]);
-      return kExitHardFailure;
-    }
-    // Same front half as a scan: parse everything, run the two-round
-    // discovery pass, then compute and dump the summaries.
-    std::vector<const SourceFile*> files;
-    for (const auto& [path, file] : tree.files()) {
-      files.push_back(&file);
-    }
-    ThreadPool pool(flags.jobs);
-    const std::vector<TranslationUnit> units =
-        ParallelMap(pool, files.size(), [&](size_t i) { return ParseFile(*files[i]); });
-    KnowledgeBase kb = KnowledgeBase::BuiltIn();
-    for (int round = 0; round < 2; ++round) {
-      for (const TranslationUnit& unit : units) {
-        kb.DiscoverFromUnit(unit);
-      }
-    }
-    std::vector<const TranslationUnit*> unit_ptrs;
-    for (const TranslationUnit& unit : units) {
-      unit_ptrs.push_back(&unit);
-    }
-    const SummaryResult result = ComputeSummaries(unit_ptrs, kb, SummaryOptions{}, pool);
-    std::printf("%s", (flags.json ? SummariesToJson(result) : SummariesToText(result)).c_str());
-    return 0;
   }
-
-  if (command == "scan" || command == "deviations" || command == "stats") {
-    if (argc < 3) {
-      return Usage();
-    }
-    CliFlags flags;
-    if (!ParseFlags(argc, argv, 3, flags)) {
-      return Usage();
-    }
-    if (command == "stats") {
-      flags.stats = true;
-      flags.stats_only = true;
-    }
-    // Arm --faults process-wide before the tree load so fs.read rules fire
-    // during it (ScanOptions::fault_spec would only cover the engine). A
-    // malformed spec on the command line is a usage error (the env-var
-    // variant stays a hard failure: nothing was typed to correct).
-    if (!flags.fault_spec.empty()) {
-      FaultPlan plan;
-      std::string fault_error;
-      if (!ParseFaultSpec(flags.fault_spec, plan, &fault_error)) {
-        std::fprintf(stderr, "bad --faults spec: %s\n", fault_error.c_str());
-        return kExitUsage;
-      }
-      ArmFaults(std::move(plan));
-    }
-    // Arm a telemetry session around the whole run (load + scan) when any
-    // export was requested, and disarm before writing: no span can still be
-    // in flight when the buffers are read.
-    Telemetry session;
-    std::optional<ScopedTelemetry> telemetry_arm;
-    if (!flags.trace_out.empty() || !flags.metrics_out.empty()) {
-      telemetry_arm.emplace(session);
-    }
-    std::vector<LoadFailure> load_failures;
-    LoadStats load_stats;
-    LoadOptions load_options;
-    load_options.jobs = flags.jobs;
-    load_options.use_mmap = flags.use_mmap;
-    const SourceTree tree =
-        LoadSourceTreeFromDisk(argv[2], load_options, &load_failures, &load_stats);
-    for (const LoadFailure& f : load_failures) {
-      std::fprintf(stderr, "warning: %s: %s\n", f.path.c_str(), f.what.c_str());
-    }
-    if (tree.size() == 0) {
-      std::fprintf(stderr, "no C sources found under %s\n", argv[2]);
-      return kExitHardFailure;
-    }
-    if (command == "deviations") {
-      const auto reports = DetectDeviations(tree, KnowledgeBase::BuiltIn(), flags.jobs);
-      for (const DeviationReport& r : reports) {
-        std::printf("%s:%u: [%s%s] %s\n", r.file.c_str(), r.line,
-                    std::string(DeviationKindName(r.kind)).c_str(), r.hidden ? ", hidden" : "",
-                    r.note.c_str());
-      }
-      std::printf("%zu deviant API(s).\n", reports.size());
-      return reports.empty() ? kExitClean : kExitReports;
-    }
-    int rc = RunScan(tree, flags, load_failures, load_stats);
-    telemetry_arm.reset();
-    if (!flags.trace_out.empty() && !WriteTextFile(flags.trace_out, session.TraceToChromeJson())) {
-      return kExitHardFailure;
-    }
-    if (!flags.metrics_out.empty() &&
-        !WriteTextFile(flags.metrics_out, session.MetricsToPrometheusText())) {
-      return kExitHardFailure;
-    }
-    if (command == "stats" && rc == kExitReports) {
-      rc = kExitClean;  // reports are not what `stats` asks about
-    }
-    return rc;
-  }
-
   return Usage();
 }
 
