@@ -653,18 +653,6 @@ std::optional<KnowledgeBase> DeserializeKb(std::string_view bytes) {
 // ---------------------------------------------------------------------------
 // Object store
 
-ScanCache::ScanCache(std::string dir) : dir_(std::move(dir)) {
-  if (dir_.empty()) {
-    return;
-  }
-  auto local = std::make_shared<LocalStore>(dir_);
-  if (!local->ok()) {
-    dir_.clear();  // degrade to a disabled cache rather than failing the scan
-    return;
-  }
-  store_ = std::move(local);
-}
-
 ScanCache::ScanCache(std::shared_ptr<ObjectStore> store) : store_(std::move(store)) {}
 
 namespace {

@@ -98,20 +98,15 @@ struct CachedFileReports {
 
 class ScanCache {
  public:
-  // An empty `dir` constructs a disabled cache (every Load misses, every
-  // Store is a no-op) so callers need no branches. A non-empty dir is
-  // created on demand; creation failure degrades to disabled. This is the
-  // on-disk LocalStore path.
-  explicit ScanCache(std::string dir);
-
-  // Backs the cache with an explicit store — how `--cache-server` plugs a
-  // RemoteStore under the same artifact semantics (keys, header framing,
-  // corruption accounting all unchanged; only raw blob I/O differs).
-  // A null store constructs a disabled cache.
+  // Backs the cache with a store (MakeScanStore picks it from the scan
+  // options: a LocalStore directory, a RemoteStore for `--cache-server`, or
+  // a resident MemoryStore). The artifact semantics — keys, header framing,
+  // corruption accounting — are the same over every store; only raw blob
+  // I/O differs. A null store constructs a disabled cache (every Load
+  // misses, every Store is a no-op) so callers need no branches.
   explicit ScanCache(std::shared_ptr<ObjectStore> store);
 
   bool enabled() const { return store_ != nullptr; }
-  const std::string& dir() const { return dir_; }
 
   std::optional<DiscoveryFacts> LoadFacts(const CacheKey& key) const;
   void StoreFacts(const CacheKey& key, const DiscoveryFacts& facts, std::string_view source);
@@ -144,7 +139,6 @@ class ScanCache {
   void StoreObject(const std::string& name, uint8_t kind, std::string_view payload,
                    std::string_view kind_name, std::string_view source);
 
-  std::string dir_;
   std::shared_ptr<ObjectStore> store_;
   mutable std::atomic<uint64_t> corrupt_loads_{0};
 };

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <limits.h>
 #include <sys/file.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -329,108 +328,36 @@ void RemoteStore::Put(const std::string& name, std::string_view blob, std::strin
 // CacheServer
 
 CacheServer::CacheServer(std::string dir, std::string socket_path)
-    : store_(std::move(dir)), socket_path_(std::move(socket_path)) {}
-
-CacheServer::~CacheServer() { Stop(); }
-
-bool CacheServer::Start(std::string* error) {
+    : FrameServer(std::move(socket_path)), store_(dir) {
   if (!store_.ok()) {
-    if (error != nullptr) {
-      *error = "cannot create cache directory " + store_.dir();
-    }
-    return false;
-  }
-  listen_fd_ = UnixListen(socket_path_, error);
-  if (!listen_fd_.valid()) {
-    return false;
-  }
-  stopping_.store(false, std::memory_order_relaxed);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return true;
-}
-
-void CacheServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    // The poll timeout bounds how long Stop() waits for the loop to notice
-    // stopping_; it does not limit how long clients may stay connected.
-    OwnedFd conn = UnixAccept(listen_fd_.get(), /*timeout_ms=*/200);
-    if (!conn.valid()) {
-      continue;
-    }
-    conns_.Add(conn.get());
-    conns_.Launch([this, c = std::move(conn)]() mutable { ServeConn(std::move(c)); });
+    RefuseStart("cannot create cache directory " + dir);
   }
 }
 
-void CacheServer::ServeConn(OwnedFd conn) {
-  uint8_t type = 0;
-  std::string payload;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    if (RecvFrame(conn.get(), type, payload) != RecvOutcome::kFrame) {
-      break;
+bool CacheServer::ServeFrame(int fd, uint8_t type, const std::string& payload) {
+  ByteReader r(payload);
+  if (type == kCacheGet) {
+    const std::string name = r.Str();
+    metrics().Counter("cached.gets").Add(1);
+    std::string blob;
+    if (r.ok() && r.AtEnd() && store_.Get(name, blob)) {
+      metrics().Counter("cached.hits").Add(1);
+      return SendFrame(fd, kCacheHit, blob);
     }
-    if (type == kCacheGet) {
-      ByteReader r(payload);
-      const std::string name = r.Str();
-      gets_.fetch_add(1, std::memory_order_relaxed);
-      std::string blob;
-      if (r.ok() && r.AtEnd() && store_.Get(name, blob)) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (!SendFrame(conn.get(), kCacheHit, blob)) {
-          break;
-        }
-      } else if (!SendFrame(conn.get(), kCacheMiss, {})) {
-        break;
-      }
-    } else if (type == kCachePut) {
-      ByteReader r(payload);
-      std::string name = r.Str();
-      std::string kind = r.Str();
-      std::string source = r.Str();
-      std::string blob = r.Str();
-      if (r.ok() && r.AtEnd()) {
-        puts_.fetch_add(1, std::memory_order_relaxed);
-        store_.Put(name, blob, kind, source);
-      }
-      if (!SendFrame(conn.get(), kCachePutOk, {})) {
-        break;
-      }
-    } else {
-      break;  // unknown frame type: not our protocol, drop the connection
+    return SendFrame(fd, kCacheMiss, {});
+  }
+  if (type == kCachePut) {
+    const std::string name = r.Str();
+    const std::string kind = r.Str();
+    const std::string source = r.Str();
+    const std::string blob = r.Str();
+    if (r.ok() && r.AtEnd()) {
+      metrics().Counter("cached.puts").Add(1);
+      store_.Put(name, blob, kind, source);
     }
+    return SendFrame(fd, kCachePutOk, {});
   }
-  // Deregister before the fd closes (at end of this function) so Stop()
-  // never calls shutdown() on a recycled descriptor.
-  conns_.Remove(conn.get());
-}
-
-void CacheServer::Stop() {
-  if (!accept_thread_.joinable()) {
-    return;
-  }
-  stopping_.store(true, std::memory_order_relaxed);
-  accept_thread_.join();
-  conns_.ShutdownAll(SHUT_RDWR);  // unblocks any conn thread parked in recv
-  conns_.JoinAll();
-  listen_fd_.Reset();
-  ::unlink(socket_path_.c_str());
-}
-
-bool CacheServer::Drain(uint32_t timeout_ms) {
-  if (!accept_thread_.joinable()) {
-    return true;
-  }
-  // Reject new work first: stop the accept loop and remove the socket file,
-  // so a connect() after SIGTERM fails fast instead of queueing behind a
-  // listener nobody will ever accept from.
-  stopping_.store(true, std::memory_order_relaxed);
-  accept_thread_.join();
-  listen_fd_.Reset();
-  ::unlink(socket_path_.c_str());
-  // A connection thread mid-request is past its stopping_ check: it finishes
-  // the exchange and flushes the reply before SHUT_RD's EOF reaches its next
-  // recv. Parked readers wake immediately with a clean EOF.
-  return DrainConnections(conns_, timeout_ms);
+  return false;  // unknown frame type: not our protocol, drop the connection
 }
 
 // ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@
 //                dropped put — the server dying mid-scan can cost time,
 //                never output.
 //
-// CacheServer is the matching server: a LocalStore behind an accept loop,
-// one thread per connection. RunCacheGc size-caps a local store by evicting
+// CacheServer is the matching server: a LocalStore behind the shared
+// FrameServer lifecycle (support/server.h). RunCacheGc size-caps a local store by evicting
 // least-recently-used objects (LocalStore::Get touches mtime on every hit,
 // so mtime order is LRU order, not write order).
 
@@ -36,7 +36,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -82,7 +81,6 @@ class LocalStore : public ObjectStore {
   explicit LocalStore(std::string dir);
 
   bool ok() const { return !dir_.empty(); }
-  const std::string& dir() const { return dir_; }
 
   bool Get(const std::string& name, std::string& blob) override;
   void Put(const std::string& name, std::string_view blob, std::string_view kind_name,
@@ -150,57 +148,20 @@ class RemoteStore : public ObjectStore {
   bool broken_ = false;
 };
 
-// Cache server: serves get/put for one LocalStore over a Unix socket.
-// Thread-per-connection; the LocalStore's atomic object writes and index
-// appends make concurrent connections safe. Run via Start()/Stop() (tests,
-// benches) or let `refscan cached` block on ServeForever().
-class CacheServer {
+// Cache server: serves get/put for one LocalStore over a Unix socket, on
+// the shared daemon lifecycle (support/server.h). The LocalStore's atomic
+// object writes and index appends make concurrent connections safe. An
+// unusable directory makes Start fail. Counts `cached.gets`, `cached.hits`
+// and `cached.puts` in metrics().
+class CacheServer : public FrameServer {
  public:
   CacheServer(std::string dir, std::string socket_path);
-  ~CacheServer();
-
-  CacheServer(const CacheServer&) = delete;
-  CacheServer& operator=(const CacheServer&) = delete;
-
-  // Binds the socket and starts the accept thread. False + `error` if the
-  // directory or socket is unusable.
-  bool Start(std::string* error = nullptr);
-
-  // Stops accepting, shuts down live connections, joins every thread.
-  // Idempotent; the destructor calls it.
-  void Stop();
-
-  // Graceful SIGTERM path (shared drain semantics, support/server.h): stop
-  // accepting, close and unlink the listener, then let every request
-  // already received finish and flush its reply — SHUT_RD wakes idle
-  // readers without cutting in-flight writes, so no client is left on a
-  // half-written frame. Escalates to a hard shutdown only past
-  // `timeout_ms`. Idempotent with Stop(); returns true when the drain
-  // finished inside the budget.
-  bool Drain(uint32_t timeout_ms = 5000);
-
-  const std::string& socket_path() const { return socket_path_; }
-
-  // Served-request counters (for the CLI's status line and tests).
-  uint64_t gets() const { return gets_.load(std::memory_order_relaxed); }
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t puts() const { return puts_.load(std::memory_order_relaxed); }
+  ~CacheServer() override { Stop(); }
 
  private:
-  void AcceptLoop();
-  void ServeConn(OwnedFd conn);
+  bool ServeFrame(int fd, uint8_t type, const std::string& payload) override;
 
   LocalStore store_;
-  std::string socket_path_;
-  OwnedFd listen_fd_;
-  std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
-
-  ConnectionRegistry conns_;
-
-  std::atomic<uint64_t> gets_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> puts_{0};
 };
 
 // Size-capped LRU eviction for a local cache directory (`refscan cache gc`).

@@ -1,7 +1,6 @@
 #include "src/serve/serve.h"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 
@@ -15,9 +14,8 @@ namespace refscan {
 
 namespace {
 
-// How often the accept loop re-checks stopping_ and the watchdog re-checks
-// deadlines. Bounds shutdown latency, not request latency.
-constexpr int kAcceptPollMs = 200;
+// How often the watchdog re-checks deadlines. Bounds how late a deadline
+// reply can be, not request latency.
 constexpr int kWatchdogPollMs = 25;
 
 std::string_view RequestName(uint8_t type) {
@@ -38,79 +36,18 @@ std::string_view RequestName(uint8_t type) {
 }  // namespace
 
 ScanServer::ScanServer(ServeConfig config)
-    : config_(std::move(config)), store_(std::make_shared<MemoryStore>()) {
+    : FrameServer(config.socket_path),
+      config_(std::move(config)),
+      store_(std::make_shared<MemoryStore>()) {
   config_.sessions = std::max<size_t>(config_.sessions, 1);
 }
 
-ScanServer::~ScanServer() { Stop(); }
-
-bool ScanServer::Start(std::string* error) {
-  listen_fd_ = UnixListen(config_.socket_path, error);
-  if (!listen_fd_.valid()) {
-    return false;
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
-  return true;
-}
-
-void ScanServer::Stop() {
-  if (stopped_.exchange(true)) {
-    return;
-  }
-  stopping_.store(true, std::memory_order_relaxed);
-  aborting_.store(true, std::memory_order_relaxed);
-  session_cv_.notify_all();
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
-  listen_fd_.Reset();
-  ::unlink(config_.socket_path.c_str());
-  conns_.ShutdownAll(SHUT_RDWR);
-  conns_.JoinAll();
+ScanServer::~ScanServer() {
+  Stop();
   watchdog_stop_.store(true, std::memory_order_relaxed);
   if (watchdog_thread_.joinable()) {
     watchdog_thread_.join();
   }
-}
-
-bool ScanServer::Drain() {
-  if (stopped_.exchange(true)) {
-    return true;
-  }
-  stopping_.store(true, std::memory_order_relaxed);
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
-  }
-  listen_fd_.Reset();
-  ::unlink(config_.socket_path.c_str());
-  // SHUT_RD wakes every idle reader while leaving writes open: requests
-  // already received keep draining through the session semaphore and flush
-  // their replies. Only past the budget do we cut writes too — and release
-  // any session waiter, or JoinAll would park behind it forever.
-  conns_.ShutdownAll(SHUT_RD);
-  const bool clean = conns_.WaitIdle(config_.drain_timeout_ms);
-  if (!clean) {
-    aborting_.store(true, std::memory_order_relaxed);
-    session_cv_.notify_all();
-    conns_.ShutdownAll(SHUT_RDWR);
-  }
-  conns_.JoinAll();
-  watchdog_stop_.store(true, std::memory_order_relaxed);
-  if (watchdog_thread_.joinable()) {
-    watchdog_thread_.join();
-  }
-  return clean;
-}
-
-ScanServer::Counters ScanServer::counters() const {
-  Counters c;
-  c.requests = requests_.load(std::memory_order_relaxed);
-  c.scans = scans_.load(std::memory_order_relaxed);
-  c.shed = shed_.load(std::memory_order_relaxed);
-  c.faulted = faulted_.load(std::memory_order_relaxed);
-  c.timed_out = timed_out_.load(std::memory_order_relaxed);
-  return c;
 }
 
 ScanStats ScanServer::last_scan_stats() const {
@@ -118,31 +55,35 @@ ScanStats ScanServer::last_scan_stats() const {
   return last_stats_;
 }
 
-void ScanServer::AcceptLoop() {
-  uint64_t accepted = 0;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    OwnedFd conn = UnixAccept(listen_fd_.get(), kAcceptPollMs);
-    if (!conn.valid()) {
-      continue;  // timeout or transient error; re-check stopping_
-    }
-    ++accepted;
-    try {
-      MaybeFault("serve.accept", std::to_string(accepted));
-    } catch (const FaultInjected&) {
-      continue;  // injected accept failure: drop the connection on the floor
-    }
-    if (conns_.live_connections() >= config_.sessions + config_.max_pending) {
-      // Admission queue full: shed with an explicit busy reply so the
-      // client backs off instead of parking in our accept backlog. Count
-      // before sending — a client that has the busy reply in hand must
-      // already see it in the counters.
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      SendFrame(conn.get(), kServeBusy, "server busy");
-      continue;
-    }
-    conns_.Add(conn.get());
-    conns_.Launch([this, c = std::move(conn)]() mutable { ServeConn(std::move(c)); });
+bool ScanServer::Admit(int fd) {
+  if (config_.request_timeout_ms > 0 && !watchdog_thread_.joinable()) {
+    // Spawned from the accept thread, like every other server thread, so it
+    // inherits the signal mask Start ran under (the CLI blocks SIGTERM).
+    watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
   }
+  try {
+    MaybeFault("serve.accept", std::to_string(++accepted_));
+  } catch (const FaultInjected&) {
+    return false;  // injected accept failure: drop the connection on the floor
+  }
+  if (live_connections() < config_.sessions + config_.max_pending) {
+    return true;
+  }
+  // Admission queue full: shed with an explicit busy reply so the client
+  // backs off instead of parking in our accept backlog. Count before
+  // sending — a client that has the busy reply in hand must already see it
+  // in the counters.
+  metrics().Counter("serve.shed").Add(1);
+  SendFrame(fd, kServeBusy, "server busy");
+  return false;
+}
+
+void ScanServer::Escalate() {
+  {
+    std::lock_guard<std::mutex> lock(session_mu_);
+    aborting_ = true;
+  }
+  session_cv_.notify_all();
 }
 
 void ScanServer::WatchdogLoop() {
@@ -165,7 +106,7 @@ void ScanServer::WatchdogLoop() {
       rs->replied = true;
       // Count before sending: a client holding the deadline reply must
       // already see it in the counters.
-      timed_out_.fetch_add(1, std::memory_order_relaxed);
+      metrics().Counter("serve.timed_out").Add(1);
       SendFrame(rs->fd, kServeErr, "request deadline exceeded");
       // Sever the connection: the hung session thread's eventual result is
       // discarded, and the client is not left waiting on a dead session.
@@ -177,10 +118,8 @@ void ScanServer::WatchdogLoop() {
 
 bool ScanServer::AcquireSession() {
   std::unique_lock<std::mutex> lock(session_mu_);
-  session_cv_.wait(lock, [this] {
-    return active_sessions_ < config_.sessions || aborting_.load(std::memory_order_relaxed);
-  });
-  if (aborting_.load(std::memory_order_relaxed)) {
+  session_cv_.wait(lock, [this] { return active_sessions_ < config_.sessions || aborting_; });
+  if (aborting_) {
     return false;
   }
   ++active_sessions_;
@@ -204,67 +143,63 @@ void ScanServer::Reply(ReplyState& rs, uint8_t type, const std::string& payload)
   SendFrame(rs.fd, type, payload);
 }
 
-void ScanServer::ServeConn(OwnedFd conn) {
-  uint8_t type = 0;
-  std::string payload;
-  while (RecvFrame(conn.get(), type, payload) == RecvOutcome::kFrame) {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    auto rs = std::make_shared<ReplyState>();
-    rs->fd = conn.get();
-    if (config_.request_timeout_ms > 0) {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      pending_.push_back(Pending{
-          rs, std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(config_.request_timeout_ms)});
-    }
-    if (!AcquireSession()) {
-      Reply(*rs, kServeErr, "server draining");
-    } else {
-      uint8_t reply_type = kServeText;
-      std::string reply;
-      try {
-        MaybeFault("serve.request", std::string(RequestName(type)));
-        switch (type) {
-          case kServeScanReq:
-            reply = HandleScan(payload, reply_type);
-            break;
-          case kServeStatsReq:
-            reply = HandleStats();
-            break;
-          case kServeSummariesReq:
-            reply = HandleSummaries(payload, reply_type);
-            break;
-          case kServeHealthReq:
-            reply = "ok";
-            break;
-          default:
-            reply_type = kServeErr;
-            reply = StrFormat("unknown request type %u", type);
-            break;
-        }
-      } catch (const std::exception& e) {
-        // Request isolation: whatever escaped the scan sandbox fails THIS
-        // request; the store, the connection, and every other session are
-        // untouched.
-        faulted_.fetch_add(1, std::memory_order_relaxed);
-        reply_type = kServeErr;
-        reply = e.what();
-      } catch (...) {
-        faulted_.fetch_add(1, std::memory_order_relaxed);
-        reply_type = kServeErr;
-        reply = "unknown exception";
-      }
-      Reply(*rs, reply_type, reply);
-      ReleaseSession();
-    }
-    if (config_.request_timeout_ms > 0) {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                    [&](const Pending& p) { return p.reply == rs; }),
-                     pending_.end());
-    }
+bool ScanServer::ServeFrame(int fd, uint8_t type, const std::string& payload) {
+  metrics().Counter("serve.requests").Add(1);
+  auto rs = std::make_shared<ReplyState>();
+  rs->fd = fd;
+  if (config_.request_timeout_ms > 0) {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    pending_.push_back(Pending{
+        rs, std::chrono::steady_clock::now() +
+                std::chrono::milliseconds(config_.request_timeout_ms)});
   }
-  conns_.Remove(conn.get());
+  if (!AcquireSession()) {
+    Reply(*rs, kServeErr, "server draining");
+  } else {
+    uint8_t reply_type = kServeText;
+    std::string reply;
+    try {
+      MaybeFault("serve.request", std::string(RequestName(type)));
+      switch (type) {
+        case kServeScanReq:
+          reply = HandleScan(payload, reply_type);
+          break;
+        case kServeStatsReq:
+          reply = HandleStats();
+          break;
+        case kServeSummariesReq:
+          reply = HandleSummaries(payload, reply_type);
+          break;
+        case kServeHealthReq:
+          reply = "ok";
+          break;
+        default:
+          reply_type = kServeErr;
+          reply = StrFormat("unknown request type %u", type);
+          break;
+      }
+    } catch (const std::exception& e) {
+      // Request isolation: whatever escaped the scan sandbox fails THIS
+      // request; the store, the connection, and every other session are
+      // untouched.
+      metrics().Counter("serve.faulted").Add(1);
+      reply_type = kServeErr;
+      reply = e.what();
+    } catch (...) {
+      metrics().Counter("serve.faulted").Add(1);
+      reply_type = kServeErr;
+      reply = "unknown exception";
+    }
+    Reply(*rs, reply_type, reply);
+    ReleaseSession();
+  }
+  if (config_.request_timeout_ms > 0) {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
+                                  [&](const Pending& p) { return p.reply == rs; }),
+                   pending_.end());
+  }
+  return true;
 }
 
 ScanOptions ScanServer::RequestOptions(ScanOptions options) const {
@@ -295,7 +230,7 @@ std::string ScanServer::HandleScan(std::string_view payload, uint8_t& type) {
   }
   CheckerEngine engine(KnowledgeBase::BuiltIn(), RequestOptions(std::move(options)));
   const ScanResult result = engine.Scan(tree);
-  scans_.fetch_add(1, std::memory_order_relaxed);
+  metrics().Counter("serve.scans").Add(1);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     last_stats_ = result.stats;
@@ -305,16 +240,14 @@ std::string ScanServer::HandleScan(std::string_view payload, uint8_t& type) {
 }
 
 std::string ScanServer::HandleStats() const {
-  const Counters c = counters();
   const ScanStats stats = last_scan_stats();
   std::string out = "{";
-  out += StrFormat("\"requests\":%llu,\"scans\":%llu,\"shed\":%llu,\"faulted\":%llu,",
-                   static_cast<unsigned long long>(c.requests),
-                   static_cast<unsigned long long>(c.scans),
-                   static_cast<unsigned long long>(c.shed),
-                   static_cast<unsigned long long>(c.faulted));
-  out += StrFormat("\"timed_out\":%llu,\"store_objects\":%zu,\"store_bytes\":%llu,",
-                   static_cast<unsigned long long>(c.timed_out), store_->objects(),
+  for (const char* name : {"requests", "scans", "shed", "faulted", "timed_out"}) {
+    out += StrFormat("\"%s\":%llu,", name,
+                     static_cast<unsigned long long>(
+                         metrics().CounterValue(std::string("serve.") + name)));
+  }
+  out += StrFormat("\"store_objects\":%zu,\"store_bytes\":%llu,", store_->objects(),
                    static_cast<unsigned long long>(store_->bytes()));
   out += "\"last_scan\":{";
   bool first = true;

@@ -23,10 +23,11 @@
 //                 `max_pending` more connections may wait. Beyond that the
 //                 accept loop sheds with an immediate kServeBusy so clients
 //                 back off instead of queueing unboundedly.
-//   drain         Drain() stops accepting, lets in-flight requests finish
-//                 and flush their replies (SHUT_RD leaves the write side
-//                 open), and escalates to a hard close after
-//                 drain_timeout_ms. The CLI runs it on SIGTERM/SIGINT.
+//   drain         the shared FrameServer drain (support/server.h) with a
+//                 drain_timeout_ms budget: in-flight requests finish and
+//                 flush their replies; past the budget, connections still
+//                 queued for a session are released with kServeErr and the
+//                 rest are cut. The CLI runs it on SIGTERM/SIGINT.
 //
 // Fault-injection sites: `serve.accept` (accept loop, subject = decimal
 // accept counter) drops the incoming connection; `serve.request` (dispatch,
@@ -60,34 +61,23 @@ struct ServeConfig {
   uint32_t drain_timeout_ms = 5000;
 };
 
-class ScanServer {
+// Counts `serve.requests` (frames dispatched), `serve.scans` (scan requests
+// completed, degraded or not), `serve.shed` (connections turned away with
+// kServeBusy), `serve.faulted` (requests answered kServeErr from the
+// sandbox) and `serve.timed_out` (requests the watchdog gave up on) in
+// metrics().
+class ScanServer : public FrameServer {
  public:
   explicit ScanServer(ServeConfig config);
-  ~ScanServer();
+  ~ScanServer() override;
 
-  bool Start(std::string* error = nullptr);
-
-  // Hard stop: sever every connection, join every thread. In-flight
-  // requests lose their reply; use Drain for the graceful path.
-  void Stop();
-
-  // Graceful shutdown: stop accepting, let in-flight requests complete and
-  // flush, escalate to a hard close after drain_timeout_ms. Returns true
-  // when every session finished inside the budget. Idempotent with Stop.
-  bool Drain();
+  // Graceful shutdown within the configured drain_timeout_ms: in-flight
+  // requests complete and flush (FrameServer::Drain).
+  bool Drain() { return FrameServer::Drain(config_.drain_timeout_ms); }
 
   // The resident artifact store every request scans against. Exposed so the
   // watch loop and benchmarks share the same warm cache.
   const std::shared_ptr<MemoryStore>& store() const { return store_; }
-
-  struct Counters {
-    uint64_t requests = 0;   // frames dispatched (any type)
-    uint64_t scans = 0;      // kServeScanReq completed (degraded or not)
-    uint64_t shed = 0;       // connections turned away with kServeBusy
-    uint64_t faulted = 0;    // requests answered kServeErr from the sandbox
-    uint64_t timed_out = 0;  // requests the watchdog gave up on
-  };
-  Counters counters() const;
 
   // Stats of the most recent completed scan request (for the stats reply).
   ScanStats last_scan_stats() const;
@@ -106,9 +96,13 @@ class ScanServer {
     std::chrono::steady_clock::time_point deadline;
   };
 
-  void AcceptLoop();
+  bool Admit(int fd) override;
+  bool ServeFrame(int fd, uint8_t type, const std::string& payload) override;
+  // Releases connection threads queued for a session, so the join that
+  // follows cannot park behind them.
+  void Escalate() override;
+
   void WatchdogLoop();
-  void ServeConn(OwnedFd conn);
   bool AcquireSession();
   void ReleaseSession();
   void Reply(ReplyState& rs, uint8_t type, const std::string& payload);
@@ -122,27 +116,19 @@ class ScanServer {
 
   ServeConfig config_;
   std::shared_ptr<MemoryStore> store_;
-  OwnedFd listen_fd_;
-  std::thread accept_thread_;
-  std::thread watchdog_thread_;
-  ConnectionRegistry conns_;
-  std::atomic<bool> stopping_{false};       // accept loop exits
-  std::atomic<bool> watchdog_stop_{false};  // watchdog loop exits
-  std::atomic<bool> aborting_{false};       // session waiters bail out
-  std::atomic<bool> stopped_{false};        // Stop/Drain already ran
+  uint64_t accepted_ = 0;  // the accept thread's connection counter
 
   std::mutex session_mu_;
   std::condition_variable session_cv_;
   size_t active_sessions_ = 0;
+  bool aborting_ = false;  // session waiters bail out
 
+  // The watchdog runs only with a request deadline configured, from the
+  // first connection on.
   std::mutex pending_mu_;
   std::vector<Pending> pending_;
-
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> scans_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> faulted_{0};
-  std::atomic<uint64_t> timed_out_{0};
+  std::atomic<bool> watchdog_stop_{false};
+  std::thread watchdog_thread_;
 
   mutable std::mutex stats_mu_;
   ScanStats last_stats_;

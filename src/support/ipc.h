@@ -1,15 +1,16 @@
 // Unix-domain socket transport with length-prefixed frames (DESIGN.md
 // §5.13).
 //
-// Two fleet-scale features ride on this one primitive: sharded multi-process
-// scanning (src/checkers/sharded) and the shared content-addressed cache
-// server (`refscan cached`, src/cache/store). Both speak the same trivially
-// parseable wire format — one frame is
+// Three features ride on this one primitive: sharded multi-process scanning
+// (src/checkers/sharded), the shared content-addressed cache server
+// (`refscan cached`, src/cache/store) and the resident scan service
+// (`refscan serve`, src/serve). All speak the same trivially parseable wire
+// format — one frame is
 //
 //   [u32 payload length, little-endian] [u8 type] [payload bytes]
 //
-// — so a future resident scan service (ROADMAP item 1) can reuse the framing
-// unchanged. Payload encoding is the cache layer's ByteWriter/ByteReader
+// — and the two daemons share one server lifecycle on top of it,
+// FrameServer (support/server.h). Payload encoding is the cache layer's ByteWriter/ByteReader
 // format (src/cache/serial.h): every length bounds-checked, corruption
 // degrades to a protocol error, never UB.
 //

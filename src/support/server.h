@@ -1,94 +1,122 @@
-// Shared scaffolding for the Unix-socket daemons (DESIGN.md §5.14).
+// The one Unix-socket daemon lifecycle (DESIGN.md §5.14).
 //
 // Both resident servers — the shared cache (`refscan cached`,
 // src/cache/store) and the resident scan service (`refscan serve`,
-// src/serve) — are an accept loop fanning connections out to threads, and
-// both need the same two lifecycle moves:
+// src/serve) — are a FrameServer: a listener, an accept thread, one thread
+// per live connection reading frames in lockstep (the accept loop joins a
+// connection's thread once it ends), and two ways down:
 //
-//   Stop   tear everything down now (tests, destructors): SHUT_RDWR every
-//          live connection, join.
-//   Drain  the SIGTERM path: stop accepting, let requests already received
-//          finish and flush their replies, wake idle readers with SHUT_RD
-//          (reads fail, in-flight writes still go out — no client is ever
-//          left holding a half-written frame), bound the wait, escalate to
-//          SHUT_RDWR only past the deadline.
+//   Drain  the SIGTERM path: stop accepting and unlink the socket (a
+//          connect() after SIGTERM fails fast), let requests already
+//          received finish and flush their replies, wake idle readers with
+//          SHUT_RD (reads fail, in-flight writes still go out — no client is
+//          ever left holding a half-written frame), bound the wait, and only
+//          past the deadline escalate: run the subclass's Escalate() hook,
+//          then SHUT_RDWR. Joins every thread either way.
+//   Stop   Drain with a zero budget: tear everything down now (tests,
+//          destructors).
 //
-// ConnectionRegistry owns that bookkeeping: live fds, their threads, and a
-// condition variable counting active connection bodies so the drain wait is
-// a timed wait, not a thread join (std::thread cannot timed-join).
+// A subclass supplies ServeFrame (one request frame in, its replies out)
+// and, optionally, Admit (vet a connection on the accept thread before it
+// gets a thread) and Escalate (release whatever a connection thread may be
+// parked on besides its socket). Connection threads call into the
+// subclass, so a subclass destructor must Stop() before its members go.
 //
-// Contract: Launch/Add are only called while the owner's accept loop runs;
-// the owner stops accepting before WaitIdle/JoinAll, so the thread list is
-// stable by the time anyone joins it.
+// Counters live in the server's MetricsRegistry: handlers count into
+// metrics(), and `refscan` reads the same registry for its status lines.
+// The server itself keeps the gauge `server.connection_threads`: connection
+// threads not yet joined, set at each launch and each join.
 
 #ifndef REFSCAN_SUPPORT_SERVER_H_
 #define REFSCAN_SUPPORT_SERVER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <mutex>
+#include <string>
 #include <thread>
-#include <utility>
-#include <vector>
+
+#include "src/support/ipc.h"
+#include "src/support/telemetry.h"
 
 namespace refscan {
 
-class ConnectionRegistry {
+class FrameServer {
  public:
-  ConnectionRegistry() = default;
-  ConnectionRegistry(const ConnectionRegistry&) = delete;
-  ConnectionRegistry& operator=(const ConnectionRegistry&) = delete;
+  explicit FrameServer(std::string socket_path);
+  virtual ~FrameServer();
 
-  // Tracks a connection's raw fd for ShutdownAll. The fd must outlive its
-  // registration: Remove before the owning OwnedFd closes, so a shutdown
-  // never lands on a recycled descriptor.
-  void Add(int fd);
-  void Remove(int fd);
+  FrameServer(const FrameServer&) = delete;
+  FrameServer& operator=(const FrameServer&) = delete;
 
-  // Spawns and tracks one connection thread. `body` runs on the new thread;
-  // its completion is what WaitIdle observes. A template because the bodies
-  // capture move-only OwnedFds, which std::function cannot hold.
-  template <typename Body>
-  void Launch(Body&& body) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++active_;
-    threads_.emplace_back([this, body = std::forward<Body>(body)]() mutable {
-      body();
-      std::lock_guard<std::mutex> done(mu_);
-      --active_;
-      idle_cv_.notify_all();
-    });
-  }
+  // Binds the socket and starts the accept thread. False + `error` if the
+  // socket is unusable or the subclass refused to start.
+  bool Start(std::string* error = nullptr);
 
-  // shutdown(2) every registered fd with `how` (SHUT_RD to drain — wakes
-  // parked readers while replies still flush — or SHUT_RDWR to cut hard).
-  void ShutdownAll(int how);
+  // Graceful shutdown (see the header comment). Returns true when every
+  // connection finished inside `timeout_ms`, false when it escalated.
+  // Idempotent: a second call, or one before Start, returns true.
+  bool Drain(uint32_t timeout_ms);
 
-  // Waits until every launched body has returned, at most `timeout_ms`
-  // (0 = no wait, just poll). True = all idle.
-  bool WaitIdle(uint32_t timeout_ms);
+  // Hard stop: Drain(0). Idempotent.
+  void Stop() { Drain(0); }
 
-  // Joins every launched thread. Call only after the owner stopped
-  // launching; blocks until the bodies return (pair with ShutdownAll).
-  void JoinAll();
+  MetricsRegistry& metrics() { return metrics_; }
+  const MetricsRegistry& metrics() const { return metrics_; }
 
+ protected:
+  // Serves one frame on its connection's thread, sending whatever replies
+  // it owes. False closes the connection.
+  virtual bool ServeFrame(int fd, uint8_t type, const std::string& payload) = 0;
+
+  // Runs on the accept thread for each new connection, before it gets a
+  // thread. False drops it (the fd closes when this returns).
+  virtual bool Admit(int /*fd*/) { return true; }
+
+  // Runs when a drain overruns its budget, before writes are cut.
+  virtual void Escalate() {}
+
+  // Makes Start fail with `reason` (a subclass whose resources are unusable).
+  void RefuseStart(std::string reason) { start_error_ = std::move(reason); }
+
+  // Connections whose thread has not finished.
   size_t live_connections() const;
 
  private:
+  // One accepted connection and its thread. `done` flips (under mu_) when
+  // the thread has closed the fd and is about to return.
+  struct Connection {
+    int fd = -1;
+    bool done = false;
+    std::thread thread;
+  };
+
+  void AcceptLoop();
+  void ServeConnection(std::list<Connection>::iterator self, OwnedFd conn);
+  // shutdown(2) every live connection with `how`.
+  void ShutdownAll(int how);
+  // Joins and forgets the connections with `done` set (all of them when
+  // `all`), so the server holds one thread per live connection, not one
+  // per connection it ever served.
+  void JoinConnections(bool all);
+
+  std::string socket_path_;
+  std::string start_error_;
+  OwnedFd listen_fd_;
+  std::thread accept_thread_;
+  std::atomic<bool> stopping_{false};
+  MetricsRegistry metrics_;
+
+  // The connections not yet joined, and a count of unfinished ones, so the
+  // drain wait is a timed wait, not a thread join (std::thread cannot
+  // timed-join).
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;
-  std::vector<int> fds_;
-  std::vector<std::thread> threads_;
+  std::list<Connection> connections_;
   size_t active_ = 0;
 };
-
-// The canonical graceful-drain sequence over a registry, shared by both
-// daemons (the caller has already stopped its accept loop and closed the
-// listener): SHUT_RD everything, wait up to `timeout_ms` for connection
-// bodies to finish their in-flight work, escalate to SHUT_RDWR past the
-// deadline, then join. Returns true when the drain finished inside the
-// budget (no escalation needed).
-bool DrainConnections(ConnectionRegistry& registry, uint32_t timeout_ms);
 
 }  // namespace refscan
 

@@ -28,8 +28,8 @@
 // Determinism contract (asserted by tests/telemetry_test.cc and CI):
 // counters and gauges are deterministic for a given input — identical at
 // every `--jobs` value and across runs — EXCEPT those under `sched.`
-// (thread-pool scheduling: steals, queue depths, busy time) and any metric
-// fed by a wall-clock governor (`governor.deadline_trips`). Histograms
+// (the thread team's busy time) and any metric fed by a wall-clock
+// governor (`governor.deadline_trips`). Histograms
 // (`span.*` latencies) are measured time and never deterministic. Exported
 // metric names mangle to `refscan_<name>` with non-alphanumerics as '_';
 // histograms append `_seconds`. A comparison tool therefore keeps

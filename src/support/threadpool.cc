@@ -15,21 +15,15 @@ size_t ThreadPool::ResolveJobs(size_t jobs) {
 }
 
 ThreadPool::ThreadPool(size_t parallelism) : parallelism_(ResolveJobs(parallelism)) {
-  const size_t background = parallelism_ - 1;
-  workers_.reserve(background);
-  for (size_t i = 0; i < background; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(background);
-  for (size_t i = 0; i < background; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+  threads_.reserve(parallelism_ - 1);
+  for (size_t i = 1; i < parallelism_; ++i) {
+    threads_.emplace_back([this] { TeamLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  WaitIdle();
   {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
   wake_cv_.notify_all();
@@ -38,120 +32,70 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
+bool ThreadPool::RunBatch(size_t helpers, const std::function<void()>& drain) {
+  if (busy_.exchange(true, std::memory_order_acquire)) {
+    return false;
   }
-  const size_t target = submit_cursor_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  inflight_.fetch_add(1, std::memory_order_relaxed);
-  size_t depth = 0;
   {
-    std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-    workers_[target]->queue.push_back(std::move(task));
-    depth = workers_[target]->queue.size();
+    std::lock_guard<std::mutex> lock(mutex_);
+    drain_ = &drain;
+    seats_ = helpers;
+    running_ = helpers;
   }
-  // Scheduling telemetry (sched.* = nondeterministic by contract): task
-  // volume and the deepest queue ever observed at submit time.
-  if (Telemetry* t = CurrentTelemetry()) {
-    t->metrics().Counter("sched.tasks_submitted").Add(1);
-    t->metrics().Gauge("sched.queue_depth_max").Max(static_cast<int64_t>(depth));
-  }
-  // `ready_` is the wait predicate: bumping it under the wake mutex means a
-  // worker that scanned the queues empty a moment ago cannot slip into
-  // wait() and miss this task.
+  wake_cv_.notify_all();
+  drain();  // the calling thread is a team member too
   {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    ++ready_;
+    // The cursor is dry: a seat nobody has taken yet would only find it
+    // empty, so revoke it rather than wait for a thread to wake into it.
+    std::unique_lock<std::mutex> lock(mutex_);
+    running_ -= seats_;
+    seats_ = 0;
+    done_cv_.wait(lock, [this] { return running_ == 0; });
+    drain_ = nullptr;
   }
-  wake_cv_.notify_one();
+  busy_.store(false, std::memory_order_release);
+  return true;
 }
 
-std::function<void()> ThreadPool::NextTask(size_t self) {
-  const size_t n = workers_.size();
-  for (size_t k = 0; k < n; ++k) {
-    Worker& victim = *workers_[(self + k) % n];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (victim.queue.empty()) {
-      continue;
-    }
-    std::function<void()> task;
-    if (k == 0) {
-      // Own queue: LIFO keeps the most recently pushed (cache-hot) task.
-      task = std::move(victim.queue.back());
-      victim.queue.pop_back();
-    } else {
-      // Steal: FIFO takes the oldest task, the one its owner is furthest
-      // from reaching.
-      task = std::move(victim.queue.front());
-      victim.queue.pop_front();
-      TelemetryCount("sched.steals");
-    }
-    {
-      // victim.mutex -> wake_mutex_ is the one allowed nesting order.
-      std::lock_guard<std::mutex> wake_lock(wake_mutex_);
-      --ready_;
-    }
-    return task;
-  }
-  return {};
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
+void ThreadPool::TeamLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> task = NextTask(self);
-    if (task == nullptr) {
-      std::unique_lock<std::mutex> lock(wake_mutex_);
-      wake_cv_.wait(lock, [this] { return stopping_ || ready_ > 0; });
-      if (stopping_ && ready_ == 0) {
-        return;
-      }
-      continue;
+    wake_cv_.wait(lock, [this] { return stopping_ || seats_ > 0; });
+    if (stopping_) {
+      return;
     }
+    --seats_;
+    const std::function<void()>& drain = *drain_;
+    lock.unlock();
     // Worker utilization: busy nanoseconds accumulate only while a session
     // is armed (no clock reads otherwise). Utilization = busy_ns /
-    // (workers × wall time), computed by whoever reads the metrics.
+    // (threads × wall time), computed by whoever reads the metrics.
     if (Telemetry* t = CurrentTelemetry()) {
       const uint64_t start = t->NowNs();
-      task();
+      drain();
       t->metrics().Counter("sched.worker_busy_ns").Add(t->NowNs() - start);
-      t->metrics().Counter("sched.tasks_run").Add(1);
     } else {
-      task();
+      drain();
     }
-    if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Empty critical section: a WaitIdle caller between its predicate
-      // check and blocking holds the mutex, so the notify lands after it
-      // blocks instead of being lost.
-      {
-        std::lock_guard<std::mutex> lock(wake_mutex_);
-      }
-      idle_cv_.notify_all();
+    lock.lock();
+    // The batch's drain function lives on its caller's stack: this is the
+    // last touch of it, and the caller cannot return before running_ is 0.
+    if (--running_ == 0) {
+      done_cv_.notify_one();
     }
   }
-}
-
-void ThreadPool::WaitIdle() {
-  if (workers_.empty()) {
-    return;
-  }
-  std::unique_lock<std::mutex> lock(wake_mutex_);
-  idle_cv_.wait(lock, [this] { return inflight_.load(std::memory_order_acquire) == 0; });
 }
 
 namespace {
 
-// Shared coordination block for one ParallelFor batch. Helper tasks hold it
-// through a shared_ptr, so the synchronisation state stays valid for as
-// long as any helper can still touch it.
+// Shared coordination block for one ParallelFor batch, on the caller's
+// stack: RunBatch does not return before every member has left the batch.
 struct ForBatch {
   std::atomic<size_t> cursor{0};
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  size_t finished_helpers = 0;
   // Exceptions thrown by iterations, collected under `mutex`; rethrown as
   // one aggregate only after the barrier, so a throw can never skip sibling
   // iterations or leave the caller's output vector partially filled.
+  std::mutex mutex;
   std::vector<std::pair<size_t, std::string>> errors;
 };
 
@@ -167,15 +111,6 @@ void RunIteration(ForBatch& batch, const std::function<void(size_t)>& fn, size_t
   }
 }
 
-[[noreturn]] void ThrowBatchErrors(std::vector<std::pair<size_t, std::string>> errors,
-                                   size_t count) {
-  std::sort(errors.begin(), errors.end());
-  std::string what = "parallel-for: " + std::to_string(errors.size()) + " of " +
-                     std::to_string(count) + " iteration(s) threw; first at index " +
-                     std::to_string(errors.front().first) + ": " + errors.front().second;
-  throw ParallelForError(std::move(what), std::move(errors));
-}
-
 }  // namespace
 
 void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
@@ -184,52 +119,29 @@ void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
     return;
   }
   const size_t count = end - begin;
-  const size_t lanes = std::min(pool.parallelism(), count);
-  if (lanes <= 1) {
-    // Serial path: same complete-the-batch-then-throw semantics as the
-    // parallel one, so callers see one behaviour at every `jobs` value.
-    ForBatch batch;
-    for (size_t i = begin; i < end; ++i) {
+  ForBatch batch;
+  batch.cursor.store(begin, std::memory_order_relaxed);
+  // Iterations are claimed one at a time from the shared cursor, so a few
+  // expensive items cannot serialise the batch behind one member.
+  const std::function<void()> drain = [&batch, end, &fn] {
+    for (size_t i; (i = batch.cursor.fetch_add(1, std::memory_order_relaxed)) < end;) {
       RunIteration(batch, fn, i);
     }
-    if (!batch.errors.empty()) {
-      ThrowBatchErrors(std::move(batch.errors), count);
-    }
-    return;
-  }
-
-  auto batch = std::make_shared<ForBatch>();
-  batch->cursor.store(begin, std::memory_order_relaxed);
-  // Iterations are claimed one at a time from the shared cursor, so a few
-  // expensive items cannot serialise the batch behind one lane. `fn` is
-  // captured by reference: ParallelFor does not return before every helper
-  // has finished, so the reference cannot dangle.
-  const auto drain = [batch, end, &fn] {
-    for (size_t i; (i = batch->cursor.fetch_add(1, std::memory_order_relaxed)) < end;) {
-      RunIteration(*batch, fn, i);
-    }
   };
-
-  const size_t helpers = lanes - 1;
-  for (size_t h = 0; h < helpers; ++h) {
-    pool.Submit([batch, drain] {
-      drain();
-      {
-        std::lock_guard<std::mutex> lock(batch->mutex);
-        ++batch->finished_helpers;
-      }
-      batch->done_cv.notify_one();
-    });
+  // The serial path (parallelism 1, a one-item batch, or a team busy with
+  // another batch) drains on the caller alone, with the same
+  // complete-the-batch-then-throw semantics.
+  const size_t helpers = std::min(pool.parallelism(), count) - 1;
+  if (helpers == 0 || !pool.RunBatch(helpers, drain)) {
+    drain();
   }
-
-  drain();  // the calling thread is a worker too
-
-  std::unique_lock<std::mutex> lock(batch->mutex);
-  batch->done_cv.wait(lock, [&] { return batch->finished_helpers == helpers; });
-  if (!batch->errors.empty()) {
-    std::vector<std::pair<size_t, std::string>> errors = std::move(batch->errors);
-    lock.unlock();
-    ThrowBatchErrors(std::move(errors), count);
+  if (!batch.errors.empty()) {
+    std::sort(batch.errors.begin(), batch.errors.end());
+    std::string what = "parallel-for: " + std::to_string(batch.errors.size()) + " of " +
+                       std::to_string(count) + " iteration(s) threw; first at index " +
+                       std::to_string(batch.errors.front().first) + ": " +
+                       batch.errors.front().second;
+    throw ParallelForError(std::move(what), std::move(batch.errors));
   }
 }
 

@@ -1,29 +1,32 @@
-// Work-stealing thread pool and data-parallel helpers.
+// Fork-join thread team and data-parallel helpers.
 //
 // The scan pipeline is embarrassingly parallel per file (parse, CFG/CPG
-// build, checking), so the engine fans work out over a pool of workers and
-// merges results in a deterministic order. The pool is general-purpose:
+// build, checking), so the engine fans work out over a team of threads and
+// merges results in a deterministic order. The one shape of parallelism in
+// the codebase is a batch: `ParallelFor(pool, begin, end, fn)` over a shared
+// atomic cursor, so uneven per-item cost (a 10-line header vs. a 4k-line
+// source file) cannot stall the batch. The pool is the team that runs it:
 //
-//   * `ThreadPool(n)` owns `n - 1` background workers; the thread calling
-//     `ParallelFor`/`ParallelMap` participates as the n-th worker, so a
-//     pool of parallelism 1 spawns no threads and runs everything inline
-//     (zero overhead for the serial path, and trivially sanitizer-clean).
-//   * Each worker owns a deque: `Submit` distributes round-robin, workers
-//     pop their own deque LIFO and steal FIFO from victims when empty —
-//     the classic work-stealing layout (Blumofe–Leiserson) that keeps hot
-//     tasks cache-local while idle workers drain the longest queues.
-//   * `ParallelFor(pool, begin, end, fn)` balances loop iterations over
-//     the workers through a shared atomic cursor, so uneven per-item cost
-//     (a 10-line header vs. a 4k-line driver) cannot stall the batch.
+//   * `ThreadPool(n)` owns `n - 1` parked threads; the thread calling
+//     `ParallelFor`/`ParallelMap` is the n-th member, so a pool of
+//     parallelism 1 spawns no threads and runs everything inline (zero
+//     overhead for the serial path, and trivially sanitizer-clean).
+//   * A batch wakes as many parked threads as it has items beyond the
+//     caller's (at most n - 1); each joins the batch, claims iterations from
+//     the cursor until it runs dry, and parks again. The caller returns once
+//     every member that joined has left.
+//   * Batches on one pool run one at a time. A batch started while another
+//     is running on the same pool (from a second thread, or nested inside an
+//     iteration) runs inline on its caller instead of waiting, so misuse
+//     costs parallelism, never a deadlock or a torn batch.
 //
-// `Submit`-level tasks must not throw (an escaping exception terminates);
-// `ParallelFor`/`ParallelMap` iterations MAY throw: every iteration still
-// runs, the barrier collects every exception, and one aggregate
-// ParallelForError is raised after the batch completes — so a mid-batch
-// throw can never leave a result vector partially spliced or a sibling
-// iteration skipped. The scan pipeline additionally sandboxes per-file work
-// (see engine.cc); the aggregate rethrow here is the backstop for internal
-// bugs, not the primary failure channel.
+// Iterations MAY throw: every iteration still runs, the barrier collects
+// every exception, and one aggregate ParallelForError is raised after the
+// batch completes — so a mid-batch throw can never leave a result vector
+// partially spliced or a sibling iteration skipped. The scan pipeline
+// additionally sandboxes per-file work (see engine.cc); the aggregate
+// rethrow here is the backstop for internal bugs, not the primary failure
+// channel.
 
 #ifndef REFSCAN_SUPPORT_THREADPOOL_H_
 #define REFSCAN_SUPPORT_THREADPOOL_H_
@@ -31,9 +34,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -71,42 +72,34 @@ class ThreadPool {
 
   size_t parallelism() const { return parallelism_; }
 
-  // Enqueues one task for the background workers. With parallelism 1 there
-  // are no workers and the task runs inline, in the caller.
-  void Submit(std::function<void()> task);
-
-  // Blocks until every task submitted so far has finished.
-  void WaitIdle();
-
   // Maps a `jobs` option to an effective parallelism: 0 becomes the
   // hardware thread count, anything else is clamped to >= 1.
   static size_t ResolveJobs(size_t jobs);
 
  private:
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::function<void()>> queue;
-  };
+  friend void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
+                          const std::function<void(size_t)>& fn);
 
-  void WorkerLoop(size_t self);
-  // Pops own work LIFO, else steals FIFO from another worker. Returns an
-  // empty function when every queue is empty.
-  std::function<void()> NextTask(size_t self);
+  // Runs `drain` on the caller and on up to `helpers` parked threads, and
+  // returns once every one of them has returned from it. False, without
+  // running anything, when another batch holds the team.
+  bool RunBatch(size_t helpers, const std::function<void()>& drain);
+  void TeamLoop();
 
   size_t parallelism_ = 1;
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  std::mutex wake_mutex_;
+  std::atomic<bool> busy_{false};  // a batch holds the team
+  std::mutex mutex_;               // guards the fields below
   std::condition_variable wake_cv_;
-  std::condition_variable idle_cv_;
-  std::atomic<size_t> submit_cursor_{0};
-  std::atomic<size_t> inflight_{0};  // queued + running tasks
-  size_t ready_ = 0;                 // queued-not-yet-claimed; guarded by wake_mutex_
+  std::condition_variable done_cv_;
+  const std::function<void()>* drain_ = nullptr;  // the running batch's work
+  size_t seats_ = 0;    // parked threads the running batch still invites
+  size_t running_ = 0;  // seats taken or still open and not yet finished
   bool stopping_ = false;
 };
 
-// Runs fn(i) for every i in [begin, end), spread over the pool's workers
+// Runs fn(i) for every i in [begin, end), spread over the pool's threads
 // plus the calling thread. Iterations are claimed one at a time from a
 // shared cursor, so long items load-balance; the call returns once every
 // iteration has finished. fn must be safe to invoke concurrently. A

@@ -305,7 +305,7 @@ TEST_F(CacheTest, InterproceduralScanSharesTheCacheCorrectly) {
 TEST_F(CacheTest, IndexSkipsMalformedLines) {
   const SourceTree tree = SmallTree();
   ScanTree(tree, cache_dir_);
-  ScanCache cache(cache_dir_);
+  ScanCache cache(std::make_shared<LocalStore>(cache_dir_));
   const size_t stored = cache.ReadIndex().size();
   ASSERT_GT(stored, 0u);
 
@@ -316,7 +316,7 @@ TEST_F(CacheTest, IndexSkipsMalformedLines) {
 }
 
 TEST_F(CacheTest, DisabledCacheNeverTouchesDisk) {
-  ScanCache cache("");
+  ScanCache cache(nullptr);
   EXPECT_FALSE(cache.enabled());
   const CacheKey key = MakeFileKey("a.c", "int x;", 0);
   EXPECT_FALSE(cache.LoadFacts(key).has_value());
@@ -794,9 +794,9 @@ TEST_F(CacheTest, CacheServerServesGetsAndPutsAcrossClients) {
   EXPECT_EQ(blob, "shared-blob");
   EXPECT_FALSE(reader.Get("feed0002.facts", blob));  // miss, not error
 
-  EXPECT_EQ(server.puts(), 1u);
-  EXPECT_EQ(server.gets(), 3u);
-  EXPECT_EQ(server.hits(), 2u);
+  EXPECT_EQ(server.metrics().CounterValue("cached.puts"), 1u);
+  EXPECT_EQ(server.metrics().CounterValue("cached.gets"), 3u);
+  EXPECT_EQ(server.metrics().CounterValue("cached.hits"), 2u);
   server.Stop();
   ::unlink(socket.c_str());
 }

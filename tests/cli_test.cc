@@ -173,6 +173,15 @@ TEST_F(CliFlagMatrixTest, FlagsOutsideTheirSubcommandExit64) {
       {"match", tree, "F_start -> S_P(p0) -> F_end", "--streaming"},
       {"deviations", tree, "--remote", dir_ + "/no.sock"},
       {"demo", "--mmap"},
+      // --remote scans on the daemon, with its own threads and store.
+      {"scan", tree, "--remote", dir_ + "/no.sock", "--workers", "2"},
+      {"scan", tree, "--remote", dir_ + "/no.sock", "--cache-dir", dir_ + "/cache"},
+      {"stats", tree, "--remote", dir_ + "/no.sock", "--cache-server", dir_ + "/c.sock"},
+      // --poll-ms and --jobs configure serve's --watch loop only.
+      {"serve", dir_ + "/serve.sock", "--poll-ms", "5"},
+      {"serve", dir_ + "/serve.sock", "--jobs", "2"},
+      {"worker", "--socket", dir_ + "/w.sock", "--id", "abc"},
+      {"scan", tree, "--jobs", "-1"},  // a number is digits only
   };
   for (const auto& args : rejected) {
     EXPECT_EQ(RunCli(args).rc, 64) << args[0] << " " << args[2];

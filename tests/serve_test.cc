@@ -25,6 +25,7 @@
 #include "src/support/faultinject.h"
 #include "src/support/ipc.h"
 #include "src/support/source.h"
+#include "src/support/strings.h"
 
 namespace refscan {
 namespace {
@@ -147,6 +148,64 @@ TEST(ServeTest, HealthAndStatsAnswer) {
   server.Drain();
 }
 
+TEST(ServeTest, StatsReplyRendersTheCountersInAFixedShape) {
+  // `refscan health --stats` prints this reply verbatim: the counters come
+  // from the server's metrics registry, in a fixed order, then the store
+  // size and the last scan's ScanStatsFields.
+  const SourceTree tree = TestTree(6);
+  ServeConfig config;
+  config.socket_path = TestSocketPath("statsshape");
+  ScanServer server(config);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  std::string reply;
+  ASSERT_TRUE(RemoteRequestText(config.socket_path, kServeHealthReq, "", reply, &error)) << error;
+  std::optional<ScanResult> scanned =
+      RemoteScan(tree, ScanOptions{}, config.socket_path, FastBackoff(), nullptr);
+  ASSERT_TRUE(scanned.has_value());
+  ASSERT_TRUE(RemoteRequestText(config.socket_path, kServeStatsReq, "", reply, &error)) << error;
+
+  std::string want = StrFormat(
+      "{\"requests\":3,\"scans\":1,\"shed\":0,\"faulted\":0,\"timed_out\":0,"
+      "\"store_objects\":%zu,\"store_bytes\":%llu,\"last_scan\":{",
+      server.store()->objects(), static_cast<unsigned long long>(server.store()->bytes()));
+  for (const ScanStatsField& f : ScanStatsFields()) {
+    want += StrFormat("%s\"%s\":%zu", &f == &ScanStatsFields().front() ? "" : ",", f.json_key,
+                      scanned->stats.*f.member);
+  }
+  want += "}}\n";
+  EXPECT_EQ(reply, want);
+  EXPECT_EQ(server.metrics().CounterValue("serve.requests"), 3u);
+  server.Drain();
+}
+
+TEST(ServeTest, FinishedConnectionsGiveBackTheirThreads) {
+  // Every connection gets a thread, and the accept loop joins it once the
+  // connection ends: a long-lived daemon holds one thread (and its stack)
+  // per live connection, not one per connection it ever served.
+  ServeConfig config;
+  config.socket_path = TestSocketPath("reap");
+  ScanServer server(config);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  std::string reply;
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(RemoteRequestText(config.socket_path, kServeHealthReq, "", reply, &error))
+        << error;
+  }
+  // A connection's thread finishes once it reads the client's EOF, and the
+  // accept loop joins finished threads whenever it wakes (at least every
+  // 200 ms): give it a few wake-ups to catch up under load.
+  int64_t held = server.metrics().GaugeValue("server.connection_threads");
+  for (int wait = 0; wait < 50 && held > 0; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    held = server.metrics().GaugeValue("server.connection_threads");
+  }
+  EXPECT_EQ(held, 0) << "finished connection threads are still held";
+  server.Drain();
+}
+
 TEST(ServeTest, RemoteMatchesLocalColdAndWarmAtEveryJobs) {
   const SourceTree tree = TestTree();
   ServeConfig config;
@@ -176,9 +235,8 @@ TEST(ServeTest, RemoteMatchesLocalColdAndWarmAtEveryJobs) {
     EXPECT_GE(warm->stats.kb_snapshot_hits, 1u);
   }
   EXPECT_TRUE(server.Drain());
-  const ScanServer::Counters c = server.counters();
-  EXPECT_EQ(c.scans, 4u);
-  EXPECT_EQ(c.faulted, 0u);
+  EXPECT_EQ(server.metrics().CounterValue("serve.scans"), 4u);
+  EXPECT_EQ(server.metrics().CounterValue("serve.faulted"), 0u);
 }
 
 TEST(ServeTest, InjectedRequestFaultDegradesOnlyThatRequest) {
@@ -206,7 +264,7 @@ TEST(ServeTest, InjectedRequestFaultDegradesOnlyThatRequest) {
   ASSERT_TRUE(clean.has_value());
   ExpectSameOutput(local, *clean);
   EXPECT_TRUE(server.Drain());
-  EXPECT_EQ(server.counters().faulted, 1u);
+  EXPECT_EQ(server.metrics().CounterValue("serve.faulted"), 1u);
 }
 
 TEST(ServeTest, SummariesHonourRequestDialects) {
@@ -289,7 +347,7 @@ TEST(ServeTest, AdmissionQueueShedsWithBusy) {
   ASSERT_TRUE(extra.valid());
   ASSERT_EQ(RecvFrame(extra.get(), type, payload), RecvOutcome::kFrame);
   EXPECT_EQ(type, kServeBusy);
-  EXPECT_GE(server.counters().shed, 1u);
+  EXPECT_GE(server.metrics().CounterValue("serve.shed"), 1u);
 
   // RemoteScan treats kServeBusy as a transient: it retries with backoff
   // and, once the parked connection is gone, succeeds.
@@ -326,7 +384,7 @@ TEST(ServeTest, WatchdogAnswersHungRequestAndServerSurvives) {
         << result->failures[0].what;
     EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1200);
   }
-  EXPECT_GE(server.counters().timed_out, 1u);
+  EXPECT_GE(server.metrics().CounterValue("serve.timed_out"), 1u);
 
   // The hung session thread is still sleeping, but the server keeps
   // serving: a fresh request completes cleanly.

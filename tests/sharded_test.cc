@@ -246,7 +246,7 @@ TEST(ShardedScanTest, WorkerFleetSharesOneCacheServer) {
   const ScanResult cold = ShardedScan(tree, options, Config(4));
   EXPECT_EQ(ReportsToJson(want.reports), ReportsToJson(cold.reports));
   EXPECT_EQ(cold.stats.cache_misses, cold.stats.files);
-  EXPECT_GT(server.puts(), 0u);
+  EXPECT_GT(server.metrics().CounterValue("cached.puts"), 0u);
 
   // The warm fleet: every worker hits the pre-warmed shared store, so at
   // least 90% of the parse work is skipped (here: all of it).

@@ -1,4 +1,4 @@
-// Tests for the work-stealing thread pool and the ParallelFor/ParallelMap
+// Tests for the fork-join thread team and the ParallelFor/ParallelMap
 // helpers that the scan pipeline fans out with.
 
 #include <gtest/gtest.h>
@@ -25,21 +25,13 @@ TEST(ThreadPoolTest, ResolveJobsMapsZeroToHardware) {
 TEST(ThreadPoolTest, SerialPoolRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.parallelism(), 1u);
-  // With no background workers Submit executes in the caller.
+  // With no team threads every iteration executes in the caller.
   const auto caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  pool.Submit([&] { ran_on = std::this_thread::get_id(); });
-  EXPECT_EQ(ran_on, caller);
-}
-
-TEST(ThreadPoolTest, SubmitRunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
+  std::vector<std::thread::id> ran_on(8);
+  ParallelFor(pool, 0, ran_on.size(), [&](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, caller);
   }
-  pool.WaitIdle();
-  EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -189,6 +181,35 @@ TEST(ThreadPoolTest, NonStdExceptionsAreCollectedToo) {
     EXPECT_EQ(e.failures()[0].first, 2u);
     EXPECT_EQ(e.failures()[0].second, "unknown exception");
   }
+}
+
+TEST(ThreadPoolTest, NestedAndConcurrentBatchesOnOnePoolRunInline) {
+  // Batches on one pool run one at a time: a batch started while the team
+  // is busy (nested in an iteration, or from a second thread) drains on its
+  // own caller instead of deadlocking or tearing the running batch.
+  ThreadPool pool(4);
+  std::atomic<uint64_t> inner{0};
+  std::atomic<uint64_t> outer{0};
+  ParallelFor(pool, 0, 8, [&](size_t i) {
+    outer.fetch_add(i);
+    ParallelFor(pool, 0, 10, [&inner](size_t j) { inner.fetch_add(j); });
+  });
+  EXPECT_EQ(outer.load(), 28u);
+  EXPECT_EQ(inner.load(), 8u * 45u);
+
+  std::atomic<uint64_t> a{0};
+  std::atomic<uint64_t> b{0};
+  std::thread other([&] {
+    for (int round = 0; round < 50; ++round) {
+      ParallelFor(pool, 0, 100, [&b](size_t i) { b.fetch_add(i); });
+    }
+  });
+  for (int round = 0; round < 50; ++round) {
+    ParallelFor(pool, 0, 100, [&a](size_t i) { a.fetch_add(i); });
+  }
+  other.join();
+  EXPECT_EQ(a.load(), 50u * 4950u);
+  EXPECT_EQ(b.load(), 50u * 4950u);
 }
 
 TEST(ThreadPoolTest, ConcurrentPoolsDoNotInterfere) {

@@ -10,8 +10,9 @@
 //
 // The six tree subcommands share one flow (RunTreeCommand): arm --faults
 // and telemetry, load or generate the tree, run the scan spine, then write
-// --trace-out and --metrics-out. Which flags each of them honours is one
-// table, kFlagTable; a flag outside its subcommand's row exits 64.
+// --trace-out and --metrics-out. The two daemons (`cached`, `serve`) share
+// another (RunDaemon). Which flags every subcommand honours is one table,
+// kFlagTable; a flag outside its subcommand's row exits 64.
 //
 // Exit codes are disjoint (ScanExitCode, DESIGN.md §5.9): 0 = clean scan,
 // 10 = completed healthy with >= 1 report, 2 = completed degraded (some
@@ -28,18 +29,18 @@
 #include <csignal>
 
 #include <algorithm>
+#include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
-
-#include <atomic>
-#include <thread>
 
 #include "src/cache/store.h"
 #include "src/checkers/deviations.h"
@@ -79,9 +80,9 @@ int Usage() {
                "  refscan dump <file.c> [tokens|ast|cfg|cpg]\n"
                "  refscan cached <dir> [--socket PATH]      serve <dir> as a shared\n"
                "                                            content-addressed cache\n"
-               "  refscan serve <socket> [--watch TREE] [--sessions N] [--max-pending N]\n"
-               "                [--request-timeout-ms N] [--drain-timeout-ms N] [--poll-ms N]\n"
-               "                [--jobs N]                  resident scan service: keeps the\n"
+               "  refscan serve <socket> [--watch TREE [--poll-ms N] [--jobs N]] [--sessions N]\n"
+               "                [--max-pending N] [--request-timeout-ms N] [--drain-timeout-ms N]\n"
+               "                                            resident scan service: keeps the\n"
                "                                            artifact store warm and answers\n"
                "                                            scan/stats/summaries/health\n"
                "                                            requests; SIGTERM drains\n"
@@ -123,7 +124,8 @@ int Usage() {
                "                    plus a deliberately unparseable function per module\n"
                "  --remote SOCKET   run the scan on a `refscan serve` daemon (warm resident\n"
                "                    store); output is byte-identical to a local scan, and an\n"
-               "                    unreachable server falls back to scanning locally\n"
+               "                    unreachable server falls back to scanning locally;\n"
+               "                    --workers, --cache-dir and --cache-server exit 64 with it\n"
                "  --stats           print fault-isolation and cache counters (text and JSON)\n"
                "  --faults SPEC     arm the deterministic fault-injection registry for this\n"
                "                    run, e.g. 'parser.parse:file=*.broken.c' — see\n"
@@ -140,14 +142,19 @@ int Usage() {
   return refscan::kExitUsage;
 }
 
-// The tree subcommands, as bits of the flag table's rows.
-enum TreeCommand : unsigned {
+// The subcommands that take flags, as bits of the flag table's rows.
+enum Command : unsigned {
   kScan = 1u << 0,
   kStats = 1u << 1,
   kDemo = 1u << 2,
   kMatch = 1u << 3,
   kDeviations = 1u << 4,
   kSummaries = 1u << 5,
+  kServe = 1u << 6,
+  kCached = 1u << 7,
+  kHealth = 1u << 8,
+  kCacheGc = 1u << 9,
+  kWorker = 1u << 10,
 };
 constexpr unsigned kScanLike = kScan | kStats | kDemo;  // run the checkers over the tree
 constexpr unsigned kAnyTree = kScanLike | kMatch | kDeviations | kSummaries;
@@ -178,6 +185,20 @@ struct CliFlags {
   std::string trace_out;
   std::string metrics_out;
   bool stats_only = false;  // `refscan stats`: suppress the report listing
+
+  // The daemon subcommands.
+  std::string socket;     // cached, worker
+  std::string watch_dir;  // serve --watch
+  size_t sessions = refscan::ServeConfig{}.sessions;
+  size_t max_pending = refscan::ServeConfig{}.max_pending;
+  uint32_t request_timeout_ms = refscan::ServeConfig{}.request_timeout_ms;
+  uint32_t drain_timeout_ms = refscan::ServeConfig{}.drain_timeout_ms;
+  uint32_t poll_ms = refscan::WatchConfig{}.poll_ms;
+  size_t worker_id = 0;
+  uint64_t max_bytes = 0;
+
+  // Canonical names of the flags on the command line.
+  std::set<std::string_view> given;
 };
 
 // Flag-table actions: a switch sets its member to `Value`, a text flag
@@ -198,7 +219,7 @@ template <auto Member>
 bool Count(CliFlags& flags, const char* text) {
   char* end = nullptr;
   const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == nullptr || *end != '\0') {
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0') {
     std::fprintf(stderr, "bad number: %s\n", text);
     return false;
   }
@@ -239,11 +260,11 @@ bool ParseFailureRatio(CliFlags& flags, const char* text) {
   return true;
 }
 
-// Every flag of the tree subcommands, with the subcommands that honour it
-// (README.md, "Flags per subcommand"). A flag given to a subcommand outside
-// its row is a usage error, never silently ignored. match, deviations and
-// summaries walk every unit of the spine's front half in memory, so the
-// cache, the shard workers, the serve daemon and streaming are not theirs.
+// Every flag, with the subcommands that honour it (README.md, "Flags per
+// subcommand"). A flag given to a subcommand outside its row is a usage
+// error, never silently ignored. match, deviations and summaries walk every
+// unit of the spine's front half in memory, so the cache, the shard
+// workers, the serve daemon and streaming are not theirs.
 struct FlagRule {
   const char* name;   // canonical spelling: -j is --jobs, --interprocedural is --ipa
   const char* value;  // what the argument is, for messages; nullptr for a switch
@@ -254,7 +275,7 @@ constexpr FlagRule kFlagTable[] = {
     {"--dialect", "a name (known: glib, uacpi)", kAnyTree, ParseDialect},
     {"--no-discovery", nullptr, kAnyTree, Switch<&CliFlags::discovery, false>},
     {"--ipa", nullptr, kAnyTree, Switch<&CliFlags::interprocedural>},
-    {"--jobs", "a number", kAnyTree, Count<&CliFlags::jobs>},
+    {"--jobs", "a number", kAnyTree | kServe, Count<&CliFlags::jobs>},
     {"--faults", "a spec (see src/support/faultinject.h)", kAnyTree, Text<&CliFlags::fault_spec>},
     {"--file-timeout-ms", "a number", kAnyTree, Count<&CliFlags::file_timeout_ms>},
     {"--max-failure-ratio", "a number in (0, 1]", kAnyTree, ParseFailureRatio},
@@ -262,7 +283,7 @@ constexpr FlagRule kFlagTable[] = {
     {"--metrics-out", "a file path", kAnyTree, Text<&CliFlags::metrics_out>},
     {"--mmap", nullptr, kFromDisk, Switch<&CliFlags::use_mmap>},
     {"--json", nullptr, kScanLike | kSummaries, Switch<&CliFlags::json>},
-    {"--stats", nullptr, kScanLike, Switch<&CliFlags::stats>},
+    {"--stats", nullptr, kScanLike | kHealth, Switch<&CliFlags::stats>},
     {"--patterns", "a comma-separated list (e.g. 1,4,8)", kScanLike, ParsePatterns},
     {"--cache-dir", "a directory", kScanLike, Text<&CliFlags::cache_dir>},
     {"--cache-server", "a socket path", kScanLike, Text<&CliFlags::cache_server>},
@@ -273,12 +294,25 @@ constexpr FlagRule kFlagTable[] = {
     {"--fix", nullptr, kScan | kDemo, Switch<&CliFlags::print_fixes>},
     {"--emit", "a directory", kDemo, Text<&CliFlags::emit_dir>},
     {"--kernelish", "a number", kDemo, Count<&CliFlags::kernelish>},
+    {"--socket", "a socket path", kCached | kWorker, Text<&CliFlags::socket>},
+    {"--id", "a number", kWorker, Count<&CliFlags::worker_id>},
+    {"--watch", "a directory", kServe, Text<&CliFlags::watch_dir>},
+    {"--sessions", "a number", kServe, Count<&CliFlags::sessions>},
+    {"--max-pending", "a number", kServe, Count<&CliFlags::max_pending>},
+    {"--request-timeout-ms", "a number", kServe, Count<&CliFlags::request_timeout_ms>},
+    {"--drain-timeout-ms", "a number", kServe, Count<&CliFlags::drain_timeout_ms>},
+    {"--poll-ms", "a number", kServe, Count<&CliFlags::poll_ms>},
+    {"--max-bytes", "a number", kCacheGc, Count<&CliFlags::max_bytes>},
 };
 
-// Parses flags from argv[first..) for tree subcommand `command`; returns
-// false on an unknown flag, a flag outside the subcommand's row of
-// kFlagTable, or a missing/garbled flag argument.
+// Parses flags from argv[first..) for `command`, whose positional
+// arguments are argv[2..first); returns false on a missing positional, an
+// unknown flag, a flag outside the subcommand's row of kFlagTable, or a
+// missing/garbled flag argument.
 bool ParseFlags(int argc, char** argv, int first, unsigned command, CliFlags& flags) {
+  if (argc < first) {
+    return false;
+  }
   for (int i = first; i < argc; ++i) {
     std::string_view name = argv[i];
     name = name == "-j" ? "--jobs" : name == "--interprocedural" ? "--ipa" : name;
@@ -304,6 +338,7 @@ bool ParseFlags(int argc, char** argv, int first, unsigned command, CliFlags& fl
     if (!rule->apply(flags, value)) {
       return false;
     }
+    flags.given.insert(rule->name);
   }
   return true;
 }
@@ -402,10 +437,6 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
   const ScanOptions options = ScanOptionsFor(flags);
   std::optional<ScanResult> remote;
   if (!flags.remote.empty()) {
-    if (flags.workers > 0) {
-      std::fprintf(stderr, "refscan: --workers is ignored with --remote (the server picks "
-                           "its own parallelism from --jobs)\n");
-    }
     std::string note;
     remote = RemoteScan(tree, options, flags.remote, {}, &note);
     if (!remote) {
@@ -419,7 +450,7 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
   ScanResult result;
   if (remote) {
     result = std::move(*remote);
-  } else if (flags.workers > 0 && flags.remote.empty()) {
+  } else if (flags.workers > 0) {
     // The worker subprocesses re-exec this binary; they inherit
     // REFSCAN_FAULTS from the environment, and a --faults spec travels in
     // the options so worker-side sites fire either way.
@@ -599,8 +630,17 @@ int RunTreeCommand(unsigned command, int argc, char** argv) {
   // Positional arguments: <dir> for all but demo, then match's template.
   const int first_flag = command == kDemo ? 2 : command == kMatch ? 4 : 3;
   CliFlags flags;
-  if (argc < first_flag || !ParseFlags(argc, argv, first_flag, command, flags)) {
+  if (!ParseFlags(argc, argv, first_flag, command, flags)) {
     return Usage();
+  }
+  if (!flags.remote.empty()) {
+    // The daemon scans with its own threads and its resident store.
+    for (const char* local : {"--workers", "--cache-dir", "--cache-server"}) {
+      if (flags.given.contains(local)) {
+        std::fprintf(stderr, "%s does not apply with --remote\n", local);
+        return Usage();
+      }
+    }
   }
   std::optional<SemanticTemplate> tmpl;
   if (command == kMatch) {
@@ -685,6 +725,50 @@ int RunTreeCommand(unsigned command, int argc, char** argv) {
   return rc;
 }
 
+// A daemon counter, for the status lines.
+unsigned long long CounterOf(const refscan::MetricsRegistry& metrics, std::string_view name) {
+  return static_cast<unsigned long long>(metrics.CounterValue(name));
+}
+
+// The one lifecycle of the daemon subcommands (`cached`, `serve`): block
+// SIGINT/SIGTERM before Start spawns any thread (every thread inherits the
+// mask, so sigwait here is the one consumer and no thread can die of the
+// signal's default action), serve in the foreground with `side` (serve's
+// --watch loop) running alongside until a signal arrives, then drain —
+// requests already received finish and flush; only a hung connection
+// forces the escalation — and print `farewell(clean)`.
+int RunDaemon(refscan::FrameServer& server, const char* name, const std::string& banner,
+              uint32_t drain_timeout_ms,
+              const std::function<void(const std::atomic<bool>& stop)>& side,
+              const std::function<std::string(bool clean)>& farewell) {
+  sigset_t set;
+  sigemptyset(&set);
+  sigaddset(&set, SIGINT);
+  sigaddset(&set, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &set, nullptr);
+  std::string error;
+  if (!server.Start(&error)) {
+    std::fprintf(stderr, "refscan %s: %s\n", name, error.c_str());
+    return refscan::kExitHardFailure;
+  }
+  std::printf("refscan %s: %s\n", name, banner.c_str());
+  std::fflush(stdout);
+  std::atomic<bool> stop{false};
+  std::thread side_thread;
+  if (side) {
+    side_thread = std::thread([&side, &stop] { side(stop); });
+  }
+  int sig = 0;
+  sigwait(&set, &sig);
+  stop.store(true, std::memory_order_relaxed);
+  if (side_thread.joinable()) {
+    side_thread.join();
+  }
+  const bool clean = server.Drain(drain_timeout_ms);
+  std::printf("refscan %s: %s\n", name, farewell(clean).c_str());
+  return clean ? 0 : refscan::kExitHardFailure;
+}
+
 int RealMain(int argc, char** argv) {
   using namespace refscan;
 
@@ -697,186 +781,78 @@ int RealMain(int argc, char** argv) {
     // Internal: spawned by `scan --workers N`. Not part of the documented
     // surface, but inert if invoked by hand (it just waits for a
     // coordinator that never comes, then errors out).
-    std::string socket;
-    int id = 0;
-    for (int i = 2; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
-        socket = argv[++i];
-      } else if (std::strcmp(argv[i], "--id") == 0 && i + 1 < argc) {
-        id = std::atoi(argv[++i]);
-      } else {
-        return Usage();
-      }
-    }
-    if (socket.empty()) {
+    CliFlags flags;
+    if (!ParseFlags(argc, argv, 2, kWorker, flags) || flags.socket.empty()) {
       return Usage();
     }
-    return RunShardWorker(socket, id);
+    return RunShardWorker(flags.socket, static_cast<int>(flags.worker_id));
   }
 
   if (command == "cached") {
-    if (argc < 3) {
+    CliFlags flags;
+    if (!ParseFlags(argc, argv, 3, kCached, flags)) {
       return Usage();
     }
     const std::string dir = argv[2];
-    std::string socket = dir + "/cached.sock";
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
-        socket = argv[++i];
-      } else {
-        return Usage();
-      }
-    }
-    // Foreground until SIGINT/SIGTERM; the accept loop runs on its own
-    // thread. sigwait (not a handler) keeps shutdown on the main thread;
-    // blocking BEFORE Start() means no spawned thread can catch the signal
-    // with its default (fatal) action.
-    sigset_t set;
-    sigemptyset(&set);
-    sigaddset(&set, SIGINT);
-    sigaddset(&set, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &set, nullptr);
+    const std::string socket = flags.socket.empty() ? dir + "/cached.sock" : flags.socket;
     CacheServer server(dir, socket);
-    std::string error;
-    if (!server.Start(&error)) {
-      std::fprintf(stderr, "refscan cached: %s\n", error.c_str());
-      return kExitHardFailure;
-    }
-    std::printf("refscan cached: serving %s on %s\n", dir.c_str(), socket.c_str());
-    std::fflush(stdout);
-    int sig = 0;
-    sigwait(&set, &sig);
-    // Graceful drain (shared semantics with `refscan serve`): requests
-    // already received finish and flush; only a hung connection forces the
-    // hard-shutdown escalation.
-    server.Drain();
-    std::printf("refscan cached: %llu get(s), %llu hit(s), %llu put(s)\n",
-                static_cast<unsigned long long>(server.gets()),
-                static_cast<unsigned long long>(server.hits()),
-                static_cast<unsigned long long>(server.puts()));
-    return 0;
+    return RunDaemon(server, "cached", "serving " + dir + " on " + socket,
+                     ServeConfig{}.drain_timeout_ms, {}, [&server](bool /*clean*/) {
+                       const MetricsRegistry& m = server.metrics();
+                       return StrFormat("%llu get(s), %llu hit(s), %llu put(s)",
+                                        CounterOf(m, "cached.gets"), CounterOf(m, "cached.hits"),
+                                        CounterOf(m, "cached.puts"));
+                     });
   }
 
   if (command == "serve") {
-    if (argc < 3) {
+    CliFlags flags;
+    if (!ParseFlags(argc, argv, 3, kServe, flags)) {
+      return Usage();
+    }
+    if (flags.watch_dir.empty() && (flags.given.contains("--poll-ms") ||
+                                    flags.given.contains("--jobs"))) {
+      std::fprintf(stderr, "--poll-ms and --jobs configure the --watch loop; give --watch\n");
       return Usage();
     }
     ServeConfig config;
     config.socket_path = argv[2];
-    std::string watch_dir;
-    uint32_t poll_ms = 500;
-    size_t jobs = 0;
-    for (int i = 3; i < argc; ++i) {
-      const auto number = [&](unsigned long& out) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "%s needs a number\n", argv[i]);
-          return false;
-        }
-        char* end = nullptr;
-        out = std::strtoul(argv[++i], &end, 10);
-        if (end == nullptr || *end != '\0') {
-          std::fprintf(stderr, "bad number: %s\n", argv[i]);
-          return false;
-        }
-        return true;
-      };
-      unsigned long value = 0;
-      if (std::strcmp(argv[i], "--watch") == 0 && i + 1 < argc) {
-        watch_dir = argv[++i];
-      } else if (std::strcmp(argv[i], "--sessions") == 0) {
-        if (!number(value)) {
-          return Usage();
-        }
-        config.sessions = static_cast<size_t>(value);
-      } else if (std::strcmp(argv[i], "--max-pending") == 0) {
-        if (!number(value)) {
-          return Usage();
-        }
-        config.max_pending = static_cast<size_t>(value);
-      } else if (std::strcmp(argv[i], "--request-timeout-ms") == 0) {
-        if (!number(value)) {
-          return Usage();
-        }
-        config.request_timeout_ms = static_cast<uint32_t>(value);
-      } else if (std::strcmp(argv[i], "--drain-timeout-ms") == 0) {
-        if (!number(value)) {
-          return Usage();
-        }
-        config.drain_timeout_ms = static_cast<uint32_t>(value);
-      } else if (std::strcmp(argv[i], "--poll-ms") == 0) {
-        if (!number(value)) {
-          return Usage();
-        }
-        poll_ms = static_cast<uint32_t>(value);
-      } else if (std::strcmp(argv[i], "--jobs") == 0 || std::strcmp(argv[i], "-j") == 0) {
-        if (!number(value)) {
-          return Usage();
-        }
-        jobs = static_cast<size_t>(value);
-      } else {
-        return Usage();
-      }
-    }
-    // Block the shutdown signals BEFORE Start() spawns any thread: every
-    // thread inherits the mask, so sigwait on the main thread is the one
-    // consumer and SIGTERM can never hit a worker thread's default action.
-    sigset_t set;
-    sigemptyset(&set);
-    sigaddset(&set, SIGINT);
-    sigaddset(&set, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &set, nullptr);
+    config.sessions = flags.sessions;
+    config.max_pending = flags.max_pending;
+    config.request_timeout_ms = flags.request_timeout_ms;
+    config.drain_timeout_ms = flags.drain_timeout_ms;
     ScanServer server(config);
-    std::string error;
-    if (!server.Start(&error)) {
-      std::fprintf(stderr, "refscan serve: %s\n", error.c_str());
-      return kExitHardFailure;
+    std::function<void(const std::atomic<bool>&)> watch_loop;
+    if (!flags.watch_dir.empty()) {
+      watch_loop = [&server, &flags](const std::atomic<bool>& stop) {
+        WatchConfig watch;
+        watch.tree_dir = flags.watch_dir;
+        watch.poll_ms = flags.poll_ms;
+        ScanOptions options;
+        options.jobs = flags.jobs;
+        RunWatchLoop(watch, options, server.store(), stop, stdout);
+      };
     }
-    std::printf("refscan serve: listening on %s\n", config.socket_path.c_str());
-    std::fflush(stdout);
-    std::atomic<bool> watch_stop{false};
-    std::thread watch_thread;
-    if (!watch_dir.empty()) {
-      WatchConfig watch;
-      watch.tree_dir = watch_dir;
-      watch.poll_ms = poll_ms;
-      ScanOptions watch_options;
-      watch_options.jobs = jobs;
-      watch_thread = std::thread([watch, watch_options, &server, &watch_stop] {
-        RunWatchLoop(watch, watch_options, server.store(), watch_stop, stdout);
-      });
-    }
-    int sig = 0;
-    sigwait(&set, &sig);
-    watch_stop.store(true, std::memory_order_relaxed);
-    if (watch_thread.joinable()) {
-      watch_thread.join();
-    }
-    const bool clean = server.Drain();
-    const ScanServer::Counters c = server.counters();
-    std::printf("refscan serve: drained%s; %llu request(s), %llu scan(s), %llu shed, "
-                "%llu faulted, %llu timed out\n",
-                clean ? "" : " (escalated)", static_cast<unsigned long long>(c.requests),
-                static_cast<unsigned long long>(c.scans), static_cast<unsigned long long>(c.shed),
-                static_cast<unsigned long long>(c.faulted),
-                static_cast<unsigned long long>(c.timed_out));
-    return clean ? 0 : kExitHardFailure;
+    return RunDaemon(server, "serve", "listening on " + config.socket_path,
+                     config.drain_timeout_ms, watch_loop, [&server](bool clean) {
+                       const MetricsRegistry& m = server.metrics();
+                       return StrFormat("drained%s; %llu request(s), %llu scan(s), %llu shed, "
+                                        "%llu faulted, %llu timed out",
+                                        clean ? "" : " (escalated)",
+                                        CounterOf(m, "serve.requests"), CounterOf(m, "serve.scans"),
+                                        CounterOf(m, "serve.shed"), CounterOf(m, "serve.faulted"),
+                                        CounterOf(m, "serve.timed_out"));
+                     });
   }
 
   if (command == "health") {
-    if (argc < 3) {
+    CliFlags flags;
+    if (!ParseFlags(argc, argv, 3, kHealth, flags)) {
       return Usage();
-    }
-    bool want_stats = false;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--stats") == 0) {
-        want_stats = true;
-      } else {
-        return Usage();
-      }
     }
     std::string reply;
     std::string error;
-    const uint8_t type = want_stats ? kServeStatsReq : kServeHealthReq;
+    const uint8_t type = flags.stats ? kServeStatsReq : kServeHealthReq;
     if (!RemoteRequestText(argv[2], type, "", reply, &error)) {
       std::fprintf(stderr, "refscan health: %s\n", error.c_str());
       return kExitHardFailure;
@@ -886,30 +862,16 @@ int RealMain(int argc, char** argv) {
   }
 
   if (command == "cache") {
-    if (argc < 4 || std::strcmp(argv[2], "gc") != 0) {
+    CliFlags flags;
+    if (argc < 3 || std::string_view(argv[2]) != "gc" ||
+        !ParseFlags(argc, argv, 4, kCacheGc, flags)) {
       return Usage();
     }
-    const std::string dir = argv[3];
-    uint64_t max_bytes = 0;
-    bool have_max = false;
-    for (int i = 4; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--max-bytes") == 0 && i + 1 < argc) {
-        char* end = nullptr;
-        max_bytes = std::strtoull(argv[++i], &end, 10);
-        if (end == nullptr || *end != '\0') {
-          std::fprintf(stderr, "bad byte count: %s\n", argv[i]);
-          return Usage();
-        }
-        have_max = true;
-      } else {
-        return Usage();
-      }
-    }
-    if (!have_max) {
+    if (!flags.given.contains("--max-bytes")) {
       std::fprintf(stderr, "cache gc needs --max-bytes N\n");
       return Usage();
     }
-    const CacheGcStats gc = RunCacheGc(dir, max_bytes);
+    const CacheGcStats gc = RunCacheGc(argv[3], flags.max_bytes);
     std::printf("cache gc: kept %llu object(s) / %llu bytes, evicted %llu object(s) / "
                 "%llu bytes\n",
                 static_cast<unsigned long long>(gc.kept_objects),
