@@ -443,48 +443,11 @@ CacheKey MakeKbSnapshotKey(uint64_t base_kb_fp, int nesting_threshold,
   return MakeFileKey("<kb-snapshot>", w.bytes(), options_fp);
 }
 
+// The digest of the snapshot bytes: the fingerprint observes exactly what a
+// snapshot round-trips, so a deserialized KB fingerprints identically to the
+// replayed one it was stored from.
 uint64_t FingerprintKnowledgeBase(const KnowledgeBase& kb) {
-  ByteWriter w;
-  w.U32(kFormatVersion);
-  for (const auto& [name, api] : kb.apis()) {
-    w.Str(name);
-    w.U8(static_cast<uint8_t>(api.direction));
-    w.U8(static_cast<uint8_t>(api.category));
-    w.Bool(api.returns_error);
-    w.Bool(api.may_return_null);
-    w.Bool(api.returns_object);
-    w.I32(api.object_param);
-    w.I32(api.consumed_param);
-    w.Bool(api.hidden);
-    w.Bool(api.tests_zero);
-    w.Bool(api.discovered);
-  }
-  for (const auto& [name, loop] : kb.smart_loops()) {
-    w.Str(name);
-    w.I32(loop.iterator_arg);
-    w.Str(loop.embedded_api);
-  }
-  for (const std::string& s : kb.refcounted_structs()) {
-    w.Str(s);
-  }
-  for (const auto& [name, param] : kb.ownership_sinks()) {
-    w.Str(name);
-    w.I32(param);
-  }
-  for (const auto& [name, params] : kb.param_derefs()) {
-    w.Str(name);
-    w.U32(static_cast<uint32_t>(params.size()));
-    for (const int p : params) {
-      w.I32(p);
-    }
-  }
-  for (const std::string& f : kb.refcount_fields()) {
-    w.Str(f);
-  }
-  for (const std::string& f : kb.extra_free_functions()) {
-    w.Str(f);
-  }
-  return HashBytes(w.bytes());
+  return HashBytes(SerializeKb(kb), kFormatVersion);
 }
 
 // ---------------------------------------------------------------------------
@@ -535,9 +498,6 @@ std::optional<CachedFileReports> DeserializeReports(std::string_view bytes) {
   return shard;
 }
 
-// Field order mirrors FingerprintKnowledgeBase exactly: anything the
-// fingerprint observes, the snapshot round-trips, so a deserialized KB
-// fingerprints identically to the replayed one it was stored from.
 std::string SerializeKb(const KnowledgeBase& kb) {
   ByteWriter w;
   w.U32(static_cast<uint32_t>(kb.apis().size()));

@@ -81,8 +81,9 @@ CacheKey MakeKbSnapshotKey(uint64_t base_kb_fp, int nesting_threshold,
 
 // Deterministic digest of the entire knowledge base (APIs with all flags,
 // smartloops, refcounted structs, ownership sinks, param-deref facts) in
-// map order. Two scans whose post-discovery KBs fingerprint equal run the
-// checkers over identical inputs, which is what lets stage 3 be skipped.
+// map order: HashBytes of its SerializeKb snapshot bytes under the cache
+// format version. Two scans whose post-discovery KBs fingerprint equal run
+// the checkers over identical inputs, which is what lets stage 3 be skipped.
 uint64_t FingerprintKnowledgeBase(const KnowledgeBase& kb);
 
 // One file's cached stage-3 output: the raw (pre-dedup) report shard in

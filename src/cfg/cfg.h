@@ -12,9 +12,12 @@
 //   * loop membership — which macro loop (if any) encloses each node, used
 //     by the smartloop checker (anti-pattern P3).
 //
-// Paths are enumerated with a bounded DFS in which every node may appear at
-// most twice per path (loops execute 0/1/2 times), with global caps, which
-// matches the paper's intra-procedural "potential execution path" semantics.
+// EnumeratePaths lists entry→exit paths with a bounded DFS in which every
+// node may appear at most twice per path (so a head-tested loop body runs 0
+// or 1 times, twice only when left by break/return/goto), under a path
+// budget. It serves IPA summaries, `refscan match` and the tests that
+// use it as an oracle; the anti-pattern checkers walk the CFG instead
+// (src/checkers/walk.h), with no budget and any number of loop iterations.
 
 #ifndef REFSCAN_CFG_CFG_H_
 #define REFSCAN_CFG_CFG_H_
@@ -72,9 +75,7 @@ class Cfg {
   // Enumerates entry→exit paths as node-index sequences. Each node may
   // repeat at most `node_visit_cap` times per path; at most `max_paths`
   // paths are produced. Returns false if the cap truncated enumeration.
-  // A template so the per-path visitor inlines: trace extraction invokes
-  // this for every function and the type-erased call per path dominated
-  // the check stage.
+  // A template so the per-path visitor inlines.
   template <typename Visit>
   bool EnumeratePaths(const Visit& visit, size_t max_paths = 2048,
                       int node_visit_cap = 2) const {

@@ -2,12 +2,13 @@
 // checkers P1/P4/P5/P7 (and the P6 peer matching) share.
 //
 // For every refcount-acquisition site (an 𝒢 event with a known object and
-// API) the analysis aggregates, across every enumerated CFG path, what
-// became of the reference: released, transferred to the caller, stored into
-// longer-lived state, kfree'd, overwritten, or leaked (on a normal or an
-// error path). The engine computes this once per function and memoizes it
-// on the FunctionContext; it is also a useful public surface for building new
-// checkers.
+// API) the analysis walks the CFG forward from the acquisition (walk.h) and
+// aggregates, over every branch, what became of the reference: released,
+// transferred to the caller, stored into longer-lived state, kfree'd,
+// overwritten, or leaked (on a normal or an error path). Loops may run any
+// number of times and no path budget applies. The engine computes this once
+// per function and memoizes it on the FunctionContext; it is also a useful
+// public surface for building new checkers.
 
 #ifndef REFSCAN_CHECKERS_ANALYSIS_H_
 #define REFSCAN_CHECKERS_ANALYSIS_H_
@@ -32,9 +33,9 @@ struct AcqSite {
   bool transferred = false;          // returned / stored escaping (ownership moved)
   bool unpaired_path = false;        // a path exits holding the reference
   bool unpaired_error_path = false;  // ...and that path is an error path
-  uint32_t error_exit_line = 0;      // the leaking error return, when known
+  uint32_t error_exit_line = 0;      // the first leaking error branch's return, when known
   bool freed_direct = false;         // kfree'd while the reference was held
-  uint32_t free_line = 0;
+  uint32_t free_line = 0;            // the last freeing branch's kfree
   bool reassigned_while_held = false;  // pointer overwritten before release
 };
 

@@ -2,21 +2,19 @@
 // extensions: raw refcount manipulation, test-and-free misuse, and refcount
 // resets — see DESIGN.md §5.12).
 //
-// All checkers work on "traces": the ordered semantic events along one
-// enumerated CFG path. P1/P4/P5/P7 share an acquisition analysis that
-// aggregates, per acquisition site (inc event), what happened to the object
-// across every enumerated path; the other checkers do focused per-path
-// matching. See engine.h for the public entry points.
+// A checker asks whether some potential execution path matches its Table 1
+// template. It answers by walking the CFG forward from each trigger event
+// (CfgWalk, walk.h) with a small per-branch state, not by enumerating
+// paths. P1/P4/P5/P7 share an acquisition analysis that aggregates, per
+// acquisition site (inc event), what happened to the object on every branch
+// leaving it; P10/P12 need no paths at all. Trigger events are taken in
+// walk order from the entry. See engine.h for the public entry points.
 //
-// Paths are enumerated once per function into a flat PathTraceSet
-// (DESIGN.md §5.11) memoized on the FunctionContext; every checker and the
-// acquisition analysis walk that shared storage. Object identity checks
-// (ObjectsMatch / RootsMatch) compare interned Symbols — integer compares,
-// with spelling roots memoized by RootSymbol.
+// Object identity checks (ObjectsMatch / RootsMatch) compare interned
+// Symbols — integer compares, with spelling roots memoized by RootSymbol.
 
 #include <map>
 #include <set>
-#include <span>
 
 #include "src/checkers/engine.h"
 #include "src/checkers/templates.h"
@@ -25,65 +23,6 @@
 namespace refscan {
 
 namespace {
-
-using TraceItem = PathTraceItem;
-
-// Builds (or returns the memoized) flattened paths+traces for `fc`.
-const PathTraceSet& GetTraces(const FunctionContext& fc, const ScanOptions& options) {
-  const uint64_t key = static_cast<uint64_t>(options.max_paths_per_function);
-  if (fc.trace_cache && fc.trace_cache->key == key) {
-    return *fc.trace_cache;
-  }
-  PathTraceSet fresh;
-  fresh.key = key;
-  fresh.path_offsets.push_back(0);
-  fresh.item_offsets.push_back(0);
-  fc.cfg->EnumeratePaths(
-      [&](const std::vector<int>& path) {
-        for (size_t p = 0; p < path.size(); ++p) {
-          fresh.path_nodes.push_back(path[p]);
-          for (const SemEvent& ev : fc.cpg->events(path[p])) {
-            fresh.items.push_back(TraceItem{&ev, path[p], static_cast<uint32_t>(p)});
-          }
-        }
-        fresh.path_offsets.push_back(static_cast<uint32_t>(fresh.path_nodes.size()));
-        fresh.item_offsets.push_back(static_cast<uint32_t>(fresh.items.size()));
-      },
-      options.max_paths_per_function);
-  // Published only once complete: a deadline thrown mid-enumeration leaves
-  // the memo as it was.
-  return fc.trace_cache.emplace(std::move(fresh));
-}
-
-// Invokes `fn` once per enumerated path with (path-node-ids, trace).
-template <typename Fn>
-void ForEachTrace(const FunctionContext& fc, const ScanOptions& options, const Fn& fn) {
-  const PathTraceSet& traces = GetTraces(fc, options);
-  for (size_t p = 0; p < traces.paths(); ++p) {
-    fn(std::span<const int>(traces.path_nodes.data() + traces.path_offsets[p],
-                            traces.path_offsets[p + 1] - traces.path_offsets[p]),
-       std::span<const TraceItem>(traces.items.data() + traces.item_offsets[p],
-                                  traces.item_offsets[p + 1] - traces.item_offsets[p]));
-  }
-}
-
-// True if, at a NULL-check of the tracked object (trace[j]), this path takes
-// the branch on which the object is NULL — acquisition effectively failed,
-// so the path holds no reference to release.
-bool PathTakesNullBranch(const FunctionContext& fc, std::span<const int> path,
-                         const TraceItem& item) {
-  const CfgNode& cond = fc.cfg->node(item.node);
-  if (item.path_pos + 1 >= path.size() || cond.succs.empty()) {
-    return false;
-  }
-  const int next = path[item.path_pos + 1];
-  if (item.ev->checks_null_true_branch) {
-    // `if (!p)` / `p == NULL`: the true (first-linked) branch is the NULL side.
-    return cond.succs.size() > 1 ? next == cond.succs[0] : false;
-  }
-  // `if (p)` / `p != NULL`: the fall-through / else side is the NULL side.
-  return cond.succs.size() > 1 && next == cond.succs[1];
-}
 
 // Object identity matching. Exact spellings always match; a bare root
 // matches any spelling rooted in it ("serial" vs "serial->kref"), which is
@@ -111,113 +50,163 @@ bool NodeIsErrorReturn(const Cfg& cfg, int node) {
   return n.stmt != nullptr && ReturnsErrorCode(*n.stmt);
 }
 
+// Appends a report; the caller adds the message (and the exit line, when
+// known).
+BugReport& AddReport(std::vector<BugReport>& out, const UnitContext& uc,
+                     const FunctionContext& fc, int pattern, Impact impact, uint32_t line,
+                     std::string api, std::string object) {
+  BugReport& r = out.emplace_back();
+  r.anti_pattern = pattern;
+  r.impact = impact;
+  r.file = uc.unit.path;
+  r.function = fc.fn->name.str();
+  r.line = line;
+  r.api = std::move(api);
+  r.object = std::move(object);
+  r.template_path = AntiPatternTemplate(pattern);
+  return r;
+}
+
 // ----------------------------------------------------------------------
 // Acquisition analysis shared by P1 / P4 / P5 / P7 (public in analysis.h).
-
-using AcqMap = AcquisitionAnalysis;
 
 std::string AcqKey(const SemEvent& ev) {
   return StrFormat("%u:%s:%s", ev.line, ev.object.c_str(),
                    ev.api != nullptr ? ev.api->name.c_str() : "");
 }
 
-AcqMap ComputeAcquisitions(const FunctionContext& fc, const ScanOptions& options) {
-  AcqMap sites;
-  ForEachTrace(fc, options, [&](std::span<const int> path, std::span<const TraceItem> trace) {
-    for (size_t i = 0; i < trace.size(); ++i) {
-      const SemEvent& acq = *trace[i].ev;
-      if (acq.op != SemOp::kIncrease || acq.object.empty() || acq.api == nullptr) {
-        continue;
-      }
-      AcqSite& site = sites[AcqKey(acq)];
-      site.api = acq.api;
-      site.line = acq.line;
-      site.object = acq.object.str();
+// Branch state of an acquisition walk.
+enum : WalkState {
+  kErrorAfter = 1,  // the branch ran error-handling code after the acquisition
+  kEscaped = 2,     // the reference was stored into longer-lived state
+  kNullSide0 = 4,   // a NULL check of the object: succs[0] is its NULL side
+  kNullSide1 = 8,   // ... succs[1] is
+};
 
-      // An acquired *result* landing directly in escaping storage
-      // (`f->np = of_get_parent(...)`) is owned by that storage, not this
-      // function. Only applies to returns-object APIs: for parameter-based
-      // APIs (pm_runtime_get_sync(pdev->dev)) the object spelling is the
-      // argument, not where the reference is stored.
-      bool direct_store = false;
-      if (options.model_ownership_transfer && acq.api->returns_object &&
-          acq.api->object_param < 0) {
-        const Symbol root = RootSymbol(acq.object);
-        if (acq.object != root &&
-            (fc.cpg->params().contains(root) || !fc.cpg->locals().contains(root))) {
-          direct_store = true;
-          site.transferred = true;
-        }
-      }
+// Follows one acquisition (an inc event) to every way the function can leave
+// it: released, returned, stored, kfree'd, dropped on a NULL branch, or held
+// to an exit. What the branches find is folded into the event's AcqSite.
+struct AcquisitionWalk : WalkVisitor {
+  const FunctionContext& fc;
+  const ScanOptions& options;
+  const SemEvent& acq;
+  int acq_node;
+  bool direct_store;
+  AcqSite& site;
 
-      bool paired = false;
-      bool transferred = false;
-      bool null_branch = false;
-      bool freed = false;
-      bool error_after = false;
-      uint32_t exit_line = 0;
-      for (size_t j = i + 1; j < trace.size(); ++j) {
-        const SemEvent& ev = *trace[j].ev;
-        if (fc.cfg->node(trace[j].node).is_error_context) {
-          error_after = true;
-        }
-        if (options.prune_null_branches && ev.op == SemOp::kNullCheck &&
-            ObjectsMatch(ev.object, acq.object) && PathTakesNullBranch(fc, path, trace[j])) {
-          null_branch = true;  // acquisition failed on this path
-          break;
-        }
-        if (ev.op == SemOp::kDecrease && ObjectsMatch(ev.object, acq.object)) {
-          paired = true;
-          break;
-        }
-        if (ev.op == SemOp::kFree && ObjectsMatch(ev.object, acq.object)) {
-          site.freed_direct = true;
-          site.free_line = ev.line;
-          freed = true;
-          break;
-        }
-        if (options.model_ownership_transfer && ev.op == SemOp::kReturn &&
-            ObjectsMatch(ev.object, acq.object)) {
-          transferred = true;
-          break;
-        }
-        // `return to_foo(obj)` hands obj to the caller through a conversion
-        // wrapper — but only functions returning a pointer can do that;
-        // `return use(obj)` in an int function is just a use.
-        if (options.model_ownership_transfer && ev.op == SemOp::kReturn &&
-            ObjectsMatch(ev.aux, acq.object) &&
-            fc.fn->return_type.view().find('*') != std::string_view::npos) {
-          transferred = true;
-          break;
-        }
-        if (options.model_ownership_transfer && ev.op == SemOp::kAssign && ev.escapes &&
-            ObjectsMatch(ev.aux, acq.object)) {
-          transferred = true;  // stored into longer-lived state
-          // Keep scanning: P9 looks at the escape/dec interaction separately.
-        }
-        if (ev.op == SemOp::kAssign && !ev.escapes && trace[j].node != trace[i].node &&
-            ev.object == acq.object && ev.aux != acq.object) {
-          site.reassigned_while_held = true;
-        }
-        if (ev.op == SemOp::kReturn) {
-          if (NodeIsErrorReturn(*fc.cfg, trace[j].node)) {
-            error_after = true;
-          }
-          exit_line = ev.line;
-          break;
-        }
+  // Every branch that ends keeps the escape it saw.
+  WalkStep Stop(WalkState s) {
+    site.transferred |= (s & kEscaped) != 0;
+    return WalkStep::kStop;
+  }
+
+  // A branch left the function still holding the reference (unless it
+  // escaped); `exit_line` is the return that ended it, 0 for none.
+  void Exit(WalkState s, uint32_t exit_line) {
+    Stop(s);
+    if ((s & kEscaped) != 0 || direct_store) {
+      return;
+    }
+    site.unpaired_path = true;
+    if ((s & kErrorAfter) != 0 && !site.unpaired_error_path) {
+      site.error_exit_line = exit_line;  // the first leaking error branch's return
+      site.unpaired_error_path = true;
+    }
+  }
+
+  WalkStep Event(int node, const SemEvent& ev, WalkState& s) {
+    const CfgNode& n = fc.cfg->node(node);
+    if (n.is_error_context) {
+      s |= kErrorAfter;
+    }
+    if (options.prune_null_branches && ev.op == SemOp::kNullCheck &&
+        ObjectsMatch(ev.object, acq.object) && n.succs.size() > 1) {
+      // `if (!p)` / `p == NULL`: the true (first-linked) branch is the NULL
+      // side; `if (p)` / `p != NULL`: the fall-through / else side is.
+      s |= ev.checks_null_true_branch ? kNullSide0 : kNullSide1;
+    }
+    if (ev.op == SemOp::kDecrease && ObjectsMatch(ev.object, acq.object)) {
+      site.paired_somewhere = true;
+      return Stop(s);
+    }
+    if (ev.op == SemOp::kFree && ObjectsMatch(ev.object, acq.object)) {
+      site.freed_direct = true;
+      site.free_line = ev.line;  // the last freeing branch's line
+      return Stop(s);
+    }
+    // `return to_foo(obj)` hands obj to the caller through a conversion
+    // wrapper — but only functions returning a pointer can do that;
+    // `return use(obj)` in an int function is just a use.
+    if (options.model_ownership_transfer && ev.op == SemOp::kReturn &&
+        (ObjectsMatch(ev.object, acq.object) ||
+         (ObjectsMatch(ev.aux, acq.object) &&
+          fc.fn->return_type.view().find('*') != std::string_view::npos))) {
+      site.transferred = true;
+      return WalkStep::kStop;
+    }
+    if (options.model_ownership_transfer && ev.op == SemOp::kAssign && ev.escapes &&
+        ObjectsMatch(ev.aux, acq.object)) {
+      s |= kEscaped;  // keep walking: P9 looks at the escape/dec interaction
+    }
+    if (ev.op == SemOp::kAssign && !ev.escapes && node != acq_node && ev.object == acq.object &&
+        ev.aux != acq.object) {
+      site.reassigned_while_held = true;
+    }
+    if (ev.op == SemOp::kReturn) {
+      if (NodeIsErrorReturn(*fc.cfg, node)) {
+        s |= kErrorAfter;
       }
-      site.paired_somewhere |= paired;
-      site.transferred |= transferred;
-      if (!paired && !transferred && !null_branch && !freed && !direct_store) {
-        site.unpaired_path = true;
-        if (error_after && !site.unpaired_error_path) {
-          site.error_exit_line = exit_line;
-        }
-        site.unpaired_error_path |= error_after;
+      Exit(s, ev.line);
+      return WalkStep::kStop;
+    }
+    return WalkStep::kContinue;
+  }
+
+  // The NULL side of a checked acquisition holds no reference to release.
+  bool Edge(int /*node*/, size_t succ, WalkState& s) {
+    const bool null_side = (succ == 0 && (s & kNullSide0) != 0) ||
+                           (succ == 1 && (s & kNullSide1) != 0);
+    s &= ~(kNullSide0 | kNullSide1);
+    if (null_side) {
+      Stop(s);
+    }
+    return !null_side;
+  }
+
+  void End(WalkState s) { Exit(s, 0); }
+};
+
+AcquisitionAnalysis ComputeAcquisitions(const FunctionContext& fc, const ScanOptions& options) {
+  AcquisitionAnalysis sites;
+  CfgWalk& walk = fc.Walk();
+  for (const WalkPos& at : walk.ReachableEvents()) {
+    const SemEvent& acq = *at.ev;
+    if (acq.op != SemOp::kIncrease || acq.object.empty() || acq.api == nullptr) {
+      continue;
+    }
+    AcqSite& site = sites[AcqKey(acq)];
+    site.api = acq.api;
+    site.line = acq.line;
+    site.object = acq.object.str();
+
+    // An acquired *result* landing directly in escaping storage
+    // (`f->np = of_get_parent(...)`) is owned by that storage, not this
+    // function. Only applies to returns-object APIs: for parameter-based
+    // APIs (pm_runtime_get_sync(pdev->dev)) the object spelling is the
+    // argument, not where the reference is stored.
+    bool direct_store = false;
+    if (options.model_ownership_transfer && acq.api->returns_object &&
+        acq.api->object_param < 0) {
+      const Symbol root = RootSymbol(acq.object);
+      if (acq.object != root &&
+          (fc.cpg->params().contains(root) || !fc.cpg->locals().contains(root))) {
+        direct_store = true;
+        site.transferred = true;
       }
     }
-  });
+    walk.Run(at.node, at.index + 1, 0,
+             AcquisitionWalk{{}, fc, options, acq, at.node, direct_store, site});
+  }
   return sites;
 }
 
@@ -228,29 +217,12 @@ const AcquisitionAnalysis& AnalyzeAcquisitions(const FunctionContext& fc,
   // The memo holds one option configuration; a caller with another one
   // (only tests mix configurations on one context) rebuilds it.
   const uint64_t key = (options.prune_null_branches ? 1u : 0u) |
-                       (options.model_ownership_transfer ? 2u : 0u) |
-                       (static_cast<uint64_t>(options.max_paths_per_function) << 2);
+                       (options.model_ownership_transfer ? 2u : 0u);
   if (!fc.acquisition_cache || fc.acquisition_cache->key != key) {
     fc.acquisition_cache = AcquisitionCache{key, ComputeAcquisitions(fc, options)};
   }
   return fc.acquisition_cache->analysis;
 }
-
-namespace {
-
-BugReport BaseReport(const UnitContext& uc, const FunctionContext& fc, int pattern,
-                     Impact impact, uint32_t line) {
-  BugReport r;
-  r.anti_pattern = pattern;
-  r.impact = impact;
-  r.file = uc.unit.path;
-  r.function = fc.fn->name.str();
-  r.line = line;
-  r.template_path = AntiPatternTemplate(pattern);
-  return r;
-}
-
-}  // namespace
 
 // ------------------------------------------------------------------ P1
 
@@ -259,13 +231,11 @@ void CheckReturnError(const UnitContext& uc, const FunctionContext& fc, const Kn
   const auto& analysis = AnalyzeAcquisitions(fc, options);
   for (const auto& [key, site] : analysis) {
     if (site.api->returns_error && site.unpaired_error_path) {
-      BugReport r = BaseReport(uc, fc, 1, Impact::kLeak, site.line);
+      BugReport& r =
+          AddReport(out, uc, fc, 1, Impact::kLeak, site.line, site.api->name, site.object);
       r.exit_line = site.error_exit_line;
-      r.api = site.api->name;
-      r.object = site.object;
       r.message = StrFormat("%s() increments even on failure; error path misses the decrement",
                             site.api->name.c_str());
-      out.push_back(std::move(r));
     }
   }
 }
@@ -275,101 +245,100 @@ void CheckReturnError(const UnitContext& uc, const FunctionContext& fc, const Kn
 void CheckReturnNull(const UnitContext& uc, const FunctionContext& fc, const KnowledgeBase& kb,
                      const ScanOptions& options, std::vector<BugReport>& out) {
   std::set<std::string> seen;
-  ForEachTrace(fc, options, [&](std::span<const int> path, std::span<const TraceItem> trace) {
-    for (size_t i = 0; i < trace.size(); ++i) {
-      const SemEvent& acq = *trace[i].ev;
-      if (acq.op != SemOp::kIncrease || acq.api == nullptr || !acq.api->may_return_null ||
-          acq.object.empty()) {
-        continue;
-      }
-      for (size_t j = i + 1; j < trace.size(); ++j) {
-        const SemEvent& ev = *trace[j].ev;
-        if (ev.op == SemOp::kNullCheck && ObjectsMatch(ev.object, acq.object)) {
-          break;  // guarded on this path
-        }
-        if (ev.op == SemOp::kAssign && ev.object == acq.object &&
-            trace[j].node != trace[i].node) {
-          break;  // reassigned (same-node assign is the binding itself)
-        }
-        if (ev.op == SemOp::kDeref && ObjectsMatch(ev.object, acq.object)) {
-          const std::string dedup = StrFormat("%u:%u", acq.line, ev.line);
-          if (seen.insert(dedup).second) {
-            BugReport r = BaseReport(uc, fc, 2, Impact::kNpd, acq.line);
-            r.api = acq.api->name;
-            r.object = acq.object.str();
-            r.message = StrFormat("%s() may return NULL; '%s' dereferenced at line %u without a check",
-                                  acq.api->name.c_str(), acq.object.c_str(), ev.line);
-            out.push_back(std::move(r));
-          }
-          break;
-        }
-      }
+  CfgWalk& walk = fc.Walk();
+  for (const WalkPos& at : walk.ReachableEvents()) {
+    const SemEvent& acq = *at.ev;
+    if (acq.op != SemOp::kIncrease || acq.api == nullptr || !acq.api->may_return_null ||
+        acq.object.empty()) {
+      continue;
     }
-  });
+    walk.Run(at.node, at.index + 1, 0, OnEvents([&](int node, const SemEvent& ev, WalkState&) {
+      if (ev.op == SemOp::kNullCheck && ObjectsMatch(ev.object, acq.object)) {
+        return WalkStep::kStop;  // guarded on this branch
+      }
+      if (ev.op == SemOp::kAssign && ev.object == acq.object && node != at.node) {
+        return WalkStep::kStop;  // reassigned (same-node assign is the binding itself)
+      }
+      if (ev.op != SemOp::kDeref || !ObjectsMatch(ev.object, acq.object)) {
+        return WalkStep::kContinue;
+      }
+      const std::string dedup = StrFormat("%u:%u", acq.line, ev.line);
+      if (seen.insert(dedup).second) {
+        BugReport& r =
+            AddReport(out, uc, fc, 2, Impact::kNpd, acq.line, acq.api->name, acq.object.str());
+        r.message = StrFormat("%s() may return NULL; '%s' dereferenced at line %u without a check",
+                              acq.api->name.c_str(), acq.object.c_str(), ev.line);
+      }
+      return WalkStep::kStop;
+    }));
+  }
 }
 
 // ------------------------------------------------------------------ P3
+
+namespace {
+
+// From a smartloop head: the early exits of that loop (break, return, goto
+// to an error label) a branch takes with no decrease of the iterator since
+// the head — and without coming round to the head, whose next traversal
+// would be the one to release in.
+struct SmartLoopWalk : WalkVisitor {
+  const Cfg& cfg;
+  int head;
+  Symbol iterator;
+  std::vector<int>& exits;
+
+  WalkStep Event(int /*node*/, const SemEvent& ev, WalkState&) {
+    return ev.op == SemOp::kDecrease && ObjectsMatch(ev.object, iterator) ? WalkStep::kStop
+                                                                         : WalkStep::kContinue;
+  }
+  bool Edge(int node, size_t succ, WalkState&) {
+    const CfgNode& n = cfg.node(node);
+    if (n.macro_loop == head && n.stmt != nullptr &&
+        (n.stmt->kind == Stmt::Kind::kBreak || n.stmt->kind == Stmt::Kind::kReturn ||
+         (n.stmt->kind == Stmt::Kind::kGoto && IsErrorLabel(n.stmt->name.view())))) {
+      exits.push_back(node);
+    }
+    return n.succs[succ] != head;
+  }
+};
+
+}  // namespace
 
 void CheckSmartLoopBreak(const UnitContext& uc, const FunctionContext& fc,
                          const KnowledgeBase& kb, const ScanOptions& options,
                          std::vector<BugReport>& out) {
   std::set<uint32_t> seen;
-  ForEachTrace(fc, options, [&](std::span<const int> path, std::span<const TraceItem> trace) {
-    for (size_t p = 0; p < path.size(); ++p) {
-      const CfgNode& node = fc.cfg->node(path[p]);
-      if (node.macro_loop < 0 || node.stmt == nullptr) {
-        continue;
-      }
-      const bool exits_early = node.stmt->kind == Stmt::Kind::kBreak ||
-                               node.stmt->kind == Stmt::Kind::kReturn ||
-                               (node.stmt->kind == Stmt::Kind::kGoto &&
-                                IsErrorLabel(node.stmt->name.view()));
-      if (!exits_early) {
-        continue;
-      }
-      // Identify the enclosing smartloop's iterator object.
-      const SemEvent* head_ev = nullptr;
-      for (const SemEvent& ev : fc.cpg->events(node.macro_loop)) {
-        if (ev.op == SemOp::kLoopHead && ev.loop != nullptr) {
-          head_ev = &ev;
-        }
-      }
-      if (head_ev == nullptr || head_ev->object.empty()) {
-        continue;  // unknown macro loop (e.g. list_for_each_entry): no refcounting
-      }
-      // Find the most recent traversal of the loop head before this exit and
-      // look for a decrement of the iterator in between.
-      size_t head_pos = 0;
-      bool found_head = false;
-      for (size_t q = p; q-- > 0;) {
-        if (path[q] == node.macro_loop) {
-          head_pos = q;
-          found_head = true;
-          break;
-        }
-      }
-      if (!found_head) {
-        continue;
-      }
-      bool released = false;
-      for (size_t q = head_pos; q <= p; ++q) {
-        for (const SemEvent& ev : fc.cpg->events(path[q])) {
-          if (ev.op == SemOp::kDecrease && ObjectsMatch(ev.object, head_ev->object)) {
-            released = true;
-          }
-        }
-      }
-      if (!released && seen.insert(node.line).second) {
-        BugReport r = BaseReport(uc, fc, 3, Impact::kLeak, node.line);
-        r.api = head_ev->loop->name;
-        r.object = head_ev->object.str();
-        r.message = StrFormat(
-            "early exit from %s at line %u leaks the iterator '%s' (put the node before leaving)",
-            head_ev->loop->name.c_str(), node.line, head_ev->object.c_str());
-        out.push_back(std::move(r));
+  std::vector<int> exits;
+  CfgWalk& walk = fc.Walk();
+  for (const WalkPos& at : walk.ReachableEvents()) {
+    if (at.index != 0 || fc.cfg->node(at.node).kind != CfgNode::Kind::kLoopHead) {
+      continue;  // one walk per head
+    }
+    // The head's last known loop event names the iterator; unknown macro
+    // loops (e.g. list_for_each_entry) do no refcounting.
+    const SemEvent* head = nullptr;
+    for (const SemEvent& ev : fc.cpg->events(at.node)) {
+      if (ev.op == SemOp::kLoopHead && ev.loop != nullptr) {
+        head = &ev;
       }
     }
-  });
+    if (head == nullptr || head->object.empty()) {
+      continue;
+    }
+    exits.clear();
+    walk.Run(at.node, 0, 0, SmartLoopWalk{{}, *fc.cfg, at.node, head->object, exits});
+    for (const int exit_node : exits) {
+      const uint32_t line = fc.cfg->node(exit_node).line;
+      if (seen.insert(line).second) {
+        BugReport& r =
+            AddReport(out, uc, fc, 3, Impact::kLeak, line, head->loop->name, head->object.str());
+        r.message = StrFormat(
+            "early exit from %s at line %u leaks the iterator '%s' (put the node before leaving)",
+            head->loop->name.c_str(), line, head->object.c_str());
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------ P4
@@ -382,12 +351,10 @@ void CheckHiddenApi(const UnitContext& uc, const FunctionContext& fc, const Know
   for (const auto& [key, site] : analysis) {
     if (site.api->hidden && !site.paired_somewhere && !site.transferred && site.unpaired_path &&
         !site.freed_direct) {
-      BugReport r = BaseReport(uc, fc, 4, Impact::kLeak, site.line);
-      r.api = site.api->name;
-      r.object = site.object;
+      BugReport& r =
+          AddReport(out, uc, fc, 4, Impact::kLeak, site.line, site.api->name, site.object);
       r.message = StrFormat("%s() hides a refcount increase on '%s'; no path releases it",
                             site.api->name.c_str(), site.object.c_str());
-      out.push_back(std::move(r));
     }
   }
 
@@ -395,38 +362,33 @@ void CheckHiddenApi(const UnitContext& uc, const FunctionContext& fc, const Know
   // does not own (of_find_*(from) decrements `from`; a borrowed parameter
   // needs an of_node_get first). §5.2.2, 16 new bugs in the paper.
   std::set<std::string> seen;
-  ForEachTrace(fc, options, [&](std::span<const int> path, std::span<const TraceItem> trace) {
-    for (size_t i = 0; i < trace.size(); ++i) {
-      const SemEvent& dec = *trace[i].ev;
-      if (dec.op != SemOp::kDecrease || dec.api == nullptr ||
-          dec.api->direction != RefDirection::kIncrease || dec.object.empty()) {
-        continue;  // only implicit consumption by find-like APIs
-      }
-      const Symbol root = RootSymbol(dec.object);
-      if (!fc.cpg->params().contains(root)) {
-        continue;  // consuming a locally-acquired reference is the normal idiom
-      }
-      bool acquired_before = false;
-      for (size_t j = 0; j < i; ++j) {
-        const SemEvent& ev = *trace[j].ev;
-        if (ev.op == SemOp::kIncrease && ObjectsMatch(ev.object, dec.object)) {
-          acquired_before = true;
-        }
-      }
-      if (!acquired_before) {
-        const std::string dedup = StrFormat("mi:%u:%s", dec.line, dec.object.c_str());
-        if (seen.insert(dedup).second) {
-          BugReport r = BaseReport(uc, fc, 4, Impact::kUaf, dec.line);
-          r.api = dec.api->name;
-          r.object = dec.object.str();
-          r.message = StrFormat(
-              "%s() consumes a reference on borrowed parameter '%s'; missing increase before the call",
-              dec.api->name.c_str(), dec.object.c_str());
-          out.push_back(std::move(r));
-        }
-      }
+  CfgWalk& walk = fc.Walk();
+  for (const WalkPos& at : walk.ReachableEvents()) {
+    const SemEvent& dec = *at.ev;
+    if (dec.op != SemOp::kDecrease || dec.api == nullptr ||
+        dec.api->direction != RefDirection::kIncrease || dec.object.empty()) {
+      continue;  // only implicit consumption by find-like APIs
     }
-  });
+    if (!fc.cpg->params().contains(RootSymbol(dec.object))) {
+      continue;  // consuming a locally-acquired reference is the normal idiom
+    }
+    // Does some branch from the entry reach the call before any increase?
+    bool unacquired = false;
+    walk.Run(fc.cfg->entry(), 0, 0, OnEvents([&](int, const SemEvent& ev, WalkState&) {
+      unacquired |= &ev == &dec;
+      return ev.op == SemOp::kIncrease && ObjectsMatch(ev.object, dec.object)
+                 ? WalkStep::kStop
+                 : WalkStep::kContinue;
+    }));
+    const std::string dedup = StrFormat("mi:%u:%s", dec.line, dec.object.c_str());
+    if (unacquired && seen.insert(dedup).second) {
+      BugReport& r =
+          AddReport(out, uc, fc, 4, Impact::kUaf, dec.line, dec.api->name, dec.object.str());
+      r.message = StrFormat(
+          "%s() consumes a reference on borrowed parameter '%s'; missing increase before the call",
+          dec.api->name.c_str(), dec.object.c_str());
+    }
+  }
 }
 
 // ------------------------------------------------------------------ P5
@@ -439,26 +401,22 @@ void CheckErrorHandle(const UnitContext& uc, const FunctionContext& fc, const Kn
       continue;  // P1's territory
     }
     if ((site.paired_somewhere || site.transferred) && site.unpaired_error_path) {
-      BugReport r = BaseReport(uc, fc, 5, Impact::kLeak, site.line);
+      BugReport& r =
+          AddReport(out, uc, fc, 5, Impact::kLeak, site.line, site.api->name, site.object);
       r.exit_line = site.error_exit_line;
-      r.api = site.api->name;
-      r.object = site.object;
       r.message = StrFormat(
           "'%s' from %s() is released on the normal path but not in the error-handling path",
           site.object.c_str(), site.api->name.c_str());
-      out.push_back(std::move(r));
     }
     // The Listing-5 shape: the held pointer is overwritten before any
     // release — the reference is orphaned. (This is also where the paper's
     // checkers produced their 5 false positives.)
     if (!site.paired_somewhere && !site.transferred && site.reassigned_while_held &&
         site.unpaired_path) {
-      BugReport r = BaseReport(uc, fc, 5, Impact::kLeak, site.line);
-      r.api = site.api->name;
-      r.object = site.object;
+      BugReport& r =
+          AddReport(out, uc, fc, 5, Impact::kLeak, site.line, site.api->name, site.object);
       r.message = StrFormat("'%s' is overwritten while a reference from %s() is still held",
                             site.object.c_str(), site.api->name.c_str());
-      out.push_back(std::move(r));
     }
   }
 }
@@ -601,19 +559,11 @@ void CheckInterUnpaired(const UnitContext& uc, const KnowledgeBase& kb,
       if (!seen.insert(dedup).second) {
         continue;
       }
-      BugReport r;
-      r.anti_pattern = 6;
-      r.impact = Impact::kLeak;
-      r.file = uc.unit.path;
-      r.function = acq_name;
-      r.line = site.line;
-      r.api = site.api->name;
-      r.object = site.object;
-      r.template_path = AntiPatternTemplate(6);
+      BugReport& r =
+          AddReport(out, uc, *acq, 6, Impact::kLeak, site.line, site.api->name, site.object);
       r.message = StrFormat("%s() acquires via %s() but paired %s() never releases the %s family",
                             acq_name.c_str(), site.api->name.c_str(), rel_name.c_str(),
                             family.c_str());
-      out.push_back(std::move(r));
     }
   }
 }
@@ -625,13 +575,11 @@ void CheckDirectFree(const UnitContext& uc, const FunctionContext& fc, const Kno
   const auto& analysis = AnalyzeAcquisitions(fc, options);
   for (const auto& [key, site] : analysis) {
     if (site.freed_direct) {
-      BugReport r = BaseReport(uc, fc, 7, Impact::kLeak, site.free_line);
-      r.api = site.api->name;
-      r.object = site.object;
+      BugReport& r =
+          AddReport(out, uc, fc, 7, Impact::kLeak, site.free_line, site.api->name, site.object);
       r.message = StrFormat(
           "'%s' (refcounted via %s()) is kfree'd directly at line %u; the release callback never runs",
           site.object.c_str(), site.api->name.c_str(), site.free_line);
-      out.push_back(std::move(r));
     }
   }
 }
@@ -642,113 +590,116 @@ void CheckUseAfterDecrease(const UnitContext& uc, const FunctionContext& fc,
                            const KnowledgeBase& kb, const ScanOptions& options,
                            std::vector<BugReport>& out) {
   std::set<std::string> seen;
-  ForEachTrace(fc, options, [&](std::span<const int> path, std::span<const TraceItem> trace) {
-    for (size_t i = 0; i < trace.size(); ++i) {
-      const SemEvent& dec = *trace[i].ev;
-      if (dec.op != SemOp::kDecrease || dec.object.empty() || dec.api == nullptr ||
-          dec.api->direction != RefDirection::kDecrease) {
-        continue;
-      }
-      if (dec.api->tests_zero) {
-        continue;  // dec_and_test semantics are P11's territory: whether the
-                   // object died depends on the tested result, which this
-                   // checker does not model
-      }
-      const Symbol root = RootSymbol(dec.object);
-      if (root.empty()) {
-        continue;
-      }
-      for (size_t j = i + 1; j < trace.size(); ++j) {
-        const SemEvent& ev = *trace[j].ev;
-        if ((ev.op == SemOp::kIncrease || ev.op == SemOp::kAssign) &&
-            RootsMatch(ev.object, dec.object)) {
-          break;  // re-acquired or re-initialised
-        }
-        const bool uses = (ev.op == SemOp::kDeref || ev.op == SemOp::kUnlock ||
-                           ev.op == SemOp::kLock) &&
-                          RootsMatch(ev.object, dec.object);
-        if (uses) {
-          const std::string dedup = StrFormat("%u:%u:%s", dec.line, ev.line, root.c_str());
-          if (seen.insert(dedup).second) {
-            BugReport r = BaseReport(uc, fc, 8, Impact::kUaf, dec.line);
-            r.api = dec.api->name;
-            r.object = dec.object.str();
-            r.message = StrFormat(
-                "'%s' is used at line %u after %s() at line %u may have freed it (UAD)",
-                root.c_str(), ev.line, dec.api->name.c_str(), dec.line);
-            out.push_back(std::move(r));
-          }
-          break;
-        }
-      }
+  CfgWalk& walk = fc.Walk();
+  for (const WalkPos& at : walk.ReachableEvents()) {
+    const SemEvent& dec = *at.ev;
+    if (dec.op != SemOp::kDecrease || dec.object.empty() || dec.api == nullptr ||
+        dec.api->direction != RefDirection::kDecrease) {
+      continue;
     }
-  });
+    if (dec.api->tests_zero) {
+      continue;  // dec_and_test semantics are P11's territory: whether the
+                 // object died depends on the tested result, which this
+                 // checker does not model
+    }
+    const Symbol root = RootSymbol(dec.object);
+    if (root.empty()) {
+      continue;
+    }
+    walk.Run(at.node, at.index + 1, 0, OnEvents([&](int, const SemEvent& ev, WalkState&) {
+      if ((ev.op == SemOp::kIncrease || ev.op == SemOp::kAssign) &&
+          RootsMatch(ev.object, dec.object)) {
+        return WalkStep::kStop;  // re-acquired or re-initialised
+      }
+      const bool uses =
+          (ev.op == SemOp::kDeref || ev.op == SemOp::kUnlock || ev.op == SemOp::kLock) &&
+          RootsMatch(ev.object, dec.object);
+      if (!uses) {
+        return WalkStep::kContinue;
+      }
+      const std::string dedup = StrFormat("%u:%u:%s", dec.line, ev.line, root.c_str());
+      if (seen.insert(dedup).second) {
+        BugReport& r =
+            AddReport(out, uc, fc, 8, Impact::kUaf, dec.line, dec.api->name, dec.object.str());
+        r.message =
+            StrFormat("'%s' is used at line %u after %s() at line %u may have freed it (UAD)",
+                      root.c_str(), ev.line, dec.api->name.c_str(), dec.line);
+      }
+      return WalkStep::kStop;
+    }));
+  }
 }
 
 // ------------------------------------------------------------------ P9
+
+namespace {
+
+// After an escape of `ref`: does a later branch drop the function's own
+// reference before re-acquiring it — with no increase right at the escape
+// point (within the next two events), the correct idiom? State: events
+// seen since the escape (capped at 2), plus kDropped.
+struct DropWalk : WalkVisitor {
+  static constexpr WalkState kDropped = 4;
+  Symbol ref;
+  bool dangling = false;
+
+  WalkStep Event(int /*node*/, const SemEvent& ev, WalkState& s) {
+    if (ev.op == SemOp::kIncrease && ObjectsMatch(ev.object, ref)) {
+      return WalkStep::kStop;  // adjacent increase, or re-acquired before any drop
+    }
+    if (ev.op == SemOp::kDecrease && ObjectsMatch(ev.object, ref)) {
+      s |= kDropped;
+    }
+    if ((s & ~kDropped) < 2) {
+      ++s;
+    }
+    dangling |= s == (kDropped | 2);
+    return s == (kDropped | 2) ? WalkStep::kStop : WalkStep::kContinue;
+  }
+  void End(WalkState s) { dangling |= (s & kDropped) != 0; }
+};
+
+}  // namespace
 
 void CheckReferenceEscape(const UnitContext& uc, const FunctionContext& fc,
                           const KnowledgeBase& kb, const ScanOptions& options,
                           std::vector<BugReport>& out) {
   std::set<std::string> seen;
-  ForEachTrace(fc, options, [&](std::span<const int> path, std::span<const TraceItem> trace) {
-    for (size_t i = 0; i < trace.size(); ++i) {
-      const SemEvent& esc = *trace[i].ev;
-      if (esc.op != SemOp::kAssign || !esc.escapes || esc.aux.empty()) {
-        continue;
-      }
-      // The escaping value must be a reference we acquired on this path.
-      bool acquired = false;
-      for (size_t j = 0; j < i; ++j) {
-        const SemEvent& ev = *trace[j].ev;
-        if (ev.op == SemOp::kIncrease && ObjectsMatch(ev.object, esc.aux)) {
-          acquired = true;
-        }
-        if (ev.op == SemOp::kDecrease && ObjectsMatch(ev.object, esc.aux)) {
-          acquired = false;
-        }
-      }
-      if (!acquired) {
-        continue;
-      }
-      // An increase adjacent to the escape point is the correct idiom.
-      bool adjacent_increase = false;
-      for (size_t j = i + 1; j < trace.size() && j <= i + 2; ++j) {
-        if (trace[j].ev->op == SemOp::kIncrease && ObjectsMatch(trace[j].ev->object, esc.aux)) {
-          adjacent_increase = true;
-        }
-      }
-      if (adjacent_increase) {
-        continue;
-      }
-      // The stored alias becomes dangling when the function's own reference
-      // is dropped later on the same path.
-      bool dropped_later = false;
-      for (size_t j = i + 1; j < trace.size(); ++j) {
-        const SemEvent& ev = *trace[j].ev;
-        if (ev.op == SemOp::kDecrease && ObjectsMatch(ev.object, esc.aux)) {
-          dropped_later = true;
-          break;
-        }
-        if (ev.op == SemOp::kIncrease && ObjectsMatch(ev.object, esc.aux)) {
-          break;
-        }
-      }
-      if (!dropped_later) {
-        continue;
-      }
-      const std::string dedup = StrFormat("%u:%s", esc.line, esc.object.c_str());
-      if (seen.insert(dedup).second) {
-        BugReport r = BaseReport(uc, fc, 9, Impact::kUaf, esc.line);
-        r.object = esc.object.str();
-        r.api = esc.aux.str();
-        r.message = StrFormat(
-            "reference '%s' escapes into '%s' at line %u without an increase, then is dropped",
-            esc.aux.c_str(), esc.object.c_str(), esc.line);
-        out.push_back(std::move(r));
-      }
+  CfgWalk& walk = fc.Walk();
+  for (const WalkPos& at : walk.ReachableEvents()) {
+    const SemEvent& esc = *at.ev;
+    if (esc.op != SemOp::kAssign || !esc.escapes || esc.aux.empty()) {
+      continue;
     }
-  });
+    // The stored alias becomes dangling when a later branch drops the
+    // function's own reference before re-acquiring it.
+    DropWalk drop{{}, esc.aux};
+    walk.Run(at.node, at.index + 1, 0, drop);
+    if (!drop.dangling) {
+      continue;
+    }
+    // ...and only if the escaping value is a reference some branch from the
+    // entry holds here: its last increase or decrease before the escape
+    // was an increase. State 1 = held.
+    bool held = false;
+    walk.Run(fc.cfg->entry(), 0, 0, OnEvents([&](int, const SemEvent& ev, WalkState& s) {
+      held |= &ev == &esc && s == 1;
+      if (ev.op == SemOp::kIncrease && ObjectsMatch(ev.object, esc.aux)) {
+        s = 1;
+      } else if (ev.op == SemOp::kDecrease && ObjectsMatch(ev.object, esc.aux)) {
+        s = 0;
+      }
+      return WalkStep::kContinue;
+    }));
+    const std::string dedup = StrFormat("%u:%s", esc.line, esc.object.c_str());
+    if (held && seen.insert(dedup).second) {
+      BugReport& r =
+          AddReport(out, uc, fc, 9, Impact::kUaf, esc.line, esc.aux.str(), esc.object.str());
+      r.message = StrFormat(
+          "reference '%s' escapes into '%s' at line %u without an increase, then is dropped",
+          esc.aux.c_str(), esc.object.c_str(), esc.line);
+    }
+  }
 }
 
 // ------------------------------------------------------------------ P10
@@ -770,13 +721,11 @@ void CheckRawManipulation(const UnitContext& uc, const FunctionContext& fc,
       if (!seen.insert(dedup).second) {
         continue;
       }
-      BugReport r = BaseReport(uc, fc, 10, Impact::kUaf, ev.line);
-      r.object = ev.object.str();
+      BugReport& r = AddReport(out, uc, fc, 10, Impact::kUaf, ev.line, "", ev.object.str());
       r.message = StrFormat(
           "raw %s of refcount field '%s' bypasses the checked API; saturation and "
           "overflow protection are lost",
           ev.op == SemOp::kRawInc ? "increment" : "decrement", ev.object.c_str());
-      out.push_back(std::move(r));
     }
   }
 }
@@ -786,80 +735,69 @@ void CheckRawManipulation(const UnitContext& uc, const FunctionContext& fc,
 void CheckTestAndFree(const UnitContext& uc, const FunctionContext& fc, const KnowledgeBase& kb,
                       const ScanOptions& options, std::vector<BugReport>& out) {
   std::set<std::string> seen;
-  ForEachTrace(fc, options, [&](std::span<const int> path, std::span<const TraceItem> trace) {
-    for (size_t i = 0; i < trace.size(); ++i) {
-      const SemEvent& dec = *trace[i].ev;
-      if (dec.op != SemOp::kDecrease || dec.api == nullptr || !dec.api->tests_zero ||
-          dec.object.empty()) {
-        continue;
+  CfgWalk& walk = fc.Walk();
+  for (const WalkPos& at : walk.ReachableEvents()) {
+    const SemEvent& dec = *at.ev;
+    if (dec.op != SemOp::kDecrease || dec.api == nullptr || !dec.api->tests_zero ||
+        dec.object.empty()) {
+      continue;
+    }
+    const Symbol root = RootSymbol(dec.object);
+    if (root.empty()) {
+      continue;
+    }
+    if (!dec.result_tested) {
+      // Ignored result: the one signal that the last reference dropped is
+      // discarded, so no path runs the free — the object leaks forever.
+      const std::string dedup = StrFormat("ig:%u:%s", dec.line, root.c_str());
+      if (seen.insert(dedup).second) {
+        BugReport& r =
+            AddReport(out, uc, fc, 11, Impact::kLeak, dec.line, dec.api->name, dec.object.str());
+        r.message = StrFormat(
+            "%s() result ignored at line %u: when the last reference drops, nothing frees '%s'",
+            dec.api->name.c_str(), dec.line, root.c_str());
       }
-      const Symbol root = RootSymbol(dec.object);
-      if (root.empty()) {
-        continue;
+      continue;
+    }
+    // Result tested: follow the true branch to the free it runs — only a
+    // free of the object itself counts (exact root match; `kfree(o->name)`
+    // inside a destructor releases a member) — and on to anything touching
+    // the object after it: a use-after-free or a double free. State 1 =
+    // freed, at `free_line`: the one free on the walk's current branch.
+    uint32_t free_line = 0;
+    walk.Run(at.node, at.index + 1, 0, OnEvents([&](int, const SemEvent& ev, WalkState& freed) {
+      if (ev.op == SemOp::kAssign && RootsMatch(ev.object, dec.object)) {
+        return WalkStep::kStop;  // re-bound to a fresh object
       }
-      if (!dec.result_tested) {
-        // Ignored result: the one signal that the last reference dropped is
-        // discarded, so no path runs the free — the object leaks forever.
-        const std::string dedup = StrFormat("ig:%u:%s", dec.line, root.c_str());
-        if (seen.insert(dedup).second) {
-          BugReport r = BaseReport(uc, fc, 11, Impact::kLeak, dec.line);
-          r.api = dec.api->name;
-          r.object = dec.object.str();
-          r.message = StrFormat(
-              "%s() result ignored at line %u: when the last reference drops, nothing frees '%s'",
-              dec.api->name.c_str(), dec.line, root.c_str());
-          out.push_back(std::move(r));
-        }
-        continue;
-      }
-      // Result tested: find the free the true branch runs. Only a free of
-      // the object itself counts (exact root match) — `kfree(o->name)`
-      // inside a destructor is releasing a member, not the object.
-      size_t free_pos = 0;
-      bool freed = false;
-      for (size_t j = i + 1; j < trace.size(); ++j) {
-        const SemEvent& ev = *trace[j].ev;
-        if ((ev.op == SemOp::kIncrease || ev.op == SemOp::kAssign) &&
-            RootsMatch(ev.object, dec.object)) {
-          break;  // re-acquired or re-bound before any free
+      if (freed == 0) {
+        if (ev.op == SemOp::kIncrease && RootsMatch(ev.object, dec.object)) {
+          return WalkStep::kStop;  // re-acquired before any free
         }
         if (ev.op == SemOp::kFree && ev.object == root) {
-          free_pos = j;
-          freed = true;
-          break;
+          freed = 1;
+          free_line = ev.line;
         }
+        return WalkStep::kContinue;
       }
-      if (!freed) {
-        continue;
+      const bool refree = ev.op == SemOp::kFree && ev.object == root;
+      const bool uses =
+          (ev.op == SemOp::kDeref || ev.op == SemOp::kLock || ev.op == SemOp::kUnlock) &&
+          RootsMatch(ev.object, dec.object);
+      if (!refree && !uses) {
+        return WalkStep::kContinue;
       }
-      // Anything touching the object after that free on the same path is a
-      // use-after-free (or a double free).
-      for (size_t j = free_pos + 1; j < trace.size(); ++j) {
-        const SemEvent& ev = *trace[j].ev;
-        if (ev.op == SemOp::kAssign && RootsMatch(ev.object, dec.object)) {
-          break;  // re-bound to a fresh object
-        }
-        const bool refree = ev.op == SemOp::kFree && ev.object == root;
-        const bool uses = (ev.op == SemOp::kDeref || ev.op == SemOp::kLock ||
-                           ev.op == SemOp::kUnlock) &&
-                          RootsMatch(ev.object, dec.object);
-        if (refree || uses) {
-          const std::string dedup = StrFormat("tf:%u:%u:%s", dec.line, ev.line, root.c_str());
-          if (seen.insert(dedup).second) {
-            BugReport r = BaseReport(uc, fc, 11, Impact::kUaf, dec.line);
-            r.api = dec.api->name;
-            r.object = dec.object.str();
-            r.message = StrFormat(
-                "'%s' is %s at line %u after the %s() true branch already freed it at line %u",
-                root.c_str(), refree ? "freed again" : "used", ev.line, dec.api->name.c_str(),
-                trace[free_pos].ev->line);
-            out.push_back(std::move(r));
-          }
-          break;
-        }
+      const std::string dedup = StrFormat("tf:%u:%u:%s", dec.line, ev.line, root.c_str());
+      if (seen.insert(dedup).second) {
+        BugReport& r =
+            AddReport(out, uc, fc, 11, Impact::kUaf, dec.line, dec.api->name, dec.object.str());
+        r.message = StrFormat(
+            "'%s' is %s at line %u after the %s() true branch already freed it at line %u",
+            root.c_str(), refree ? "freed again" : "used", ev.line, dec.api->name.c_str(),
+            free_line);
       }
-    }
-  });
+      return WalkStep::kStop;
+    }));
+  }
 }
 
 // ------------------------------------------------------------------ P12
@@ -881,13 +819,11 @@ void CheckRefcountReset(const UnitContext& uc, const FunctionContext& fc,
       if (!seen.insert(dedup).second) {
         continue;
       }
-      BugReport r = BaseReport(uc, fc, 12, Impact::kUaf, ev.line);
-      r.object = ev.object.str();
+      BugReport& r = AddReport(out, uc, fc, 12, Impact::kUaf, ev.line, "", ev.object.str());
       r.message = StrFormat(
           "refcount field '%s' is reset to 0 at line %u; outstanding references are orphaned "
           "and the next put underflows",
           ev.object.c_str(), ev.line);
-      out.push_back(std::move(r));
     }
   }
 }

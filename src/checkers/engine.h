@@ -5,7 +5,7 @@
 //   2. KB discovery over all units (structure parser
 //      + API/macro classification, two rounds)       (serial merge barrier)
 //   3. build CFG+CPG per function and run the
-//      enabled anti-pattern checkers (P1..P9)        (parallel over files)
+//      enabled anti-pattern checkers (P1..P12)       (parallel over files)
 // Stage 2 stays serial because discovery mutates the knowledge base and is
 // order-sensitive (wrappers classify off APIs found in the first round);
 // after it the KB is read-only and shared by every stage-3 worker. Reports
@@ -26,6 +26,7 @@
 #include "src/cfg/cfg.h"
 #include "src/checkers/analysis.h"
 #include "src/checkers/report.h"
+#include "src/checkers/walk.h"
 #include "src/cpg/cpg.h"
 #include "src/kb/kb.h"
 #include "src/support/source.h"
@@ -35,6 +36,9 @@ namespace refscan {
 class ObjectStore;  // src/cache/store.h
 
 struct ScanOptions {
+  // Path budget of the two consumers that still enumerate CFG paths: IPA
+  // summaries (stage 2.5) and `refscan match`. The anti-pattern checkers
+  // walk the CFG instead (walk.h) and have no path budget.
   size_t max_paths_per_function = 512;
   int nesting_threshold = 3;     // struct-parser nesting depth (§6.1)
   bool discover_from_source = true;
@@ -162,31 +166,6 @@ bool ParsePatternList(std::string_view text, std::set<int>& out);
 // nothing wall-clock- or injection-dependent can ever be replayed.
 uint64_t ScanOptionsFingerprint(const ScanOptions& options);
 
-// One semantic event along an enumerated path. `path_pos` is the index of
-// `node` within its own path (see PathTraceSet for the storage layout).
-struct PathTraceItem {
-  const SemEvent* ev;
-  int node;
-  uint32_t path_pos;
-};
-
-// Flat SoA storage of every enumerated CFG path and its semantic trace
-// (DESIGN.md §5.11). Path p's node ids live in
-// path_nodes[path_offsets[p] .. path_offsets[p+1]) and its trace items in
-// items[item_offsets[p] .. item_offsets[p+1]). Built once per function and
-// option key, then shared: the acquisition analysis and checkers
-// P2/P3/P4/P8/P9 used to re-enumerate the CFG's paths independently (~6
-// enumerations per function); now enumeration happens once and every
-// checker walks contiguous arrays.
-struct PathTraceSet {
-  uint64_t key = 0;  // the ScanOptions fields the enumeration depends on
-  std::vector<int> path_nodes;
-  std::vector<uint32_t> path_offsets;  // paths()+1 entries
-  std::vector<PathTraceItem> items;
-  std::vector<uint32_t> item_offsets;  // paths()+1 entries
-  size_t paths() const { return path_offsets.empty() ? 0 : path_offsets.size() - 1; }
-};
-
 // Everything the checkers need about one function.
 struct FunctionContext {
   const TranslationUnit* unit = nullptr;
@@ -194,14 +173,18 @@ struct FunctionContext {
   std::unique_ptr<Cfg> cfg;
   std::unique_ptr<Cpg> cpg;
 
-  // Single-slot memos (DESIGN.md §5.11): the acquisition analysis (see
-  // analysis.h) and the flattened paths+traces, each built on first use and
-  // rebuilt only when a caller's option key differs, so the checkers share
-  // one computation per function. Plain members: a context belongs to one
-  // thread — stage 3 hands each file to one worker, and IPA, `match` and
-  // the baselines build their own contexts.
+  // The function's CFG walk (walk.h): its reachable-event list and scratch
+  // space, built on first use and shared by every checker of the function.
+  CfgWalk& Walk() const { return walk ? *walk : walk.emplace(*cfg, *cpg); }
+
+  // Single-slot memo (DESIGN.md §5.11): the acquisition analysis (see
+  // analysis.h), built on first use and rebuilt only when a caller's option
+  // key differs, so P1/P4/P5/P6/P7 share one computation per function.
+  // Plain members: a context belongs to one thread — stage 3 hands each
+  // file to one worker, and IPA, `match` and the baselines build their own
+  // contexts.
   mutable std::optional<AcquisitionCache> acquisition_cache;
-  mutable std::optional<PathTraceSet> trace_cache;
+  mutable std::optional<CfgWalk> walk;
 };
 
 // One parsed translation unit plus its function contexts.

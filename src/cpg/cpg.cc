@@ -662,14 +662,4 @@ Cpg BuildCpg(const Cfg& cfg, const KnowledgeBase& kb) {
   return cpg;
 }
 
-std::vector<const SemEvent*> Cpg::EventsAlong(const std::vector<int>& path) const {
-  std::vector<const SemEvent*> out;
-  for (int node : path) {
-    for (const SemEvent& ev : events(node)) {
-      out.push_back(&ev);
-    }
-  }
-  return out;
-}
-
 }  // namespace refscan

@@ -6,7 +6,7 @@
 // 𝒟 (dereference), ℒ/𝒰 (lock/unlock), free(), NULL-checks, returns and
 // smartloop heads — each bound to a *symbolic object* (the normalised
 // pointer spelling, e.g. "np" or "crc->dev"). The anti-pattern checkers
-// (src/checkers) match template paths over these event sequences.
+// (src/checkers) match their templates by walking the CFG over these events.
 //
 // Object spellings are interned Symbols (DESIGN.md §5.11): event comparison
 // in the checkers is a 32-bit integer compare, and the root of a spelling
@@ -63,8 +63,8 @@ struct SemEvent {
 // (DESIGN.md §5.11) — node n's slice is events_[event_offsets_[n] ..
 // event_offsets_[n+1]) — so building a CPG costs two allocations instead of
 // one vector per CFG node, and a path walk reads contiguous memory.
-// SemEvent addresses are stable once BuildCpg returns (checkers cache
-// `const SemEvent*` in their trace sets).
+// SemEvent addresses are stable once BuildCpg returns (checkers hold
+// `const SemEvent*` trigger positions across their walks).
 class Cpg {
  public:
   const Cfg& cfg() const { return *cfg_; }
@@ -80,9 +80,6 @@ class Cpg {
   // Membership-only sets — see SymbolSet's determinism note.
   const SymbolSet& params() const { return params_; }
   const SymbolSet& locals() const { return locals_; }
-
-  // Flattened event stream along a CFG path (convenience for checkers).
-  std::vector<const SemEvent*> EventsAlong(const std::vector<int>& path) const;
 
  private:
   friend Cpg BuildCpg(const Cfg& cfg, const KnowledgeBase& kb);

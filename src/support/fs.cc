@@ -1,7 +1,6 @@
 #include "src/support/fs.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -24,8 +23,6 @@ namespace {
 
 struct ReadResult {
   std::string text;
-  std::shared_ptr<const char[]> mapping;  // set = mmap-backed, `text` unused
-  size_t mapped_size = 0;
   std::string error;
   bool ok = false;
   int retries = 0;
@@ -62,48 +59,16 @@ ReadResult ReadFileContents(const fs::path& path) {
   return result;
 }
 
-// mmap'd read: MAP_PRIVATE read-only pages stay file-backed, so the kernel
-// pages them in on demand and can evict them under memory pressure — peak
-// RSS tracks the scan's working set, not the tree. Returns false (caller
-// falls back to a plain read) when the file is empty or the filesystem
-// refuses to map.
-bool MmapFileContents(const fs::path& path, ReadResult& result) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return false;
-  }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-    ::close(fd);
-    return false;
-  }
-  const size_t size = static_cast<size_t>(st.st_size);
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (map == MAP_FAILED) {
-    return false;
-  }
-  result.mapping = std::shared_ptr<const char[]>(
-      static_cast<const char*>(map),
-      [size](const char* p) { ::munmap(const_cast<char*>(p), size); });
-  result.mapped_size = size;
-  result.ok = true;
-  return true;
-}
-
 // ReadFileContents behind the `fs.read` fault-injection site. An injected
 // transient I/O failure is retried once after a short backoff (the shape a
 // real flaky NFS mount or overloaded disk produces); a permanent injected
 // failure, like a genuinely unreadable file, reports as such.
-ReadResult ReadCandidate(const fs::path& path, const std::string& key, bool use_mmap) {
+ReadResult ReadCandidate(const fs::path& path, const std::string& key) {
   TelemetrySpan span("file.load", key);
   for (int attempt = 0;; ++attempt) {
     try {
       MaybeFault("fs.read", key);
-      ReadResult result;
-      if (!use_mmap || !MmapFileContents(path, result)) {
-        result = ReadFileContents(path);
-      }
+      ReadResult result = ReadFileContents(path);
       result.retries = attempt;
       if (!result.ok) {
         result.error = "unreadable";
@@ -223,11 +188,9 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
   }
 
   ThreadPool pool(options.jobs);
-  const bool use_mmap = options.use_mmap;
-  std::vector<ReadResult> contents =
-      ParallelMap(pool, candidates.size(), [&candidates, use_mmap](size_t i) {
-        return ReadCandidate(candidates[i].path, candidates[i].key, use_mmap);
-      });
+  std::vector<ReadResult> contents = ParallelMap(pool, candidates.size(), [&candidates](size_t i) {
+    return ReadCandidate(candidates[i].path, candidates[i].key);
+  });
 
   LoadStats local;
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -245,12 +208,7 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
       continue;
     }
     ++local.files_loaded;
-    if (contents[i].mapping) {
-      tree.Add(SourceFile(std::move(candidates[i].key), std::move(contents[i].mapping),
-                          contents[i].mapped_size));
-    } else {
-      tree.Add(std::move(candidates[i].key), std::move(contents[i].text));
-    }
+    tree.Add(std::move(candidates[i].key), std::move(contents[i].text));
   }
   if (Telemetry* t = CurrentTelemetry()) {
     t->metrics().Counter("load.files").Add(local.files_loaded);
@@ -261,18 +219,6 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
     stats->files_loaded += local.files_loaded;
     stats->files_failed += local.files_failed;
     stats->files_retried += local.files_retried;
-  }
-  return tree;
-}
-
-SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& options,
-                                  std::vector<std::string>* errors) {
-  std::vector<LoadFailure> failures;
-  SourceTree tree = LoadSourceTreeFromDisk(root, options, errors ? &failures : nullptr);
-  if (errors != nullptr) {
-    for (const LoadFailure& f : failures) {
-      errors->push_back(f.path + ": " + f.what);
-    }
   }
   return tree;
 }

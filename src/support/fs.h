@@ -27,13 +27,6 @@ struct LoadOptions {
   // Reader threads (0 = one per hardware thread, 1 = fully serial). The
   // loaded tree is identical at every value.
   size_t jobs = 0;
-  // mmap file contents instead of reading them into heap strings
-  // (DESIGN.md §5.15). The pages stay file-backed and evictable, so a
-  // multi-MLOC tree's peak RSS tracks the scan's working set rather than
-  // the tree size. Files mmap cannot serve (empty, exotic filesystems)
-  // silently fall back to a plain read; the loaded text is identical
-  // either way.
-  bool use_mmap = false;
 };
 
 // One file the loader could not read. `path` is the tree-relative key the
@@ -66,10 +59,6 @@ struct LoadStats {
 SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& options = {},
                                   std::vector<LoadFailure>* failures = nullptr,
                                   LoadStats* stats = nullptr);
-
-// Back-compat shim: formats each failure as "<path>: <what>".
-SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& options,
-                                  std::vector<std::string>* errors);
 
 // Reads the whole of the open file `fd` into `out`: one fstat for the size,
 // then read(2) straight into a string of exactly that size, with no stream

@@ -16,11 +16,6 @@ SourceFile::SourceFile(std::string path, std::string text)
   IndexLines();
 }
 
-SourceFile::SourceFile(std::string path, std::shared_ptr<const char[]> mapping, size_t size)
-    : path_(std::move(path)), mapping_(std::move(mapping)), mapped_size_(size) {
-  IndexLines();
-}
-
 void SourceFile::IndexLines() {
   const std::string_view t = text();
   line_starts_.push_back(0);
@@ -68,11 +63,6 @@ std::string_view SourceFile::Line(uint32_t line) const {
 void SourceTree::Add(std::string path, std::string text) {
   std::string key = path;
   SourceFile file(std::move(path), std::move(text));
-  files_.insert_or_assign(std::move(key), std::move(file));
-}
-
-void SourceTree::Add(SourceFile file) {
-  std::string key = file.path();
   files_.insert_or_assign(std::move(key), std::move(file));
 }
 

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,19 +31,8 @@ class SourceFile {
   SourceFile() = default;
   SourceFile(std::string path, std::string text);
 
-  // Zero-copy variant over an externally owned buffer (an mmap'd file,
-  // DESIGN.md §5.15): the shared mapping keeps the bytes alive for as long
-  // as any SourceFile copy does, and text() views straight into it — the
-  // pages are file-backed and evictable, so a multi-MLOC tree's resident
-  // size tracks the scan's working set rather than the tree. The pointer
-  // (not the SourceFile) owns the buffer, so moving or copying the
-  // SourceFile never invalidates outstanding string_views.
-  SourceFile(std::string path, std::shared_ptr<const char[]> mapping, size_t size);
-
   const std::string& path() const { return path_; }
-  std::string_view text() const {
-    return mapping_ ? std::string_view(mapping_.get(), mapped_size_) : std::string_view(text_);
-  }
+  std::string_view text() const { return text_; }
 
   // 1-based line number for a byte offset. Offsets past the end map to the
   // last line.
@@ -61,8 +49,6 @@ class SourceFile {
 
   std::string path_;
   std::string text_;
-  std::shared_ptr<const char[]> mapping_;  // set = text() views into this
-  size_t mapped_size_ = 0;
   std::vector<uint32_t> line_starts_;  // byte offset of each line start
 };
 
@@ -71,10 +57,6 @@ class SourceTree {
  public:
   // Adds a file; replaces any existing file at the same path.
   void Add(std::string path, std::string text);
-
-  // Adds an already-constructed file (the mmap-backed loader path), keyed
-  // by its path. Replaces any existing file at the same path.
-  void Add(SourceFile file);
 
   const SourceFile* Find(std::string_view path) const;
 

@@ -1,11 +1,13 @@
 // Edge-case coverage for the anti-pattern checkers: kernel unwind-label
 // chains, multiple tracked objects, nested and continued smartloops, lock
-// interactions, out-parameter escapes, switch dispatch, and path-cap
-// behaviour on pathological inputs.
+// interactions, out-parameter escapes, switch dispatch, and branch-heavy
+// or loop-heavy inputs that a path budget would have cut short.
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "src/checkers/engine.h"
 
@@ -263,38 +265,110 @@ TEST(SwitchTest, LeakOnOneCaseOnly) {
 
 // --------------------------------------------------------- path explosion
 
-TEST(PathCapTest, ManyBranchesStillTerminatesAndDetects) {
-  // 16 independent branches would be 2^16 paths; the engine's path cap
-  // bounds the work while the straight-line leak is still on early paths.
-  std::string code =
-      "static int wide(void)\n"
-      "{\n"
-      "  struct device_node *np = of_find_node_by_path(\"/x\");\n"
-      "  if (!np)\n"
-      "    return -ENODEV;\n";
-  for (int i = 0; i < 16; ++i) {
-    code += "  if (cond" + std::to_string(i) + "()) side" + std::to_string(i) + "();\n";
+// The checkers walk the CFG instead of enumerating its paths, so no number
+// of event-free branches can hide a leak. Parameter k = event-free branches.
+class PathCapTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PathCapTest, ManyBranchesStillTerminatesAndDetects) {
+  const int k = GetParam();
+  std::string branches;
+  for (int i = 0; i < k; ++i) {
+    branches += "  if (cond" + std::to_string(i) + "()) side" + std::to_string(i) + "();\n";
   }
-  code += "  return 0;\n}\n";  // *BUG*: np never put
-  const auto reports = ScanText(code);
+  SourceTree tree;
+  // A leak no path releases (P4): np is never put.
+  tree.Add("drivers/t/wide.c",
+           "static int wide(void)\n"
+           "{\n"
+           "  struct device_node *np = of_find_node_by_path(\"/x\");\n"
+           "  if (!np)\n"
+           "    return -ENODEV;\n" +
+               branches + "  return 0;\n}\n");
+  // A leak only the last path shows (P5): the branches multiply the paths
+  // through `fast` before the walk could reach `return -EIO`.
+  tree.Add("drivers/t/fast.c",
+           "static int probe(int fast)\n"
+           "{\n"
+           "  struct device_node *np = of_find_node_by_name(NULL, \"x\");\n"
+           "  if (!np)\n"
+           "    return -ENODEV;\n"
+           "  if (fast) {\n" +
+               branches +
+               "    of_node_put(np);\n"
+               "    return 0;\n"
+               "  }\n"
+               "  return -EIO;\n"
+               "}\n");
+  const uint32_t eio_line = 10 + static_cast<uint32_t>(k);
+  const auto reports = CheckerEngine().Scan(tree).reports;
+  std::set<std::tuple<std::string, int, uint32_t, std::string>> found;
+  for (const BugReport& r : reports) {
+    found.emplace(r.file, r.anti_pattern, r.line, r.object);
+    if (r.anti_pattern == 5) {
+      EXPECT_EQ(r.exit_line, eio_line) << "k=" << k;
+    }
+  }
+  const std::set<std::tuple<std::string, int, uint32_t, std::string>> expected = {
+      {"drivers/t/fast.c", 5, 3, "np"}, {"drivers/t/wide.c", 4, 3, "np"}};
+  EXPECT_EQ(found, expected) << "k=" << k;
   EXPECT_GE(CountPattern(reports, 4), 1);
 }
 
-TEST(PathCapTest, CustomPathBudgetRespected) {
+INSTANTIATE_TEST_SUITE_P(EventFreeBranches, PathCapTest, ::testing::Range(0, 21));
+
+TEST(PathBudgetTest, CapOfOnePathStillFindsALaterPathLeak) {
+  // max_paths_per_function caps only IPA summaries and `match`: with a
+  // budget of one path (the NULL branch), the leak on the third is found.
   ScanOptions options;
-  options.max_paths_per_function = 4;
+  options.max_paths_per_function = 1;
   CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
   std::string code =
-      "static int wide(void)\n"
+      "static int probe(int fast)\n"
       "{\n"
       "  struct device_node *np = of_find_node_by_path(\"/x\");\n"
       "  if (!np)\n"
       "    return -ENODEV;\n"
-      "  use(np);\n"
-      "  return 0;\n"
+      "  if (fast) {\n"
+      "    of_node_put(np);\n"
+      "    return 0;\n"
+      "  }\n"
+      "  return -EIO;\n"  // *BUG*: the error path misses the put
       "}\n";
   const auto result = engine.ScanFileText("drivers/t/t.c", code);
-  EXPECT_GE(CountPattern(result.reports, 4), 1);  // detected within 4 paths
+  ASSERT_EQ(CountPattern(result.reports, 5), 1);
+  EXPECT_EQ(result.reports[0].line, 3u);
+  EXPECT_EQ(result.reports[0].exit_line, 10u);
+}
+
+// ------------------------------------------------------------ loop bound
+
+TEST(LoopBoundTest, BugNeedingThreeIterationsIsFound) {
+  // np is acquired on the first iteration, stored into a global on the
+  // second and put on the third (P9). A path enumerator that lets each node
+  // repeat twice never sees the put after the store; the walk lets a loop
+  // run any number of times.
+  const auto reports = ScanText(
+      "static struct device_node *saved;\n"
+      "static void cycle(int n)\n"
+      "{\n"
+      "  struct device_node *np = NULL;\n"
+      "  int i;\n"
+      "  for (i = 0; i < n; i++) {\n"
+      "    if (i == 0)\n"
+      "      np = of_find_node_by_path(\"/x\");\n"
+      "    else if (i == 1)\n"
+      "      saved = np;\n"
+      "    else\n"
+      "      of_node_put(np);\n"
+      "  }\n"
+      "}\n");
+  ASSERT_EQ(CountPattern(reports, 9), 1);
+  for (const BugReport& r : reports) {
+    if (r.anti_pattern == 9) {
+      EXPECT_EQ(r.line, 10u);
+      EXPECT_EQ(r.object, "saved");
+    }
+  }
 }
 
 // -------------------------------------------------------------- do-while

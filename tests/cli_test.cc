@@ -172,7 +172,6 @@ TEST_F(CliFlagMatrixTest, FlagsOutsideTheirSubcommandExit64) {
       {"summaries", tree, "--workers", "2"},
       {"match", tree, "F_start -> S_P(p0) -> F_end", "--streaming"},
       {"deviations", tree, "--remote", dir_ + "/no.sock"},
-      {"demo", "--mmap"},
       // --remote scans on the daemon, with its own threads and store.
       {"scan", tree, "--remote", dir_ + "/no.sock", "--workers", "2"},
       {"scan", tree, "--remote", dir_ + "/no.sock", "--cache-dir", dir_ + "/cache"},

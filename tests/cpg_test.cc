@@ -263,21 +263,5 @@ TEST(CpgTest, ParamsAndLocalsCollected) {
   EXPECT_FALSE(p.cpg.locals().contains("a"));
 }
 
-TEST(CpgTest, EventsAlongConcatenatesPath) {
-  const KnowledgeBase kb = KnowledgeBase::BuiltIn();
-  auto& p = Build(
-      "void f(struct device_node *np) {\n"
-      "  of_node_get(np);\n"
-      "  of_node_put(np);\n"
-      "}\n",
-      kb);
-  std::vector<int> found_path;
-  p.cfg.EnumeratePaths([&](const std::vector<int>& path) { found_path = path; }, 1);
-  const auto events = p.cpg.EventsAlong(found_path);
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0]->op, SemOp::kIncrease);
-  EXPECT_EQ(events[1]->op, SemOp::kDecrease);
-}
-
 }  // namespace
 }  // namespace refscan

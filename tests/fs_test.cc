@@ -176,21 +176,21 @@ TEST_F(FsTest, UnreadableFileIsReportedAndSkipped) {
   WriteFile("secret.c", "int secret;\n");
   stdfs::permissions(stdfs::path(root_) / "secret.c", stdfs::perms::none);
 
-  std::vector<std::string> errors;
-  const SourceTree tree = LoadSourceTreeFromDisk(root_, LoadOptions{}, &errors);
+  std::vector<LoadFailure> failures;
+  const SourceTree tree = LoadSourceTreeFromDisk(root_, LoadOptions{}, &failures);
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_NE(tree.Find("ok.c"), nullptr);
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("secret.c"), std::string::npos);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].path.find("secret.c"), std::string::npos);
 }
 
 TEST_F(FsTest, MissingRootReportsAnError) {
-  std::vector<std::string> errors;
+  std::vector<LoadFailure> failures;
   const SourceTree tree =
-      LoadSourceTreeFromDisk(root_ + "/does/not/exist", LoadOptions{}, &errors);
+      LoadSourceTreeFromDisk(root_ + "/does/not/exist", LoadOptions{}, &failures);
   EXPECT_EQ(tree.size(), 0u);
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("does not exist"), std::string::npos);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_NE(failures[0].what.find("does not exist"), std::string::npos);
 }
 
 TEST_F(FsTest, UnreadableFileYieldsStructuredLoadFailure) {
@@ -271,30 +271,6 @@ TEST_F(FsTest, EmptyFileLoadsAsEmptyText) {
   const SourceTree tree = LoadSourceTreeFromDisk(root_);
   ASSERT_NE(tree.Find("empty.c"), nullptr);
   EXPECT_EQ(tree.Find("empty.c")->text(), "");
-}
-
-TEST_F(FsTest, MmapLoadIsByteIdenticalToBufferedLoad) {
-  // The streaming-ingestion path (DESIGN.md §5.15): use_mmap swaps the
-  // per-file buffer for a read-only mapping; every byte, line index and
-  // key must be indistinguishable from the plain-read path.
-  WriteFile("drivers/a/a.c", "int a;\nint b;\nchar *s = \"multi\\nline\";\n");
-  WriteFile("drivers/a/b.c", std::string(1 << 16, 'x') + "\n");
-  WriteFile("empty.c", "");  // mmap of size 0 fails; must fall back to read
-
-  LoadOptions mapped;
-  mapped.use_mmap = true;
-  const SourceTree plain = LoadSourceTreeFromDisk(root_);
-  const SourceTree mm = LoadSourceTreeFromDisk(root_, mapped);
-  ASSERT_EQ(plain.size(), mm.size());
-  for (const auto& [path, file] : plain.files()) {
-    const SourceFile* other = mm.Find(path);
-    ASSERT_NE(other, nullptr) << path;
-    EXPECT_EQ(file.text(), other->text()) << path;
-  }
-  // Line indexing is built over the mapping, not a copy.
-  const SourceFile* a = mm.Find("drivers/a/a.c");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->Line(2), "int b;");
 }
 
 }  // namespace

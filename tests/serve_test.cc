@@ -365,14 +365,16 @@ TEST(ServeTest, WatchdogAnswersHungRequestAndServerSurvives) {
   const SourceTree tree = TestTree(4);
   ServeConfig config;
   config.socket_path = TestSocketPath("watchdog");
-  config.request_timeout_ms = 60;
+  // Only the hung request may miss the deadline: the clean follow-up scan
+  // of 4 files must fit in it even under ThreadSanitizer.
+  config.request_timeout_ms = 300;
   ScanServer server(config);
   ASSERT_TRUE(server.Start());
 
   {
     // Hang the dispatch for much longer than the deadline; the watchdog
     // must answer (kServeErr → degraded) long before the handler wakes.
-    ScopedFaultArm arm("serve.request:once:delay=1500");
+    ScopedFaultArm arm("serve.request:once:delay=3000");
     const auto start = std::chrono::steady_clock::now();
     std::optional<ScanResult> result =
         RemoteScan(tree, ScanOptions{}, config.socket_path, FastBackoff(1), nullptr);
@@ -382,7 +384,7 @@ TEST(ServeTest, WatchdogAnswersHungRequestAndServerSurvives) {
     ASSERT_EQ(result->failures.size(), 1u);
     EXPECT_NE(result->failures[0].what.find("deadline"), std::string::npos)
         << result->failures[0].what;
-    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1200);
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 2000);
   }
   EXPECT_GE(server.metrics().CounterValue("serve.timed_out"), 1u);
 

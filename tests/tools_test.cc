@@ -229,10 +229,10 @@ TEST_F(DiskTreeTest, ScanningDiskTreeFindsTheBug) {
 }
 
 TEST(DiskTreeErrorsTest, MissingRootReportsError) {
-  std::vector<std::string> errors;
-  const SourceTree tree = LoadSourceTreeFromDisk("/nonexistent/refscan/path", {}, &errors);
+  std::vector<LoadFailure> failures;
+  const SourceTree tree = LoadSourceTreeFromDisk("/nonexistent/refscan/path", {}, &failures);
   EXPECT_EQ(tree.size(), 0u);
-  ASSERT_EQ(errors.size(), 1u);
+  ASSERT_EQ(failures.size(), 1u);
 }
 
 // ----------------------------------------------------------- gitlog round trip

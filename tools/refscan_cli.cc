@@ -70,13 +70,13 @@ int Usage() {
                "usage:\n"
                "  refscan scan <dir> [--fix] [--json] [--stats] [--patterns LIST] [--workers N]\n"
                "                    [--remote SOCKET] [--cache-dir DIR] [--cache-server PATH]\n"
-               "                    [--no-cache] [--streaming] [--mmap] [TREE FLAGS]\n"
+               "                    [--no-cache] [--streaming] [TREE FLAGS]\n"
                "  refscan stats <dir> [scan's flags but --fix]   scan, print only the stats table\n"
-               "  refscan demo [--emit <dir>] [--kernelish N] [scan's flags but --mmap]\n"
-               "  refscan match <dir> \"<template>\" [--mmap] [TREE FLAGS]   e.g. \"F_start -> "
+               "  refscan demo [--emit <dir>] [--kernelish N] [scan's flags]\n"
+               "  refscan match <dir> \"<template>\" [TREE FLAGS]   e.g. \"F_start -> "
                "S_P(p0) -> S_D(p0) -> F_end\"\n"
-               "  refscan deviations <dir> [--mmap] [TREE FLAGS]\n"
-               "  refscan summaries <dir> [--json] [--mmap] [TREE FLAGS]\n"
+               "  refscan deviations <dir> [TREE FLAGS]\n"
+               "  refscan summaries <dir> [--json] [TREE FLAGS]\n"
                "  refscan dump <file.c> [tokens|ast|cfg|cpg]\n"
                "  refscan cached <dir> [--socket PATH]      serve <dir> as a shared\n"
                "                                            content-addressed cache\n"
@@ -116,9 +116,6 @@ int Usage() {
                "                    file's AST is dropped after stage 1 and re-parsed just in\n"
                "                    time in stage 3, so at most --jobs ASTs coexist; output is\n"
                "                    byte-identical (ignored with --interprocedural)\n"
-               "  --mmap            mmap source files instead of reading them onto the heap;\n"
-               "                    the pages stay evictable, so peak RSS tracks the working\n"
-               "                    set rather than the tree size\n"
                "  --kernelish N     (demo) append N generated kernel-realism modules per\n"
                "                    subsystem: attribute/asm/stmt-expr/CRLF/splice-heavy C\n"
                "                    plus a deliberately unparseable function per module\n"
@@ -158,7 +155,6 @@ enum Command : unsigned {
 };
 constexpr unsigned kScanLike = kScan | kStats | kDemo;  // run the checkers over the tree
 constexpr unsigned kAnyTree = kScanLike | kMatch | kDeviations | kSummaries;
-constexpr unsigned kFromDisk = kAnyTree & ~kDemo;
 
 // Shared flag state across the subcommands.
 struct CliFlags {
@@ -175,7 +171,6 @@ struct CliFlags {
   size_t workers = 0;   // 0 = in-process scan
   std::string remote;   // serve daemon socket; empty = scan locally
   bool streaming = false;
-  bool use_mmap = false;
   size_t kernelish = 0;  // demo: kernel-realism modules per subsystem
   bool no_cache = false;
   bool stats = false;
@@ -281,7 +276,6 @@ constexpr FlagRule kFlagTable[] = {
     {"--max-failure-ratio", "a number in (0, 1]", kAnyTree, ParseFailureRatio},
     {"--trace-out", "a file path", kAnyTree, Text<&CliFlags::trace_out>},
     {"--metrics-out", "a file path", kAnyTree, Text<&CliFlags::metrics_out>},
-    {"--mmap", nullptr, kFromDisk, Switch<&CliFlags::use_mmap>},
     {"--json", nullptr, kScanLike | kSummaries, Switch<&CliFlags::json>},
     {"--stats", nullptr, kScanLike | kHealth, Switch<&CliFlags::stats>},
     {"--patterns", "a comma-separated list (e.g. 1,4,8)", kScanLike, ParsePatterns},
@@ -690,7 +684,6 @@ int RunTreeCommand(unsigned command, int argc, char** argv) {
   } else {
     LoadOptions load_options;
     load_options.jobs = flags.jobs;
-    load_options.use_mmap = flags.use_mmap;
     tree = LoadSourceTreeFromDisk(argv[2], load_options, &load_failures, &load_stats);
     for (const LoadFailure& f : load_failures) {
       std::fprintf(stderr, "warning: %s: %s\n", f.path.c_str(), f.what.c_str());
