@@ -1,7 +1,7 @@
 #include "src/cache/cache.h"
 
 #include <cstdio>
-#include <cstring>
+#include <ranges>
 
 #include "src/cache/serial.h"
 #include "src/support/faultinject.h"
@@ -22,7 +22,7 @@ namespace {
 // v5: keys, checksums and fingerprints use the word-at-a-time HashBytes
 // (serial.h) instead of FNV-1a.
 constexpr uint32_t kFormatVersion = 5;
-constexpr char kMagic[4] = {'R', 'F', 'S', 'C'};
+constexpr uint32_t kMagic = 0x43534652;  // "RFSC" read as a little-endian word
 
 constexpr uint8_t kKindFacts = 1;
 constexpr uint8_t kKindUnit = 2;
@@ -35,377 +35,173 @@ std::string HexU64(uint64_t v) {
   return buf;
 }
 
-// ---------------------------------------------------------------------------
-// DiscoveryFacts
+// The header in front of every stored payload. A reader sets `kind` to the
+// kind it expects: the magic, the version and the kind are all pinned.
+struct ObjectHeader {
+  uint8_t kind = 0;
+  uint64_t payload_hash = 0;
+  uint32_t payload_size = 0;
+};
+constexpr size_t kHeaderSize = 4 + 4 + 1 + 8 + 4;
 
-void WriteFacts(ByteWriter& w, const DiscoveryFacts& facts) {
-  w.U32(static_cast<uint32_t>(facts.structs.size()));
-  for (const DiscoveryFacts::Struct& s : facts.structs) {
-    w.Str(s.name);
-    w.U32(static_cast<uint32_t>(s.fields.size()));
-    for (const DiscoveryFacts::Field& f : s.fields) {
-      w.Bool(f.direct_refcounter);
-      w.Str(f.nested_tag);
-      w.Str(f.name);
-    }
-  }
-  w.U32(static_cast<uint32_t>(facts.functions.size()));
-  for (const DiscoveryFacts::Function& fn : facts.functions) {
-    w.Str(fn.name);
-    w.Bool(fn.returns_pointer);
-    w.Bool(fn.has_return_null);
-    w.Bool(fn.has_error_return);
-    w.I32(fn.sink_param);
-    w.U32(static_cast<uint32_t>(fn.events.size()));
-    for (const DiscoveryFacts::RefEvent& ev : fn.events) {
-      w.Bool(ev.is_call);
-      w.Str(ev.callee);
-      w.I32(ev.arg1_param);
-      w.Bool(ev.increase);
-    }
-  }
-  w.U32(static_cast<uint32_t>(facts.macros.size()));
-  for (const DiscoveryFacts::Macro& m : facts.macros) {
-    w.Str(m.name);
-    w.U32(static_cast<uint32_t>(m.params.size()));
-    for (const std::string& p : m.params) {
-      w.Str(p);
-    }
-    w.Str(m.body);
-  }
+template <typename IO, Value<ObjectHeader> H>
+void Transfer(IO& io, H& h) {
+  Transfer(io, Pinned{kMagic}, Pinned{kFormatVersion}, Pinned{h.kind}, h.payload_hash,
+           h.payload_size);
 }
 
-DiscoveryFacts ReadFacts(ByteReader& r) {
-  DiscoveryFacts facts;
-  const uint32_t n_structs = r.Count();
-  facts.structs.reserve(n_structs);
-  for (uint32_t i = 0; i < n_structs && r.ok(); ++i) {
-    DiscoveryFacts::Struct s;
-    s.name = r.Str();
-    const uint32_t n_fields = r.Count();
-    s.fields.reserve(n_fields);
-    for (uint32_t j = 0; j < n_fields && r.ok(); ++j) {
-      DiscoveryFacts::Field f;
-      f.direct_refcounter = r.Bool();
-      f.nested_tag = r.Str();
-      f.name = r.Str();
-      s.fields.push_back(std::move(f));
-    }
-    facts.structs.push_back(std::move(s));
-  }
-  const uint32_t n_functions = r.Count();
-  facts.functions.reserve(n_functions);
-  for (uint32_t i = 0; i < n_functions && r.ok(); ++i) {
-    DiscoveryFacts::Function fn;
-    fn.name = r.Str();
-    fn.returns_pointer = r.Bool();
-    fn.has_return_null = r.Bool();
-    fn.has_error_return = r.Bool();
-    fn.sink_param = r.I32();
-    const uint32_t n_events = r.Count();
-    fn.events.reserve(n_events);
-    for (uint32_t j = 0; j < n_events && r.ok(); ++j) {
-      DiscoveryFacts::RefEvent ev;
-      ev.is_call = r.Bool();
-      ev.callee = r.Str();
-      ev.arg1_param = r.I32();
-      ev.increase = r.Bool();
-      fn.events.push_back(std::move(ev));
-    }
-    facts.functions.push_back(std::move(fn));
-  }
-  const uint32_t n_macros = r.Count();
-  facts.macros.reserve(n_macros);
-  for (uint32_t i = 0; i < n_macros && r.ok(); ++i) {
-    DiscoveryFacts::Macro m;
-    m.name = r.Str();
-    const uint32_t n_params = r.Count();
-    m.params.reserve(n_params);
-    for (uint32_t j = 0; j < n_params && r.ok(); ++j) {
-      m.params.push_back(r.Str());
-    }
-    m.body = r.Str();
-    facts.macros.push_back(std::move(m));
-  }
-  return facts;
-}
+// Units read their Expr and Stmt nodes, and the nodes' child lists, into
+// the unit's own arena.
+class UnitReader : public ByteReader {
+ public:
+  UnitReader(std::string_view bytes, Arena& arena) : ByteReader(bytes), arena_(arena) {}
+  Arena& arena() { return arena_; }
 
-// ---------------------------------------------------------------------------
-// TranslationUnit (recursive over Expr / Stmt; nullable pointers carry a
-// presence byte). Symbols serialize as their text; readers allocate nodes
-// from the destination unit's Arena and re-intern on load.
+ private:
+  Arena& arena_;
+};
 
-void WriteExpr(ByteWriter& w, const Expr* e);
-void WriteStmt(ByteWriter& w, const Stmt* s);
-ExprPtr ReadExpr(ByteReader& r, Arena& arena);
-StmtPtr ReadStmt(ByteReader& r, Arena& arena);
-
-void WriteExpr(ByteWriter& w, const Expr* e) {
-  w.Bool(e != nullptr);
-  if (e == nullptr) {
-    return;
+template <typename T>
+std::optional<T> DecodeOrNull(std::string_view bytes) {
+  T value;
+  if (!Decode(bytes, value)) {
+    return std::nullopt;
   }
-  w.U8(static_cast<uint8_t>(e->kind));
-  w.U32(e->line);
-  w.Str(e->value.view());
-  w.Bool(e->arrow);
-  w.U32(static_cast<uint32_t>(e->args.size()));
-  for (const ExprPtr arg : e->args) {
-    WriteExpr(w, arg);
-  }
-}
-
-ExprPtr ReadExpr(ByteReader& r, Arena& arena) {
-  if (!r.Bool() || !r.ok()) {
-    return nullptr;
-  }
-  Expr* e = arena.New<Expr>();
-  e->kind = static_cast<Expr::Kind>(r.U8());
-  e->line = r.U32();
-  e->value = Intern(r.Str());
-  e->arrow = r.Bool();
-  const uint32_t n = r.Count();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    e->args.push_back(ReadExpr(r, arena), arena);
-  }
-  return e;
-}
-
-void WriteStmt(ByteWriter& w, const Stmt* s) {
-  w.Bool(s != nullptr);
-  if (s == nullptr) {
-    return;
-  }
-  w.U8(static_cast<uint8_t>(s->kind));
-  w.U32(s->line);
-  w.Str(s->name.view());
-  w.Str(s->type.view());
-  WriteExpr(w, s->expr);
-  WriteExpr(w, s->init);
-  WriteExpr(w, s->incr);
-  WriteStmt(w, s->body);
-  WriteStmt(w, s->else_body);
-  w.U32(static_cast<uint32_t>(s->stmts.size()));
-  for (const StmtPtr child : s->stmts) {
-    WriteStmt(w, child);
-  }
-}
-
-StmtPtr ReadStmt(ByteReader& r, Arena& arena) {
-  if (!r.Bool() || !r.ok()) {
-    return nullptr;
-  }
-  Stmt* s = arena.New<Stmt>();
-  s->kind = static_cast<Stmt::Kind>(r.U8());
-  s->line = r.U32();
-  s->name = Intern(r.Str());
-  s->type = Intern(r.Str());
-  s->expr = ReadExpr(r, arena);
-  s->init = ReadExpr(r, arena);
-  s->incr = ReadExpr(r, arena);
-  s->body = ReadStmt(r, arena);
-  s->else_body = ReadStmt(r, arena);
-  const uint32_t n = r.Count();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    s->stmts.push_back(ReadStmt(r, arena), arena);
-  }
-  return s;
-}
-
-void WriteUnit(ByteWriter& w, const TranslationUnit& unit) {
-  w.Str(unit.path);
-  w.U32(static_cast<uint32_t>(unit.macros.size()));
-  for (const MacroDef& m : unit.macros) {
-    w.Str(m.name.view());
-    w.U32(static_cast<uint32_t>(m.params.size()));
-    for (const Symbol p : m.params) {
-      w.Str(p.view());
-    }
-    w.Str(m.body);
-    w.U32(m.line);
-  }
-  w.U32(static_cast<uint32_t>(unit.structs.size()));
-  for (const StructDef& s : unit.structs) {
-    w.Str(s.name.view());
-    w.U32(s.line);
-    w.U32(static_cast<uint32_t>(s.fields.size()));
-    for (const StructField& f : s.fields) {
-      w.Str(f.type.view());
-      w.Str(f.name.view());
-    }
-  }
-  w.U32(static_cast<uint32_t>(unit.globals.size()));
-  for (const GlobalVar& g : unit.globals) {
-    w.Str(g.type.view());
-    w.Str(g.name.view());
-    w.U32(g.line);
-    w.U32(static_cast<uint32_t>(g.inits.size()));
-    for (const DesignatedInit& d : g.inits) {
-      w.Str(d.field.view());
-      w.Str(d.value.view());
-    }
-  }
-  w.U32(static_cast<uint32_t>(unit.functions.size()));
-  for (const FunctionDef& fn : unit.functions) {
-    w.Str(fn.return_type.view());
-    w.Str(fn.name.view());
-    w.U32(fn.line);
-    w.Bool(fn.is_static);
-    w.U32(static_cast<uint32_t>(fn.params.size()));
-    for (const Param& p : fn.params) {
-      w.Str(p.type.view());
-      w.Str(p.name.view());
-    }
-    WriteStmt(w, fn.body);
-  }
-  w.U32(static_cast<uint32_t>(unit.degraded.size()));
-  for (const DegradedFunction& d : unit.degraded) {
-    w.Str(d.name);
-    w.U32(d.line);
-    w.Str(d.what);
-  }
-}
-
-TranslationUnit ReadUnit(ByteReader& r) {
-  TranslationUnit unit;
-  unit.arena = std::make_shared<Arena>();
-  Arena& arena = *unit.arena;
-  unit.path = r.Str();
-  const uint32_t n_macros = r.Count();
-  unit.macros.reserve(n_macros);
-  for (uint32_t i = 0; i < n_macros && r.ok(); ++i) {
-    MacroDef m;
-    m.name = Intern(r.Str());
-    const uint32_t n_params = r.Count();
-    m.params.reserve(n_params);
-    for (uint32_t j = 0; j < n_params && r.ok(); ++j) {
-      m.params.push_back(Intern(r.Str()));
-    }
-    m.body = r.Str();
-    m.line = r.U32();
-    unit.macros.push_back(std::move(m));
-  }
-  const uint32_t n_structs = r.Count();
-  unit.structs.reserve(n_structs);
-  for (uint32_t i = 0; i < n_structs && r.ok(); ++i) {
-    StructDef s;
-    s.name = Intern(r.Str());
-    s.line = r.U32();
-    const uint32_t n_fields = r.Count();
-    s.fields.reserve(n_fields);
-    for (uint32_t j = 0; j < n_fields && r.ok(); ++j) {
-      StructField f;
-      f.type = Intern(r.Str());
-      f.name = Intern(r.Str());
-      s.fields.push_back(f);
-    }
-    unit.structs.push_back(std::move(s));
-  }
-  const uint32_t n_globals = r.Count();
-  unit.globals.reserve(n_globals);
-  for (uint32_t i = 0; i < n_globals && r.ok(); ++i) {
-    GlobalVar g;
-    g.type = Intern(r.Str());
-    g.name = Intern(r.Str());
-    g.line = r.U32();
-    const uint32_t n_inits = r.Count();
-    g.inits.reserve(n_inits);
-    for (uint32_t j = 0; j < n_inits && r.ok(); ++j) {
-      DesignatedInit d;
-      d.field = Intern(r.Str());
-      d.value = Intern(r.Str());
-      g.inits.push_back(d);
-    }
-    unit.globals.push_back(std::move(g));
-  }
-  const uint32_t n_functions = r.Count();
-  for (uint32_t i = 0; i < n_functions && r.ok(); ++i) {
-    FunctionDef fn;
-    fn.return_type = Intern(r.Str());
-    fn.name = Intern(r.Str());
-    fn.line = r.U32();
-    fn.is_static = r.Bool();
-    const uint32_t n_params = r.Count();
-    fn.params.reserve(n_params);
-    for (uint32_t j = 0; j < n_params && r.ok(); ++j) {
-      Param p;
-      p.type = Intern(r.Str());
-      p.name = Intern(r.Str());
-      fn.params.push_back(p);
-    }
-    fn.body = ReadStmt(r, arena);
-    unit.functions.push_back(std::move(fn));
-  }
-  const uint32_t n_degraded = r.Count();
-  unit.degraded.reserve(n_degraded);
-  for (uint32_t i = 0; i < n_degraded && r.ok(); ++i) {
-    DegradedFunction d;
-    d.name = r.Str();
-    d.line = r.U32();
-    d.what = r.Str();
-    unit.degraded.push_back(std::move(d));
-  }
-  return unit;
-}
-
-// ---------------------------------------------------------------------------
-// Reports
-
-void WriteReports(ByteWriter& w, const CachedFileReports& shard) {
-  w.U64(shard.functions);
-  w.U32(static_cast<uint32_t>(shard.reports.size()));
-  for (const BugReport& b : shard.reports) {
-    w.I32(b.anti_pattern);
-    w.U8(static_cast<uint8_t>(b.impact));
-    w.Str(b.file);
-    w.Str(b.function);
-    w.U32(b.line);
-    w.U32(b.exit_line);
-    w.Str(b.api);
-    w.Str(b.object);
-    w.Str(b.template_path);
-    w.Str(b.message);
-  }
-  w.U32(static_cast<uint32_t>(shard.degraded.size()));
-  for (const DegradedFunction& d : shard.degraded) {
-    w.Str(d.name);
-    w.U32(d.line);
-    w.Str(d.what);
-  }
-}
-
-CachedFileReports ReadReports(ByteReader& r) {
-  CachedFileReports shard;
-  shard.functions = r.U64();
-  const uint32_t n = r.Count();
-  shard.reports.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    BugReport b;
-    b.anti_pattern = r.I32();
-    b.impact = static_cast<Impact>(r.U8());
-    b.file = r.Str();
-    b.function = r.Str();
-    b.line = r.U32();
-    b.exit_line = r.U32();
-    b.api = r.Str();
-    b.object = r.Str();
-    b.template_path = r.Str();
-    b.message = r.Str();
-    shard.reports.push_back(std::move(b));
-  }
-  const uint32_t n_degraded = r.Count();
-  shard.degraded.reserve(n_degraded);
-  for (uint32_t i = 0; i < n_degraded && r.ok(); ++i) {
-    DegradedFunction d;
-    d.name = r.Str();
-    d.line = r.U32();
-    d.what = r.Str();
-    shard.degraded.push_back(std::move(d));
-  }
-  return shard;
+  return value;
 }
 
 }  // namespace
+
+// The field lists (serial.h) of the formats only the cache stores. They are
+// in namespace refscan, beside the types, because that is where
+// argument-dependent lookup finds them from Encode and Decode.
+
+// ---------------------------------------------------------------------------
+// TranslationUnit. Symbols travel as their text (ids depend on interning
+// order and never leave the process) and are re-interned on read.
+
+template <typename IO, Value<Symbol> S>
+void Transfer(IO& io, S& symbol) {
+  std::string_view text = symbol.view();
+  Transfer(io, text);
+  if constexpr (IO::kReading) {
+    symbol = Intern(text);
+  }
+}
+
+// A nullable node: a presence byte, then the node.
+template <typename IO, typename P>
+  requires Value<P, Expr*> || Value<P, Stmt*>
+void Transfer(IO& io, P& node) {
+  bool present = node != nullptr;
+  Transfer(io, present);
+  if constexpr (IO::kReading) {
+    node = present ? io.arena().template New<std::remove_pointer_t<P>>() : nullptr;
+  }
+  if (present) {
+    Transfer(io, *node);
+  }
+}
+
+template <typename IO, typename V>
+  requires Value<V, ArenaVec<Expr*>> || Value<V, ArenaVec<Stmt*>>
+void Transfer(IO& io, V& children) {
+  using Node = std::remove_cvref_t<decltype(children[0])>;
+  TransferEach<Node>(io, children, [&](Node child) {
+    if constexpr (IO::kReading) {
+      children.push_back(child, io.arena());
+    }
+  });
+}
+
+template <typename IO, Value<Expr> E>
+void Transfer(IO& io, E& e) {
+  Transfer(io, e.kind, e.line, e.value, e.arrow, e.args);
+}
+
+template <typename IO, Value<Stmt> S>
+void Transfer(IO& io, S& s) {
+  Transfer(io, s.kind, s.line, s.name, s.type, s.expr, s.init, s.incr, s.body, s.else_body,
+           s.stmts);
+}
+
+template <typename IO, Value<MacroDef> M>
+void Transfer(IO& io, M& m) {
+  Transfer(io, m.name, m.params, m.body, m.line);
+}
+
+template <typename IO, Value<StructField> F>
+void Transfer(IO& io, F& f) {
+  Transfer(io, f.type, f.name);
+}
+
+template <typename IO, Value<StructDef> S>
+void Transfer(IO& io, S& s) {
+  Transfer(io, s.name, s.line, s.fields);
+}
+
+template <typename IO, Value<DesignatedInit> D>
+void Transfer(IO& io, D& d) {
+  Transfer(io, d.field, d.value);
+}
+
+template <typename IO, Value<GlobalVar> G>
+void Transfer(IO& io, G& g) {
+  Transfer(io, g.type, g.name, g.line, g.inits);
+}
+
+template <typename IO, Value<Param> P>
+void Transfer(IO& io, P& p) {
+  Transfer(io, p.type, p.name);
+}
+
+template <typename IO, Value<FunctionDef> F>
+void Transfer(IO& io, F& fn) {
+  Transfer(io, fn.return_type, fn.name, fn.line, fn.is_static, fn.params, fn.body);
+}
+
+template <typename IO, Value<TranslationUnit> U>
+void Transfer(IO& io, U& unit) {
+  Transfer(io, unit.path, unit.macros, unit.structs, unit.globals, unit.functions, unit.degraded);
+}
+
+// ---------------------------------------------------------------------------
+// KnowledgeBase, in map order. A read rebuilds it through KnowledgeBase::Add*,
+// which keep the lookup indexes in step with the maps.
+
+template <typename IO, Value<RefApiInfo> A>
+void Transfer(IO& io, A& api) {
+  Transfer(io, api.name, api.direction, api.category, api.returns_error, api.may_return_null,
+           api.returns_object, api.object_param, api.consumed_param, api.hidden, api.tests_zero,
+           api.discovered);
+}
+
+template <typename IO, Value<SmartLoopInfo> L>
+void Transfer(IO& io, L& loop) {
+  Transfer(io, loop.name, loop.iterator_arg, loop.embedded_api);
+}
+
+template <typename IO, Value<KnowledgeBase> K>
+void Transfer(IO& io, K& kb) {
+  using Sink = std::pair<std::string, int>;
+  using Derefs = std::pair<std::string, std::vector<int>>;
+  TransferEach<RefApiInfo>(io, std::views::values(kb.apis()),
+                           [&](auto&& api) { kb.AddApi(std::move(api)); });
+  TransferEach<SmartLoopInfo>(io, std::views::values(kb.smart_loops()),
+                              [&](auto&& loop) { kb.AddSmartLoop(std::move(loop)); });
+  TransferEach<std::string>(io, kb.refcounted_structs(),
+                            [&](auto&& name) { kb.AddRefcountedStruct(std::move(name)); });
+  TransferEach<Sink>(io, kb.ownership_sinks(), [&](auto&& sink) {
+    kb.AddOwnershipSink(std::move(sink.first), sink.second);
+  });
+  TransferEach<Derefs>(io, kb.param_derefs(), [&](auto&& derefs) {
+    kb.AddParamDerefs(std::move(derefs.first), std::move(derefs.second));
+  });
+  TransferEach<std::string>(io, kb.refcount_fields(),
+                            [&](auto&& field) { kb.AddRefcountField(std::move(field)); });
+  TransferEach<std::string>(io, kb.extra_free_functions(),
+                            [&](auto&& name) { kb.AddFreeFunction(std::move(name)); });
+}
 
 // ---------------------------------------------------------------------------
 // Keys and fingerprints
@@ -413,12 +209,8 @@ CachedFileReports ReadReports(ByteReader& r) {
 std::string CacheKey::Hex() const { return HexU64(hi) + HexU64(lo); }
 
 CacheKey MakeFileKey(std::string_view path, std::string_view content, uint64_t options_fp) {
-  ByteWriter w;
-  w.U32(kFormatVersion);
-  w.Str(path);
-  w.U64(options_fp);
   const Hash128 content_hash = HashBytesDual(content);
-  const Hash128 meta_hash = HashBytesDual(w.bytes());
+  const Hash128 meta_hash = HashBytesDual(Encode(kFormatVersion, path, options_fp));
   CacheKey key;
   key.hi = HashMix(content_hash.hi, meta_hash.hi);
   key.lo = HashMix(content_hash.lo, meta_hash.lo);
@@ -431,16 +223,13 @@ CacheKey MakeKbSnapshotKey(uint64_t base_kb_fp, int nesting_threshold,
   // themselves: the serialized facts already exist per file, and hashing
   // their digests keeps the key input small while still pinning content
   // and order.
-  ByteWriter w;
-  w.U64(base_kb_fp);
-  w.I32(nesting_threshold);
-  w.U32(static_cast<uint32_t>(facts.size()));
+  std::vector<std::pair<uint64_t, uint64_t>> digests;
+  digests.reserve(facts.size());
   for (const DiscoveryFacts* f : facts) {
     const Hash128 h = HashBytesDual(SerializeFacts(*f));
-    w.U64(h.hi);
-    w.U64(h.lo);
+    digests.emplace_back(h.hi, h.lo);
   }
-  return MakeFileKey("<kb-snapshot>", w.bytes(), options_fp);
+  return MakeFileKey("<kb-snapshot>", Encode(base_kb_fp, nesting_threshold, digests), options_fp);
 }
 
 // The digest of the snapshot bytes: the fingerprint observes exactly what a
@@ -453,161 +242,35 @@ uint64_t FingerprintKnowledgeBase(const KnowledgeBase& kb) {
 // ---------------------------------------------------------------------------
 // Public serializers
 
-std::string SerializeFacts(const DiscoveryFacts& facts) {
-  ByteWriter w;
-  WriteFacts(w, facts);
-  return w.TakeBytes();
-}
+std::string SerializeFacts(const DiscoveryFacts& facts) { return Encode(facts); }
 
 std::optional<DiscoveryFacts> DeserializeFacts(std::string_view bytes) {
-  ByteReader r(bytes);
-  DiscoveryFacts facts = ReadFacts(r);
-  if (!r.ok() || !r.AtEnd()) {
-    return std::nullopt;
-  }
-  return facts;
+  return DecodeOrNull<DiscoveryFacts>(bytes);
 }
 
-std::string SerializeUnit(const TranslationUnit& unit) {
-  ByteWriter w;
-  WriteUnit(w, unit);
-  return w.TakeBytes();
-}
+std::string SerializeUnit(const TranslationUnit& unit) { return Encode(unit); }
 
 std::optional<TranslationUnit> DeserializeUnit(std::string_view bytes) {
-  ByteReader r(bytes);
-  TranslationUnit unit = ReadUnit(r);
+  TranslationUnit unit;
+  unit.arena = std::make_shared<Arena>();
+  UnitReader r(bytes, *unit.arena);
+  Transfer(r, unit);
   if (!r.ok() || !r.AtEnd()) {
     return std::nullopt;
   }
   return unit;
 }
 
-std::string SerializeReports(const CachedFileReports& reports) {
-  ByteWriter w;
-  WriteReports(w, reports);
-  return w.TakeBytes();
-}
+std::string SerializeReports(const CachedFileReports& reports) { return Encode(reports); }
 
 std::optional<CachedFileReports> DeserializeReports(std::string_view bytes) {
-  ByteReader r(bytes);
-  CachedFileReports shard = ReadReports(r);
-  if (!r.ok() || !r.AtEnd()) {
-    return std::nullopt;
-  }
-  return shard;
+  return DecodeOrNull<CachedFileReports>(bytes);
 }
 
-std::string SerializeKb(const KnowledgeBase& kb) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(kb.apis().size()));
-  for (const auto& [name, api] : kb.apis()) {
-    w.Str(name);
-    w.U8(static_cast<uint8_t>(api.direction));
-    w.U8(static_cast<uint8_t>(api.category));
-    w.Bool(api.returns_error);
-    w.Bool(api.may_return_null);
-    w.Bool(api.returns_object);
-    w.I32(api.object_param);
-    w.I32(api.consumed_param);
-    w.Bool(api.hidden);
-    w.Bool(api.tests_zero);
-    w.Bool(api.discovered);
-  }
-  w.U32(static_cast<uint32_t>(kb.smart_loops().size()));
-  for (const auto& [name, loop] : kb.smart_loops()) {
-    w.Str(name);
-    w.I32(loop.iterator_arg);
-    w.Str(loop.embedded_api);
-  }
-  w.U32(static_cast<uint32_t>(kb.refcounted_structs().size()));
-  for (const std::string& s : kb.refcounted_structs()) {
-    w.Str(s);
-  }
-  w.U32(static_cast<uint32_t>(kb.ownership_sinks().size()));
-  for (const auto& [name, param] : kb.ownership_sinks()) {
-    w.Str(name);
-    w.I32(param);
-  }
-  w.U32(static_cast<uint32_t>(kb.param_derefs().size()));
-  for (const auto& [name, params] : kb.param_derefs()) {
-    w.Str(name);
-    w.U32(static_cast<uint32_t>(params.size()));
-    for (const int p : params) {
-      w.I32(p);
-    }
-  }
-  w.U32(static_cast<uint32_t>(kb.refcount_fields().size()));
-  for (const std::string& f : kb.refcount_fields()) {
-    w.Str(f);
-  }
-  w.U32(static_cast<uint32_t>(kb.extra_free_functions().size()));
-  for (const std::string& f : kb.extra_free_functions()) {
-    w.Str(f);
-  }
-  return w.TakeBytes();
-}
+std::string SerializeKb(const KnowledgeBase& kb) { return Encode(kb); }
 
 std::optional<KnowledgeBase> DeserializeKb(std::string_view bytes) {
-  ByteReader r(bytes);
-  KnowledgeBase kb;
-  const uint32_t api_count = r.Count();
-  for (uint32_t i = 0; i < api_count && r.ok(); ++i) {
-    RefApiInfo api;
-    api.name = r.Str();
-    api.direction = static_cast<RefDirection>(r.U8());
-    api.category = static_cast<ApiCategory>(r.U8());
-    api.returns_error = r.Bool();
-    api.may_return_null = r.Bool();
-    api.returns_object = r.Bool();
-    api.object_param = r.I32();
-    api.consumed_param = r.I32();
-    api.hidden = r.Bool();
-    api.tests_zero = r.Bool();
-    api.discovered = r.Bool();
-    kb.AddApi(std::move(api));
-  }
-  const uint32_t loop_count = r.Count();
-  for (uint32_t i = 0; i < loop_count && r.ok(); ++i) {
-    SmartLoopInfo loop;
-    loop.name = r.Str();
-    loop.iterator_arg = r.I32();
-    loop.embedded_api = r.Str();
-    kb.AddSmartLoop(std::move(loop));
-  }
-  const uint32_t struct_count = r.Count();
-  for (uint32_t i = 0; i < struct_count && r.ok(); ++i) {
-    kb.AddRefcountedStruct(r.Str());
-  }
-  const uint32_t sink_count = r.Count();
-  for (uint32_t i = 0; i < sink_count && r.ok(); ++i) {
-    std::string name = r.Str();
-    const int param = r.I32();
-    kb.AddOwnershipSink(std::move(name), param);
-  }
-  const uint32_t deref_count = r.Count();
-  for (uint32_t i = 0; i < deref_count && r.ok(); ++i) {
-    std::string name = r.Str();
-    const uint32_t param_count = r.Count();
-    std::vector<int> params;
-    params.reserve(param_count);
-    for (uint32_t j = 0; j < param_count && r.ok(); ++j) {
-      params.push_back(r.I32());
-    }
-    kb.AddParamDerefs(std::move(name), std::move(params));
-  }
-  const uint32_t field_count = r.Count();
-  for (uint32_t i = 0; i < field_count && r.ok(); ++i) {
-    kb.AddRefcountField(r.Str());
-  }
-  const uint32_t free_count = r.Count();
-  for (uint32_t i = 0; i < free_count && r.ok(); ++i) {
-    kb.AddFreeFunction(r.Str());
-  }
-  if (!r.ok() || !r.AtEnd()) {
-    return std::nullopt;
-  }
-  return kb;
+  return DecodeOrNull<KnowledgeBase>(bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -649,29 +312,17 @@ bool ScanCache::LoadObject(const std::string& name, uint8_t kind, std::string& p
   if (!store_->Get(name, blob)) {
     return false;
   }
-  // Header: magic, version, kind, payload hash, payload size. The object
-  // exists from here on: any validation failure is a corrupt load.
+  // The object exists from here on: any validation failure is a corrupt
+  // load.
+  ObjectHeader header{kind};
   ByteReader r(blob);
-  char magic[4];
-  for (char& c : magic) {
-    c = static_cast<char>(r.U8());
-  }
-  const uint32_t version = r.U32();
-  const uint8_t stored_kind = r.U8();
-  const uint64_t payload_hash = r.U64();
-  const uint32_t payload_size = r.U32();
-  if (!r.ok() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 ||
-      version != kFormatVersion || stored_kind != kind) {
-    corrupt_loads_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  constexpr size_t kHeaderSize = 4 + 4 + 1 + 8 + 4;
-  if (blob.size() != kHeaderSize + payload_size) {
+  Transfer(r, header);
+  if (!r.ok() || blob.size() != kHeaderSize + header.payload_size) {
     corrupt_loads_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   payload = blob.substr(kHeaderSize);
-  if (HashBytes(payload) != payload_hash) {
+  if (HashBytes(payload) != header.payload_hash) {
     corrupt_loads_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -690,15 +341,8 @@ void ScanCache::StoreObject(const std::string& name, uint8_t kind, std::string_v
   } catch (const FaultInjected&) {
     return;
   }
-  ByteWriter w;
-  for (const char c : kMagic) {
-    w.U8(static_cast<uint8_t>(c));
-  }
-  w.U32(kFormatVersion);
-  w.U8(kind);
-  w.U64(HashBytes(payload));
-  w.U32(static_cast<uint32_t>(payload.size()));
-  std::string blob = w.TakeBytes();
+  std::string blob = Encode(ObjectHeader{kind, HashBytes(payload),
+                                         static_cast<uint32_t>(payload.size())});
   blob.append(payload);
   store_->Put(name, blob, kind_name, source);
 }

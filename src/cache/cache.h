@@ -8,9 +8,11 @@
 //   <key>.facts     the file's DiscoveryFacts (the KB-independent stage-2
 //                   projection, see src/kb) — replaces parsing on the warm
 //                   non-interprocedural path
-//   <key>.unit      the parsed TranslationUnit — replaces parsing whenever
-//                   the file's reports must be (re)computed (--ipa mode, or
-//                   a KB-fingerprint mismatch)
+//   <key>.unit      the parsed TranslationUnit — replaces parsing in
+//                   interprocedural mode, where stage 1 must hold every
+//                   unit for stage 2.5. A file whose reports miss after a
+//                   KB-fingerprint change is re-parsed in stage 3, not
+//                   loaded from here.
 //   <key>-<kbfp>.reports   the raw stage-3 report shard + function count
 //
 // plus one tree-level artifact:
@@ -48,6 +50,7 @@
 #include <vector>
 
 #include "src/ast/ast.h"
+#include "src/cache/serial.h"
 #include "src/cache/store.h"
 #include "src/checkers/report.h"
 #include "src/kb/kb.h"
@@ -96,6 +99,56 @@ struct CachedFileReports {
   uint64_t functions = 0;
   std::vector<DegradedFunction> degraded;
 };
+
+// Field lists (serial.h) of the artifacts that also travel on the process
+// wires: facts in the shard kFacts frame, report shards in kResults and the
+// serve reply. They are persisted formats, so their bytes must not move.
+template <typename IO, Value<DiscoveryFacts::Field> F>
+void Transfer(IO& io, F& f) {
+  Transfer(io, f.direct_refcounter, f.nested_tag, f.name);
+}
+
+template <typename IO, Value<DiscoveryFacts::Struct> S>
+void Transfer(IO& io, S& s) {
+  Transfer(io, s.name, s.fields);
+}
+
+template <typename IO, Value<DiscoveryFacts::RefEvent> E>
+void Transfer(IO& io, E& ev) {
+  Transfer(io, ev.is_call, ev.callee, ev.arg1_param, ev.increase);
+}
+
+template <typename IO, Value<DiscoveryFacts::Function> F>
+void Transfer(IO& io, F& fn) {
+  Transfer(io, fn.name, fn.returns_pointer, fn.has_return_null, fn.has_error_return,
+           fn.sink_param, fn.events);
+}
+
+template <typename IO, Value<DiscoveryFacts::Macro> M>
+void Transfer(IO& io, M& m) {
+  Transfer(io, m.name, m.params, m.body);
+}
+
+template <typename IO, Value<DiscoveryFacts> F>
+void Transfer(IO& io, F& facts) {
+  Transfer(io, facts.structs, facts.functions, facts.macros);
+}
+
+template <typename IO, Value<BugReport> B>
+void Transfer(IO& io, B& b) {
+  Transfer(io, b.anti_pattern, b.impact, b.file, b.function, b.line, b.exit_line, b.api, b.object,
+           b.template_path, b.message);
+}
+
+template <typename IO, Value<DegradedFunction> D>
+void Transfer(IO& io, D& d) {
+  Transfer(io, d.name, d.line, d.what);
+}
+
+template <typename IO, Value<CachedFileReports> R>
+void Transfer(IO& io, R& shard) {
+  Transfer(io, shard.functions, shard.reports, shard.degraded);
+}
 
 class ScanCache {
  public:

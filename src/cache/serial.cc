@@ -114,8 +114,7 @@ void ByteWriter::Str(std::string_view s) {
 
 bool ByteReader::Take(size_t n) {
   if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    pos_ = data_.size();
+    Fail();
     return false;
   }
   return true;
@@ -146,12 +145,12 @@ uint64_t ByteReader::U64() {
   return v;
 }
 
-std::string ByteReader::Str() {
+std::string_view ByteReader::StrView() {
   const uint32_t size = U32();
   if (!Take(size)) {
     return {};
   }
-  std::string out(data_.substr(pos_, size));
+  const std::string_view out = data_.substr(pos_, size);
   pos_ += size;
   return out;
 }
@@ -159,11 +158,15 @@ std::string ByteReader::Str() {
 uint32_t ByteReader::Count() {
   const uint32_t count = U32();
   if (count > data_.size() - pos_) {
-    ok_ = false;
-    pos_ = data_.size();
+    Fail();
     return 0;
   }
   return count;
+}
+
+void ByteReader::Fail() {
+  ok_ = false;
+  pos_ = data_.size();
 }
 
 }  // namespace refscan

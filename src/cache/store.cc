@@ -24,11 +24,24 @@ namespace {
 // Cache-server frame types (one request frame in, one reply frame out, in
 // lockstep — the put ack keeps the stream framed and gives natural
 // backpressure).
-constexpr uint8_t kCacheGet = 1;    // payload: Str name
+constexpr uint8_t kCacheGet = 1;    // payload: the object name as a string
 constexpr uint8_t kCacheHit = 2;    // payload: the blob
 constexpr uint8_t kCacheMiss = 3;   // empty
-constexpr uint8_t kCachePut = 4;    // payload: Str name, Str kind, Str source, Str blob
+constexpr uint8_t kCachePut = 4;    // payload: CachePut
 constexpr uint8_t kCachePutOk = 5;  // empty
+
+// A put request. The server reads it as views into the frame's payload.
+struct CachePut {
+  std::string_view name;
+  std::string_view kind;
+  std::string_view source;
+  std::string_view blob;
+};
+
+template <typename IO, Value<CachePut> P>
+void Transfer(IO& io, P& put) {
+  Transfer(io, put.name, put.kind, put.source, put.blob);
+}
 
 // Writes all of `data`, looping over partial writes and EINTR.
 bool WriteFull(int fd, std::string_view data) {
@@ -279,8 +292,7 @@ bool RemoteStore::EnsureConnected() {
 
 bool RemoteStore::Get(const std::string& name, std::string& blob) {
   std::lock_guard<std::mutex> lock(mu_);
-  ByteWriter w;
-  w.Str(name);
+  const std::string request = Encode(name);
   // One replay after a transport failure: get is an idempotent read, so a
   // server bounce between requests (EPIPE on send, EOF on recv) costs one
   // reconnect, not the rest of the scan's cache.
@@ -289,7 +301,7 @@ bool RemoteStore::Get(const std::string& name, std::string& blob) {
       return false;
     }
     uint8_t type = 0;
-    if (SendFrame(fd_.get(), kCacheGet, w.bytes()) &&
+    if (SendFrame(fd_.get(), kCacheGet, request) &&
         RecvFrame(fd_.get(), type, blob) == RecvOutcome::kFrame) {
       return type == kCacheHit;
     }
@@ -302,11 +314,7 @@ bool RemoteStore::Get(const std::string& name, std::string& blob) {
 void RemoteStore::Put(const std::string& name, std::string_view blob, std::string_view kind_name,
                       std::string_view source) {
   std::lock_guard<std::mutex> lock(mu_);
-  ByteWriter w;
-  w.Str(name);
-  w.Str(kind_name);
-  w.Str(source);
-  w.Str(blob);
+  const std::string request = Encode(CachePut{name, kind_name, source, blob});
   // Same one-replay policy as Get: a put is idempotent (content-addressed
   // name → same bytes), so replaying a maybe-applied put is safe.
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -315,7 +323,7 @@ void RemoteStore::Put(const std::string& name, std::string_view blob, std::strin
     }
     uint8_t type = 0;
     std::string ack;
-    if (SendFrame(fd_.get(), kCachePut, w.bytes()) &&
+    if (SendFrame(fd_.get(), kCachePut, request) &&
         RecvFrame(fd_.get(), type, ack) == RecvOutcome::kFrame && type == kCachePutOk) {
       return;
     }
@@ -335,25 +343,21 @@ CacheServer::CacheServer(std::string dir, std::string socket_path)
 }
 
 bool CacheServer::ServeFrame(int fd, uint8_t type, const std::string& payload) {
-  ByteReader r(payload);
   if (type == kCacheGet) {
-    const std::string name = r.Str();
+    std::string name;
     metrics().Counter("cached.gets").Add(1);
     std::string blob;
-    if (r.ok() && r.AtEnd() && store_.Get(name, blob)) {
+    if (Decode(payload, name) && store_.Get(name, blob)) {
       metrics().Counter("cached.hits").Add(1);
       return SendFrame(fd, kCacheHit, blob);
     }
     return SendFrame(fd, kCacheMiss, {});
   }
   if (type == kCachePut) {
-    const std::string name = r.Str();
-    const std::string kind = r.Str();
-    const std::string source = r.Str();
-    const std::string blob = r.Str();
-    if (r.ok() && r.AtEnd()) {
+    CachePut put;
+    if (Decode(payload, put)) {
       metrics().Counter("cached.puts").Add(1);
-      store_.Put(name, blob, kind, source);
+      store_.Put(std::string(put.name), put.blob, put.kind, put.source);
     }
     return SendFrame(fd, kCachePutOk, {});
   }

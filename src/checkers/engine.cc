@@ -2,7 +2,6 @@
 
 #include <charconv>
 
-#include "src/cache/serial.h"
 #include "src/checkers/scan_stages.h"
 #include "src/support/strings.h"
 
@@ -71,35 +70,6 @@ ScanResult CheckerEngine::ScanFileText(std::string path, std::string text) {
   SourceTree tree;
   tree.Add(std::move(path), std::move(text));
   return Scan(tree);
-}
-
-uint64_t ScanOptionsFingerprint(const ScanOptions& options) {
-  ByteWriter w;
-  w.U64(options.max_paths_per_function);
-  w.I32(options.nesting_threshold);
-  w.Bool(options.discover_from_source);
-  w.U32(static_cast<uint32_t>(options.enabled_patterns.size()));
-  for (const int p : options.enabled_patterns) {
-    w.I32(p);
-  }
-  w.Bool(options.prune_null_branches);
-  w.Bool(options.model_ownership_transfer);
-  // Deterministic governor caps: they change what a parse produces.
-  // fault_spec / file_timeout_ms / max_failure_ratio deliberately excluded —
-  // a file that faults or times out stores no artifacts.
-  w.U64(options.max_file_bytes);
-  w.U64(options.max_ast_nodes);
-  w.I32(options.max_ast_depth);
-  // Dialects seed the KB before discovery, so two scans with different
-  // dialect sets must never share cached facts, units, or report shards.
-  w.U32(static_cast<uint32_t>(options.dialects.size()));
-  for (const std::string& dialect : options.dialects) {
-    w.Str(dialect);
-  }
-  // `streaming` is deliberately excluded, like `jobs`: it changes the unit
-  // lifecycle, never any artifact, so streaming and resident scans share
-  // one warm cache.
-  return HashBytes(w.bytes());
 }
 
 const std::vector<ScanStatsField>& ScanStatsFields() {

@@ -54,33 +54,6 @@ std::vector<BugReport> DeduplicateReports(std::vector<BugReport> reports) {
   return out;
 }
 
-void AppendJsonString(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 std::string ReportsToJson(const std::vector<BugReport>& reports) {
   std::string out = "[\n";
   for (size_t i = 0; i < reports.size(); ++i) {

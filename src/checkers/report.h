@@ -46,10 +46,6 @@ std::vector<BugReport> DeduplicateReports(std::vector<BugReport> reports);
 // Serializes reports as a JSON array (machine-readable CLI / CI output).
 std::string ReportsToJson(const std::vector<BugReport>& reports);
 
-// Appends `text` to `out` as a quoted, escaped JSON string (shared by the
-// report and scan-result serializers).
-void AppendJsonString(std::string& out, std::string_view text);
-
 }  // namespace refscan
 
 #endif  // REFSCAN_CHECKERS_REPORT_H_

@@ -1,7 +1,6 @@
 #include "src/checkers/scan_stages.h"
 
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "src/cache/store.h"
@@ -16,9 +15,9 @@ namespace {
 // Runs every enabled checker over one file's contexts, appending raw
 // reports to the shard. The caller owns the shard exclusively; the KB is
 // immutable and read concurrently.
-FileShard CheckOneFile(const SourceFile& file, TranslationUnit unit, const KnowledgeBase& kb,
-                       const ScanOptions& options) {
-  FileShard shard;
+CachedFileReports CheckOneFile(const SourceFile& file, TranslationUnit unit,
+                               const KnowledgeBase& kb, const ScanOptions& options) {
+  CachedFileReports shard;
   // Quarantined function bodies ride along with the shard (and, via
   // StoreReports, with the cache entry): parsing is deterministic, so the
   // list is identical whichever process or scan produced the unit.
@@ -30,41 +29,41 @@ FileShard CheckOneFile(const SourceFile& file, TranslationUnit unit, const Knowl
   for (const FunctionContext& fc : uc.functions) {
     CheckDeadline("checker");
     if (enabled.contains(1)) {
-      CheckReturnError(uc, fc, kb, options, shard.raw);
+      CheckReturnError(uc, fc, kb, options, shard.reports);
     }
     if (enabled.contains(2)) {
-      CheckReturnNull(uc, fc, kb, options, shard.raw);
+      CheckReturnNull(uc, fc, kb, options, shard.reports);
     }
     if (enabled.contains(3)) {
-      CheckSmartLoopBreak(uc, fc, kb, options, shard.raw);
+      CheckSmartLoopBreak(uc, fc, kb, options, shard.reports);
     }
     if (enabled.contains(4)) {
-      CheckHiddenApi(uc, fc, kb, options, shard.raw);
+      CheckHiddenApi(uc, fc, kb, options, shard.reports);
     }
     if (enabled.contains(5)) {
-      CheckErrorHandle(uc, fc, kb, options, shard.raw);
+      CheckErrorHandle(uc, fc, kb, options, shard.reports);
     }
     if (enabled.contains(7)) {
-      CheckDirectFree(uc, fc, kb, options, shard.raw);
+      CheckDirectFree(uc, fc, kb, options, shard.reports);
     }
     if (enabled.contains(8)) {
-      CheckUseAfterDecrease(uc, fc, kb, options, shard.raw);
+      CheckUseAfterDecrease(uc, fc, kb, options, shard.reports);
     }
     if (enabled.contains(9)) {
-      CheckReferenceEscape(uc, fc, kb, options, shard.raw);
+      CheckReferenceEscape(uc, fc, kb, options, shard.reports);
     }
     if (enabled.contains(10)) {
-      CheckRawManipulation(uc, fc, kb, options, shard.raw);
+      CheckRawManipulation(uc, fc, kb, options, shard.reports);
     }
     if (enabled.contains(11)) {
-      CheckTestAndFree(uc, fc, kb, options, shard.raw);
+      CheckTestAndFree(uc, fc, kb, options, shard.reports);
     }
     if (enabled.contains(12)) {
-      CheckRefcountReset(uc, fc, kb, options, shard.raw);
+      CheckRefcountReset(uc, fc, kb, options, shard.reports);
     }
   }
   if (enabled.contains(6)) {
-    CheckInterUnpaired(uc, kb, options, shard.raw);
+    CheckInterUnpaired(uc, kb, options, shard.reports);
   }
   return shard;
 }
@@ -148,65 +147,102 @@ std::shared_ptr<ObjectStore> MakeScanStore(const ScanOptions& options) {
   return local;
 }
 
-void WriteScanOptionsWire(ByteWriter& w, const ScanOptions& o) {
-  w.U64(o.max_paths_per_function);
-  w.I32(o.nesting_threshold);
-  w.Bool(o.discover_from_source);
-  w.U32(static_cast<uint32_t>(o.enabled_patterns.size()));
-  for (const int p : o.enabled_patterns) {
-    w.I32(p);
+// The one ScanOptions field list. The wire carries every field; the
+// options fingerprint, and so every cache key, carries only those that can
+// change an artifact, in the order existing caches were keyed under.
+// NotFingerprinted marks the rest: locations, schedules, fault injection and
+// failure budgets. A file that faults or times out stores no artifacts, so
+// nothing wall-clock- or injection-dependent is ever replayed.
+namespace {
+
+template <typename T>
+struct NotFingerprinted {
+  T& value;
+};
+template <typename T>
+NotFingerprinted(T&) -> NotFingerprinted<T>;
+
+// Writes the fingerprinted fields only.
+class FingerprintWriter : public ByteWriter {};
+
+template <typename IO, typename T>
+void Transfer(IO& io, NotFingerprinted<T> field) {
+  if constexpr (!std::is_same_v<IO, FingerprintWriter>) {
+    Transfer(io, field.value);
   }
-  w.U32(static_cast<uint32_t>(o.dialects.size()));
-  for (const std::string& d : o.dialects) {
-    w.Str(d);
-  }
-  w.U64(o.jobs);
-  w.Str(o.cache_dir);
-  w.Str(o.cache_server);
-  w.Bool(o.prune_null_branches);
-  w.Bool(o.model_ownership_transfer);
-  w.Bool(o.interprocedural);
-  w.Str(o.fault_spec);
-  w.U32(o.file_timeout_ms);
-  w.U64(o.max_file_bytes);
-  w.U64(o.max_ast_nodes);
-  w.I32(o.max_ast_depth);
-  uint64_t ratio_bits = 0;
-  static_assert(sizeof(ratio_bits) == sizeof(o.max_failure_ratio));
-  std::memcpy(&ratio_bits, &o.max_failure_ratio, sizeof(ratio_bits));
-  w.U64(ratio_bits);
-  w.Bool(o.streaming);
 }
 
-bool ReadScanOptionsWire(ByteReader& r, ScanOptions& o) {
-  o.max_paths_per_function = static_cast<size_t>(r.U64());
-  o.nesting_threshold = r.I32();
-  o.discover_from_source = r.Bool();
-  o.enabled_patterns.clear();
-  const uint32_t npatterns = r.Count();
-  for (uint32_t i = 0; r.ok() && i < npatterns; ++i) {
-    o.enabled_patterns.insert(r.I32());
+}  // namespace
+
+template <typename IO, Value<ScanOptions> O>
+void Transfer(IO& io, O& o) {
+  Transfer(io, o.max_paths_per_function, o.nesting_threshold, o.discover_from_source,
+           o.enabled_patterns, o.prune_null_branches, o.model_ownership_transfer,
+           o.max_file_bytes, o.max_ast_nodes, o.max_ast_depth, o.dialects,
+           NotFingerprinted(o.jobs), NotFingerprinted(o.cache_dir),
+           NotFingerprinted(o.cache_server), NotFingerprinted(o.interprocedural),
+           NotFingerprinted(o.fault_spec), NotFingerprinted(o.file_timeout_ms),
+           NotFingerprinted(o.max_failure_ratio), NotFingerprinted(o.streaming));
+}
+
+uint64_t ScanOptionsFingerprint(const ScanOptions& options) {
+  FingerprintWriter w;
+  Transfer(w, options);
+  return HashBytes(w.bytes());
+}
+
+// A tree's files as (path, text) pairs. A read rebuilds the tree through
+// SourceTree::Add, which indexes each file's lines.
+template <typename IO, Value<SourceTree> T>
+void Transfer(IO& io, T& tree) {
+  std::vector<std::pair<std::string_view, std::string_view>> files;
+  if constexpr (!IO::kReading) {
+    files.reserve(tree.size());
+    for (const auto& [path, file] : tree.files()) {
+      files.emplace_back(path, file.text());
+    }
   }
-  o.dialects.clear();
-  const uint32_t ndialects = r.Count();
-  for (uint32_t i = 0; r.ok() && i < ndialects; ++i) {
-    o.dialects.push_back(r.Str());
+  Transfer(io, files);
+  if constexpr (IO::kReading) {
+    for (const auto& [path, text] : files) {
+      tree.Add(std::string(path), std::string(text));
+    }
   }
-  o.jobs = static_cast<size_t>(r.U64());
-  o.cache_dir = r.Str();
-  o.cache_server = r.Str();
-  o.prune_null_branches = r.Bool();
-  o.model_ownership_transfer = r.Bool();
-  o.interprocedural = r.Bool();
-  o.fault_spec = r.Str();
-  o.file_timeout_ms = r.U32();
-  o.max_file_bytes = static_cast<size_t>(r.U64());
-  o.max_ast_nodes = static_cast<size_t>(r.U64());
-  o.max_ast_depth = r.I32();
-  const uint64_t ratio_bits = r.U64();
-  std::memcpy(&o.max_failure_ratio, &ratio_bits, sizeof(ratio_bits));
-  o.streaming = r.Bool();
-  return r.ok();
+}
+
+std::string EncodeScanRequest(const SourceTree& tree, const ScanOptions& options) {
+  return Encode(options, tree);
+}
+
+bool DecodeScanRequest(std::string_view payload, SourceTree& tree, ScanOptions& options) {
+  return Decode(payload, options, tree);
+}
+
+// The stats table's size travels first, so a peer built with another table
+// fails to decode instead of misattributing counters.
+template <typename IO, Value<ScanStats> S>
+void Transfer(IO& io, S& stats) {
+  const std::vector<ScanStatsField>& fields = ScanStatsFields();
+  Transfer(io, Pinned{static_cast<uint32_t>(fields.size())});
+  for (const ScanStatsField& f : fields) {
+    Transfer(io, stats.*f.member);
+  }
+}
+
+template <typename IO, Value<DegradedFunctionReport> D>
+void Transfer(IO& io, D& d) {
+  Transfer(io, d.file, d.function, d.line, d.what);
+}
+
+template <typename IO, Value<ScanResult> R>
+void Transfer(IO& io, R& r) {
+  Transfer(io, r.reports, r.stats, r.failures, r.degraded_functions, r.aborted, r.abort_reason);
+}
+
+std::string EncodeScanResult(const ScanResult& result) { return Encode(result); }
+
+bool DecodeScanResult(std::string_view payload, ScanResult& result) {
+  return Decode(payload, result);
 }
 
 ScanStageContext MakeScanStageContext(const ScanOptions& options, ScanCache& cache) {
@@ -343,11 +379,12 @@ bool RunDiscoverStage(const std::vector<FileScanState>& states, KnowledgeBase& k
   return false;
 }
 
-FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const KnowledgeBase& kb,
-                        uint64_t kb_fp, const ScanStageContext& ctx) {
+CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st,
+                                const KnowledgeBase& kb, uint64_t kb_fp,
+                                const ScanStageContext& ctx) {
   const ScanOptions& options = *ctx.options;
   ScanCache& cache = *ctx.cache;
-  FileShard shard;
+  CachedFileReports shard;
   if (st.failure) {
     return shard;  // quarantined in stage 1: empty shard, nothing to check
   }
@@ -361,13 +398,11 @@ FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const Knowled
   const bool ok = GuardFileStage(
       file.path(), FailureStage::kCheck, options.file_timeout_ms, retry_ok,
       [&] {
-        shard = FileShard{};
+        shard = CachedFileReports{};
         if (ctx.use_cache) {
           if (std::optional<CachedFileReports> cached = cache.LoadReports(st.key, kb_fp)) {
             st.report_hit = true;
-            shard.raw = std::move(cached->reports);
-            shard.functions = static_cast<size_t>(cached->functions);
-            shard.degraded = std::move(cached->degraded);
+            shard = std::move(*cached);
             return;
           }
         }
@@ -386,16 +421,12 @@ FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const Knowled
         }
         shard = CheckOneFile(file, std::move(unit), kb, options);
         if (ctx.use_cache) {
-          CachedFileReports entry;
-          entry.reports = shard.raw;
-          entry.functions = shard.functions;
-          entry.degraded = shard.degraded;
-          cache.StoreReports(st.key, kb_fp, entry, file.path());
+          cache.StoreReports(st.key, kb_fp, shard, file.path());
         }
       },
       st.failure, st.retried);
   if (!ok) {
-    shard = FileShard{};  // discard any partial shard
+    shard = CachedFileReports{};  // discard any partial shard
   }
   return shard;
 }
@@ -482,13 +513,14 @@ bool ScanSpine::FanOutParse(std::vector<FileScanState>& states) {
 }
 
 bool ScanSpine::FanOutCheck(uint64_t kb_fp, std::vector<FileScanState>& states,
-                            std::vector<FileShard>& shards) {
+                            std::vector<CachedFileReports>& shards) {
   shards = ParallelMap(pool(), files_.size(),
                        [&](size_t i) { return CheckFile(*files_[i], states[i], kb_fp); });
   return true;
 }
 
-FileShard ScanSpine::CheckFile(const SourceFile& file, FileScanState& st, uint64_t kb_fp) {
+CachedFileReports ScanSpine::CheckFile(const SourceFile& file, FileScanState& st,
+                                       uint64_t kb_fp) {
   return RunCheckStage(file, st, kb_, kb_fp, ctx_);
 }
 
@@ -603,7 +635,7 @@ bool ScanSpine::RunBack() {
   // read-only; KnowledgeBase lookups are safe for concurrent readers). Each
   // file gets its own shard; cached shards splice in without parsing or
   // checking.
-  std::vector<FileShard> shards;
+  std::vector<CachedFileReports> shards;
   {
     TelemetrySpan stage_span("stage.check");
     if (!FanOutCheck(kb_fp, states_, shards)) {
@@ -634,10 +666,10 @@ bool ScanSpine::RunBack() {
   TelemetrySpan merge_span("stage.merge");
   std::vector<BugReport> raw;
   for (size_t i = 0; i < shards.size(); ++i) {
-    FileShard& shard = shards[i];
+    CachedFileReports& shard = shards[i];
     m.functions.Add(shard.functions);
-    raw.insert(raw.end(), std::make_move_iterator(shard.raw.begin()),
-               std::make_move_iterator(shard.raw.end()));
+    raw.insert(raw.end(), std::make_move_iterator(shard.reports.begin()),
+               std::make_move_iterator(shard.reports.end()));
     // Function-granular parse casualties, already in source order within the
     // shard; shards are walked in file order, so the merged list is
     // (file, line)-ordered.

@@ -11,8 +11,8 @@
 // over RunParseStage and RunCheckStage; the sharded coordinator
 // (src/checkers/sharded) overrides it with its worker exchange, and the
 // shard worker runs the same per-file bodies. A file's FileScanState and
-// FileShard cannot depend on which process computed them, because only one
-// implementation exists.
+// report shard cannot depend on which process computed them, because only
+// one implementation exists.
 //
 // Each stage body runs inside the DESIGN.md §5.9 sandbox: a fresh deadline
 // per attempt, one transient-I/O retry while idempotent, and exception →
@@ -35,15 +35,6 @@
 
 namespace refscan {
 
-// Stage-3 output for one file: the raw (pre-dedup) report shard in checker
-// emission order, the file's function count, and any function bodies the
-// parser quarantined (DESIGN.md §5.15), in source order.
-struct FileShard {
-  std::vector<BugReport> raw;
-  size_t functions = 0;
-  std::vector<DegradedFunction> degraded;
-};
-
 // Everything one file accumulates on its way through the pipeline.
 struct FileScanState {
   CacheKey key;
@@ -63,18 +54,34 @@ struct FileScanState {
 // historical behaviour.
 std::shared_ptr<ObjectStore> MakeScanStore(const ScanOptions& options);
 
-// ---- ScanOptions on the wire (ByteWriter/ByteReader format) -----------
+// ---- The scan wire (serial.h) ------------------------------------------
 //
-// Shared by the shard-worker kJob frame (src/checkers/sharded) and the
-// serve kScanReq frame (src/serve/protocol): a remote process must behave
-// exactly like the in-process stages would under the same options, so every
-// value field travels — including the governor caps and the fault spec; the
-// double rides as its bit pattern (memcpy, not a cast: the value must
-// survive exactly). `object_store` is deliberately NOT on the wire: it is a
-// live pointer into the sending process, and each side of a socket supplies
-// its own store.
-void WriteScanOptionsWire(ByteWriter& w, const ScanOptions& options);
-bool ReadScanOptionsWire(ByteReader& r, ScanOptions& options);
+// The serve daemon's request and reply (src/serve/protocol.h) and the shard
+// workers' frames (src/checkers/sharded) carry these formats between
+// processes of one binary. A request is the options and every file, so the
+// far side needs no filesystem access; `object_store` never travels (it is
+// a live pointer into the sending process, and each side supplies its own).
+// A reply is everything a ScanResult holds, so a remote scan's output is
+// indistinguishable from a local one. The ScanOptions field list also feeds
+// ScanOptionsFingerprint, which skips the fields marked as unable to change
+// an artifact.
+std::string EncodeScanRequest(const SourceTree& tree, const ScanOptions& options);
+bool DecodeScanRequest(std::string_view payload, SourceTree& tree, ScanOptions& options);
+std::string EncodeScanResult(const ScanResult& result);
+bool DecodeScanResult(std::string_view payload, ScanResult& result);
+
+template <typename IO, Value<FileFailure> F>
+void Transfer(IO& io, F& f) {
+  Transfer(io, f.path, f.stage, f.kind, f.what, f.retries);
+}
+
+// A file's bookkeeping in the shard workers' kFacts and kResults frames:
+// what the coordinator's spine reads after each stage. The key and the unit
+// stay in the worker; the facts and the report shard travel beside it.
+template <typename IO, Value<FileScanState> S>
+void Transfer(IO& io, S& st) {
+  Transfer(io, st.failure, st.retried, st.parsed, st.report_hit);
+}
 
 // Derived per-scan constants shared by every file's stage bodies.
 struct ScanStageContext {
@@ -123,8 +130,9 @@ bool RunDiscoverStage(const std::vector<FileScanState>& states, KnowledgeBase& k
 // fingerprint proves it valid, otherwise build contexts and run the enabled
 // checkers. A file quarantined earlier returns an empty shard untouched;
 // a stage-3 quarantine sets `st.failure` and returns an empty shard.
-FileShard RunCheckStage(const SourceFile& file, FileScanState& st, const KnowledgeBase& kb,
-                        uint64_t kb_fp, const ScanStageContext& ctx);
+CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st,
+                                const KnowledgeBase& kb, uint64_t kb_fp,
+                                const ScanStageContext& ctx);
 
 // One scan of one tree: the skeleton every tree-level client runs.
 // CheckerEngine::Scan and ShardedScan run both halves; `match` runs both
@@ -172,9 +180,9 @@ class ScanSpine {
   // worker.
   virtual bool FanOutParse(std::vector<FileScanState>& states);
   virtual bool FanOutCheck(uint64_t kb_fp, std::vector<FileScanState>& states,
-                           std::vector<FileShard>& shards);
+                           std::vector<CachedFileReports>& shards);
   // Stage 3 for one file; RunCheckStage unless a client matches instead.
-  virtual FileShard CheckFile(const SourceFile& file, FileScanState& st, uint64_t kb_fp);
+  virtual CachedFileReports CheckFile(const SourceFile& file, FileScanState& st, uint64_t kb_fp);
   // Cache objects that failed validation during this scan, in any process.
   virtual uint64_t CorruptLoads() const { return cache_.corrupt_loads(); }
 

@@ -32,37 +32,28 @@ constexpr uint8_t kResults = 5;
 // worker startup is exec + connect, not a scan.
 constexpr int kAcceptTimeoutMs = 30000;
 
-// Per-file failure, retried flag and `parsed` bit, shared by the kFacts and
-// kResults payloads. kFacts carries the stage-1 values the discovery
-// stage's snapshot store rule reads; kResults carries the final ones (a
-// stage-3 quarantine or re-parse overwrites them). The path never travels:
-// the coordinator knows which global index each entry is, and fills paths
-// from its own file list.
-void WriteFileMeta(ByteWriter& w, const FileScanState& st) {
-  w.Bool(st.failure.has_value());
-  if (st.failure) {
-    w.U8(static_cast<uint8_t>(st.failure->stage));
-    w.U8(static_cast<uint8_t>(st.failure->kind));
-    w.Str(st.failure->what);
-    w.I32(st.failure->retries);
+// The kFacts and kResults frames, one function for the worker that writes
+// them and the coordinator that reads them: a u32 file count, then each
+// file's bookkeeping and stage output, by index into `states` and `shards`
+// (the facts after stage 1, the report shard after stage 3), and in kResults
+// the worker's count of corrupt cache loads. kFacts carries the stage-1
+// bookkeeping the discovery stage's snapshot store rule reads; kResults
+// carries the final one (a stage-3 quarantine or re-parse overwrites it).
+template <typename IO>
+void TransferShardFrame(IO& io, uint8_t type, const std::vector<size_t>& files,
+                        std::vector<FileScanState>& states,
+                        std::vector<CachedFileReports>& shards, uint64_t& corrupt_loads) {
+  Transfer(io, Pinned{static_cast<uint32_t>(files.size())});
+  for (const size_t idx : files) {
+    if (type == kFacts) {
+      Transfer(io, states[idx], states[idx].facts);
+    } else {
+      Transfer(io, states[idx], shards[idx]);
+    }
   }
-  w.Bool(st.retried);
-  w.Bool(st.parsed);
-}
-
-void ReadFileMeta(ByteReader& r, const std::string& path, FileScanState& st) {
-  st.failure.reset();
-  if (r.Bool()) {
-    FileFailure f;
-    f.path = path;
-    f.stage = static_cast<FailureStage>(r.U8());
-    f.kind = static_cast<FailureKind>(r.U8());
-    f.what = r.Str();
-    f.retries = r.I32();
-    st.failure = std::move(f);
+  if (type == kResults) {
+    Transfer(io, corrupt_loads);
   }
-  st.retried = r.Bool();
-  st.parsed = r.Bool();
 }
 
 // ---- coordinator-side worker bookkeeping ------------------------------
@@ -182,7 +173,7 @@ class ShardCoordinator : public ScanSpine {
  protected:
   bool FanOutParse(std::vector<FileScanState>& states) override;
   bool FanOutCheck(uint64_t kb_fp, std::vector<FileScanState>& states,
-                   std::vector<FileShard>& shards) override;
+                   std::vector<CachedFileReports>& shards) override;
   // Workers count their facts/unit/report loads; the coordinator's own
   // cache only ever loads the KB snapshot. The sum is what one process
   // doing all of it would have counted.
@@ -191,12 +182,12 @@ class ShardCoordinator : public ScanSpine {
   }
 
  private:
-  // Receives one `type` frame from every live worker and hands each of its
-  // files, by global index, to `read`, which returns false on a malformed
-  // entry. A worker whose frame is missing, short or malformed is dead.
-  // Returns false when any worker is.
-  template <typename ReadFile>
-  bool Collect(uint8_t type, const char* stage, const ReadFile& read);
+  // Receives one `type` frame (kFacts or kResults) from every live worker
+  // and reads it into `states` and `shards` by global file index. A worker
+  // whose frame is missing, short or malformed is dead. Returns false when
+  // any worker is.
+  bool Collect(uint8_t type, std::vector<FileScanState>& states,
+               std::vector<CachedFileReports>& shards);
 
   const ShardedScanConfig& config_;
   OwnedFd listener_;
@@ -244,9 +235,10 @@ ScanResult ShardCoordinator::Rescue() const {
   return result;
 }
 
-template <typename ReadFile>
-bool ShardCoordinator::Collect(uint8_t type, const char* stage, const ReadFile& read) {
+bool ShardCoordinator::Collect(uint8_t type, std::vector<FileScanState>& states,
+                               std::vector<CachedFileReports>& shards) {
   const char* frame = type == kFacts ? "facts" : "results";
+  const char* stage = type == kFacts ? "parse" : "check";
   for (size_t i = 0; i < workers_.size(); ++i) {
     if (workers_[i].dead) {
       continue;
@@ -261,20 +253,13 @@ bool ShardCoordinator::Collect(uint8_t type, const char* stage, const ReadFile& 
       continue;
     }
     ByteReader r(payload);
-    if (r.Count() != shards_[i].size()) {
-      MarkDead(workers_[i], StrFormat("%s frame: wrong file count", frame));
+    uint64_t corrupt_loads = 0;
+    TransferShardFrame(r, type, shards_[i], states, shards, corrupt_loads);
+    if (!r.ok() || !r.AtEnd()) {
+      MarkDead(workers_[i], StrFormat("%s frame: malformed payload", frame));
       continue;
     }
-    bool ok = true;
-    for (size_t j = 0; j < shards_[i].size() && ok; ++j) {
-      ok = read(r, shards_[i][j]) && r.ok();
-    }
-    if (type == kResults) {
-      worker_corrupt_ += r.U64();
-    }
-    if (!ok || !r.ok()) {
-      MarkDead(workers_[i], StrFormat("%s frame: malformed payload", frame));
-    }
+    worker_corrupt_ += corrupt_loads;
   }
   return !lost();
 }
@@ -303,15 +288,15 @@ bool ShardCoordinator::FanOutParse(std::vector<FileScanState>& states) {
         type != kHello) {
       continue;  // not a worker of ours; drop the connection
     }
-    ByteReader r(payload);
-    const uint32_t id = r.U32();
-    if (!r.ok() || id >= workers_.size() || workers_[id].conn.valid() || workers_[id].dead) {
+    uint32_t id = 0;
+    if (!Decode(payload, id) || id >= workers_.size() || workers_[id].conn.valid() ||
+        workers_[id].dead) {
       continue;
     }
     workers_[id].conn = std::move(conn);
   }
 
-  // kJob: options + the shard's files, in global order within the shard.
+  // kJob: a scan request for the shard's files.
   const std::vector<const SourceFile*>& files = this->files();
   for (size_t i = 0; i < workers_.size(); ++i) {
     if (!workers_[i].dead && !workers_[i].conn.valid()) {
@@ -320,14 +305,11 @@ bool ShardCoordinator::FanOutParse(std::vector<FileScanState>& states) {
     if (workers_[i].dead) {
       continue;
     }
-    ByteWriter w;
-    WriteScanOptionsWire(w, options());
-    w.U32(static_cast<uint32_t>(shards_[i].size()));
+    SourceTree job;
     for (const size_t idx : shards_[i]) {
-      w.Str(files[idx]->path());
-      w.Str(files[idx]->text());
+      job.Add(files[idx]->path(), std::string(files[idx]->text()));
     }
-    if (!SendFrame(workers_[i].conn.get(), kJob, w.bytes(), &ipc_error)) {
+    if (!SendFrame(workers_[i].conn.get(), kJob, EncodeScanRequest(job, options()), &ipc_error)) {
       MarkDead(workers_[i], "send job: " + ipc_error);
     }
   }
@@ -337,23 +319,12 @@ bool ShardCoordinator::FanOutParse(std::vector<FileScanState>& states) {
   // discovery replay and the merge are order-identical to an in-process
   // scan by construction.
   states.resize(files.size());
-  return Collect(kFacts, "parse", [&](ByteReader& r, size_t idx) {
-    FileScanState& st = states[idx];
-    ReadFileMeta(r, files[idx]->path(), st);
-    const std::string facts_bytes = r.Str();
-    if (!r.ok() || facts_bytes.empty()) {
-      return true;
-    }
-    std::optional<DiscoveryFacts> facts = DeserializeFacts(facts_bytes);
-    if (facts) {
-      st.facts = std::move(*facts);
-    }
-    return facts.has_value();
-  });
+  std::vector<CachedFileReports> no_shards;
+  return Collect(kFacts, states, no_shards);
 }
 
 bool ShardCoordinator::FanOutCheck(uint64_t /*kb_fp*/, std::vector<FileScanState>& states,
-                                   std::vector<FileShard>& shards) {
+                                   std::vector<CachedFileReports>& shards) {
   // Phase 2 of the exchange: broadcast the frozen KB (workers fingerprint
   // it themselves), then collect each worker's stage-3 results. kResults
   // carries the file's FINAL state — a stage-3 quarantine overwrites what
@@ -366,21 +337,7 @@ bool ShardCoordinator::FanOutCheck(uint64_t /*kb_fp*/, std::vector<FileScanState
     }
   }
   shards.resize(files().size());
-  return Collect(kResults, "check", [&](ByteReader& r, size_t idx) {
-    ReadFileMeta(r, files()[idx]->path(), states[idx]);
-    states[idx].report_hit = r.Bool();
-    const std::string reports_bytes = r.Str();
-    if (!r.ok() || reports_bytes.empty()) {
-      return true;
-    }
-    std::optional<CachedFileReports> reports = DeserializeReports(reports_bytes);
-    if (reports) {
-      shards[idx].raw = std::move(reports->reports);
-      shards[idx].functions = static_cast<size_t>(reports->functions);
-      shards[idx].degraded = std::move(reports->degraded);
-    }
-    return reports.has_value();
-  });
+  return Collect(kResults, states, shards);
 }
 
 }  // namespace
@@ -427,12 +384,8 @@ int RunShardWorker(const std::string& socket_path, int worker_id) {
   if (!conn.valid()) {
     return fail(error);
   }
-  {
-    ByteWriter hello;
-    hello.U32(static_cast<uint32_t>(worker_id));
-    if (!SendFrame(conn.get(), kHello, hello.bytes(), &error)) {
-      return fail(error);
-    }
+  if (!SendFrame(conn.get(), kHello, Encode(static_cast<uint32_t>(worker_id)), &error)) {
+    return fail(error);
   }
 
   uint8_t type = 0;
@@ -450,20 +403,8 @@ int RunShardWorker(const std::string& socket_path, int worker_id) {
   }
   ScanOptions options;
   SourceTree tree;
-  {
-    ByteReader r(payload);
-    if (!ReadScanOptionsWire(r, options)) {
-      return fail("malformed job options");
-    }
-    const uint32_t nfiles = r.Count();
-    for (uint32_t i = 0; r.ok() && i < nfiles; ++i) {
-      std::string path = r.Str();
-      std::string text = r.Str();
-      tree.Add(std::move(path), std::move(text));
-    }
-    if (!r.ok()) {
-      return fail("malformed job payload");
-    }
+  if (!DecodeScanRequest(payload, tree, options)) {
+    return fail("malformed job");
   }
 
   // Arm the coordinator's fault plan so worker-side sites (parser.*,
@@ -478,8 +419,9 @@ int RunShardWorker(const std::string& socket_path, int worker_id) {
   }
 
   std::vector<const SourceFile*> files;
-  files.reserve(tree.size());
+  std::vector<size_t> all_files;
   for (const auto& [path, file] : tree.files()) {
+    all_files.push_back(files.size());
     files.push_back(&file);
   }
 
@@ -493,13 +435,11 @@ int RunShardWorker(const std::string& socket_path, int worker_id) {
   std::vector<FileScanState> states =
       ParallelMap(pool, files.size(), [&](size_t i) { return RunParseStage(*files[i], ctx); });
   MaybeFault("worker.facts", id_str);
+  std::vector<CachedFileReports> shards;
+  uint64_t corrupt_loads = 0;
   {
     ByteWriter w;
-    w.U32(static_cast<uint32_t>(states.size()));
-    for (const FileScanState& st : states) {
-      WriteFileMeta(w, st);
-      w.Str(st.failure || !ctx.want_facts ? std::string() : SerializeFacts(st.facts));
-    }
+    TransferShardFrame(w, kFacts, all_files, states, shards, corrupt_loads);
     if (!SendFrame(conn.get(), kFacts, w.bytes(), &error)) {
       return fail(error);
     }
@@ -524,31 +464,15 @@ int RunShardWorker(const std::string& socket_path, int worker_id) {
 
   // Stage 3 over the shard, against the coordinator's frozen KB.
   const KnowledgeBase& kb_ref = *kb;
-  std::vector<FileShard> shards = ParallelMap(pool, files.size(), [&](size_t i) {
+  shards = ParallelMap(pool, files.size(), [&](size_t i) {
     return RunCheckStage(*files[i], states[i], kb_ref, kb_fp, ctx);
   });
   MaybeFault("worker.results", id_str);
-  {
-    ByteWriter w;
-    w.U32(static_cast<uint32_t>(states.size()));
-    for (size_t i = 0; i < states.size(); ++i) {
-      const FileScanState& st = states[i];
-      WriteFileMeta(w, st);
-      w.Bool(st.report_hit);
-      std::string reports_bytes;
-      if (!st.failure) {
-        CachedFileReports entry;
-        entry.reports = std::move(shards[i].raw);
-        entry.functions = shards[i].functions;
-        entry.degraded = std::move(shards[i].degraded);
-        reports_bytes = SerializeReports(entry);
-      }
-      w.Str(reports_bytes);
-    }
-    w.U64(static_cast<uint64_t>(cache.corrupt_loads()));
-    if (!SendFrame(conn.get(), kResults, w.bytes(), &error)) {
-      return fail(error);
-    }
+  corrupt_loads = cache.corrupt_loads();
+  ByteWriter w;
+  TransferShardFrame(w, kResults, all_files, states, shards, corrupt_loads);
+  if (!SendFrame(conn.get(), kResults, w.bytes(), &error)) {
+    return fail(error);
   }
   return 0;
 }

@@ -359,8 +359,9 @@ class TemplateScan : public ScanSpine {
       : ScanSpine(tree, std::move(kb), options, /*keep_units=*/true), tmpl_(tmpl) {}
 
  protected:
-  FileShard CheckFile(const SourceFile& file, FileScanState& st, uint64_t /*kb_fp*/) override {
-    FileShard shard;
+  CachedFileReports CheckFile(const SourceFile& file, FileScanState& st,
+                              uint64_t /*kb_fp*/) override {
+    CachedFileReports shard;
     if (st.failure) {
       return shard;
     }
@@ -381,7 +382,7 @@ class TemplateScan : public ScanSpine {
         r.api = m.api;
         r.template_path = tmpl_.source;
         r.message = StrFormat("custom template matched: %s", tmpl_.source.c_str());
-        shard.raw.push_back(std::move(r));
+        shard.reports.push_back(std::move(r));
       }
     }
     return shard;

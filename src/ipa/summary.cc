@@ -403,33 +403,6 @@ SummaryResult ComputeSummaries(const std::vector<const TranslationUnit*>& units,
 
 namespace {
 
-void AppendJsonString(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 bool SummaryIsInteresting(const FunctionSummary& s) {
   if (s.registered || s.returns_acquired || s.error_increment || s.may_return_null ||
       s.consumed_param >= 0 || s.global_delta != 0 || s.truncated) {

@@ -14,23 +14,18 @@
 // client should back off and retry. kServeErr carries a one-line reason;
 // the client surfaces it as a degraded scan (exit 2), never as silence.
 //
-// The scan request carries the full ScanOptions wire image (the same
-// encoding the shard-worker kJob frame uses — scan_stages.h) plus every
+// A scan request (EncodeScanRequest, src/checkers/scan_stages.h, the same
+// format as the shard-worker kJob frame) carries the options and every
 // file, so the server needs no filesystem access and the client's loaded
-// tree is scanned bit-for-bit. The reply carries reports via the cache's
-// report serializer — the one report encoding in the codebase — plus the
-// stats table, the quarantine list, and the abort state, enough to
-// reconstruct a ScanResult that is indistinguishable from a local scan.
+// tree is scanned bit-for-bit. The reply (EncodeScanResult) carries the
+// whole ScanResult, so a remote scan is indistinguishable from a local one.
 
 #ifndef REFSCAN_SERVE_PROTOCOL_H_
 #define REFSCAN_SERVE_PROTOCOL_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 
-#include "src/checkers/engine.h"
-#include "src/support/source.h"
+#include "src/checkers/scan_stages.h"
 
 namespace refscan {
 
@@ -42,16 +37,6 @@ constexpr uint8_t kServeScanResp = 5;
 constexpr uint8_t kServeText = 6;
 constexpr uint8_t kServeBusy = 7;
 constexpr uint8_t kServeErr = 8;
-
-// Scan / summaries request payload: options image + file count + files.
-std::string EncodeScanRequest(const SourceTree& tree, const ScanOptions& options);
-bool DecodeScanRequest(std::string_view payload, SourceTree& tree, ScanOptions& options);
-
-// Scan reply payload: reports, stats (ScanStatsFields order, count-checked
-// on decode so a version-skewed peer fails loudly instead of misreading),
-// failures, abort state.
-std::string EncodeScanResult(const ScanResult& result);
-bool DecodeScanResult(std::string_view payload, ScanResult& result);
 
 }  // namespace refscan
 

@@ -9,6 +9,7 @@
 #include "src/serve/protocol.h"
 #include "src/support/faultinject.h"
 #include "src/support/strings.h"
+#include "src/support/threadpool.h"
 
 namespace refscan {
 
@@ -218,6 +219,10 @@ ScanOptions ScanServer::RequestOptions(ScanOptions options) const {
                                   ? config_.request_timeout_ms
                                   : std::min(options.file_timeout_ms, config_.request_timeout_ms);
   }
+  // Each session starts `jobs` - 1 threads for its request. Reports are
+  // identical at every `jobs`, so the cap moves no output; it only stops a
+  // client from asking the daemon for more threads than the host has.
+  options.jobs = std::min(options.jobs, ThreadPool::ResolveJobs(0));
   return options;
 }
 

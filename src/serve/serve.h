@@ -82,6 +82,11 @@ class ScanServer : public FrameServer {
   // Stats of the most recent completed scan request (for the stats reply).
   ScanStats last_scan_stats() const;
 
+  // A request's options, cleaned for this server: the resident store, no
+  // client cache location or fault spec, the request deadline as a cap,
+  // and at most one thread per hardware thread of this host.
+  ScanOptions RequestOptions(ScanOptions options) const;
+
  private:
   // One per in-flight request: the reply slot the session thread and the
   // watchdog race for. Whoever flips `replied` under the mutex sends the
@@ -107,9 +112,6 @@ class ScanServer : public FrameServer {
   void ReleaseSession();
   void Reply(ReplyState& rs, uint8_t type, const std::string& payload);
 
-  // A request's options, cleaned for this server: the resident store, no
-  // client cache location or fault spec, the request deadline as a cap.
-  ScanOptions RequestOptions(ScanOptions options) const;
   std::string HandleScan(std::string_view payload, uint8_t& type);
   std::string HandleStats() const;
   std::string HandleSummaries(std::string_view payload, uint8_t& type);

@@ -5,7 +5,7 @@
 namespace refscan {
 namespace governor_detail {
 
-thread_local DeadlineState g_deadline;
+constinit thread_local DeadlineState g_deadline;
 
 void ThrowDeadlineExceeded(const char* where) {
   TelemetryCount("governor.deadline_trips");

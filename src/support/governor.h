@@ -42,7 +42,10 @@ struct DeadlineState {
   uint32_t tick = 0;
 };
 
-extern thread_local DeadlineState g_deadline;
+// constinit: a constant-initialized thread_local needs no TLS init wrapper
+// on access (GCC 12's UBSan also misreads the wrapper's store as a store
+// through a null pointer).
+extern constinit thread_local DeadlineState g_deadline;
 
 [[noreturn]] void ThrowDeadlineExceeded(const char* where);
 

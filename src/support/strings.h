@@ -37,6 +37,10 @@ std::vector<std::string> IdentifierWords(std::string_view text);
 // printf-style formatting into a std::string.
 [[gnu::format(printf, 1, 2)]] std::string StrFormat(const char* fmt, ...);
 
+// Appends `text` to `out` as a quoted JSON string. Quote, backslash, \n and
+// \t get their short escapes, every other control byte a \u00XX escape.
+void AppendJsonString(std::string& out, std::string_view text);
+
 // True if `name` ends with `suffix` at an identifier-part boundary, e.g.
 // EndsWithWord("usb_serial_put", "put") == true,
 // EndsWithWord("output", "put") == false.

@@ -263,42 +263,6 @@ size_t Telemetry::event_count() const {
   return n;
 }
 
-namespace {
-
-// Minimal JSON string escaping (span args are file paths; names are
-// literals, but escape both anyway).
-void AppendEscaped(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-}  // namespace
-
 std::string Telemetry::TraceToChromeJson() const {
   const std::vector<TraceEvent> events = SortedEvents();
   std::string out = "{\"traceEvents\": [";
@@ -306,14 +270,14 @@ std::string Telemetry::TraceToChromeJson() const {
     const TraceEvent& e = events[i];
     out += i == 0 ? "\n" : ",\n";
     out += "  {\"name\": ";
-    AppendEscaped(out, e.name);
+    AppendJsonString(out, e.name);
     out += ", \"cat\": \"refscan\", \"ph\": \"X\", \"pid\": 1";
     out += StrFormat(", \"tid\": %u, \"ts\": %.3f, \"dur\": %.3f", e.tid,
                      static_cast<double>(e.start_ns) / 1000.0,
                      static_cast<double>(e.dur_ns) / 1000.0);
     if (!e.arg.empty()) {
       out += ", \"args\": {\"file\": ";
-      AppendEscaped(out, e.arg);
+      AppendJsonString(out, e.arg);
       out += "}";
     }
     out += "}";

@@ -26,6 +26,7 @@
 #include "src/support/ipc.h"
 #include "src/support/source.h"
 #include "src/support/strings.h"
+#include "src/support/threadpool.h"
 
 namespace refscan {
 namespace {
@@ -320,6 +321,38 @@ TEST(ServeTest, ClientFaultSpecIsStrippedServerSide) {
   options.fault_spec.clear();
   ExpectSameOutput(LocalScan(tree, options), *result);
   server.Drain();
+}
+
+// The cleaning step alone, on a server that is never started: no request is
+// sent, so no huge `jobs` value ever reaches a thread pool.
+TEST(ServeTest, RequestOptionsCapJobsAtTheHardwareThreadCount) {
+  ServeConfig config;
+  config.socket_path = TestSocketPath("jobscap");
+  config.request_timeout_ms = 500;
+  const ScanServer server(config);
+  const size_t hardware = ThreadPool::ResolveJobs(0);
+
+  ScanOptions huge;
+  huge.jobs = size_t{1} << 40;
+  huge.cache_dir = "/tmp/client-cache";
+  huge.cache_server = "/tmp/client.sock";
+  huge.fault_spec = "checker.run:always";
+  huge.file_timeout_ms = 60000;
+  const ScanOptions cleaned = server.RequestOptions(huge);
+  EXPECT_EQ(cleaned.jobs, hardware);
+  EXPECT_EQ(cleaned.object_store, server.store());
+  EXPECT_TRUE(cleaned.cache_dir.empty());
+  EXPECT_TRUE(cleaned.cache_server.empty());
+  EXPECT_TRUE(cleaned.fault_spec.empty());
+  EXPECT_EQ(cleaned.file_timeout_ms, 500u);
+
+  // Within the cap a request keeps its own value; 0 already means one
+  // thread per hardware thread.
+  for (const size_t jobs : {size_t{0}, size_t{1}, hardware}) {
+    ScanOptions options;
+    options.jobs = jobs;
+    EXPECT_EQ(server.RequestOptions(options).jobs, jobs);
+  }
 }
 
 TEST(ServeTest, AdmissionQueueShedsWithBusy) {
