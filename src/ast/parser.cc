@@ -505,6 +505,7 @@ class Parser {
       const size_t open_pos = cur_.position();
       const size_t close_pos = FindMatchingBrace(open_pos);
       depth_ = 0;
+      expr_depth_ = 0;
       recovery_events_ = 0;
       fn.body = ParseCompound();
       const bool derailed = cur_.position() != close_pos + 1 && close_pos < tokens_.size();
@@ -1046,7 +1047,7 @@ class Parser {
         ExprPtr e = MakeExpr(Expr::Kind::kAssign, line);
         e->value = Intern(op);
         e->args.push_back(lhs, *arena_);
-        e->args.push_back(ParseAssignment(), *arena_);
+        e->args.push_back(Deeper([this] { return ParseAssignment(); }), *arena_);
         return e;
       }
     }
@@ -1061,10 +1062,53 @@ class Parser {
     const uint32_t line = Next().line;
     ExprPtr e = MakeExpr(Expr::Kind::kTernary, line);
     e->args.push_back(cond, *arena_);
-    e->args.push_back(ParseCommaExpr(), *arena_);
+    e->args.push_back(Deeper([this] { return ParseCommaExpr(); }), *arena_);
     Eat(":");
-    e->args.push_back(ParseAssignment(), *arena_);
+    e->args.push_back(Deeper([this] { return ParseAssignment(); }), *arena_);
     return e;
+  }
+
+  // Expression nesting is bounded like statement nesting (ParseStatement):
+  // every recursive cycle of the expression grammar passes through
+  // ParseUnary or the right-hand side of an assignment or a ternary, and
+  // each of those parses one level deeper through here. Past max_depth the
+  // level becomes one error node and its tokens are skipped, or, under
+  // depth_fatal, ResourceLimitError is raised.
+  template <typename Parse>
+  ExprPtr Deeper(const Parse& parse) {
+    if (expr_depth_ >= options_.max_depth) {
+      if (options_.depth_fatal) {
+        throw ResourceLimitError(
+            StrFormat("expression depth exceeds cap %d", options_.max_depth));
+      }
+      ExprPtr e = MakeError(Line());
+      SkipToExpressionEnd();
+      return e;
+    }
+    ++expr_depth_;
+    ExprPtr e = parse();
+    --expr_depth_;
+    return e;
+  }
+
+  // Skips to the token that ends the current subexpression: a closing
+  // bracket, ',', ';' or ':' outside any bracket the skip opened.
+  void SkipToExpressionEnd() {
+    int depth = 0;
+    while (!cur_.AtEnd()) {
+      const Token& t = Peek();
+      if (t.Is("(") || t.Is("[") || t.Is("{")) {
+        ++depth;
+      } else if (t.Is(")") || t.Is("]") || t.Is("}")) {
+        if (depth == 0) {
+          return;
+        }
+        --depth;
+      } else if (depth == 0 && (t.Is(",") || t.Is(";") || t.Is(":"))) {
+        return;
+      }
+      Next();
+    }
   }
 
   static int BinaryPrecedence(std::string_view op) {
@@ -1118,6 +1162,10 @@ class Parser {
   }
 
   ExprPtr ParseUnary() {
+    return Deeper([this] { return ParseUnaryOperand(); });
+  }
+
+  ExprPtr ParseUnaryOperand() {
     const Token& t = Peek();
     if (t.Is(TokenKind::kPunct)) {
       // * & ! ~ - + ++ --
@@ -1346,7 +1394,8 @@ class Parser {
   ParseOptions options_;
   TranslationUnit unit_;
   std::shared_ptr<Arena> arena_;
-  int depth_ = 0;
+  int depth_ = 0;       // statement nesting
+  int expr_depth_ = 0;  // expression nesting (Deeper)
   size_t nodes_ = 0;
   // Error-recovery actions (MakeError / SyncToStatementEnd) observed while
   // parsing the current function body; drives function quarantine.

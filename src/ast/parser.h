@@ -20,10 +20,12 @@
 namespace refscan {
 
 struct ParseOptions {
-  // Statements deeper than this are flattened to kError (stack safety on
-  // adversarial inputs). With `depth_fatal` set, exceeding the cap raises
-  // ResourceLimitError instead — the engine's sandbox quarantines the file
-  // with an explicit kResourceLimit failure rather than silently degrading.
+  // Statements nested deeper than this are flattened to kError, and
+  // expressions nested deeper to one kError node (stack safety on
+  // adversarial inputs); the two nestings are counted apart. With
+  // `depth_fatal` set, exceeding the cap raises ResourceLimitError instead —
+  // the engine's sandbox quarantines the file with an explicit
+  // kResourceLimit failure rather than silently degrading.
   int max_depth = 200;
   bool depth_fatal = false;
   // AST node budget (statements + expressions); 0 = unlimited. Exceeding it

@@ -51,14 +51,33 @@ void Transfer(IO& io, H& h) {
 }
 
 // Units read their Expr and Stmt nodes, and the nodes' child lists, into
-// the unit's own arena.
+// the unit's own arena. The node field lists recurse once per nested node,
+// so the reader caps the nesting: a payload nested deeper than
+// kMaxNodeDepth fails to decode (a cache miss) instead of exhausting the
+// stack. The parser's depth caps keep statement and expression nesting far
+// below it; only an operator chain thousands of terms long, which the
+// parser builds in a loop, can reach it, and then re-parses on every scan.
 class UnitReader : public ByteReader {
  public:
+  static constexpr int kMaxNodeDepth = 2048;
+
   UnitReader(std::string_view bytes, Arena& arena) : ByteReader(bytes), arena_(arena) {}
   Arena& arena() { return arena_; }
 
+  // Enters one node; false (and the payload fails) past the cap.
+  bool Descend() {
+    if (depth_ == kMaxNodeDepth) {
+      Fail();
+      return false;
+    }
+    ++depth_;
+    return true;
+  }
+  void Ascend() { --depth_; }
+
  private:
   Arena& arena_;
+  int depth_ = 0;
 };
 
 template <typename T>
@@ -97,8 +116,11 @@ void Transfer(IO& io, P& node) {
   Transfer(io, present);
   if constexpr (IO::kReading) {
     node = present ? io.arena().template New<std::remove_pointer_t<P>>() : nullptr;
-  }
-  if (present) {
+    if (present && io.Descend()) {
+      Transfer(io, *node);
+      io.Ascend();
+    }
+  } else if (present) {
     Transfer(io, *node);
   }
 }

@@ -1,8 +1,6 @@
 #include "src/cfg/cfg.h"
 
-#include <algorithm>
 #include <cctype>
-#include <map>
 
 #include "src/support/governor.h"
 
@@ -215,16 +213,48 @@ class IntList {
 
 }  // namespace
 
+// The builder's per-function scratch. Edges are collected as one chain per
+// node (so Link can keep a node's successors unique and in link order) and
+// flattened into the Cfg when the build is done.
+struct CfgScratch {
+  std::vector<int> edge_to;
+  std::vector<int> edge_next;   // next edge of the same node, or -1
+  std::vector<int> first_edge;  // per node, or -1
+  std::vector<int> last_edge;   // per node, or -1
+  std::vector<std::pair<Symbol, int>> labels;  // a redefined label: the last wins
+  std::vector<std::pair<int, Symbol>> pending_gotos;
+  std::vector<IntList*> break_sinks;
+  std::vector<int> continue_targets;
+  std::vector<int> macro_loops;
+  std::vector<int> any_loops;
+
+  void Clear() {
+    edge_to.clear();
+    edge_next.clear();
+    first_edge.clear();
+    last_edge.clear();
+    labels.clear();
+    pending_gotos.clear();
+    break_sinks.clear();
+    continue_targets.clear();
+    macro_loops.clear();
+    any_loops.clear();
+  }
+};
+
 // Note: not in an anonymous namespace — Cfg befriends refscan::CfgBuilder.
 class CfgBuilder {
  public:
-  explicit CfgBuilder(const FunctionDef& fn) {
+  CfgBuilder(Cfg& cfg, const FunctionDef& fn, CfgScratch& scratch)
+      : cfg_(cfg), scratch_(scratch) {
+    scratch_.Clear();
     cfg_.fn_ = &fn;
+    cfg_.nodes_.clear();
     cfg_.entry_ = NewNode(CfgNode::Kind::kEntry, nullptr, fn.line);
     cfg_.exit_ = NewNode(CfgNode::Kind::kExit, nullptr, fn.line);
   }
 
-  Cfg Build() {
+  void Build() {
     IntList exits = {cfg_.entry_};
     if (cfg_.fn_->body != nullptr) {
       exits = Lower(*cfg_.fn_->body, std::move(exits));
@@ -233,34 +263,61 @@ class CfgBuilder {
       Link(e, cfg_.exit_);
     }
     ResolveGotos();
-    return std::move(cfg_);
+    Flatten();
   }
 
  private:
   int NewNode(CfgNode::Kind kind, const Stmt* stmt, uint32_t line,
               const Expr* expr = nullptr) {
-    CfgNode node;
+    CfgNode& node = cfg_.nodes_.emplace_back();
     node.kind = kind;
     node.stmt = stmt;
     node.expr = expr;
     node.line = line;
     node.is_error_context = error_depth_ > 0;
-    node.macro_loop = macro_loops_.empty() ? -1 : macro_loops_.back();
-    node.any_loop = any_loops_.empty() ? -1 : any_loops_.back();
-    cfg_.nodes_.push_back(std::move(node));
+    node.macro_loop = scratch_.macro_loops.empty() ? -1 : scratch_.macro_loops.back();
+    node.any_loop = scratch_.any_loops.empty() ? -1 : scratch_.any_loops.back();
+    scratch_.first_edge.push_back(-1);
+    scratch_.last_edge.push_back(-1);
     return static_cast<int>(cfg_.nodes_.size() - 1);
   }
 
   void Link(int from, int to) {
-    auto& succs = cfg_.nodes_[static_cast<size_t>(from)].succs;
-    if (std::find(succs.begin(), succs.end(), to) == succs.end()) {
-      succs.push_back(to);
+    const auto f = static_cast<size_t>(from);
+    for (int e = scratch_.first_edge[f]; e >= 0; e = scratch_.edge_next[static_cast<size_t>(e)]) {
+      if (scratch_.edge_to[static_cast<size_t>(e)] == to) {
+        return;
+      }
     }
+    const auto edge = static_cast<int>(scratch_.edge_to.size());
+    scratch_.edge_to.push_back(to);
+    scratch_.edge_next.push_back(-1);
+    if (scratch_.last_edge[f] >= 0) {
+      scratch_.edge_next[static_cast<size_t>(scratch_.last_edge[f])] = edge;
+    } else {
+      scratch_.first_edge[f] = edge;
+    }
+    scratch_.last_edge[f] = edge;
   }
 
   void LinkAll(const IntList& preds, int to) {
     for (int p : preds) {
       Link(p, to);
+    }
+  }
+
+  // Copies each node's edge chain, in link order, into the Cfg's flat array.
+  void Flatten() {
+    cfg_.succs_.clear();
+    cfg_.succs_.reserve(scratch_.edge_to.size());
+    cfg_.succ_offsets_.clear();
+    cfg_.succ_offsets_.reserve(cfg_.nodes_.size() + 1);
+    cfg_.succ_offsets_.push_back(0);
+    for (size_t n = 0; n < cfg_.nodes_.size(); ++n) {
+      for (int e = scratch_.first_edge[n]; e >= 0; e = scratch_.edge_next[static_cast<size_t>(e)]) {
+        cfg_.succs_.push_back(scratch_.edge_to[static_cast<size_t>(e)]);
+      }
+      cfg_.succ_offsets_.push_back(static_cast<uint32_t>(cfg_.succs_.size()));
     }
   }
 
@@ -328,14 +385,14 @@ class CfgBuilder {
       case Stmt::Kind::kLabel: {
         const int n = NewNode(CfgNode::Kind::kStatement, &s, s.line);
         LinkAll(preds, n);
-        labels_[s.name] = n;
+        SetLabel(s.name, n);
         return {n};
       }
 
       case Stmt::Kind::kGoto: {
         const int n = NewNode(CfgNode::Kind::kStatement, &s, s.line);
         LinkAll(preds, n);
-        pending_gotos_.emplace_back(n, s.name);
+        scratch_.pending_gotos.emplace_back(n, s.name);
         return {};
       }
 
@@ -349,8 +406,8 @@ class CfgBuilder {
       case Stmt::Kind::kBreak: {
         const int n = NewNode(CfgNode::Kind::kStatement, &s, s.line);
         LinkAll(preds, n);
-        if (!break_sinks_.empty()) {
-          break_sinks_.back()->push_back(n);
+        if (!scratch_.break_sinks.empty()) {
+          scratch_.break_sinks.back()->push_back(n);
         }
         return {};
       }
@@ -358,8 +415,8 @@ class CfgBuilder {
       case Stmt::Kind::kContinue: {
         const int n = NewNode(CfgNode::Kind::kStatement, &s, s.line);
         LinkAll(preds, n);
-        if (!continue_targets_.empty()) {
-          Link(n, continue_targets_.back());
+        if (!scratch_.continue_targets.empty()) {
+          Link(n, scratch_.continue_targets.back());
         }
         return {};
       }
@@ -371,13 +428,13 @@ class CfgBuilder {
         const int cond = NewNode(CfgNode::Kind::kCondition, &s, s.line, s.expr);
         LinkAll(preds, cond);
         IntList breaks;
-        break_sinks_.push_back(&breaks);
-        continue_targets_.push_back(cond);
-        any_loops_.push_back(cond);
+        scratch_.break_sinks.push_back(&breaks);
+        scratch_.continue_targets.push_back(cond);
+        scratch_.any_loops.push_back(cond);
         IntList body_exits = s.body ? Lower(*s.body, {cond}) : IntList{cond};
-        any_loops_.pop_back();
-        continue_targets_.pop_back();
-        break_sinks_.pop_back();
+        scratch_.any_loops.pop_back();
+        scratch_.continue_targets.pop_back();
+        scratch_.break_sinks.pop_back();
         LinkAll(body_exits, cond);
         IntList exits = {cond};
         exits.append(breaks);
@@ -387,19 +444,15 @@ class CfgBuilder {
       case Stmt::Kind::kDoWhile: {
         const int cond = NewNode(CfgNode::Kind::kCondition, &s, s.line, s.expr);
         IntList breaks;
-        break_sinks_.push_back(&breaks);
-        continue_targets_.push_back(cond);
-        any_loops_.push_back(cond);
+        scratch_.break_sinks.push_back(&breaks);
+        scratch_.continue_targets.push_back(cond);
+        scratch_.any_loops.push_back(cond);
         IntList body_exits =
             s.body ? Lower(*s.body, std::move(preds)) : std::move(preds);
-        any_loops_.pop_back();
-        continue_targets_.pop_back();
-        break_sinks_.pop_back();
+        scratch_.any_loops.pop_back();
+        scratch_.continue_targets.pop_back();
+        scratch_.break_sinks.pop_back();
         LinkAll(body_exits, cond);
-        // Back edge: re-run the body once (bounded by path enumeration).
-        if (s.body != nullptr && !cfg_.nodes_[static_cast<size_t>(cond)].succs.empty()) {
-          // no-op: back edge added below via first body node is implicit;
-        }
         IntList exits = {cond};
         exits.append(breaks);
         return exits;
@@ -415,13 +468,13 @@ class CfgBuilder {
         const int cond = NewNode(CfgNode::Kind::kCondition, &s, s.line, s.expr);
         LinkAll(p, cond);
         IntList breaks;
-        break_sinks_.push_back(&breaks);
-        continue_targets_.push_back(cond);
-        any_loops_.push_back(cond);
+        scratch_.break_sinks.push_back(&breaks);
+        scratch_.continue_targets.push_back(cond);
+        scratch_.any_loops.push_back(cond);
         IntList body_exits = s.body ? Lower(*s.body, {cond}) : IntList{cond};
-        any_loops_.pop_back();
-        continue_targets_.pop_back();
-        break_sinks_.pop_back();
+        scratch_.any_loops.pop_back();
+        scratch_.continue_targets.pop_back();
+        scratch_.break_sinks.pop_back();
         LinkAll(body_exits, cond);  // increment folded into the back edge
         IntList exits = {cond};
         exits.append(breaks);
@@ -432,15 +485,15 @@ class CfgBuilder {
         const int head = NewNode(CfgNode::Kind::kLoopHead, &s, s.line, s.expr);
         LinkAll(preds, head);
         IntList breaks;
-        break_sinks_.push_back(&breaks);
-        continue_targets_.push_back(head);
-        macro_loops_.push_back(head);
-        any_loops_.push_back(head);
+        scratch_.break_sinks.push_back(&breaks);
+        scratch_.continue_targets.push_back(head);
+        scratch_.macro_loops.push_back(head);
+        scratch_.any_loops.push_back(head);
         IntList body_exits = s.body ? Lower(*s.body, {head}) : IntList{head};
-        any_loops_.pop_back();
-        macro_loops_.pop_back();
-        continue_targets_.pop_back();
-        break_sinks_.pop_back();
+        scratch_.any_loops.pop_back();
+        scratch_.macro_loops.pop_back();
+        scratch_.continue_targets.pop_back();
+        scratch_.break_sinks.pop_back();
         LinkAll(body_exits, head);
         IntList exits = {head};
         exits.append(breaks);
@@ -451,9 +504,9 @@ class CfgBuilder {
         const int cond = NewNode(CfgNode::Kind::kCondition, &s, s.line, s.expr);
         LinkAll(preds, cond);
         IntList breaks;
-        break_sinks_.push_back(&breaks);
+        scratch_.break_sinks.push_back(&breaks);
         IntList body_exits = s.body ? Lower(*s.body, {cond}) : IntList{cond};
-        break_sinks_.pop_back();
+        scratch_.break_sinks.pop_back();
         // Each case label is also directly reachable from the condition.
         if (s.body != nullptr) {
           for (size_t i = 0; i < cfg_.nodes_.size(); ++i) {
@@ -511,29 +564,43 @@ class CfgBuilder {
     return exits;
   }
 
-  void ResolveGotos() {
-    for (const auto& [node, label] : pending_gotos_) {
-      auto it = labels_.find(label);
-      if (it != labels_.end()) {
-        Link(node, it->second);
-      } else {
-        Link(node, cfg_.exit_);  // unresolved label: treat as function exit
+  void SetLabel(Symbol name, int node) {
+    for (auto& [label, target] : scratch_.labels) {
+      if (label == name) {
+        target = node;
+        return;
       }
+    }
+    scratch_.labels.emplace_back(name, node);
+  }
+
+  void ResolveGotos() {
+    for (const auto& [node, name] : scratch_.pending_gotos) {
+      int target = cfg_.exit_;  // unresolved label: treat as function exit
+      for (const auto& [label, labelled] : scratch_.labels) {
+        if (label == name) {
+          target = labelled;
+          break;
+        }
+      }
+      Link(node, target);
     }
   }
 
-  Cfg cfg_;
-  std::map<Symbol, int> labels_;  // Symbol orders by text; lookup-only anyway
-  std::vector<std::pair<int, Symbol>> pending_gotos_;
-  std::vector<IntList*> break_sinks_;
-  std::vector<int> continue_targets_;
-  std::vector<int> macro_loops_;
-  std::vector<int> any_loops_;
+  Cfg& cfg_;
+  CfgScratch& scratch_;
   int error_depth_ = 0;
 };
 
+void RebuildCfg(Cfg& cfg, const FunctionDef& fn) {
+  thread_local CfgScratch scratch;
+  CfgBuilder(cfg, fn, scratch).Build();
+}
+
 Cfg BuildCfg(const FunctionDef& fn) {
-  return CfgBuilder(fn).Build();
+  Cfg cfg;
+  RebuildCfg(cfg, fn);
+  return cfg;
 }
 
 }  // namespace refscan

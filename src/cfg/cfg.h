@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,6 @@ struct CfgNode {
   // (labels, break, goto, empty returns).
   const Expr* expr = nullptr;
   uint32_t line = 0;
-  std::vector<int> succs;
 
   // Error-context classification (B_error).
   bool is_error_context = false;
@@ -57,17 +57,28 @@ struct CfgNode {
   // Innermost enclosing loop of any kind (for/while/do/macro) head index, or -1.
   int any_loop = -1;
 
-  // For kCondition nodes: succs[0] = true branch, succs[1] = false branch
-  // (when both exist). `true_is_error` records which branch was classified
-  // as the error side, -1 if neither.
+  // For kCondition nodes: Cfg::succs(n)[0] = true branch, [1] = false
+  // branch (when both exist). `error_branch` records which branch was
+  // classified as the error side: +1 the true one, -1 the false one, 0
+  // neither.
   int error_branch = -1;
 };
 
+// Successors live in one flat array per Cfg, the layout the Cpg uses for
+// its events (DESIGN.md §5.11): node n's successors are
+// succs_[succ_offsets_[n] .. succ_offsets_[n+1]), in the order the builder
+// linked them, without duplicates. A Cfg rebuilt in place for another
+// function (RebuildCfg) keeps the capacity of all three arrays.
 class Cfg {
  public:
   const FunctionDef* function() const { return fn_; }
   const std::vector<CfgNode>& nodes() const { return nodes_; }
   const CfgNode& node(int i) const { return nodes_[static_cast<size_t>(i)]; }
+  std::span<const int> succs(int i) const {
+    const size_t n = static_cast<size_t>(i);
+    return std::span<const int>(succs_.data() + succ_offsets_[n],
+                                succ_offsets_[n + 1] - succ_offsets_[n]);
+  }
   int entry() const { return entry_; }
   int exit() const { return exit_; }
   size_t size() const { return nodes_.size(); }
@@ -100,14 +111,14 @@ class Cfg {
         visit(path);
         ++produced;
       } else {
-        const auto& succs = nodes_[static_cast<size_t>(node)].succs;
-        if (succs.empty()) {
+        const std::span<const int> next_nodes = succs(node);
+        if (next_nodes.empty()) {
           // Dead end (should not happen; exit is always linked). Count as a
           // degenerate path so callers still see the prefix.
           visit(path);
           ++produced;
         }
-        for (int next : succs) {
+        for (int next : next_nodes) {
           if (visits[static_cast<size_t>(next)] < node_visit_cap) {
             self(self, next);
             if (produced >= max_paths) {
@@ -129,6 +140,8 @@ class Cfg {
   friend class CfgBuilder;
   const FunctionDef* fn_ = nullptr;
   std::vector<CfgNode> nodes_;
+  std::vector<int> succs_;
+  std::vector<uint32_t> succ_offsets_;  // size()+1 entries
   int entry_ = 0;
   int exit_ = 0;
 };
@@ -136,6 +149,12 @@ class Cfg {
 // Builds the CFG for a parsed function. The function (and its AST) must
 // outlive the returned CFG.
 Cfg BuildCfg(const FunctionDef& fn);
+
+// Rebuilds `cfg` in place as BuildCfg(fn) would build it, keeping the
+// capacity of its arrays. The builder's own scratch is kept per thread, so
+// rebuilding function after function allocates only when a function is
+// larger than every one before it.
+void RebuildCfg(Cfg& cfg, const FunctionDef& fn);
 
 // True if `label` looks like an error-handling label (err, out, fail, ...).
 bool IsErrorLabel(std::string_view label);

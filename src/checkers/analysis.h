@@ -43,15 +43,21 @@ struct AcqSite {
 using AcquisitionAnalysis = std::map<std::string, AcqSite>;
 
 // The FunctionContext's memo slot: the option key and the analysis built
-// under it.
+// under it. A rebuilt context invalidates it.
 struct AcquisitionCache {
-  uint64_t key = 0;
+  static constexpr uint64_t kStale = ~uint64_t{0};
+  uint64_t key = kStale;
   AcquisitionAnalysis analysis;
+
+  void Invalidate() {
+    key = kStale;
+    analysis.clear();
+  }
 };
 
 // Computes (or returns the memoized) analysis for `fc`. The returned
-// reference stays valid until `fc` dies or the next call on `fc` with a
-// different option key rebuilds the memo.
+// reference stays valid until `fc` dies or is rebuilt, or the next call on
+// `fc` with a different option key rebuilds the memo.
 const AcquisitionAnalysis& AnalyzeAcquisitions(const FunctionContext& fc,
                                                const ScanOptions& options);
 

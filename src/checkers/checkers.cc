@@ -13,6 +13,8 @@
 // Object identity checks (ObjectsMatch / RootsMatch) compare interned
 // Symbols — integer compares, with spelling roots memoized by RootSymbol.
 
+#include <algorithm>
+#include <cctype>
 #include <map>
 #include <set>
 
@@ -50,21 +52,28 @@ bool NodeIsErrorReturn(const Cfg& cfg, int node) {
   return n.stmt != nullptr && ReturnsErrorCode(*n.stmt);
 }
 
-// Appends a report; the caller adds the message (and the exit line, when
-// known).
-BugReport& AddReport(std::vector<BugReport>& out, const UnitContext& uc,
-                     const FunctionContext& fc, int pattern, Impact impact, uint32_t line,
+// Appends a report on `function` of `unit`; the caller adds the message
+// (and the exit line, when known).
+BugReport& AddReport(std::vector<BugReport>& out, const TranslationUnit& unit,
+                     const FunctionDef& function, int pattern, Impact impact, uint32_t line,
                      std::string api, std::string object) {
   BugReport& r = out.emplace_back();
   r.anti_pattern = pattern;
   r.impact = impact;
-  r.file = uc.unit.path;
-  r.function = fc.fn->name.str();
+  r.file = unit.path;
+  r.function = function.name.str();
   r.line = line;
   r.api = std::move(api);
   r.object = std::move(object);
   r.template_path = AntiPatternTemplate(pattern);
   return r;
+}
+
+BugReport& AddReport(std::vector<BugReport>& out, const UnitContext& uc,
+                     const FunctionContext& fc, int pattern, Impact impact, uint32_t line,
+                     std::string api, std::string object) {
+  return AddReport(out, uc.unit, *fc.fn, pattern, impact, line, std::move(api),
+                   std::move(object));
 }
 
 // ----------------------------------------------------------------------
@@ -79,8 +88,8 @@ std::string AcqKey(const SemEvent& ev) {
 enum : WalkState {
   kErrorAfter = 1,  // the branch ran error-handling code after the acquisition
   kEscaped = 2,     // the reference was stored into longer-lived state
-  kNullSide0 = 4,   // a NULL check of the object: succs[0] is its NULL side
-  kNullSide1 = 8,   // ... succs[1] is
+  kNullSide0 = 4,   // a NULL check of the object: successor 0 is its NULL side
+  kNullSide1 = 8,   // ... successor 1 is
 };
 
 // Follows one acquisition (an inc event) to every way the function can leave
@@ -120,7 +129,7 @@ struct AcquisitionWalk : WalkVisitor {
       s |= kErrorAfter;
     }
     if (options.prune_null_branches && ev.op == SemOp::kNullCheck &&
-        ObjectsMatch(ev.object, acq.object) && n.succs.size() > 1) {
+        ObjectsMatch(ev.object, acq.object) && fc.cfg->succs(node).size() > 1) {
       // `if (!p)` / `p == NULL`: the true (first-linked) branch is the NULL
       // side; `if (p)` / `p != NULL`: the fall-through / else side is.
       s |= ev.checks_null_true_branch ? kNullSide0 : kNullSide1;
@@ -176,8 +185,9 @@ struct AcquisitionWalk : WalkVisitor {
   void End(WalkState s) { Exit(s, 0); }
 };
 
-AcquisitionAnalysis ComputeAcquisitions(const FunctionContext& fc, const ScanOptions& options) {
-  AcquisitionAnalysis sites;
+// Fills the empty `sites`.
+void ComputeAcquisitions(const FunctionContext& fc, const ScanOptions& options,
+                         AcquisitionAnalysis& sites) {
   CfgWalk& walk = fc.Walk();
   for (const WalkPos& at : walk.ReachableEvents()) {
     const SemEvent& acq = *at.ev;
@@ -207,7 +217,6 @@ AcquisitionAnalysis ComputeAcquisitions(const FunctionContext& fc, const ScanOpt
     walk.Run(at.node, at.index + 1, 0,
              AcquisitionWalk{{}, fc, options, acq, at.node, direct_store, site});
   }
-  return sites;
 }
 
 }  // namespace
@@ -218,10 +227,13 @@ const AcquisitionAnalysis& AnalyzeAcquisitions(const FunctionContext& fc,
   // (only tests mix configurations on one context) rebuilds it.
   const uint64_t key = (options.prune_null_branches ? 1u : 0u) |
                        (options.model_ownership_transfer ? 2u : 0u);
-  if (!fc.acquisition_cache || fc.acquisition_cache->key != key) {
-    fc.acquisition_cache = AcquisitionCache{key, ComputeAcquisitions(fc, options)};
+  AcquisitionCache& memo = fc.acquisition_cache;
+  if (memo.key != key) {
+    memo.Invalidate();  // stays stale if the computation throws
+    ComputeAcquisitions(fc, options, memo.analysis);
+    memo.key = key;
   }
-  return fc.acquisition_cache->analysis;
+  return memo.analysis;
 }
 
 // ------------------------------------------------------------------ P1
@@ -299,7 +311,7 @@ struct SmartLoopWalk : WalkVisitor {
          (n.stmt->kind == Stmt::Kind::kGoto && IsErrorLabel(n.stmt->name.view())))) {
       exits.push_back(node);
     }
-    return n.succs[succ] != head;
+    return cfg.succs(node)[succ] != head;
   }
 };
 
@@ -489,83 +501,145 @@ std::set<std::string> DecreaseFamilies(const FunctionContext& fc) {
   return families;
 }
 
-const FunctionContext* FindContext(const UnitContext& uc, std::string_view name) {
-  for (const FunctionContext& fc : uc.functions) {
-    if (fc.fn->name == name) {
-      return &fc;
+// What IdentifierWords + Join(words, "_") make of `name`, without a string
+// per word: its alphanumeric runs, lower-cased and joined by '_' into
+// `joined`, and each word's span there.
+void JoinLowerWords(std::string_view name, std::string& joined,
+                    std::vector<std::pair<size_t, size_t>>& words) {
+  joined.clear();
+  words.clear();
+  size_t i = 0;
+  while (i < name.size()) {
+    while (i < name.size() && std::isalnum(static_cast<unsigned char>(name[i])) == 0) {
+      ++i;
     }
+    if (i == name.size()) {
+      break;
+    }
+    if (!words.empty()) {
+      joined.push_back('_');
+    }
+    const size_t start = joined.size();
+    for (; i < name.size() && std::isalnum(static_cast<unsigned char>(name[i])) != 0; ++i) {
+      joined.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(name[i]))));
+    }
+    words.emplace_back(start, joined.size() - start);
   }
-  return nullptr;
 }
 
 }  // namespace
 
-void CheckInterUnpaired(const UnitContext& uc, const KnowledgeBase& kb,
-                        const ScanOptions& options, std::vector<BugReport>& out) {
-  // Pair discovery 1: ops-struct designated initializers (§5.3.2).
-  std::vector<std::pair<std::string, std::string>> pairs;
-  for (const GlobalVar& g : uc.unit.globals) {
+InterUnpairedCheck::InterUnpairedCheck(const TranslationUnit& unit)
+    : functions_(unit.functions.size()) {
+  // One name index: every function name with the first function of that
+  // name (the one a pair refers to), sorted for binary search.
+  std::vector<std::pair<std::string_view, uint32_t>> index;
+  index.reserve(unit.functions.size());
+  for (size_t i = 0; i < unit.functions.size(); ++i) {
+    index.emplace_back(unit.functions[i].name.view(), static_cast<uint32_t>(i));
+  }
+  std::sort(index.begin(), index.end());
+  const auto first_named = [&index](std::string_view name) -> int {
+    const auto it = std::lower_bound(index.begin(), index.end(),
+                                     std::pair<std::string_view, uint32_t>(name, 0));
+    return it != index.end() && it->first == name ? static_cast<int>(it->second) : -1;
+  };
+  const auto add_pair = [&](int acq, int rel) {
+    if (acq >= 0 && rel >= 0) {
+      pairs_.push_back(Pair{static_cast<uint32_t>(acq), static_cast<uint32_t>(rel)});
+      functions_[static_cast<size_t>(acq)].roles |= kAcquirer;
+      functions_[static_cast<size_t>(rel)].roles |= kReleaser;
+    }
+  };
+
+  // Pair discovery 1: ops-struct designated initializers (§5.3.2). The last
+  // initializer of a field wins.
+  for (const GlobalVar& g : unit.globals) {
     for (const auto& [acq_field, rel_field] : PairedOpsFields()) {
-      std::string acq_fn;
-      std::string rel_fn;
+      Symbol acq_fn;
+      Symbol rel_fn;
       for (const DesignatedInit& init : g.inits) {
         if (init.field == acq_field) {
-          acq_fn = init.value.str();
+          acq_fn = init.value;
         }
         if (init.field == rel_field) {
-          rel_fn = init.value.str();
+          rel_fn = init.value;
         }
       }
       if (!acq_fn.empty() && !rel_fn.empty()) {
-        pairs.emplace_back(acq_fn, rel_fn);
-      }
-    }
-  }
-  // Pair discovery 2: name-paired functions (foo_register/foo_unregister).
-  for (const FunctionDef& fn : uc.unit.functions) {
-    const auto words = IdentifierWords(fn.name.view());
-    for (size_t w = 0; w < words.size(); ++w) {
-      const std::string release = PairedReleaseWord(words[w]);
-      if (release.empty()) {
-        continue;
-      }
-      std::vector<std::string> renamed = words;
-      renamed[w] = release;
-      const std::string candidate = Join(renamed, "_");
-      if (uc.unit.FindFunction(candidate) != nullptr && candidate != fn.name) {
-        pairs.emplace_back(fn.name.str(), candidate);
+        add_pair(first_named(acq_fn.view()), first_named(rel_fn.view()));
       }
     }
   }
 
-  std::set<std::string> seen;
-  for (const auto& [acq_name, rel_name] : pairs) {
-    const FunctionContext* acq = FindContext(uc, acq_name);
-    const FunctionContext* rel = FindContext(uc, rel_name);
-    if (acq == nullptr || rel == nullptr) {
-      continue;
-    }
-    const std::set<std::string> released = DecreaseFamilies(*rel);
-    const auto& analysis = AnalyzeAcquisitions(*acq, options);
-    for (const auto& [key, site] : analysis) {
-      if (site.paired_somewhere || site.freed_direct) {
-        continue;  // locally balanced (or a P7 case)
+  // Pair discovery 2: name-paired functions (foo_register/foo_unregister):
+  // the candidate is the function's lower-cased words joined by '_', one
+  // acquire word swapped for its release word.
+  std::string joined;
+  std::vector<std::pair<size_t, size_t>> words;
+  std::string candidate;
+  for (const FunctionDef& fn : unit.functions) {
+    const std::string_view name = fn.name.view();
+    JoinLowerWords(name, joined, words);
+    for (const auto& [at, length] : words) {
+      const std::string release = PairedReleaseWord(std::string_view(joined).substr(at, length));
+      if (release.empty()) {
+        continue;
       }
+      candidate.assign(joined, 0, at);
+      candidate += release;
+      candidate.append(joined, at + length);
+      if (candidate != name) {
+        add_pair(first_named(name), first_named(candidate));
+      }
+    }
+  }
+}
+
+void InterUnpairedCheck::Record(size_t index, const FunctionContext& fc,
+                                const ScanOptions& options) {
+  PairedFunction& f = functions_[index];
+  if ((f.roles & kAcquirer) != 0) {
+    for (const auto& [key, site] : AnalyzeAcquisitions(fc, options)) {
+      if (!site.paired_somewhere && !site.freed_direct) {  // else balanced (or a P7 case)
+        f.held.push_back(Held{site.line, site.api, site.object});
+      }
+    }
+  }
+  if ((f.roles & kReleaser) != 0) {
+    f.released = DecreaseFamilies(fc);
+  }
+}
+
+void InterUnpairedCheck::Emit(const TranslationUnit& unit, std::vector<BugReport>& out) const {
+  std::set<std::string> seen;
+  for (const Pair& pair : pairs_) {
+    const FunctionDef& acq = unit.functions[pair.acq];
+    const std::set<std::string>& released = functions_[pair.rel].released;
+    for (const Held& site : functions_[pair.acq].held) {
       const std::string family = ApiFamily(site.api->name);
       if (released.contains(family)) {
         continue;
       }
-      const std::string dedup = StrFormat("%s:%u", acq_name.c_str(), site.line);
-      if (!seen.insert(dedup).second) {
+      if (!seen.insert(StrFormat("%s:%u", acq.name.c_str(), site.line)).second) {
         continue;
       }
       BugReport& r =
-          AddReport(out, uc, *acq, 6, Impact::kLeak, site.line, site.api->name, site.object);
+          AddReport(out, unit, acq, 6, Impact::kLeak, site.line, site.api->name, site.object);
       r.message = StrFormat("%s() acquires via %s() but paired %s() never releases the %s family",
-                            acq_name.c_str(), site.api->name.c_str(), rel_name.c_str(),
-                            family.c_str());
+                            acq.name.c_str(), site.api->name.c_str(),
+                            unit.functions[pair.rel].name.c_str(), family.c_str());
     }
   }
+}
+
+void CheckInterUnpaired(const UnitContext& uc, const KnowledgeBase& kb,
+                        const ScanOptions& options, std::vector<BugReport>& out) {
+  InterUnpairedCheck check(uc.unit);
+  for (size_t i = 0; i < uc.functions.size(); ++i) {
+    check.Record(i, uc.functions[i], options);
+  }
+  check.Emit(uc.unit, out);
 }
 
 // ------------------------------------------------------------------ P7

@@ -37,18 +37,32 @@ std::string_view FailureKindName(FailureKind kind) {
   return "unknown";
 }
 
+void FunctionContext::Rebuild(const TranslationUnit& owner, const FunctionDef& function,
+                              const KnowledgeBase& kb) {
+  unit = &owner;
+  fn = &function;
+  if (cfg == nullptr) {
+    cfg = std::make_unique<Cfg>();
+  }
+  if (cpg == nullptr) {
+    cpg = std::make_unique<Cpg>();
+  }
+  RebuildCfg(*cfg, function);
+  RebuildCpg(*cpg, *cfg, kb);
+  // The walk stays bound to the same Cfg and Cpg objects.
+  if (walk) {
+    walk->Relist();
+  }
+  acquisition_cache.Invalidate();
+}
+
 UnitContext BuildUnitContext(const SourceFile& file, TranslationUnit unit,
                              const KnowledgeBase& kb) {
   UnitContext uc;
   uc.file = &file;
   uc.unit = std::move(unit);
   for (const FunctionDef& fn : uc.unit.functions) {
-    FunctionContext fc;
-    fc.unit = &uc.unit;
-    fc.fn = &fn;
-    fc.cfg = std::make_unique<Cfg>(BuildCfg(fn));
-    fc.cpg = std::make_unique<Cpg>(BuildCpg(*fc.cfg, kb));
-    uc.functions.push_back(std::move(fc));
+    uc.functions.emplace_back().Rebuild(uc.unit, fn, kb);
   }
   return uc;
 }

@@ -4,8 +4,9 @@
 //   1. parse every file of the SourceTree            (parallel over files)
 //   2. KB discovery over all units (structure parser
 //      + API/macro classification, two rounds)       (serial merge barrier)
-//   3. build CFG+CPG per function and run the
-//      enabled anti-pattern checkers (P1..P12)       (parallel over files)
+//   3. per function in turn, rebuild one CFG+CPG
+//      context in place and run the enabled
+//      anti-pattern checkers (P1..P12)               (parallel over files)
 // Stage 2 stays serial because discovery mutates the knowledge base and is
 // order-sensitive (wrappers classify off APIs found in the first round);
 // after it the KB is read-only and shared by every stage-3 worker. Reports
@@ -173,17 +174,27 @@ struct FunctionContext {
   std::unique_ptr<Cfg> cfg;
   std::unique_ptr<Cpg> cpg;
 
+  // Points the context at `function` of `owner` and rebuilds it in place:
+  // the Cfg and Cpg (RebuildCfg / RebuildCpg) and the walk's reachable-event
+  // list keep their capacity, and the acquisition memo is invalidated.
+  // Stage 3 checks a file's functions one at a time through one context
+  // this way, so it allocates per file, not per function; BuildUnitContext
+  // builds each of its contexts with it too.
+  void Rebuild(const TranslationUnit& owner, const FunctionDef& function,
+               const KnowledgeBase& kb);
+
   // The function's CFG walk (walk.h): its reachable-event list and scratch
   // space, built on first use and shared by every checker of the function.
   CfgWalk& Walk() const { return walk ? *walk : walk.emplace(*cfg, *cpg); }
 
   // Single-slot memo (DESIGN.md §5.11): the acquisition analysis (see
   // analysis.h), built on first use and rebuilt only when a caller's option
-  // key differs, so P1/P4/P5/P6/P7 share one computation per function.
+  // key differs or the context is rebuilt, so P1/P4/P5/P6/P7 share one
+  // computation per function.
   // Plain members: a context belongs to one thread — stage 3 hands each
-  // file to one worker, and IPA, `match` and the baselines build their own
-  // contexts.
-  mutable std::optional<AcquisitionCache> acquisition_cache;
+  // file to one worker, and `match`, the baselines and the tests build their
+  // own contexts.
+  mutable AcquisitionCache acquisition_cache;
   mutable std::optional<CfgWalk> walk;
 };
 
@@ -340,6 +351,43 @@ void CheckTestAndFree(const UnitContext& uc, const FunctionContext& fc,
 void CheckRefcountReset(const UnitContext& uc, const FunctionContext& fc,
                         const KnowledgeBase& kb, const ScanOptions& options,
                         std::vector<BugReport>& out);  // P12
+
+// P6 in three steps, so stage 3 can run it while it holds one function's
+// context at a time. The constructor plans the (acquiring, releasing)
+// function pairs from the unit alone: ops-struct initialisers, then name
+// pairs (foo_register / foo_unregister), each naming the first function of
+// its name. Record reads what P6 needs of function `index` (its unbalanced
+// acquisition sites, the decrease families it releases) while its context
+// is alive. Emit, once Record has seen every function, reports in pair
+// order. CheckInterUnpaired runs the three steps over a full UnitContext.
+class InterUnpairedCheck {
+ public:
+  explicit InterUnpairedCheck(const TranslationUnit& unit);
+  void Record(size_t index, const FunctionContext& fc, const ScanOptions& options);
+  void Emit(const TranslationUnit& unit, std::vector<BugReport>& out) const;
+
+ private:
+  static constexpr uint8_t kAcquirer = 1;
+  static constexpr uint8_t kReleaser = 2;
+  struct Pair {
+    uint32_t acq;  // function indices
+    uint32_t rel;
+  };
+  // An acquisition site no branch of its function releases or frees.
+  struct Held {
+    uint32_t line;
+    const RefApiInfo* api;
+    std::string object;
+  };
+  // What P6 knows of one function of the unit.
+  struct PairedFunction {
+    uint8_t roles = 0;               // kAcquirer | kReleaser
+    std::vector<Held> held;          // kAcquirer, once recorded
+    std::set<std::string> released;  // kReleaser, once recorded: decrease API families
+  };
+  std::vector<Pair> pairs_;
+  std::vector<PairedFunction> functions_;  // in unit order
+};
 
 // Builds the per-unit context (parse already done by caller).
 UnitContext BuildUnitContext(const SourceFile& file, TranslationUnit unit,

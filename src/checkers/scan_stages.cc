@@ -12,8 +12,21 @@ namespace refscan {
 
 namespace {
 
-// Runs every enabled checker over one file's contexts, appending raw
-// reports to the shard. The caller owns the shard exclusively; the KB is
+// The per-function checkers in stage-3 order; P6 runs over the whole unit
+// after them.
+using FunctionChecker = void (*)(const UnitContext&, const FunctionContext&, const KnowledgeBase&,
+                                 const ScanOptions&, std::vector<BugReport>&);
+constexpr std::pair<int, FunctionChecker> kFunctionCheckers[] = {
+    {1, CheckReturnError},       {2, CheckReturnNull},       {3, CheckSmartLoopBreak},
+    {4, CheckHiddenApi},         {5, CheckErrorHandle},      {7, CheckDirectFree},
+    {8, CheckUseAfterDecrease},  {9, CheckReferenceEscape},  {10, CheckRawManipulation},
+    {11, CheckTestAndFree},      {12, CheckRefcountReset},
+};
+
+// Runs every enabled checker over one file, appending raw reports to the
+// shard. The functions are checked one at a time through one
+// FunctionContext rebuilt in place, so the file's CFGs, CPGs and walks
+// share their storage. The caller owns the shard exclusively; the KB is
 // immutable and read concurrently.
 CachedFileReports CheckOneFile(const SourceFile& file, TranslationUnit unit,
                                const KnowledgeBase& kb, const ScanOptions& options) {
@@ -22,48 +35,38 @@ CachedFileReports CheckOneFile(const SourceFile& file, TranslationUnit unit,
   // StoreReports, with the cache entry): parsing is deterministic, so the
   // list is identical whichever process or scan produced the unit.
   shard.degraded = std::move(unit.degraded);
-  const UnitContext uc = BuildUnitContext(file, std::move(unit), kb);
-  shard.functions = uc.functions.size();
+  // The checkers read the unit through a UnitContext; its function list
+  // stays empty, since P6 runs in steps below.
+  UnitContext uc;
+  uc.file = &file;
+  uc.unit = std::move(unit);
+  shard.functions = uc.unit.functions.size();
 
-  const auto& enabled = options.enabled_patterns;
-  for (const FunctionContext& fc : uc.functions) {
-    CheckDeadline("checker");
-    if (enabled.contains(1)) {
-      CheckReturnError(uc, fc, kb, options, shard.reports);
-    }
-    if (enabled.contains(2)) {
-      CheckReturnNull(uc, fc, kb, options, shard.reports);
-    }
-    if (enabled.contains(3)) {
-      CheckSmartLoopBreak(uc, fc, kb, options, shard.reports);
-    }
-    if (enabled.contains(4)) {
-      CheckHiddenApi(uc, fc, kb, options, shard.reports);
-    }
-    if (enabled.contains(5)) {
-      CheckErrorHandle(uc, fc, kb, options, shard.reports);
-    }
-    if (enabled.contains(7)) {
-      CheckDirectFree(uc, fc, kb, options, shard.reports);
-    }
-    if (enabled.contains(8)) {
-      CheckUseAfterDecrease(uc, fc, kb, options, shard.reports);
-    }
-    if (enabled.contains(9)) {
-      CheckReferenceEscape(uc, fc, kb, options, shard.reports);
-    }
-    if (enabled.contains(10)) {
-      CheckRawManipulation(uc, fc, kb, options, shard.reports);
-    }
-    if (enabled.contains(11)) {
-      CheckTestAndFree(uc, fc, kb, options, shard.reports);
-    }
-    if (enabled.contains(12)) {
-      CheckRefcountReset(uc, fc, kb, options, shard.reports);
+  uint32_t enabled = 0;  // bit p: pattern p is on
+  for (const int pattern : options.enabled_patterns) {
+    if (pattern >= 1 && pattern <= 12) {
+      enabled |= 1u << pattern;
     }
   }
-  if (enabled.contains(6)) {
-    CheckInterUnpaired(uc, kb, options, shard.reports);
+  std::optional<InterUnpairedCheck> p6;
+  if ((enabled & (1u << 6)) != 0) {
+    p6.emplace(uc.unit);
+  }
+  FunctionContext fc;
+  for (size_t i = 0; i < uc.unit.functions.size(); ++i) {
+    CheckDeadline("checker");
+    fc.Rebuild(uc.unit, uc.unit.functions[i], kb);
+    for (const auto& [pattern, check] : kFunctionCheckers) {
+      if ((enabled & (1u << pattern)) != 0) {
+        check(uc, fc, kb, options, shard.reports);
+      }
+    }
+    if (p6) {
+      p6->Record(i, fc, options);
+    }
+  }
+  if (p6) {
+    p6->Emit(uc.unit, shard.reports);
   }
   return shard;
 }

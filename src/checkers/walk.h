@@ -8,7 +8,7 @@
 // number of loop iterations" then costs time linear in CFG nodes × states,
 // and no path budget can hide a bug.
 //
-// The walk follows `succs` in the order Cfg::EnumeratePaths explores them,
+// The walk follows successors in the order Cfg::EnumeratePaths explores them,
 // so "the first path that ..." of the enumerator is the walk's first branch
 // that does. It keeps an explicit stack, so it never recurses.
 
@@ -16,6 +16,7 @@
 #define REFSCAN_CHECKERS_WALK_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/cfg/cfg.h"
@@ -43,7 +44,7 @@ struct WalkPos {
 //   WalkStep Event(int node, const SemEvent& ev, WalkState& state)
 // which sees every event of every node it enters, in order.
 struct WalkVisitor {
-  // Before the walk follows successor `succ` (an index into `succs`) of
+  // Before the walk follows successor `succ` (an index into Cfg::succs) of
   // `node`: may edit the state the successor is entered in; false prunes it.
   bool Edge(int /*node*/, size_t /*succ*/, WalkState& /*state*/) { return true; }
   // The branch reached the exit, or a node without successors.
@@ -63,8 +64,14 @@ struct OnEvents : WalkVisitor {
 class CfgWalk {
  public:
   // Also walks from the entry once, to list the reachable events.
-  CfgWalk(const Cfg& cfg, const Cpg& cpg) : cfg_(cfg), cpg_(cpg) {
-    Run(cfg.entry(), 0, 0, OnEvents([this](int node, const SemEvent& ev, WalkState&) {
+  CfgWalk(const Cfg& cfg, const Cpg& cpg) : cfg_(cfg), cpg_(cpg) { Relist(); }
+
+  // Lists the reachable events again, after the Cfg and Cpg this walk is
+  // bound to were rebuilt in place for another function. The scratch space
+  // keeps its capacity.
+  void Relist() {
+    reachable_.clear();
+    Run(cfg_.entry(), 0, 0, OnEvents([this](int node, const SemEvent& ev, WalkState&) {
       const auto index = static_cast<uint32_t>(&ev - cpg_.events(node).data());
       reachable_.push_back(WalkPos{node, index, &ev});
       return WalkStep::kContinue;
@@ -84,7 +91,7 @@ class CfgWalk {
     Enter(node, first, state, v);
     while (!stack_.empty()) {
       Frame& top = stack_.back();
-      const std::vector<int>& succs = cfg_.node(top.node).succs;
+      const std::span<const int> succs = cfg_.succs(top.node);
       if (top.next_succ == succs.size()) {
         stack_.pop_back();
         continue;
@@ -116,7 +123,7 @@ class CfgWalk {
         return;
       }
     }
-    if (node == cfg_.exit() || cfg_.node(node).succs.empty()) {
+    if (node == cfg_.exit() || cfg_.succs(node).empty()) {
       v.End(state);
     } else {
       stack_.push_back(Frame{node, 0, state});

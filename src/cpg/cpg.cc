@@ -519,8 +519,17 @@ class EventExtractor {
 
 Cpg BuildCpg(const Cfg& cfg, const KnowledgeBase& kb) {
   Cpg cpg;
+  RebuildCpg(cpg, cfg, kb);
+  return cpg;
+}
+
+void RebuildCpg(Cpg& cpg, const Cfg& cfg, const KnowledgeBase& kb) {
   cpg.cfg_ = &cfg;
   cpg.kb_ = &kb;
+  cpg.events_.clear();
+  cpg.event_offsets_.clear();
+  cpg.params_.clear();
+  cpg.locals_.clear();
   cpg.event_offsets_.reserve(cfg.size() + 1);
   cpg.event_offsets_.push_back(0);
 
@@ -659,7 +668,6 @@ Cpg BuildCpg(const Cfg& cfg, const KnowledgeBase& kb) {
     }
     seal();
   }
-  return cpg;
 }
 
 }  // namespace refscan

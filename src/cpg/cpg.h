@@ -63,8 +63,8 @@ struct SemEvent {
 // (DESIGN.md §5.11) — node n's slice is events_[event_offsets_[n] ..
 // event_offsets_[n+1]) — so building a CPG costs two allocations instead of
 // one vector per CFG node, and a path walk reads contiguous memory.
-// SemEvent addresses are stable once BuildCpg returns (checkers hold
-// `const SemEvent*` trigger positions across their walks).
+// SemEvent addresses are stable until the Cpg is rebuilt or destroyed
+// (checkers hold `const SemEvent*` trigger positions across their walks).
 class Cpg {
  public:
   const Cfg& cfg() const { return *cfg_; }
@@ -82,7 +82,7 @@ class Cpg {
   const SymbolSet& locals() const { return locals_; }
 
  private:
-  friend Cpg BuildCpg(const Cfg& cfg, const KnowledgeBase& kb);
+  friend void RebuildCpg(Cpg& cpg, const Cfg& cfg, const KnowledgeBase& kb);
   const Cfg* cfg_ = nullptr;
   const KnowledgeBase* kb_ = nullptr;
   std::vector<SemEvent> events_;
@@ -92,6 +92,10 @@ class Cpg {
 };
 
 Cpg BuildCpg(const Cfg& cfg, const KnowledgeBase& kb);
+
+// Rebuilds `cpg` in place as BuildCpg(cfg, kb) would build it, keeping the
+// capacity of its arrays.
+void RebuildCpg(Cpg& cpg, const Cfg& cfg, const KnowledgeBase& kb);
 
 // Normalises an expression to its symbolic object spelling: strips casts and
 // address-of, renders identifiers and member chains; returns the empty

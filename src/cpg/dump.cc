@@ -126,6 +126,12 @@ std::string_view SemOpName(SemOp op) {
       return "RET";
     case SemOp::kLoopHead:
       return "LOOP";
+    case SemOp::kRawInc:
+      return "RAWINC";
+    case SemOp::kRawDec:
+      return "RAWDEC";
+    case SemOp::kRawSet:
+      return "RAWSET";
   }
   return "?";
 }
@@ -194,7 +200,7 @@ std::string DumpCfg(const Cfg& cfg) {
         break;
     }
     out += StrFormat("  [%zu] %-5s @%-4u ->", i, kind, node.line);
-    for (int succ : node.succs) {
+    for (int succ : cfg.succs(static_cast<int>(i))) {
       out += StrFormat(" %d", succ);
     }
     if (node.is_error_context) {

@@ -1,4 +1,4 @@
-// Chunked bump allocator for per-unit AST/CFG/CPG storage (DESIGN.md §5.11).
+// Chunked bump allocator for per-unit AST storage (DESIGN.md §5.11).
 //
 // One Arena owns every node of one translation unit: allocation is a pointer
 // bump inside a geometrically-growing chain of blocks, addresses are stable

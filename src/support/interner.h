@@ -84,6 +84,7 @@ class SymbolSet {
   bool contains(std::string_view text) const { return contains(FindSymbol(text)); }
   bool empty() const { return ids_.empty(); }
   size_t size() const { return ids_.size(); }
+  void clear() { ids_.clear(); }
 
  private:
   std::vector<uint32_t> ids_;

@@ -377,6 +377,72 @@ TEST_F(CacheTest, TruncatedUnitBytesNeverParseAsAUnit) {
   EXPECT_TRUE(DeserializeUnit(bytes).has_value());
 }
 
+// SerializeUnit of `- - ... - x;` with `levels` unary minuses.
+std::string UnitWithNegations(int levels) {
+  std::string body;
+  for (int i = 0; i < levels; ++i) {
+    body += "- ";
+  }
+  return SerializeUnit(ParseFile(SourceFile("n.c", "void f(int x)\n{\n  " + body + "x;\n}\n")));
+}
+
+TEST_F(CacheTest, OverDeepUnitPayloadFailsToDecodeInsteadOfCrashing) {
+  // Each extra negation inserts one identical run of bytes (a present
+  // unary node with one child); find where, then splice in ~100,000 of
+  // them — a chain of presence bytes far deeper than any parse.
+  const std::string one = UnitWithNegations(1);
+  const std::string two = UnitWithNegations(2);
+  const size_t node = two.size() - one.size();
+  size_t at = std::string::npos;
+  for (size_t a = 0; a + node <= one.size() && at == std::string::npos; ++a) {
+    if (one.substr(0, a) + one.substr(a, node) + one.substr(a) == two) {
+      at = a;
+    }
+  }
+  ASSERT_NE(at, std::string::npos);
+  const auto spliced = [&](int levels) {
+    std::string bytes = one.substr(0, at);
+    for (int i = 1; i < levels; ++i) {
+      bytes += one.substr(at, node);
+    }
+    return bytes + one.substr(at);
+  };
+  ASSERT_EQ(spliced(3), UnitWithNegations(3));
+  EXPECT_TRUE(DeserializeUnit(spliced(1000)).has_value());
+  EXPECT_FALSE(DeserializeUnit(spliced(100000)).has_value());
+}
+
+TEST_F(CacheTest, UnitParsedAtTheDepthCapsRoundTrips) {
+  // 199 nested blocks put the statement at ParseOptions::max_depth (200)
+  // and 199 negations put `x` at the expression cap: the deepest unit the
+  // default parser builds without flattening.
+  std::string negations_text;
+  for (int i = 0; i < 199; ++i) {
+    negations_text += "- ";
+  }
+  const std::string text = "void f(int x)\n{\n" + std::string(199, '{') + negations_text +
+                           "x;" + std::string(199, '}') + "\n}\n";
+  const TranslationUnit unit = ParseFile(SourceFile("deep.c", text));
+  ASSERT_EQ(unit.functions.size(), 1u);
+  const Stmt* s = unit.functions[0].body;
+  int blocks = 0;
+  while (s->kind == Stmt::Kind::kCompound && s->stmts.size() == 1) {
+    s = s->stmts[0];
+    ++blocks;
+  }
+  EXPECT_EQ(blocks, 200);  // the body and the 199 blocks
+  int negations = 0;
+  for (const Expr* e = s->expr; e->kind == Expr::Kind::kUnary; e = e->args[0]) {
+    ++negations;
+  }
+  EXPECT_EQ(negations, 199);
+
+  const std::string bytes = SerializeUnit(unit);
+  const std::optional<TranslationUnit> back = DeserializeUnit(bytes);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(SerializeUnit(*back), bytes);
+}
+
 TEST_F(CacheTest, FactsRoundTripRebuildsAnIdenticalKb) {
   const SourceTree tree = SmallTree();
   KnowledgeBase fresh = KnowledgeBase::BuiltIn();

@@ -66,6 +66,29 @@ TEST(DumpTest, Cpg) {
   EXPECT_NE(out.find("api=of_find_node_by_path"), std::string::npos);
 }
 
+TEST(DumpTest, CpgNamesTheRawRefcountOps) {
+  SourceFile file("w.c",
+                  "struct widget { refcount_t refs; };\n"
+                  "static void w_reset(struct widget *w)\n"
+                  "{\n"
+                  "  w->refs = 0;\n"
+                  "  w->refs++;\n"
+                  "  w->refs--;\n"
+                  "}\n");
+  static TranslationUnit unit = ParseFile(file);
+  KnowledgeBase kb = KnowledgeBase::BuiltIn();
+  kb.DiscoverFromUnit(unit);
+  const Cfg cfg = BuildCfg(*unit.FindFunction("w_reset"));
+  const std::string out = DumpCpg(BuildCpg(cfg, kb));
+  EXPECT_NE(out.find("@4    RAWSET  obj='w->refs'"), std::string::npos) << out;
+  EXPECT_NE(out.find("@5    RAWINC  obj='w->refs'"), std::string::npos) << out;
+  EXPECT_NE(out.find("@6    RAWDEC  obj='w->refs'"), std::string::npos) << out;
+  EXPECT_EQ(out.find(" ? "), std::string::npos) << out;
+  for (SemOp op : {SemOp::kRawInc, SemOp::kRawDec, SemOp::kRawSet}) {
+    EXPECT_NE(SemOpName(op), "?");
+  }
+}
+
 TEST(DumpTest, SemOpNamesComplete) {
   for (SemOp op : {SemOp::kIncrease, SemOp::kDecrease, SemOp::kAssign, SemOp::kDeref,
                    SemOp::kLock, SemOp::kUnlock, SemOp::kFree, SemOp::kNullCheck, SemOp::kReturn,

@@ -6,6 +6,7 @@
 
 #include "src/ast/ast.h"
 #include "src/ast/parser.h"
+#include "src/support/governor.h"
 #include "src/support/source.h"
 
 namespace refscan {
@@ -567,6 +568,56 @@ TEST_P(ParserRobustnessTest, NeverCrashesOnMutatedSource) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserRobustnessTest,
                          ::testing::Range<uint64_t>(1, 41));
+
+// `return x` inside `levels` nested parentheses: one 2*levels+ byte line.
+std::string ParenthesizedReturn(int levels) {
+  return "static int deep(int x)\n{\n  return " + std::string(static_cast<size_t>(levels), '(') +
+         "x" + std::string(static_cast<size_t>(levels), ')') + ";\n}\n";
+}
+
+TEST(ParserDepthTest, DeepParenthesesFlattenInsteadOfExhaustingTheStack) {
+  // 20,000 levels used to overflow the stack; past the depth cap the rest
+  // of the nest becomes one error node, and the function still parses.
+  const TranslationUnit unit = Parse(ParenthesizedReturn(20000));
+  ASSERT_EQ(unit.functions.size(), 1u);
+  EXPECT_TRUE(unit.degraded.empty());
+  const Stmt& body = *unit.functions[0].body;
+  ASSERT_EQ(body.stmts.size(), 1u);
+  ASSERT_EQ(body.stmts[0]->kind, Stmt::Kind::kReturn);
+  EXPECT_EQ(body.stmts[0]->expr->kind, Expr::Kind::kError);
+
+  // Within the cap nothing changes: the parentheses leave no node behind.
+  const TranslationUnit shallow = Parse(ParenthesizedReturn(150));
+  ASSERT_EQ(shallow.functions.size(), 1u);
+  const Expr& ident = *shallow.functions[0].body->stmts[0]->expr;
+  EXPECT_EQ(ident.kind, Expr::Kind::kIdent);
+  EXPECT_EQ(ident.value, "x");
+}
+
+TEST(ParserDepthTest, ExpressionDepthIsFatalUnderDepthFatal) {
+  ParseOptions options;
+  options.max_depth = 64;
+  options.depth_fatal = true;
+  const SourceFile deep("t.c", ParenthesizedReturn(100));
+  EXPECT_THROW(ParseFile(deep, options), ResourceLimitError);
+  const SourceFile shallow("t.c", ParenthesizedReturn(40));
+  EXPECT_EQ(ParseFile(shallow, options).functions.size(), 1u);
+}
+
+TEST(ParserDepthTest, LongUnaryAndAssignmentChainsAreBounded) {
+  // Both recurse without parentheses.
+  const std::string unary = "void f(void)\n{\n  y = " + std::string(50000, '!') + "x;\n}\n";
+  std::string assign = "void g(void)\n{\n  ";
+  for (int i = 0; i < 50000; ++i) {
+    assign += "a = ";
+  }
+  assign += "b;\n}\n";
+  for (const std::string& text : {unary, assign}) {
+    const TranslationUnit unit = Parse(text);
+    ASSERT_EQ(unit.functions.size(), 1u);
+    EXPECT_TRUE(unit.degraded.empty());
+  }
+}
 
 }  // namespace
 }  // namespace refscan
