@@ -12,18 +12,14 @@
 //   * loop membership — which macro loop (if any) encloses each node, used
 //     by the smartloop checker (anti-pattern P3).
 //
-// EnumeratePaths lists entry→exit paths with a bounded DFS in which every
-// node may appear at most twice per path (so a head-tested loop body runs 0
-// or 1 times, twice only when left by break/return/goto), under a path
-// budget. It serves IPA summaries, `refscan match` and the tests that
-// use it as an oracle; the anti-pattern checkers walk the CFG instead
-// (src/checkers/walk.h), with no budget and any number of loop iterations.
+// Nothing here enumerates paths: the checkers, `refscan match` and the IPA
+// summaries all walk the CFG over (node, state) positions (src/cpg/walk.h),
+// with no path budget and any number of loop iterations.
 
 #ifndef REFSCAN_CFG_CFG_H_
 #define REFSCAN_CFG_CFG_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -82,59 +78,6 @@ class Cfg {
   int entry() const { return entry_; }
   int exit() const { return exit_; }
   size_t size() const { return nodes_.size(); }
-
-  // Enumerates entry→exit paths as node-index sequences. Each node may
-  // repeat at most `node_visit_cap` times per path; at most `max_paths`
-  // paths are produced. Returns false if the cap truncated enumeration.
-  // A template so the per-path visitor inlines.
-  template <typename Visit>
-  bool EnumeratePaths(const Visit& visit, size_t max_paths = 2048,
-                      int node_visit_cap = 2) const {
-    std::vector<int> visits(nodes_.size(), 0);
-    std::vector<int> path;
-    size_t produced = 0;
-    bool truncated = false;
-    const size_t length_cap = nodes_.size() * static_cast<size_t>(node_visit_cap) + 2;
-
-    const auto dfs = [&](const auto& self, int node) -> void {
-      if (produced >= max_paths) {
-        truncated = true;
-        return;
-      }
-      if (path.size() > length_cap) {
-        truncated = true;
-        return;
-      }
-      path.push_back(node);
-      ++visits[static_cast<size_t>(node)];
-      if (node == exit_) {
-        visit(path);
-        ++produced;
-      } else {
-        const std::span<const int> next_nodes = succs(node);
-        if (next_nodes.empty()) {
-          // Dead end (should not happen; exit is always linked). Count as a
-          // degenerate path so callers still see the prefix.
-          visit(path);
-          ++produced;
-        }
-        for (int next : next_nodes) {
-          if (visits[static_cast<size_t>(next)] < node_visit_cap) {
-            self(self, next);
-            if (produced >= max_paths) {
-              truncated = true;
-              break;
-            }
-          }
-        }
-      }
-      --visits[static_cast<size_t>(node)];
-      path.pop_back();
-    };
-
-    dfs(dfs, entry_);
-    return !truncated;
-  }
 
  private:
   friend class CfgBuilder;

@@ -27,7 +27,7 @@
 #include "src/cfg/cfg.h"
 #include "src/checkers/analysis.h"
 #include "src/checkers/report.h"
-#include "src/checkers/walk.h"
+#include "src/cpg/walk.h"
 #include "src/cpg/cpg.h"
 #include "src/kb/kb.h"
 #include "src/support/source.h"
@@ -37,9 +37,10 @@ namespace refscan {
 class ObjectStore;  // src/cache/store.h
 
 struct ScanOptions {
-  // Path budget of the two consumers that still enumerate CFG paths: IPA
-  // summaries (stage 2.5) and `refscan match`. The anti-pattern checkers
-  // walk the CFG instead (walk.h) and have no path budget.
+  // Unread: nothing enumerates CFG paths any more — the checkers, `match`
+  // and the IPA summaries walk the CFG (src/cpg/walk.h) with no path
+  // budget. Not on the wire or in the options fingerprint; kept only
+  // because perfbench/replay.cc still assigns it, and goes with the replay.
   size_t max_paths_per_function = 512;
   int nesting_threshold = 3;     // struct-parser nesting depth (§6.1)
   bool discover_from_source = true;

@@ -179,7 +179,7 @@ void Transfer(IO& io, NotFingerprinted<T> field) {
 
 template <typename IO, Value<ScanOptions> O>
 void Transfer(IO& io, O& o) {
-  Transfer(io, o.max_paths_per_function, o.nesting_threshold, o.discover_from_source,
+  Transfer(io, o.nesting_threshold, o.discover_from_source,
            o.enabled_patterns, o.prune_null_branches, o.model_ownership_transfer,
            o.max_file_bytes, o.max_ast_nodes, o.max_ast_depth, o.dialects,
            NotFingerprinted(o.jobs), NotFingerprinted(o.cache_dir),
@@ -602,9 +602,7 @@ bool ScanSpine::RunFront() {
           unit_ptrs.push_back(&*st.unit);
         }
       }
-      SummaryOptions sopts;
-      sopts.max_paths_per_function = options_.max_paths_per_function;
-      summaries_ = ComputeSummaries(unit_ptrs, kb_, sopts, pool());
+      summaries_ = ComputeSummaries(unit_ptrs, kb_, SummaryOptions{}, pool());
       m.summarized_functions.Add(summaries_.summaries.size());
     } catch (const std::exception& e) {
       FileFailure f;

@@ -2,9 +2,9 @@
 //
 // The paper expresses every anti-pattern as a path template over semantic
 // operators (§3.2, Table 1). This module makes that formalism executable:
-// a template string is parsed into a step sequence and matched against the
-// enumerated execution paths of a function, so new checkers can be written
-// as one-line templates instead of C++.
+// a template string is parsed into a step sequence and matched by walking a
+// function's CFG (src/cpg/walk.h), so new checkers can be written as
+// one-line templates instead of C++.
 //
 // Grammar (ASCII rendering of the paper's notation):
 //
@@ -27,9 +27,22 @@
 //   must bind to the same symbolic object, e.g. the paper's Listing 2
 //   template  "F_start -> S_P(p0) -> S_D(p0) -> F_end".
 //
-// A template matches a function if *some* enumerated path contains the step
-// sequence in order (with arbitrary events in between, except across
-// negated steps, which forbid their event between their neighbours).
+// A template matches a function if *some* path contains the step sequence
+// in order (with arbitrary events in between, except across negated steps,
+// which forbid their event between their neighbours). "Some path" is
+// reachability over (CFG node, next template step) positions: one walk from
+// the entry per reachable event of the first event step (the match's line)
+// and per spelling the first "(p0)" step can bind (its object), carrying
+// the index of the next step as its state —
+//   * an event step advances at the first event it matches;
+//   * a negated step ends the branch when its event occurs before the next
+//     positive step does;
+//   * B_error advances at the first error-context node (the node of the
+//     previous step's event included);
+//   * a step that a negated step follows may also take a later event or
+//     error node: the walk forks there, and takes it on one branch and
+//     leaves it for a later one on the other;
+//   * F_end matches where the branch ends, and F_start holds at the start.
 
 #ifndef REFSCAN_CHECKERS_TEMPLATE_MATCHER_H_
 #define REFSCAN_CHECKERS_TEMPLATE_MATCHER_H_
@@ -74,8 +87,19 @@ struct SemanticTemplate {
   std::vector<MatchStep> steps;  // parsed steps
 };
 
-// Parses a template string; std::nullopt on syntax errors.
+// The walk's state is the index of the next step, 0 through steps.size(),
+// and a walk state holds fewer than kWalkStates values.
+inline constexpr size_t kMaxTemplateSteps = kWalkStates - 1;
+
+// Parses a template string; std::nullopt on syntax errors and on templates
+// of more than kMaxTemplateSteps steps.
 std::optional<SemanticTemplate> ParseTemplate(std::string_view text);
+
+// True when `ev` is an event of `st`'s kind that passes its API name and
+// deviation filters. Whether the event's object fits p0 is the matcher's
+// business: StepObject names the object a "(p0)" step binds or compares.
+bool StepMatchesEvent(const MatchStep& st, const SemEvent& ev);
+Symbol StepObject(const MatchStep& st, const SemEvent& ev);
 
 struct TemplateMatch {
   uint32_t line = 0;        // line of the first bound concrete event
@@ -84,10 +108,11 @@ struct TemplateMatch {
   std::string api;          // API of the first refcounting event bound
 };
 
-// Matches the template against every enumerated path of `fc`; at most one
-// match per distinct (line, object) binding is returned.
-std::vector<TemplateMatch> MatchTemplate(const SemanticTemplate& tmpl, const FunctionContext& fc,
-                                         const ScanOptions& options);
+// Matches the template against `fc` by walking its CFG; at most one match
+// per distinct (line, object) binding is returned, in walk order of the
+// first matched event. A match's last_line is that of the branch the walk
+// completes the template on first.
+std::vector<TemplateMatch> MatchTemplate(const SemanticTemplate& tmpl, const FunctionContext& fc);
 
 // Runs a template over a whole tree through the scan spine, with template
 // matching as its per-file stage 3, and produces BugReports (anti_pattern =

@@ -1,22 +1,31 @@
-// The checkers' CFG walk (DESIGN.md §5.3): a depth-first walk over
-// (CFG node, checker state) positions of one function.
+// The CFG walk (DESIGN.md §5.3): a depth-first walk over (CFG node, state)
+// positions of one function. It is the program's one CFG traversal: the
+// anti-pattern checkers, `refscan match` (src/checkers/template_matcher.h)
+// and the IPA summaries (src/ipa/summary.h) all ask their questions through
+// it.
 //
 // The paper's templates ask whether *some* potential execution path matches
-// (§6.1). Instead of enumerating paths, a checker walks forward from its
+// (§6.1). Instead of enumerating paths, a user walks forward from its
 // trigger event carrying a small state of its own, and the walk enters each
 // (node, state) pair at most once. A question about "some path, with any
 // number of loop iterations" then costs time linear in CFG nodes × states,
-// and no path budget can hide a bug.
+// and no path budget can hide a result. A user that may go on two ways at
+// one event, such as a template matcher that may take the event or leave
+// it for a later one, forks the branch (CfgWalk::Fork) and the walk takes
+// both.
 //
-// The walk follows successors in the order Cfg::EnumeratePaths explores them,
-// so "the first path that ..." of the enumerator is the walk's first branch
-// that does. It keeps an explicit stack, so it never recurses.
+// The walk follows successors in link order, depth first, so on an acyclic
+// CFG "the first path that ..." in entry→exit DFS order is the walk's first
+// branch that does (tests/path_enumerator.h is that order's oracle). It
+// keeps an explicit stack, so it never recurses.
 
-#ifndef REFSCAN_CHECKERS_WALK_H_
-#define REFSCAN_CHECKERS_WALK_H_
+#ifndef REFSCAN_CPG_WALK_H_
+#define REFSCAN_CPG_WALK_H_
 
 #include <cstdint>
+#include <set>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "src/cfg/cfg.h"
@@ -24,14 +33,16 @@
 
 namespace refscan {
 
-// What a checker makes of the branch it is walking.
+// What a user makes of the branch it is walking.
 enum class WalkStep : uint8_t {
   kContinue,
   kStop,  // end this branch here; the others go on
 };
 
-// Checker-defined, below 64; positions are equal when node and state are.
+// User-defined, below kWalkStates; positions are equal when node and state
+// are.
 using WalkState = uint8_t;
+inline constexpr unsigned kWalkStates = 64;  // one bit per state per node
 
 // One semantic event, addressed by its CFG node and its index there.
 struct WalkPos {
@@ -87,10 +98,17 @@ class CfgWalk {
   template <typename Visitor>
   void Run(int node, uint32_t first, WalkState state, Visitor&& v) {
     entered_.assign(cfg_.size(), 0);
+    forked_.clear();
     stack_.clear();
     Enter(node, first, state, v);
     while (!stack_.empty()) {
       Frame& top = stack_.back();
+      if (top.fork_event != kNoFork) {
+        const Frame fork = top;
+        stack_.pop_back();
+        Enter(fork.node, fork.fork_event, fork.state, v);
+        continue;
+      }
       const std::span<const int> succs = cfg_.succs(top.node);
       if (top.next_succ == succs.size()) {
         stack_.pop_back();
@@ -106,11 +124,25 @@ class CfgWalk {
     }
   }
 
+  // For a visitor's hook during Run, when the branch may go on two ways
+  // (a matcher that may take an event or leave it for a later one): the
+  // walk also goes on from event `index` of `node` in `state`, once the
+  // branches the hook's own choice leads to are done. Each such position is
+  // walked at most once per Run.
+  void Fork(int node, uint32_t index, WalkState state) {
+    if (forked_.emplace(node, index, state).second) {
+      stack_.push_back(Frame{node, 0, state, index});
+    }
+  }
+
  private:
+  static constexpr uint32_t kNoFork = UINT32_MAX;
+
   struct Frame {
     int node;
     uint32_t next_succ;
     WalkState state;
+    uint32_t fork_event = kNoFork;  // a fork: the node's event to go on from
   };
 
   // Feeds `node`'s events from `first` to the visitor, then ends the branch
@@ -133,10 +165,11 @@ class CfgWalk {
   const Cfg& cfg_;
   const Cpg& cpg_;
   std::vector<uint64_t> entered_;  // per node, a bit per entered state
+  std::set<std::tuple<int, uint32_t, WalkState>> forked_;
   std::vector<Frame> stack_;
   std::vector<WalkPos> reachable_;
 };
 
 }  // namespace refscan
 
-#endif  // REFSCAN_CHECKERS_WALK_H_
+#endif  // REFSCAN_CPG_WALK_H_

@@ -1,50 +1,104 @@
 #include "src/ipa/summary.h"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "src/cfg/cfg.h"
 #include "src/cpg/cpg.h"
+#include "src/cpg/walk.h"
 #include "src/support/strings.h"
 
 namespace refscan {
 
 namespace {
 
-// Per-path classification and net effect, folded into the summary by
-// MergePath. A path is error-class when it exits through an error context,
-// returns an error code, or returns the raw result of a returns-error API —
-// the last rule is what propagates 𝒢_E through `return helper();` chains,
-// which the textual discovery pass (literal `return -EINVAL` forms only)
-// can never see.
-struct PathEffect {
-  // Roots are memoized RootSymbols; std::map<Symbol, ...> orders by text, so
-  // iteration (the global-delta fold) stays interleaving-independent.
-  std::map<Symbol, int> delta;                      // root -> net 𝒢-𝒫
-  std::map<Symbol, const RefApiInfo*> acquired_by;  // root -> last 𝒢 API
-  bool is_error = false;
-  bool returns_acquired = false;
-  const RefApiInfo* return_api = nullptr;  // API whose reference is returned
-  int global_delta = 0;
-};
+// Summary walks (DESIGN.md §5.7). Each walks the function from its entry
+// (src/cpg/walk.h) with the net 𝒢−𝒫 of the roots it counts, and whether the
+// last counted 𝒢 may return NULL, as its state. A net count that leaves
+// ±kRange enters kUnknown and stays there: the branch's delta is unknown
+// from then on, and no fact a summary injects is read from it. A branch
+// ends at the return that reaches the exit, which gives its path class, or
+// at the exit itself (normal class). On an acyclic CFG the walk meets the
+// (class, delta) results in the order entry→exit paths first produce them,
+// so "the first path of a class" keeps its meaning; a loop is walked for
+// any number of laps.
+constexpr int kRange = 15;
+constexpr WalkState kUnknown = (2 * kRange + 1) * 2;
+static_assert(kUnknown < kWalkStates);
 
-void MergeClass(int delta, bool& saw, int& value, bool& consistent) {
+WalkState Pack(int delta, bool nullable) {
+  return delta < -kRange || delta > kRange
+             ? kUnknown
+             : static_cast<WalkState>((delta + kRange) * 2 + (nullable ? 1 : 0));
+}
+
+std::optional<int> Delta(WalkState state) {
+  return state == kUnknown ? std::nullopt : std::optional<int>(state / 2 - kRange);
+}
+
+// Walks from the entry counting the roots `counts` accepts;
+// `observe(node, ev, delta, nullable)` sees each event once counted, and
+// `observe(-1, nullptr, ...)` each branch that ends without a return.
+template <typename Counts, typename Observe>
+void WalkDeltas(CfgWalk& walk, const Cfg& cfg, const Counts& counts, const Observe& observe) {
+  struct Visitor : WalkVisitor {
+    const Counts& counts;
+    const Observe& observe;
+    WalkStep Event(int node, const SemEvent& ev, WalkState& state) {
+      if ((ev.op == SemOp::kIncrease || ev.op == SemOp::kDecrease) && state != kUnknown &&
+          counts(RootSymbol(ev.object))) {
+        const bool inc = ev.op == SemOp::kIncrease;
+        const bool nullable = inc ? ev.api != nullptr && ev.api->may_return_null : (state & 1) != 0;
+        state = Pack(*Delta(state) + (inc ? 1 : -1), nullable);
+      }
+      observe(node, &ev, Delta(state), (state & 1) != 0);
+      return ev.op == SemOp::kReturn ? WalkStep::kStop : WalkStep::kContinue;
+    }
+    void End(WalkState state) { observe(-1, nullptr, Delta(state), (state & 1) != 0); }
+  };
+  Visitor visitor{{}, counts, observe};
+  walk.Run(cfg.entry(), 0, Pack(0, false), visitor);
+}
+
+// A branch's path class, read at its return: error when the return sits in
+// an error context, returns an error code, or returns the raw result of a
+// returns-error API. The last rule is what propagates 𝒢_E through `return
+// helper();` chains, which the textual discovery pass (literal `return
+// -EINVAL` forms only) can never see.
+bool IsErrorReturn(const CfgNode& ret, const KnowledgeBase& kb) {
+  if (ret.is_error_context || (ret.stmt != nullptr && ReturnsErrorCode(*ret.stmt))) {
+    return true;
+  }
+  if (ret.expr == nullptr || ret.expr->kind != Expr::Kind::kCall) {
+    return false;
+  }
+  const RefApiInfo* callee = kb.FindApi(ret.expr->CalleeName());
+  return callee != nullptr && callee->returns_error;
+}
+
+// One branch's path class (true: error) and delta at its end.
+using ClassDelta = std::pair<bool, std::optional<int>>;
+
+// A class reached with an unknown delta reports 0 if that was its first
+// result, and is inconsistent.
+void MergeClass(std::optional<int> delta, bool& saw, int& value, bool& consistent) {
   if (!saw) {
     saw = true;
-    value = delta;
-  } else if (value != delta) {
+    value = delta.value_or(0);
+    consistent = delta.has_value();
+  } else if (delta != value) {
     consistent = false;
   }
 }
 
-void MergePath(const PathEffect& path, const std::vector<Symbol>& param_syms,
-               FunctionSummary& s) {
-  for (size_t i = 0; i < s.params.size(); ++i) {
-    ParamSummary& ps = s.params[i];
-    const auto it = path.delta.find(param_syms[i]);
-    const int d = it == path.delta.end() ? 0 : it->second;
-    if (path.is_error) {
+// Folds a parameter's walk results into its summary in the order the walk
+// first met them: a class reports its first delta and is consistent when
+// it reached no other, and 𝒢_E latches when an error class starts at +1.
+void MergeParam(const std::vector<ClassDelta>& results, ParamSummary& ps, FunctionSummary& s) {
+  for (const auto& [is_error, d] : results) {
+    if (is_error) {
       MergeClass(d, ps.saw_error, ps.error_delta, ps.error_consistent);
       if (ps.error_consistent && ps.error_delta >= 1) {
         s.error_increment = true;
@@ -53,30 +107,17 @@ void MergePath(const PathEffect& path, const std::vector<Symbol>& param_syms,
       MergeClass(d, ps.saw_normal, ps.normal_delta, ps.normal_consistent);
     }
   }
-  if (path.returns_acquired) {
-    s.returns_acquired = true;
-    if (path.return_api != nullptr && path.return_api->may_return_null) {
-      s.may_return_null = true;
-    }
-    // A find-like wrapper: returns an acquired object while netting one of
-    // its parameters down (of_find_*(from) consuming the cursor).
-    if (s.consumed_param < 0) {
-      for (size_t i = 0; i < s.params.size(); ++i) {
-        const auto it = path.delta.find(param_syms[i]);
-        if (it != path.delta.end() && it->second <= -1) {
-          s.consumed_param = static_cast<int>(i);
-          break;
-        }
-      }
-    }
-  }
-  if (!path.is_error && path.global_delta != 0 && s.global_delta == 0) {
-    s.global_delta = path.global_delta;
-  }
 }
 
-FunctionSummary SummarizeFunction(const CallGraphNode& node, const KnowledgeBase& kb,
-                                  size_t max_paths) {
+// The Cfg, Cpg and walk one thread summarises every function in, rebuilt
+// in place per function as stage 3's FunctionContext is.
+struct SummaryScratch {
+  Cfg cfg;
+  Cpg cpg;
+  std::optional<CfgWalk> walk;
+};
+
+FunctionSummary SummarizeFunction(const CallGraphNode& node, const KnowledgeBase& kb) {
   const FunctionDef& fn = *node.fn;
   FunctionSummary s;
   s.name = node.name;
@@ -104,8 +145,17 @@ FunctionSummary SummarizeFunction(const CallGraphNode& node, const KnowledgeBase
     }
   });
 
-  const Cfg cfg = BuildCfg(fn);
-  const Cpg cpg = BuildCpg(cfg, kb);
+  thread_local SummaryScratch scratch;
+  RebuildCfg(scratch.cfg, fn);
+  RebuildCpg(scratch.cpg, scratch.cfg, kb);
+  if (scratch.walk) {
+    scratch.walk->Relist();
+  } else {
+    scratch.walk.emplace(scratch.cfg, scratch.cpg);
+  }
+  const Cfg& cfg = scratch.cfg;
+  const Cpg& cpg = scratch.cpg;
+  CfgWalk& walk = *scratch.walk;
   SymbolSet param_roots;
   for (const Symbol p : param_syms) {
     if (!p.empty()) {
@@ -113,113 +163,114 @@ FunctionSummary SummarizeFunction(const CallGraphNode& node, const KnowledgeBase
     }
   }
 
-  const bool complete = cfg.EnumeratePaths(
-      [&](const std::vector<int>& path_nodes) {
-        PathEffect path;
-        const CfgNode* last_return = nullptr;
-        Symbol returned_object;
-        for (const int n : path_nodes) {
-          const CfgNode& cn = cfg.node(n);
-          if (cn.stmt != nullptr && cn.stmt->kind == Stmt::Kind::kReturn) {
-            last_return = &cn;
-          }
-          for (const SemEvent& ev : cpg.events(n)) {
-            const Symbol root = RootSymbol(ev.object);
-            switch (ev.op) {
-              case SemOp::kIncrease:
-                if (!root.empty()) {
-                  ++path.delta[root];
-                  path.acquired_by[root] = ev.api;
-                }
-                break;
-              case SemOp::kDecrease:
-                if (!root.empty()) {
-                  --path.delta[root];
-                }
-                break;
-              case SemOp::kDeref:
-                if (param_roots.contains(root)) {
-                  for (size_t p = 0; p < s.params.size(); ++p) {
-                    if (param_syms[p] == root) {
-                      s.params[p].derefed = true;
-                      const auto it = path.delta.find(root);
-                      if (it != path.delta.end() && it->second < 0) {
-                        s.params[p].deref_after_put = true;
-                      }
-                    }
-                  }
-                }
-                break;
-              case SemOp::kAssign:
-                if (ev.escapes) {
-                  const Symbol src = RootSymbol(ev.aux);
-                  for (size_t p = 0; p < s.params.size(); ++p) {
-                    if (!src.empty() && param_syms[p] == src) {
-                      s.params[p].escapes = true;
-                    }
-                  }
-                }
-                break;
-              case SemOp::kReturn:
-                returned_object = ev.object;
-                break;
-              default:
-                break;
-            }
-          }
+  // What single reachable events decide, with no walk; which roots some
+  // 𝒢/𝒫 counts; and the roots the returns hand back.
+  SymbolSet counted;
+  bool counts_globals = false;
+  std::vector<Symbol> returned;
+  // Per CFG node: a return that hands back an acquired reference on some
+  // branch.
+  std::vector<char> acquiring(cfg.size(), 0);
+  for (const WalkPos& at : walk.ReachableEvents()) {
+    const SemEvent& ev = *at.ev;
+    const Symbol root = RootSymbol(ev.object);
+    const CfgNode& cn = cfg.node(at.node);
+    if ((ev.op == SemOp::kIncrease || ev.op == SemOp::kDecrease) && !root.empty()) {
+      counted.insert(root);
+      counts_globals |= !param_roots.contains(root) && !cpg.locals().contains(root);
+    } else if (ev.op == SemOp::kDeref || (ev.op == SemOp::kAssign && ev.escapes)) {
+      const Symbol target = ev.op == SemOp::kDeref ? root : RootSymbol(ev.aux);
+      for (size_t p = 0; p < s.params.size(); ++p) {
+        bool& fact = ev.op == SemOp::kDeref ? s.params[p].derefed : s.params[p].escapes;
+        fact |= !target.empty() && param_syms[p] == target;
+      }
+    } else if (ev.op == SemOp::kReturn && !root.empty()) {
+      if (std::find(returned.begin(), returned.end(), root) == returned.end()) {
+        returned.push_back(root);
+      }
+    } else if (ev.op == SemOp::kReturn && cn.expr != nullptr &&
+               cn.expr->kind == Expr::Kind::kCall) {
+      // `return of_find_...();` hands back the callee's reference, and
+      // `return refcount_dec_and_test(...);` relays the zero-test to the
+      // caller, so the wrapper inherits dec_and_test semantics.
+      if (const RefApiInfo* callee = kb.FindApi(cn.expr->CalleeName())) {
+        if (callee->direction == RefDirection::kIncrease && callee->returns_object) {
+          s.returns_acquired = true;
+          s.may_return_null |= callee->may_return_null;
+          acquiring[static_cast<size_t>(at.node)] = 1;
         }
+        s.tests_zero |= callee->direction == RefDirection::kDecrease && callee->tests_zero;
+      }
+    }
+  }
 
-        // Path class.
-        if (last_return != nullptr) {
-          path.is_error = last_return->is_error_context ||
-                          (last_return->stmt != nullptr && ReturnsErrorCode(*last_return->stmt));
-          if (!path.is_error && last_return->expr != nullptr &&
-              last_return->expr->kind == Expr::Kind::kCall) {
-            const RefApiInfo* callee = kb.FindApi(last_return->expr->CalleeName());
-            if (callee != nullptr && callee->returns_error) {
-              path.is_error = true;
-            }
-          }
+  // One walk per counted root r: its (class, delta) results, a deref of r
+  // after it netted below 0, and a return of r holding +1 — which makes
+  // that return acquiring. A root nothing counts ends every branch at 0, as
+  // the walk of the empty root does.
+  SymbolSet consumed;
+  const auto walk_root = [&](Symbol r) {
+    std::vector<ClassDelta> results;
+    const auto counts = [r](Symbol root) { return !root.empty() && root == r; };
+    WalkDeltas(walk, cfg, counts, [&](int n, const SemEvent* ev, std::optional<int> d,
+                                      bool nullable) {
+      if (ev != nullptr && ev->op == SemOp::kDeref && d.value_or(0) < 0 &&
+          counts(RootSymbol(ev->object))) {
+        for (size_t p = 0; p < s.params.size(); ++p) {
+          s.params[p].deref_after_put |= param_syms[p] == r;
         }
+      }
+      if (ev != nullptr && ev->op != SemOp::kReturn) {
+        return;
+      }
+      const ClassDelta result{ev != nullptr && IsErrorReturn(cfg.node(n), kb), d};
+      if (std::find(results.begin(), results.end(), result) == results.end()) {
+        results.push_back(result);
+      }
+      if (ev != nullptr && d.value_or(0) > 0 && counts(RootSymbol(ev->object))) {
+        s.returns_acquired = true;
+        s.may_return_null |= nullable;
+        acquiring[static_cast<size_t>(n)] = 1;
+      }
+      // consumed_param: a parameter netting -1 or less at a return that
+      // hands back an acquired reference on some branch (a find-like
+      // wrapper consuming its cursor, of_find_*(from)).
+      if (ev != nullptr && d.value_or(0) <= -1 && acquiring[static_cast<size_t>(n)] != 0) {
+        consumed.insert(r);
+      }
+    });
+    return results;
+  };
+  // Returned roots first: they mark the acquiring returns the parameter
+  // walks test.
+  for (const Symbol r : returned) {
+    if (counted.contains(r)) {
+      walk_root(r);
+    }
+  }
+  const std::vector<ClassDelta> uncounted = walk_root(Symbol());
+  for (size_t p = 0; p < s.params.size(); ++p) {
+    const Symbol r = param_syms[p];
+    MergeParam(counted.contains(r) ? walk_root(r) : uncounted, s.params[p], s);
+    if (s.consumed_param < 0 && consumed.contains(r)) {
+      s.consumed_param = static_cast<int>(p);
+    }
+  }
 
-        // Returned reference: a named object holding +1, or the raw result
-        // of a returns-object increase API (`return of_find_...();`).
-        const Symbol ret_root = RootSymbol(returned_object);
-        if (!ret_root.empty()) {
-          const auto it = path.delta.find(ret_root);
-          if (it != path.delta.end() && it->second > 0) {
-            path.returns_acquired = true;
-            const auto api = path.acquired_by.find(ret_root);
-            path.return_api = api == path.acquired_by.end() ? nullptr : api->second;
-          }
-        } else if (last_return != nullptr && last_return->expr != nullptr &&
-                   last_return->expr->kind == Expr::Kind::kCall) {
-          const RefApiInfo* callee = kb.FindApi(last_return->expr->CalleeName());
-          if (callee != nullptr && callee->direction == RefDirection::kIncrease &&
-              callee->returns_object) {
-            path.returns_acquired = true;
-            path.return_api = callee;
-          }
-          // `return refcount_dec_and_test(...);` — the wrapper relays the
-          // zero-test to its caller, so it inherits dec_and_test semantics.
-          if (callee != nullptr && callee->direction == RefDirection::kDecrease &&
-              callee->tests_zero) {
-            s.tests_zero = true;
-          }
-        }
-
-        // Escaped-global effect: deltas on roots that are neither
-        // parameters nor locals.
-        for (const auto& [root, d] : path.delta) {
-          if (!param_roots.contains(root) && !cpg.locals().contains(root)) {
-            path.global_delta += d;
-          }
-        }
-
-        MergePath(path, param_syms, s);
-      },
-      max_paths);
-  s.truncated = !complete;
+  // Escaped-global effect: the first normal-class branch whose deltas on
+  // roots that are neither parameters nor locals sum to a known non-zero.
+  if (counts_globals) {
+    const auto globals = [&](Symbol root) {
+      return !root.empty() && !param_roots.contains(root) && !cpg.locals().contains(root);
+    };
+    WalkDeltas(walk, cfg, globals, [&](int n, const SemEvent* ev, std::optional<int> d, bool) {
+      const bool normal_end =
+          ev == nullptr || (ev->op == SemOp::kReturn && !IsErrorReturn(cfg.node(n), kb));
+      if (normal_end && d.value_or(0) != 0 && s.global_delta == 0) {
+        s.global_delta = *d;
+      }
+    });
+  }
   return s;
 }
 
@@ -246,10 +297,6 @@ int PrimaryDelta(const ParamSummary& ps, bool& consistent) {
 // entries only gain deviation flags the textual pass cannot infer.
 void InjectSummary(FunctionSummary& s, KnowledgeBase& kb, std::set<std::string>& own,
                    SummaryResult& out) {
-  if (s.truncated) {
-    return;  // partial path coverage: do not trust the deltas
-  }
-
   // Candidate API shape.
   const bool returns_acquired_object = s.returns_pointer && s.returns_acquired;
   int inc_param = -1;
@@ -348,7 +395,7 @@ void InjectSummary(FunctionSummary& s, KnowledgeBase& kb, std::set<std::string>&
 }  // namespace
 
 SummaryResult ComputeSummaries(const std::vector<const TranslationUnit*>& units,
-                               KnowledgeBase& kb, const SummaryOptions& options,
+                               KnowledgeBase& kb, const SummaryOptions& /*options*/,
                                ThreadPool& pool) {
   SummaryResult out;
   out.graph = BuildCallGraph(units);
@@ -388,8 +435,7 @@ SummaryResult ComputeSummaries(const std::vector<const TranslationUnit*>& units,
     for (int iteration = 0; iteration < iterations; ++iteration) {
       std::vector<FunctionSummary> computed =
           ParallelMap(pool, work.size(), [&](size_t i) {
-            return SummarizeFunction(g.nodes[static_cast<size_t>(work[i])], kb,
-                                     options.max_paths_per_function);
+            return SummarizeFunction(g.nodes[static_cast<size_t>(work[i])], kb);
           });
       for (size_t i = 0; i < work.size(); ++i) {
         FunctionSummary& s = out.summaries[static_cast<size_t>(work[i])];
@@ -405,7 +451,7 @@ namespace {
 
 bool SummaryIsInteresting(const FunctionSummary& s) {
   if (s.registered || s.returns_acquired || s.error_increment || s.may_return_null ||
-      s.consumed_param >= 0 || s.global_delta != 0 || s.truncated) {
+      s.consumed_param >= 0 || s.global_delta != 0) {
     return true;
   }
   for (const ParamSummary& ps : s.params) {
@@ -485,11 +531,10 @@ std::string SummariesToJson(const SummaryResult& result) {
     }
     out += StrFormat(
         "], \"returns_acquired\": %s, \"may_return_null\": %s, \"error_increment\": %s, "
-        "\"consumed_param\": %d, \"global_delta\": %d, \"truncated\": %s, "
-        "\"registered\": %s}",
+        "\"consumed_param\": %d, \"global_delta\": %d, \"registered\": %s}",
         s.returns_acquired ? "true" : "false", s.may_return_null ? "true" : "false",
         s.error_increment ? "true" : "false", s.consumed_param, s.global_delta,
-        s.truncated ? "true" : "false", s.registered ? "true" : "false");
+        s.registered ? "true" : "false");
     out += i + 1 < result.summaries.size() ? ",\n" : "\n";
   }
   out += "  ]\n}\n";
@@ -511,8 +556,8 @@ std::string SummariesToText(const SummaryResult& result) {
       continue;
     }
     ++interesting;
-    out += StrFormat("%s:%u: %s()%s%s\n", s.file.c_str(), s.line, s.name.c_str(),
-                     s.registered ? " [injected]" : "", s.truncated ? " [truncated]" : "");
+    out += StrFormat("%s:%u: %s()%s\n", s.file.c_str(), s.line, s.name.c_str(),
+                     s.registered ? " [injected]" : "");
     for (const ParamSummary& ps : s.params) {
       if (!ps.saw_normal && !ps.saw_error && !ps.derefed && !ps.escapes) {
         continue;

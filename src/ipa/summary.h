@@ -33,9 +33,14 @@
 
 namespace refscan {
 
-// Net 𝒢/𝒫 effect on one parameter, split by path class. A class is
-// "consistent" when every enumerated path of that class agrees on the
-// delta; only consistent deltas are trusted for KB injection.
+// Net 𝒢/𝒫 effect on one parameter, split by path class. The summary walks
+// the CFG (src/cpg/walk.h) with the parameter's delta as its state, and
+// reads a branch's class at the return that reaches the exit. A class
+// reports the first delta the walk reached it with, and is "consistent"
+// when the walk reached it with no other delta; only consistent deltas are
+// trusted for KB injection. A branch whose delta left ±15 has an unknown
+// delta: its class is inconsistent, and reports 0 if that branch came
+// first.
 struct ParamSummary {
   std::string name;
   int normal_delta = 0;
@@ -58,16 +63,19 @@ struct FunctionSummary {
   bool returns_pointer = false;
   bool returns_acquired = false;  // a path returns an object holding +1
   bool may_return_null = false;
-  bool error_increment = false;   // 𝒢_E: +1 survives an error-class path
-  int consumed_param = -1;        // param netted -1 while returning acquired
+  bool error_increment = false;   // 𝒢_E: an error class starts at +1 or more
+  int consumed_param = -1;        // lowest param netting -1 on a branch
+                                  // that returns an acquired reference
   bool tests_zero = false;        // returns the raw result of a tests_zero
                                   // decrease API (dec_and_test wrapper)
-  int global_delta = 0;           // net delta on escaped globals (normal paths)
-  bool truncated = false;         // path enumeration hit the cap
+  int global_delta = 0;           // net delta on escaped globals: the first
+                                  // normal-class branch's that is non-zero
   bool registered = false;        // injected a new or upgraded KB fact
 };
 
 struct SummaryOptions {
+  // Unread: summaries walk the CFG and have no path budget. Kept only
+  // because perfbench/replay.cc still assigns it; it goes with the replay.
   size_t max_paths_per_function = 512;
 };
 

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "src/support/faultinject.h"
+#include "src/support/strings.h"
 #include "src/support/telemetry.h"
 #include "src/support/threadpool.h"
 
@@ -147,6 +148,7 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
   struct Candidate {
     fs::path path;
     std::string key;
+    uintmax_t oversized = 0;  // the size of a file over the cap, else 0
   };
   std::vector<Candidate> candidates;
 
@@ -170,27 +172,30 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
       it.increment(ec);
       continue;
     }
-    if (options.max_file_bytes > 0) {
-      const auto size = entry.file_size(ec);
-      if (!ec && size > options.max_file_bytes) {
-        it.increment(ec);
-        continue;
-      }
-    }
+    const uintmax_t size = options.max_file_bytes > 0 ? entry.file_size(ec) : 0;
+    const uintmax_t oversized = !ec && size > options.max_file_bytes ? size : 0;
     // The iterator builds each entry path by appending to `root_path`, so the
     // tree key is the rest of it, taken lexically: no filesystem lookups
     // (fs::relative canonicalised both paths for every file), and a symlink
     // inside the tree keeps its tree path.
     std::string relative = entry.path().lexically_relative(root_path).generic_string();
-    candidates.push_back(
-        {entry.path(), relative.empty() ? entry.path().generic_string() : std::move(relative)});
+    candidates.push_back({entry.path(),
+                          relative.empty() ? entry.path().generic_string() : std::move(relative),
+                          oversized});
     it.increment(ec);
   }
 
   ThreadPool pool(options.jobs);
-  std::vector<ReadResult> contents = ParallelMap(pool, candidates.size(), [&candidates](size_t i) {
-    return ReadCandidate(candidates[i].path, candidates[i].key);
-  });
+  // A file over the cap is listed as a failure, never read: the cap guards
+  // the process against input from outside it.
+  std::vector<ReadResult> contents =
+      ParallelMap(pool, candidates.size(), [&candidates, &options](size_t i) {
+        if (candidates[i].oversized > 0) {
+          return ReadResult{{}, StrFormat("size %ju exceeds the loader's %zu-byte cap",
+                                          candidates[i].oversized, options.max_file_bytes)};
+        }
+        return ReadCandidate(candidates[i].path, candidates[i].key);
+      });
 
   LoadStats local;
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -203,7 +208,8 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
     if (!contents[i].ok) {
       ++local.files_failed;
       if (failures != nullptr) {
-        failures->push_back({candidates[i].key, contents[i].error, contents[i].retries});
+        failures->push_back({candidates[i].key, contents[i].error, contents[i].retries,
+                             candidates[i].oversized > 0});
       }
       continue;
     }

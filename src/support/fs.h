@@ -20,7 +20,8 @@ namespace refscan {
 struct LoadOptions {
   // File extensions to load (C sources and headers by default).
   std::vector<std::string> extensions = {".c", ".h"};
-  // Skip files larger than this (generated headers etc.); 0 = no limit.
+  // Files larger than this (generated headers etc.) are not read: each is
+  // listed as a LoadFailure and counted in files_failed. 0 = no limit.
   size_t max_file_bytes = 4 * 1024 * 1024;
   // Directory names skipped entirely at any depth.
   std::vector<std::string> skip_dirs = {".git", "build", "Documentation"};
@@ -37,6 +38,7 @@ struct LoadFailure {
   std::string path;
   std::string what;
   int retries = 0;
+  bool over_cap = false;  // larger than LoadOptions::max_file_bytes, never read
 };
 
 // Loader accounting. `files_retried` counts every file that consumed a
@@ -52,8 +54,9 @@ struct LoadStats {
 };
 
 // Recursively loads matching files under `root` into a SourceTree keyed by
-// root-relative paths. Unreadable files are skipped; the failure list (if
-// non-null) collects them in walk order — identical at every `jobs` value.
+// root-relative paths. Unreadable and oversized files are skipped; the
+// failure list (if non-null) collects them in walk order — identical at
+// every `jobs` value.
 // Reads pass through the `fs.read` fault-injection site (faultinject.h) and
 // the `stage.load` / `file.load` telemetry spans (telemetry.h).
 SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& options = {},

@@ -8,6 +8,7 @@
 #include "src/ast/parser.h"
 #include "src/cfg/cfg.h"
 #include "src/support/source.h"
+#include "tests/path_enumerator.h"
 
 namespace refscan {
 namespace {
@@ -27,7 +28,7 @@ Built Build(std::string text) {
 
 size_t CountPaths(const Cfg& cfg, size_t max_paths = 2048) {
   size_t n = 0;
-  cfg.EnumeratePaths([&](const std::vector<int>&) { ++n; }, max_paths);
+  EnumeratePaths(cfg, [&](const std::vector<int>&) { ++n; }, max_paths);
   return n;
 }
 
@@ -52,7 +53,7 @@ TEST(CfgTest, ReturnShortCircuitsToExit) {
   auto built = Build("int f(int x) { if (x) return 1; a(); return 0; }");
   EXPECT_EQ(CountPaths(built.cfg), 2u);
   // No path contains both the early return and a().
-  built.cfg.EnumeratePaths([&](const std::vector<int>& path) {
+  EnumeratePaths(built.cfg, [&](const std::vector<int>& path) {
     bool saw_ret1 = false;
     bool saw_a = false;
     for (int n : path) {
@@ -92,7 +93,7 @@ TEST(CfgTest, GotoResolvesToLabel) {
   // falling into err:, so exactly 2 paths.
   EXPECT_EQ(CountPaths(built.cfg), 2u);
   bool goto_reaches_cleanup = false;
-  built.cfg.EnumeratePaths([&](const std::vector<int>& path) {
+  EnumeratePaths(built.cfg, [&](const std::vector<int>& path) {
     bool saw_goto = false;
     for (int n : path) {
       const CfgNode& node = built.cfg.node(n);
@@ -207,7 +208,7 @@ TEST(CfgTest, PathCapTruncates) {
   }
   auto built = Build("void f(void) {\n" + body + "}\n");
   size_t n = 0;
-  const bool complete = built.cfg.EnumeratePaths([&](const std::vector<int>&) { ++n; }, 16);
+  const bool complete = EnumeratePaths(built.cfg, [&](const std::vector<int>&) { ++n; }, 16);
   EXPECT_FALSE(complete);
   EXPECT_EQ(n, 16u);
 }
@@ -265,7 +266,7 @@ TEST_P(PathCountTest, SequentialBranches) {
   }
   auto built = Build("void f(void) {\n" + body + "}\n");
   size_t paths = 0;
-  built.cfg.EnumeratePaths(
+  EnumeratePaths(built.cfg,
       [&](const std::vector<int>& path) {
         ++paths;
         ASSERT_FALSE(path.empty());

@@ -317,10 +317,9 @@ TEST_P(PathCapTest, ManyBranchesStillTerminatesAndDetects) {
 INSTANTIATE_TEST_SUITE_P(EventFreeBranches, PathCapTest, ::testing::Range(0, 21));
 
 TEST(PathBudgetTest, CapOfOnePathStillFindsALaterPathLeak) {
-  // max_paths_per_function caps only IPA summaries and `match`: with a
-  // budget of one path (the NULL branch), the leak on the third is found.
+  // No consumer enumerates paths any more, so no budget exists to cap: the
+  // leak on the third path is found.
   ScanOptions options;
-  options.max_paths_per_function = 1;
   CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
   std::string code =
       "static int probe(int fast)\n"

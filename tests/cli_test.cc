@@ -187,4 +187,37 @@ TEST_F(CliFlagMatrixTest, FlagsOutsideTheirSubcommandExit64) {
   }
 }
 
+// Stage 2.5 summarises every unit at once, in the scanning process: the
+// flags that would stream units or shard them exit 64 with --ipa.
+TEST_F(CliFlagMatrixTest, IpaRejectsStreamingAndWorkers) {
+  const std::string tree = dir_ + "/tree";
+  for (const auto& sub : Subcommands()) {
+    if (sub[0] != "scan" && sub[0] != "stats" && sub[0] != "demo") {
+      continue;
+    }
+    for (const std::vector<std::string>& flags :
+         {std::vector<std::string>{"--ipa", "--streaming"},
+          std::vector<std::string>{"--ipa", "--workers", "2"},
+          std::vector<std::string>{"--workers", "2", "--interprocedural"}}) {
+      const CliRun run = RunCli(With(sub, flags));
+      EXPECT_EQ(run.rc, 64) << sub[0] << " " << flags[1] << ": " << run.output;
+      EXPECT_NE(run.output.find("does not apply with --ipa"), std::string::npos) << sub[0];
+    }
+    EXPECT_NE(RunCli(With(sub, {"--ipa"})).rc, 64) << sub[0];
+  }
+}
+
+// `match` walks the CFG with the index of the next template step as its
+// state, which holds fewer than 64 values: a longer template is unparsable.
+TEST_F(CliFlagMatrixTest, MatchRejectsATemplateLongerThanItsWalkEncodes) {
+  std::string tmpl = "F_start";
+  for (int i = 2; i < 64; ++i) {
+    tmpl += " -> S_D(p0)";
+  }
+  tmpl += " -> F_end";  // 64 steps
+  const CliRun run = RunCli({"match", dir_ + "/tree", tmpl});
+  EXPECT_EQ(run.rc, 64) << run.output;
+  EXPECT_NE(run.output.find("cannot parse template"), std::string::npos);
+}
+
 }  // namespace

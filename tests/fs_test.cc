@@ -136,9 +136,18 @@ TEST_F(FsTest, MaxFileBytesFiltersLargeFiles) {
 
   LoadOptions options;
   options.max_file_bytes = 100;
-  const SourceTree tree = LoadSourceTreeFromDisk(root_, options);
+  std::vector<LoadFailure> failures;
+  LoadStats stats;
+  const SourceTree tree = LoadSourceTreeFromDisk(root_, options, &failures, &stats);
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_NE(tree.Find("small.c"), nullptr);
+  // The capped file is listed, not dropped without a word.
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].path, "large.c");
+  EXPECT_EQ(failures[0].what, "size 1024 exceeds the loader's 100-byte cap");
+  EXPECT_TRUE(failures[0].over_cap);
+  EXPECT_EQ(stats.files_loaded, 1u);
+  EXPECT_EQ(stats.files_failed, 1u);
 
   // 0 disables the limit.
   options.max_file_bytes = 0;

@@ -173,7 +173,6 @@ KnowledgeBase SampleKb() {
 // Every ScanOptions field that travels on the wire, set away from its default.
 ScanOptions AllNonDefaultOptions() {
   ScanOptions o;
-  o.max_paths_per_function = 64;
   o.nesting_threshold = 5;
   o.discover_from_source = false;
   o.enabled_patterns = {2, 10, 12};
@@ -233,8 +232,8 @@ TEST(SerialDigestTest, PersistedBytesKeepTheirVersion5Digests) {
   const DiscoveryFacts facts = SampleFacts();
   EXPECT_EQ(MakeKbSnapshotKey(0xfeedull, 3, {&facts, &facts}, 0x42ull).Hex(),
             "7da935411d062c540f3bce5fe574f15d");
-  EXPECT_EQ(Hex(ScanOptionsFingerprint(ScanOptions{})), "41fda44e58837594");
-  EXPECT_EQ(Hex(ScanOptionsFingerprint(AllNonDefaultOptions())), "d159967da614893f");
+  EXPECT_EQ(Hex(ScanOptionsFingerprint(ScanOptions{})), "163d770eac8bc8f8");
+  EXPECT_EQ(Hex(ScanOptionsFingerprint(AllNonDefaultOptions())), "332b7941be70ff0c");
   KnowledgeBase builtin = KnowledgeBase::BuiltIn();
   ASSERT_TRUE(ApplyDialect(builtin, "glib"));
   ASSERT_TRUE(ApplyDialect(builtin, "uacpi"));
@@ -305,7 +304,6 @@ TEST(ScanOptionsWireTest, EveryWireFieldRoundTrips) {
   SourceTree tree;
   ScanOptions got;
   ASSERT_TRUE(DecodeScanRequest(EncodeScanRequest(SampleTree(), sent), tree, got));
-  EXPECT_EQ(got.max_paths_per_function, sent.max_paths_per_function);
   EXPECT_EQ(got.nesting_threshold, sent.nesting_threshold);
   EXPECT_EQ(got.discover_from_source, sent.discover_from_source);
   EXPECT_EQ(got.enabled_patterns, sent.enabled_patterns);
@@ -339,7 +337,6 @@ TEST(ScanOptionsWireTest, FingerprintCoversExactlyTheArtifactFields) {
     bool fingerprinted;
   };
   const std::vector<Case> cases = {
-      {"max_paths_per_function", [](ScanOptions& o) { o.max_paths_per_function = 64; }, true},
       {"nesting_threshold", [](ScanOptions& o) { o.nesting_threshold = 5; }, true},
       {"discover_from_source", [](ScanOptions& o) { o.discover_from_source = false; }, true},
       {"enabled_patterns", [](ScanOptions& o) { o.enabled_patterns = {1, 10}; }, true},

@@ -61,6 +61,37 @@ TEST(TemplateParseTest, RejectsGarbage) {
   EXPECT_FALSE(ParseTemplate("wibble").has_value());
 }
 
+// The walk's state is the index of the next step, so a template may have at
+// most kMaxTemplateSteps (63) steps.
+std::string DerefTemplate(size_t steps) {
+  std::string text = "F_start";
+  for (size_t i = 2; i < steps; ++i) {
+    text += " -> S_D(p0)";
+  }
+  return text + " -> F_end";
+}
+
+TEST(TemplateParseTest, LongestTemplateTheWalkEncodesMatches) {
+  const auto tmpl = ParseTemplate(DerefTemplate(kMaxTemplateSteps));
+  ASSERT_TRUE(tmpl.has_value());
+  ASSERT_EQ(tmpl->steps.size(), 63u);
+  std::string code = "void touch_all(struct sock *sk)\n{\n";
+  for (size_t i = 0; i < kMaxTemplateSteps - 2; ++i) {
+    code += "  use(sk->f" + std::to_string(i) + ");\n";
+  }
+  SourceTree tree;
+  tree.Add("drivers/t/t.c", code + "}\n");
+  const auto reports = RunTemplateChecker(*tmpl, tree);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].object, "sk");
+  EXPECT_EQ(reports[0].exit_line, 3u + kMaxTemplateSteps - 3);
+}
+
+TEST(TemplateParseTest, OneStepMoreThanTheWalkEncodesIsRejected) {
+  EXPECT_FALSE(ParseTemplate(DerefTemplate(kMaxTemplateSteps + 1)).has_value());
+  EXPECT_FALSE(ParseTemplate(DerefTemplate(72)).has_value());
+}
+
 // ------------------------------------------------------------- matching
 
 constexpr const char* kUadCode =
@@ -109,6 +140,91 @@ TEST(TemplateMatchTest, NegationForbidsInterveningEvent) {
   EXPECT_TRUE(clean.empty());
 }
 
+TEST(TemplateMatchTest, StepBeforeANegationMayTakeALaterEvent) {
+  // S_D(p0) takes the deref after the put: the first deref has a put
+  // behind it, the second none.
+  const char* tmpl = "F_start -> S_G(p0) -> S_D(p0) -> !S_P(p0) -> F_end";
+  const auto reports = RunTemplate(tmpl,
+                                   "void f(struct device_node *np)\n"
+                                   "{\n"
+                                   "  of_node_get(np);\n"
+                                   "  use(np->a);\n"
+                                   "  of_node_put(np);\n"
+                                   "  use(np->b);\n"
+                                   "}\n");
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].object, "np");
+  EXPECT_EQ(reports[0].line, 3u);
+  EXPECT_EQ(reports[0].exit_line, 6u);
+  EXPECT_TRUE(RunTemplate(tmpl,
+                          "void f(struct device_node *np)\n"
+                          "{\n"
+                          "  of_node_get(np);\n"
+                          "  use(np->a);\n"
+                          "  of_node_put(np);\n"
+                          "}\n")
+                  .empty());
+  // A negation in front of the step keeps it from leaving the first put
+  // for the second: the puts between would be the forbidden event.
+  EXPECT_TRUE(RunTemplate("F_start -> S_G(p0) -> !S_P(p0) -> S_P(p0) -> !S_D(p0) -> F_end",
+                          "void f(struct device_node *np)\n"
+                          "{\n"
+                          "  of_node_get(np);\n"
+                          "  of_node_put(np);\n"
+                          "  use(np->a);\n"
+                          "  of_node_put(np);\n"
+                          "}\n")
+                  .empty());
+}
+
+TEST(TemplateMatchTest, ErrorRegionBeforeANegationMayTakeALaterErrorNode) {
+  // The first error node is the put's; B_error takes the `return -EIO`
+  // after it instead.
+  const char* tmpl = "F_start -> S_G(p0) -> B_error -> !S_P(p0) -> F_end";
+  const auto reports = RunTemplate(tmpl,
+                                   "int f(struct device_node *np)\n"
+                                   "{\n"
+                                   "  int ret = probe();\n"
+                                   "  of_node_get(np);\n"
+                                   "  if (ret < 0) {\n"
+                                   "    of_node_put(np);\n"
+                                   "    return -EIO;\n"
+                                   "  }\n"
+                                   "  of_node_put(np);\n"
+                                   "  return 0;\n"
+                                   "}\n");
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].line, 4u);
+  // A put after the only error node leaves nothing to match.
+  EXPECT_TRUE(RunTemplate(tmpl,
+                          "int f(struct device_node *np)\n"
+                          "{\n"
+                          "  int ret = probe();\n"
+                          "  of_node_get(np);\n"
+                          "  if (ret < 0)\n"
+                          "    report(ret);\n"
+                          "  of_node_put(np);\n"
+                          "  return 0;\n"
+                          "}\n")
+                  .empty());
+}
+
+TEST(TemplateMatchTest, NegationBeforeTheBindingForbidsAnyObject) {
+  // Until a step binds p0, a negated "(p0)" step forbids its event on any
+  // object.
+  const char* tmpl = "F_start -> !S_P(p0) -> S_G_N(p0) -> F_end";
+  const char* grab =
+      "  struct mdesc_handle *hp = mdesc_grab();\n"
+      "  use(hp->x);\n"
+      "}\n";
+  EXPECT_EQ(RunTemplate(tmpl, std::string("void f(struct device_node *a)\n{\n") + grab).size(),
+            1u);
+  EXPECT_TRUE(RunTemplate(tmpl, std::string("void f(struct device_node *a)\n{\n"
+                                            "  of_node_put(a);\n") +
+                                    grab)
+                  .empty());
+}
+
 TEST(TemplateMatchTest, ErrorRegionStep) {
   const char* tmpl = "F_start -> S_G_E(p0) -> !S_P(p0) -> B_error -> F_end";
   const auto reports = RunTemplate(tmpl,
@@ -133,6 +249,20 @@ TEST(TemplateMatchTest, ErrorRegionAbsentMeansNoMatch) {
                            "  pm_runtime_put(pdev->dev);\n"
                            "}\n");
   EXPECT_TRUE(reports.empty());
+}
+
+TEST(TemplateMatchTest, ErrorRegionBeforeThePreviousStepDoesNotCount) {
+  // B_error follows S_G_E: the error branch in front of the get is not one.
+  // The path matcher in tests/path_matcher.h matches here, because once no
+  // event is left on a path it looks for B_error from the path's start.
+  EXPECT_TRUE(RunTemplate("F_start -> S_G_E -> B_error -> F_end",
+                          "static void r(struct device *dev, int err)\n"
+                          "{\n"
+                          "  if (err < 0)\n"
+                          "    report(err);\n"
+                          "  pm_runtime_get_sync(dev);\n"
+                          "}\n")
+                  .empty());
 }
 
 TEST(TemplateMatchTest, SmartLoopStep) {

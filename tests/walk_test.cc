@@ -1,4 +1,4 @@
-// Tests for the checkers' CFG walk (src/checkers/walk.h): it explores
+// Tests for the CFG walk (src/cpg/walk.h): it explores
 // branches in the path enumerator's order, enters each (node, state) once,
 // and — the property the checkers rest on — reaches from every acquisition
 // exactly the events that entry→exit paths reach after it, loops included.
@@ -15,8 +15,9 @@
 #include "src/ast/parser.h"
 #include "src/checkers/engine.h"
 #include "src/checkers/scan_stages.h"
-#include "src/checkers/walk.h"
+#include "src/cpg/walk.h"
 #include "src/corpus/generator.h"
+#include "tests/path_enumerator.h"
 
 namespace refscan {
 namespace {
@@ -145,7 +146,7 @@ Reach ByWalk(const FunctionContext& fc) {
 Reach ByEnumeration(const FunctionContext& fc, int node_visit_cap, bool& complete) {
   Reach reach;
   std::vector<const SemEvent*> trace;
-  complete = fc.cfg->EnumeratePaths(
+  complete = EnumeratePaths(*fc.cfg,
       [&](const std::vector<int>& path) {
         trace.clear();
         for (int node : path) {

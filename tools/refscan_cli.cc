@@ -111,11 +111,11 @@ int Usage() {
                "                        precedence over --cache-dir)\n"
                "  --workers N       shard the scan across N worker subprocesses; output is\n"
                "                    byte-identical to --workers 0 at any N (0 = in-process,\n"
-               "                    the default; runs in-process with --interprocedural)\n"
+               "                    the default); exits 64 with --interprocedural\n"
                "  --streaming       bounded-memory unit lifecycle for multi-MLOC trees: each\n"
                "                    file's AST is dropped after stage 1 and re-parsed just in\n"
                "                    time in stage 3, so at most --jobs ASTs coexist; output is\n"
-               "                    byte-identical (ignored with --interprocedural)\n"
+               "                    byte-identical; exits 64 with --interprocedural\n"
                "  --kernelish N     (demo) append N generated kernel-realism modules per\n"
                "                    subsystem: attribute/asm/stmt-expr/CRLF/splice-heavy C\n"
                "                    plus a deliberately unparseable function per module\n"
@@ -347,13 +347,9 @@ void AddLoadFailures(refscan::ScanResult& result,
   std::vector<FileFailure> all;
   all.reserve(load_failures.size() + result.failures.size());
   for (const LoadFailure& lf : load_failures) {
-    FileFailure f;
-    f.path = lf.path;
-    f.stage = FailureStage::kLoad;
-    f.kind = FailureKind::kIo;
-    f.what = lf.what;
-    f.retries = lf.retries;
-    all.push_back(std::move(f));
+    all.push_back(FileFailure{lf.path, FailureStage::kLoad,
+                              lf.over_cap ? FailureKind::kResourceLimit : FailureKind::kIo,
+                              lf.what, lf.retries});
   }
   for (FileFailure& f : result.failures) {
     all.push_back(std::move(f));
@@ -632,6 +628,15 @@ int RunTreeCommand(unsigned command, int argc, char** argv) {
     for (const char* local : {"--workers", "--cache-dir", "--cache-server"}) {
       if (flags.given.contains(local)) {
         std::fprintf(stderr, "%s does not apply with --remote\n", local);
+        return Usage();
+      }
+    }
+  }
+  if (flags.interprocedural) {
+    // Stage 2.5 summarises every unit at once, in this process.
+    for (const char* resident : {"--streaming", "--workers"}) {
+      if (flags.given.contains(resident)) {
+        std::fprintf(stderr, "%s does not apply with --ipa\n", resident);
         return Usage();
       }
     }
