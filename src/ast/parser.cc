@@ -77,11 +77,8 @@ bool LooksLikeTypedefName(std::string_view text) {
 
 class Parser {
  public:
-  Parser(const SourceFile& file, const ParseOptions& options)
-      : tokens_(Tokenize(file, &splices_)),
-        cur_(tokens_),
-        options_(options),
-        arena_(std::make_shared<Arena>()) {
+  explicit Parser(const SourceFile& file)
+      : tokens_(Tokenize(file, &splices_)), cur_(tokens_), arena_(std::make_shared<Arena>()) {
     unit_.path = file.path();
     unit_.arena = arena_;
   }
@@ -537,6 +534,11 @@ class Parser {
   // code produces and well below what genuinely unparseable soup produces.
   static constexpr size_t kFunctionErrorBudget = 6;
 
+  // Statement and expression nesting cap (counted apart), for stack safety
+  // on adversarial inputs: a statement past it becomes kError plus a
+  // resync, an expression one kError node.
+  static constexpr int kMaxNesting = 200;
+
   static std::vector<Param> SplitParams(const std::vector<Token>& tokens) {
     std::vector<Param> params;
     std::vector<const Token*> current;
@@ -651,17 +653,7 @@ class Parser {
 
   // ------------------------------------------------------------ statements
 
-  // Node-budget governor: every statement and expression allocation passes
-  // through here, so a pathological input trips the cap long before memory
-  // becomes a problem.
-  void BumpNodeCount() {
-    if (options_.max_nodes > 0 && ++nodes_ > options_.max_nodes) {
-      throw ResourceLimitError(StrFormat("AST node count exceeds cap %zu", options_.max_nodes));
-    }
-  }
-
   StmtPtr MakeStmt(Stmt::Kind kind, uint32_t line) {
-    BumpNodeCount();
     Stmt* s = arena_->New<Stmt>();
     s->kind = kind;
     s->line = line;
@@ -684,11 +676,8 @@ class Parser {
 
   StmtPtr ParseStatement() {
     CheckDeadline("parser");
-    if (++depth_ > options_.max_depth) {
+    if (++depth_ > kMaxNesting) {
       --depth_;
-      if (options_.depth_fatal) {
-        throw ResourceLimitError(StrFormat("AST depth exceeds cap %d", options_.max_depth));
-      }
       StmtPtr s = MakeStmt(Stmt::Kind::kError, Line());
       SyncToStatementEnd();
       return s;
@@ -999,7 +988,6 @@ class Parser {
   // ----------------------------------------------------------- expressions
 
   ExprPtr MakeExpr(Expr::Kind kind, uint32_t line) {
-    BumpNodeCount();
     Expr* e = arena_->New<Expr>();
     e->kind = kind;
     e->line = line;
@@ -1071,16 +1059,11 @@ class Parser {
   // Expression nesting is bounded like statement nesting (ParseStatement):
   // every recursive cycle of the expression grammar passes through
   // ParseUnary or the right-hand side of an assignment or a ternary, and
-  // each of those parses one level deeper through here. Past max_depth the
-  // level becomes one error node and its tokens are skipped, or, under
-  // depth_fatal, ResourceLimitError is raised.
+  // each of those parses one level deeper through here. Past kMaxNesting the
+  // level becomes one error node and its tokens are skipped.
   template <typename Parse>
   ExprPtr Deeper(const Parse& parse) {
-    if (expr_depth_ >= options_.max_depth) {
-      if (options_.depth_fatal) {
-        throw ResourceLimitError(
-            StrFormat("expression depth exceeds cap %d", options_.max_depth));
-      }
+    if (expr_depth_ >= kMaxNesting) {
       ExprPtr e = MakeError(Line());
       SkipToExpressionEnd();
       return e;
@@ -1391,12 +1374,10 @@ class Parser {
   SpliceStorage splices_;
   std::vector<Token> tokens_;
   TokenCursor cur_;
-  ParseOptions options_;
   TranslationUnit unit_;
   std::shared_ptr<Arena> arena_;
   int depth_ = 0;       // statement nesting
   int expr_depth_ = 0;  // expression nesting (Deeper)
-  size_t nodes_ = 0;
   // Error-recovery actions (MakeError / SyncToStatementEnd) observed while
   // parsing the current function body; drives function quarantine.
   size_t recovery_events_ = 0;
@@ -1404,15 +1385,15 @@ class Parser {
 
 }  // namespace
 
-TranslationUnit ParseFile(const SourceFile& file, const ParseOptions& options) {
+TranslationUnit ParseFile(const SourceFile& file) {
   MaybeFault("parser.parse", file.path());
-  Parser parser(file, options);
+  Parser parser(file);
   return parser.Parse();
 }
 
 ParsedExpr ParseExpression(std::string_view text) {
   SourceFile file("<expr>", std::string(text));
-  Parser parser(file, ParseOptions{});
+  Parser parser(file);
   ExprPtr root = parser.ParseFullExpr();
   return ParsedExpr(parser.TakeArena(), root);
 }

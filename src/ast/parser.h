@@ -19,28 +19,15 @@
 
 namespace refscan {
 
-struct ParseOptions {
-  // Statements nested deeper than this are flattened to kError, and
-  // expressions nested deeper to one kError node (stack safety on
-  // adversarial inputs); the two nestings are counted apart. With
-  // `depth_fatal` set, exceeding the cap raises ResourceLimitError instead —
-  // the engine's sandbox quarantines the file with an explicit
-  // kResourceLimit failure rather than silently degrading.
-  int max_depth = 200;
-  bool depth_fatal = false;
-  // AST node budget (statements + expressions); 0 = unlimited. Exceeding it
-  // raises ResourceLimitError.
-  size_t max_nodes = 0;
-};
-
 // Parses one file into a TranslationUnit; always returns a unit (possibly
-// with kError nodes) in the default configuration. Three exceptions to
-// "never throws", all opted into by the caller and converted to quarantined
-// FileFailures by the engine's per-file sandbox: ResourceLimitError from
-// the depth/node caps above, DeadlineExceeded from an armed ScopedDeadline
-// (polled once per statement), and FaultInjected from the `parser.parse`
-// fault-injection site.
-TranslationUnit ParseFile(const SourceFile& file, const ParseOptions& options = {});
+// with kError nodes). Statements nested deeper than 200 are flattened to
+// kError, and expressions nested deeper to one kError node (stack safety
+// on adversarial inputs); the two nestings are counted apart. Two
+// exceptions to "never throws", both converted to quarantined FileFailures
+// by the engine's per-file sandbox: DeadlineExceeded from an armed
+// ScopedDeadline (polled once per statement), and FaultInjected from the
+// `parser.parse` fault-injection site.
+TranslationUnit ParseFile(const SourceFile& file);
 
 // A standalone parsed expression plus the Arena that owns its nodes.
 // Smart-pointer-ish: keep the holder alive while the expression is in use.

@@ -427,35 +427,12 @@ class CfgBuilder {
       case Stmt::Kind::kWhile: {
         const int cond = NewNode(CfgNode::Kind::kCondition, &s, s.line, s.expr);
         LinkAll(preds, cond);
-        IntList breaks;
-        scratch_.break_sinks.push_back(&breaks);
-        scratch_.continue_targets.push_back(cond);
-        scratch_.any_loops.push_back(cond);
-        IntList body_exits = s.body ? Lower(*s.body, {cond}) : IntList{cond};
-        scratch_.any_loops.pop_back();
-        scratch_.continue_targets.pop_back();
-        scratch_.break_sinks.pop_back();
-        LinkAll(body_exits, cond);
-        IntList exits = {cond};
-        exits.append(breaks);
-        return exits;
+        return LowerLoop(s, cond, {cond});
       }
 
       case Stmt::Kind::kDoWhile: {
         const int cond = NewNode(CfgNode::Kind::kCondition, &s, s.line, s.expr);
-        IntList breaks;
-        scratch_.break_sinks.push_back(&breaks);
-        scratch_.continue_targets.push_back(cond);
-        scratch_.any_loops.push_back(cond);
-        IntList body_exits =
-            s.body ? Lower(*s.body, std::move(preds)) : std::move(preds);
-        scratch_.any_loops.pop_back();
-        scratch_.continue_targets.pop_back();
-        scratch_.break_sinks.pop_back();
-        LinkAll(body_exits, cond);
-        IntList exits = {cond};
-        exits.append(breaks);
-        return exits;
+        return LowerLoop(s, cond, std::move(preds));
       }
 
       case Stmt::Kind::kFor: {
@@ -467,36 +444,15 @@ class CfgBuilder {
         }
         const int cond = NewNode(CfgNode::Kind::kCondition, &s, s.line, s.expr);
         LinkAll(p, cond);
-        IntList breaks;
-        scratch_.break_sinks.push_back(&breaks);
-        scratch_.continue_targets.push_back(cond);
-        scratch_.any_loops.push_back(cond);
-        IntList body_exits = s.body ? Lower(*s.body, {cond}) : IntList{cond};
-        scratch_.any_loops.pop_back();
-        scratch_.continue_targets.pop_back();
-        scratch_.break_sinks.pop_back();
-        LinkAll(body_exits, cond);  // increment folded into the back edge
-        IntList exits = {cond};
-        exits.append(breaks);
-        return exits;
+        return LowerLoop(s, cond, {cond});  // increment folded into the back edge
       }
 
       case Stmt::Kind::kMacroLoop: {
         const int head = NewNode(CfgNode::Kind::kLoopHead, &s, s.line, s.expr);
         LinkAll(preds, head);
-        IntList breaks;
-        scratch_.break_sinks.push_back(&breaks);
-        scratch_.continue_targets.push_back(head);
         scratch_.macro_loops.push_back(head);
-        scratch_.any_loops.push_back(head);
-        IntList body_exits = s.body ? Lower(*s.body, {head}) : IntList{head};
-        scratch_.any_loops.pop_back();
+        IntList exits = LowerLoop(s, head, {head});
         scratch_.macro_loops.pop_back();
-        scratch_.continue_targets.pop_back();
-        scratch_.break_sinks.pop_back();
-        LinkAll(body_exits, head);
-        IntList exits = {head};
-        exits.append(breaks);
         return exits;
       }
 
@@ -526,6 +482,24 @@ class CfgBuilder {
       }
     }
     return preds;
+  }
+
+  // The body of loop `s`, entered from `body_preds`: `head` is its
+  // continue target and back edge. The loop exits at the head and at every
+  // break.
+  IntList LowerLoop(const Stmt& s, int head, IntList body_preds) {
+    IntList breaks;
+    scratch_.break_sinks.push_back(&breaks);
+    scratch_.continue_targets.push_back(head);
+    scratch_.any_loops.push_back(head);
+    IntList body_exits = s.body ? Lower(*s.body, std::move(body_preds)) : std::move(body_preds);
+    scratch_.any_loops.pop_back();
+    scratch_.continue_targets.pop_back();
+    scratch_.break_sinks.pop_back();
+    LinkAll(body_exits, head);
+    IntList exits = {head};
+    exits.append(breaks);
+    return exits;
   }
 
   IntList LowerIf(const Stmt& s, IntList preds) {

@@ -42,7 +42,10 @@ struct ScanOptions {
   // budget. Not on the wire or in the options fingerprint; kept only
   // because perfbench/replay.cc still assigns it, and goes with the replay.
   size_t max_paths_per_function = 512;
-  int nesting_threshold = 3;     // struct-parser nesting depth (§6.1)
+  // Struct-parser nesting depth (§6.1). No flag sets it; like
+  // max_paths_per_function it stays an option only because
+  // perfbench/replay.cc reads it, and goes with the replay.
+  int nesting_threshold = 3;
   bool discover_from_source = true;
   // The paper's nine families are on by default; P10-P12 (DESIGN.md §5.12)
   // are opt-in via `--patterns`, which keeps base-corpus reports
@@ -98,6 +101,8 @@ struct ScanOptions {
   bool interprocedural = false;
 
   // ---- fault isolation & resource governors (DESIGN.md §5.9) ----
+  // The input caps (loader size, parser nesting, error budget) are
+  // constants, not options (DESIGN.md §5.15).
 
   // Fault-injection spec (see support/faultinject.h), armed for the
   // duration of a scan and restored afterwards; empty = whatever is armed
@@ -106,17 +111,10 @@ struct ScanOptions {
   std::string fault_spec;
 
   // Per-file wall-clock budget covering parse and context-build + checking
-  // separately (cooperative: polled in the parser/CFG/checker loops, no
-  // thread is killed). 0 = no deadline. Overruns quarantine the file with
-  // FailureKind::kResourceLimit.
+  // (or template matching) separately (cooperative: polled in the parser,
+  // CFG, checker and matcher loops, no thread is killed). 0 = no deadline.
+  // Overruns quarantine the file with FailureKind::kResourceLimit.
   uint32_t file_timeout_ms = 0;
-
-  // Per-file input-size / AST caps; 0 = uncapped. Oversized inputs are
-  // quarantined (kResourceLimit) instead of parsed. `max_ast_depth` > 0
-  // replaces the parser's silent flatten-at-200 with a hard cap.
-  size_t max_file_bytes = 0;
-  size_t max_ast_nodes = 0;
-  int max_ast_depth = 0;
 
   // Scan-wide circuit breaker: abort (ScanResult::aborted) when more than
   // this fraction of files fail. 0 = disabled (the default — a degraded
@@ -161,11 +159,10 @@ bool ParsePatternList(std::string_view text, std::set<int>& out);
 // artifacts. `jobs` is excluded (reports are identical at every thread
 // count) and so is `interprocedural` (it only changes the KB, which the
 // report key already fingerprints), so parses cached by a plain scan are
-// reused by an `--ipa` scan and vice versa. The deterministic governor caps
-// (max_file_bytes, max_ast_nodes, max_ast_depth) are included — they change
-// what a parse produces. fault_spec, file_timeout_ms and max_failure_ratio
-// are excluded: a file that faults or times out stores no artifacts, so
-// nothing wall-clock- or injection-dependent can ever be replayed.
+// reused by an `--ipa` scan and vice versa. fault_spec, file_timeout_ms and
+// max_failure_ratio are excluded: a file that faults or times out stores no
+// artifacts, so nothing wall-clock- or injection-dependent can ever be
+// replayed.
 uint64_t ScanOptionsFingerprint(const ScanOptions& options);
 
 // Everything the checkers need about one function.

@@ -23,54 +23,6 @@ constexpr std::pair<int, FunctionChecker> kFunctionCheckers[] = {
     {11, CheckTestAndFree},      {12, CheckRefcountReset},
 };
 
-// Runs every enabled checker over one file, appending raw reports to the
-// shard. The functions are checked one at a time through one
-// FunctionContext rebuilt in place, so the file's CFGs, CPGs and walks
-// share their storage. The caller owns the shard exclusively; the KB is
-// immutable and read concurrently.
-CachedFileReports CheckOneFile(const SourceFile& file, TranslationUnit unit,
-                               const KnowledgeBase& kb, const ScanOptions& options) {
-  CachedFileReports shard;
-  // Quarantined function bodies ride along with the shard (and, via
-  // StoreReports, with the cache entry): parsing is deterministic, so the
-  // list is identical whichever process or scan produced the unit.
-  shard.degraded = std::move(unit.degraded);
-  // The checkers read the unit through a UnitContext; its function list
-  // stays empty, since P6 runs in steps below.
-  UnitContext uc;
-  uc.file = &file;
-  uc.unit = std::move(unit);
-  shard.functions = uc.unit.functions.size();
-
-  uint32_t enabled = 0;  // bit p: pattern p is on
-  for (const int pattern : options.enabled_patterns) {
-    if (pattern >= 1 && pattern <= 12) {
-      enabled |= 1u << pattern;
-    }
-  }
-  std::optional<InterUnpairedCheck> p6;
-  if ((enabled & (1u << 6)) != 0) {
-    p6.emplace(uc.unit);
-  }
-  FunctionContext fc;
-  for (size_t i = 0; i < uc.unit.functions.size(); ++i) {
-    CheckDeadline("checker");
-    fc.Rebuild(uc.unit, uc.unit.functions[i], kb);
-    for (const auto& [pattern, check] : kFunctionCheckers) {
-      if ((enabled & (1u << pattern)) != 0) {
-        check(uc, fc, kb, options, shard.reports);
-      }
-    }
-    if (p6) {
-      p6->Record(i, fc, options);
-    }
-  }
-  if (p6) {
-    p6->Emit(uc.unit, shard.reports);
-  }
-  return shard;
-}
-
 // Maps an injected fault to the failure taxonomy by its site prefix.
 FailureKind ClassifyFault(const FaultInjected& e) {
   if (e.transient_io()) {
@@ -115,7 +67,7 @@ bool GuardFileStage(std::string_view path, FailureStage stage, uint32_t timeout_
       }
       f.kind = ClassifyFault(e);
       f.what = e.what();
-    } catch (const ResourceLimitError& e) {
+    } catch (const DeadlineExceeded& e) {
       f.kind = FailureKind::kResourceLimit;
       f.what = e.what();
     } catch (const std::exception& e) {
@@ -132,6 +84,49 @@ bool GuardFileStage(std::string_view path, FailureStage stage, uint32_t timeout_
 }
 
 }  // namespace
+
+CachedFileReports CheckOneFile(const SourceFile& file, TranslationUnit unit,
+                               const KnowledgeBase& kb, const ScanOptions& options) {
+  CachedFileReports shard;
+  // Quarantined function bodies ride along with the shard (and, via
+  // StoreReports, with the cache entry): parsing is deterministic, so the
+  // list is identical whichever process or scan produced the unit.
+  shard.degraded = std::move(unit.degraded);
+  // The checkers read the unit through a UnitContext; its function list
+  // stays empty, since P6 runs in steps below.
+  UnitContext uc;
+  uc.file = &file;
+  uc.unit = std::move(unit);
+  shard.functions = uc.unit.functions.size();
+
+  uint32_t enabled = 0;  // bit p: pattern p is on
+  for (const int pattern : options.enabled_patterns) {
+    if (pattern >= 1 && pattern <= 12) {
+      enabled |= 1u << pattern;
+    }
+  }
+  std::optional<InterUnpairedCheck> p6;
+  if ((enabled & (1u << 6)) != 0) {
+    p6.emplace(uc.unit);
+  }
+  FunctionContext fc;
+  for (size_t i = 0; i < uc.unit.functions.size(); ++i) {
+    CheckDeadline("checker");
+    fc.Rebuild(uc.unit, uc.unit.functions[i], kb);
+    for (const auto& [pattern, check] : kFunctionCheckers) {
+      if ((enabled & (1u << pattern)) != 0) {
+        check(uc, fc, kb, options, shard.reports);
+      }
+    }
+    if (p6) {
+      p6->Record(i, fc, options);
+    }
+  }
+  if (p6) {
+    p6->Emit(uc.unit, shard.reports);
+  }
+  return shard;
+}
 
 std::shared_ptr<ObjectStore> MakeScanStore(const ScanOptions& options) {
   if (options.object_store != nullptr) {
@@ -179,9 +174,8 @@ void Transfer(IO& io, NotFingerprinted<T> field) {
 
 template <typename IO, Value<ScanOptions> O>
 void Transfer(IO& io, O& o) {
-  Transfer(io, o.nesting_threshold, o.discover_from_source,
-           o.enabled_patterns, o.prune_null_branches, o.model_ownership_transfer,
-           o.max_file_bytes, o.max_ast_nodes, o.max_ast_depth, o.dialects,
+  Transfer(io, o.nesting_threshold, o.discover_from_source, o.enabled_patterns,
+           o.prune_null_branches, o.model_ownership_transfer, o.dialects,
            NotFingerprinted(o.jobs), NotFingerprinted(o.cache_dir),
            NotFingerprinted(o.cache_server), NotFingerprinted(o.interprocedural),
            NotFingerprinted(o.fault_spec), NotFingerprinted(o.file_timeout_ms),
@@ -259,13 +253,6 @@ ScanStageContext MakeScanStageContext(const ScanOptions& options, ScanCache& cac
   // AST resident at once, which is exactly what streaming forbids.
   ctx.stream_units = options.streaming && !options.interprocedural;
   ctx.need_units = (!ctx.use_cache || options.interprocedural) && !ctx.stream_units;
-  // Parser caps from the governor options. max_ast_depth replaces the
-  // silent flatten-at-200 with a hard (quarantining) cap.
-  if (options.max_ast_depth > 0) {
-    ctx.popts.max_depth = options.max_ast_depth;
-    ctx.popts.depth_fatal = true;
-  }
-  ctx.popts.max_nodes = options.max_ast_nodes;
   return ctx;
 }
 
@@ -284,10 +271,6 @@ FileScanState RunParseStage(const SourceFile& f, const ScanStageContext& ctx) {
         st.facts = DiscoveryFacts{};
         st.unit.reset();
         st.parsed = false;
-        if (options.max_file_bytes > 0 && f.text().size() > options.max_file_bytes) {
-          throw ResourceLimitError(
-              StrFormat("input size %zu exceeds cap %zu", f.text().size(), options.max_file_bytes));
-        }
         if (ctx.use_cache) {
           st.key = MakeFileKey(f.path(), f.text(), ctx.options_fp);
           if (!ctx.need_units) {
@@ -306,7 +289,7 @@ FileScanState RunParseStage(const SourceFile& f, const ScanStageContext& ctx) {
             return;
           }
         }
-        st.unit = ParseFile(f, ctx.popts);
+        st.unit = ParseFile(f);
         st.parsed = true;
         if (ctx.want_facts) {
           st.facts = ExtractDiscoveryFacts(*st.unit);
@@ -382,9 +365,8 @@ bool RunDiscoverStage(const std::vector<FileScanState>& states, KnowledgeBase& k
   return false;
 }
 
-CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st,
-                                const KnowledgeBase& kb, uint64_t kb_fp,
-                                const ScanStageContext& ctx) {
+CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st, uint64_t kb_fp,
+                                const ScanStageContext& ctx, const UnitCheck& check) {
   const ScanOptions& options = *ctx.options;
   ScanCache& cache = *ctx.cache;
   CachedFileReports shard;
@@ -395,7 +377,7 @@ CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st,
   // alike (the nested cache.load span distinguishes them in a trace).
   TelemetrySpan file_span("file.check", file.path());
   // Retrying is only safe until the body moves the cached TranslationUnit
-  // into CheckOneFile — after that a retry would re-check a moved-from
+  // into the check — after that a retry would re-check a moved-from
   // unit and silently produce wrong output, so the body revokes it.
   bool retry_ok = true;
   const bool ok = GuardFileStage(
@@ -419,10 +401,10 @@ CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st,
           // Facts were cached but this file's reports were invalidated
           // (another file changed the KB): re-parse just this file,
           // in-memory.
-          unit = ParseFile(file, ctx.popts);
+          unit = ParseFile(file);
           st.parsed = true;
         }
-        shard = CheckOneFile(file, std::move(unit), kb, options);
+        shard = check(file, std::move(unit));
         if (ctx.use_cache) {
           cache.StoreReports(st.key, kb_fp, shard, file.path());
         }
@@ -517,14 +499,17 @@ bool ScanSpine::FanOutParse(std::vector<FileScanState>& states) {
 
 bool ScanSpine::FanOutCheck(uint64_t kb_fp, std::vector<FileScanState>& states,
                             std::vector<CachedFileReports>& shards) {
-  shards = ParallelMap(pool(), files_.size(),
-                       [&](size_t i) { return CheckFile(*files_[i], states[i], kb_fp); });
+  const UnitCheck check = [this](const SourceFile& file, TranslationUnit unit) {
+    return CheckUnit(file, std::move(unit));
+  };
+  shards = ParallelMap(pool(), files_.size(), [&](size_t i) {
+    return RunCheckStage(*files_[i], states[i], kb_fp, ctx_, check);
+  });
   return true;
 }
 
-CachedFileReports ScanSpine::CheckFile(const SourceFile& file, FileScanState& st,
-                                       uint64_t kb_fp) {
-  return RunCheckStage(file, st, kb_, kb_fp, ctx_);
+CachedFileReports ScanSpine::CheckUnit(const SourceFile& file, TranslationUnit unit) {
+  return CheckOneFile(file, std::move(unit), kb_, options_);
 }
 
 bool ScanSpine::BreakerTrips(const char* where) {
@@ -554,9 +539,9 @@ bool ScanSpine::RunFront() {
   Metrics& m = *metrics_;
 
   // Stage 1: per-file discovery facts — and units where needed — each file
-  // inside its sandbox. A throw from the size cap, the parser (deadline /
-  // AST caps / injected fault) or the cache quarantines that one file and
-  // resets its partial state; the rest of the scan never sees it again. A
+  // inside its sandbox. A throw from the parser (deadline / injected fault)
+  // or the cache quarantines that one file and resets its partial state;
+  // the rest of the scan never sees it again. A
   // quarantined file stores no cache artifacts, so nothing injection- or
   // wall-clock-dependent can ever be replayed.
   {

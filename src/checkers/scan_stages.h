@@ -21,6 +21,7 @@
 #ifndef REFSCAN_CHECKERS_SCAN_STAGES_H_
 #define REFSCAN_CHECKERS_SCAN_STAGES_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -102,7 +103,6 @@ struct ScanStageContext {
   // `jobs` ASTs coexist. Forced off by interprocedural mode (stage 2.5
   // walks every unit at once).
   bool stream_units = false;
-  ParseOptions popts;
 };
 ScanStageContext MakeScanStageContext(const ScanOptions& options, ScanCache& cache);
 
@@ -126,17 +126,29 @@ FileScanState RunParseStage(const SourceFile& file, const ScanStageContext& ctx)
 bool RunDiscoverStage(const std::vector<FileScanState>& states, KnowledgeBase& kb,
                       const ScanStageContext& ctx);
 
+// Stage 3's work on one parsed file, returning its raw report shard: the
+// enabled checkers (CheckOneFile) for a scan, the template matcher for
+// `match`.
+using UnitCheck = std::function<CachedFileReports(const SourceFile& file, TranslationUnit unit)>;
+
+// Runs every enabled checker over one parsed file. The functions are
+// checked one at a time through one FunctionContext rebuilt in place, so
+// the file's CFGs, CPGs and walks share their storage; the deadline is
+// polled once per function. The KB is immutable and read concurrently.
+CachedFileReports CheckOneFile(const SourceFile& file, TranslationUnit unit,
+                               const KnowledgeBase& kb, const ScanOptions& options);
+
 // Stage 3 for one file: splice the cached report shard when the KB
-// fingerprint proves it valid, otherwise build contexts and run the enabled
-// checkers. A file quarantined earlier returns an empty shard untouched;
-// a stage-3 quarantine sets `st.failure` and returns an empty shard.
-CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st,
-                                const KnowledgeBase& kb, uint64_t kb_fp,
-                                const ScanStageContext& ctx);
+// fingerprint proves it valid, otherwise run `check` on the file's unit
+// (re-parsed if stage 1 did not keep it), behind the `checker.run` fault
+// site. A file quarantined earlier returns an empty shard untouched; a
+// stage-3 quarantine sets `st.failure` and returns an empty shard.
+CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st, uint64_t kb_fp,
+                                const ScanStageContext& ctx, const UnitCheck& check);
 
 // One scan of one tree: the skeleton every tree-level client runs.
 // CheckerEngine::Scan and ShardedScan run both halves; `match` runs both
-// with template matching as its per-file stage 3; `deviations`,
+// with template matching as its per-unit check (CheckUnit); `deviations`,
 // `summaries` and the baselines run the front half and walk its units and
 // KB. Call RunFront, then RunBack while it returns true (or walk the front
 // half's output instead), then Finish once.
@@ -176,13 +188,14 @@ class ScanSpine {
 
  protected:
   // The per-file fan-out. The defaults are in-process: ParallelMap over
-  // RunParseStage, and over CheckFile. Each returns false when it lost a
-  // worker.
+  // RunParseStage, and over RunCheckStage with CheckUnit. Each returns
+  // false when it lost a worker.
   virtual bool FanOutParse(std::vector<FileScanState>& states);
   virtual bool FanOutCheck(uint64_t kb_fp, std::vector<FileScanState>& states,
                            std::vector<CachedFileReports>& shards);
-  // Stage 3 for one file; RunCheckStage unless a client matches instead.
-  virtual CachedFileReports CheckFile(const SourceFile& file, FileScanState& st, uint64_t kb_fp);
+  // Stage 3's check of one parsed file, inside RunCheckStage's sandbox:
+  // CheckOneFile unless a client matches instead.
+  virtual CachedFileReports CheckUnit(const SourceFile& file, TranslationUnit unit);
   // Cache objects that failed validation during this scan, in any process.
   virtual uint64_t CorruptLoads() const { return cache_.corrupt_loads(); }
 

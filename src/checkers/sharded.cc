@@ -351,9 +351,7 @@ ScanResult ShardedScan(const SourceTree& tree, const ScanOptions& options,
       options.interprocedural) {
     return CheckerEngine(KnowledgeBase::BuiltIn(), options).Scan(tree);
   }
-  const std::string socket_dir = config.socket_dir.empty() ? "/tmp" : config.socket_dir;
-  std::string socket_path =
-      StrFormat("%s/refscan-shard-%d.sock", socket_dir.c_str(), static_cast<int>(::getpid()));
+  std::string socket_path = StrFormat("/tmp/refscan-shard-%d.sock", static_cast<int>(::getpid()));
   std::string ipc_error;
   OwnedFd listener = UnixListen(socket_path, &ipc_error);
   if (!listener.valid()) {
@@ -463,9 +461,11 @@ int RunShardWorker(const std::string& socket_path, int worker_id) {
   const uint64_t kb_fp = ctx.use_cache ? FingerprintKnowledgeBase(*kb) : 0;
 
   // Stage 3 over the shard, against the coordinator's frozen KB.
-  const KnowledgeBase& kb_ref = *kb;
+  const UnitCheck check = [&kb, &options](const SourceFile& file, TranslationUnit unit) {
+    return CheckOneFile(file, std::move(unit), *kb, options);
+  };
   shards = ParallelMap(pool, files.size(), [&](size_t i) {
-    return RunCheckStage(*files[i], states[i], kb_ref, kb_fp, ctx);
+    return RunCheckStage(*files[i], states[i], kb_fp, ctx, check);
   });
   MaybeFault("worker.results", id_str);
   corrupt_loads = cache.corrupt_loads();

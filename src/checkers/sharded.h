@@ -54,10 +54,8 @@ struct ShardedScanConfig {
   size_t workers = 0;
   // Binary to exec for workers (argv: worker --socket PATH --id N).
   // The CLI passes /proc/self/exe; tests pass their built refscan path.
+  // The coordination socket is /tmp/refscan-shard-PID.sock.
   std::string worker_cmd;
-  // Directory for the coordination socket; empty = /tmp. Paths must fit
-  // sockaddr_un (~107 bytes).
-  std::string socket_dir;
 };
 
 // Coordinator entry point: scans `tree` across config.workers subprocesses.

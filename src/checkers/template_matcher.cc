@@ -6,6 +6,7 @@
 
 #include "src/checkers/scan_stages.h"
 #include "src/cpg/cpg.h"
+#include "src/support/governor.h"
 #include "src/support/strings.h"
 
 namespace refscan {
@@ -293,6 +294,7 @@ class TemplateWalk : public WalkVisitor {
 }  // namespace
 
 std::vector<TemplateMatch> MatchTemplate(const SemanticTemplate& tmpl, const FunctionContext& fc) {
+  CheckDeadline("matcher");
   const std::vector<MatchStep>& steps = tmpl.steps;
   // The first event step, and the first "(p0)" one, which binds p0;
   // steps.size() for none.
@@ -347,6 +349,7 @@ std::vector<TemplateMatch> MatchTemplate(const SemanticTemplate& tmpl, const Fun
   std::vector<TemplateMatch> matches;
   std::set<std::string> seen;
   const auto match = [&](const WalkPos* at, Symbol p0) {
+    CheckDeadline("matcher");  // one function can take n² walks
     TemplateWalk tw(steps, fc, at == nullptr ? nullptr : at->ev, first, binder, p0);
     walk.Run(fc.cfg->entry(), 0, tw.Begin(), tw);
     if (!tw.done()) {
@@ -380,26 +383,22 @@ std::vector<TemplateMatch> MatchTemplate(const SemanticTemplate& tmpl, const Fun
 
 namespace {
 
-// The scan spine with template matching as its per-file stage 3, so the
-// matches ride the spine's merge, dedup and `refscan: ignore` filter
+// The scan spine with template matching as its per-unit check, so the
+// matches ride the spine's stage-3 sandbox (deadline, `checker.run` fault
+// site, per-file quarantine), merge, dedup and `refscan: ignore` filter
 // exactly like checker reports.
 class TemplateScan : public ScanSpine {
  public:
   TemplateScan(const SemanticTemplate& tmpl, const SourceTree& tree, KnowledgeBase kb,
                const ScanOptions& options)
-      : ScanSpine(tree, std::move(kb), options, /*keep_units=*/true), tmpl_(tmpl) {}
+      : ScanSpine(tree, std::move(kb), options), tmpl_(tmpl) {}
 
  protected:
   // Matches one function at a time through one FunctionContext rebuilt in
-  // place, as the checkers' stage 3 does.
-  CachedFileReports CheckFile(const SourceFile& /*file*/, FileScanState& st,
-                              uint64_t /*kb_fp*/) override {
+  // place, as CheckOneFile does; MatchTemplate polls the deadline.
+  CachedFileReports CheckUnit(const SourceFile& /*file*/, TranslationUnit unit) override {
     CachedFileReports shard;
-    if (st.failure) {
-      return shard;
-    }
-    const TranslationUnit& unit = *st.unit;
-    shard.degraded = std::move(st.unit->degraded);
+    shard.degraded = std::move(unit.degraded);
     shard.functions = unit.functions.size();
     FunctionContext fc;
     for (const FunctionDef& fn : unit.functions) {
@@ -419,7 +418,6 @@ class TemplateScan : public ScanSpine {
         shard.reports.push_back(std::move(r));
       }
     }
-    st.unit.reset();
     return shard;
   }
 
@@ -432,7 +430,13 @@ class TemplateScan : public ScanSpine {
 std::vector<BugReport> RunTemplateChecker(const SemanticTemplate& tmpl, const SourceTree& tree,
                                           KnowledgeBase kb, const ScanOptions& options,
                                           ScanResult* scan) {
-  TemplateScan spine(tmpl, tree, std::move(kb), options);
+  // Matches never meet the cache: a stored shard holds checker reports, and
+  // splicing one in would pass those off as matches.
+  ScanOptions local = options;
+  local.cache_dir.clear();
+  local.cache_server.clear();
+  local.object_store = nullptr;
+  TemplateScan spine(tmpl, tree, std::move(kb), local);
   if (spine.RunFront()) {
     spine.RunBack();
   }

@@ -111,14 +111,18 @@ struct TemplateMatch {
 // Matches the template against `fc` by walking its CFG; at most one match
 // per distinct (line, object) binding is returned, in walk order of the
 // first matched event. A match's last_line is that of the branch the walk
-// completes the template on first.
+// completes the template on first. Polls the per-file deadline (governor.h)
+// once per call and once per walk: one function can take n² walks.
 std::vector<TemplateMatch> MatchTemplate(const SemanticTemplate& tmpl, const FunctionContext& fc);
 
 // Runs a template over a whole tree through the scan spine, with template
-// matching as its per-file stage 3, and produces BugReports (anti_pattern =
-// 0, template_path = the template source) deduplicated and filtered by
-// `refscan: ignore` like a scan's. `scan`, when given, receives the rest
-// of the scan's result: failures, abort state and stats.
+// matching as stage 3's per-unit check, and produces BugReports
+// (anti_pattern = 0, template_path = the template source) deduplicated and
+// filtered by `refscan: ignore` like a scan's. Each file is matched inside
+// stage 3's sandbox: options.file_timeout_ms and the `checker.run` fault
+// site quarantine it like a checked file. The cache locations in `options`
+// are ignored. `scan`, when given, receives the rest of the scan's result:
+// failures, abort state and stats.
 std::vector<BugReport> RunTemplateChecker(const SemanticTemplate& tmpl, const SourceTree& tree,
                                           KnowledgeBase kb = KnowledgeBase::BuiltIn(),
                                           const ScanOptions& options = {},

@@ -98,19 +98,6 @@ Symbol ObjectRoot(const Expr& expr) {
   return Symbol();
 }
 
-std::string ObjectRootOfSpelling(std::string_view spelling) {
-  size_t i = 0;
-  while (i < spelling.size() && spelling[i] == '*') {
-    ++i;
-  }
-  size_t end = i;
-  while (end < spelling.size() &&
-         (std::isalnum(static_cast<unsigned char>(spelling[end])) != 0 || spelling[end] == '_')) {
-    ++end;
-  }
-  return std::string(spelling.substr(i, end - i));
-}
-
 namespace {
 
 // spelling-Symbol id -> root-Symbol id + 1 (0 = not yet computed). Same

@@ -107,11 +107,11 @@ Symbol ObjectSpelling(const Expr& expr);
 // Root identifier of a member chain ("crc" for "crc->dev.node"), or the
 // identifier itself; the empty Symbol when not rooted in an identifier.
 Symbol ObjectRoot(const Expr& expr);
-std::string ObjectRootOfSpelling(std::string_view spelling);
 
-// Root of an interned spelling, memoized per Symbol id in a global
-// lock-free page table: after first touch, RootsMatch-style checks cost two
-// loads and an integer compare. RootSymbol(s) == Intern(ObjectRootOfSpelling(s.view())).
+// Root of an interned spelling: its leading identifier after any '*'s
+// ("serial" for "serial->kref", "pp" for "*pp"). Memoized per Symbol id in
+// a global lock-free page table: after first touch, RootsMatch-style checks
+// cost two loads and an integer compare.
 Symbol RootSymbol(Symbol spelling);
 
 }  // namespace refscan

@@ -142,45 +142,6 @@ std::string PairedReleaseWord(std::string_view acquire_word) {
   return {};
 }
 
-bool KnowledgeBase::IsFreeFunction(std::string_view name) {
-  static constexpr std::string_view kFrees[] = {"kfree",      "vfree",  "kvfree", "kzfree",
-                                                "devm_kfree", "kmem_cache_free"};
-  for (std::string_view f : kFrees) {
-    if (name == f) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool KnowledgeBase::IsLockFunction(std::string_view name) {
-  static constexpr std::string_view kLocks[] = {
-      "mutex_lock",         "spin_lock",    "spin_lock_irq", "spin_lock_irqsave",
-      "spin_lock_bh",       "read_lock",    "write_lock",    "down",
-      "down_read",          "down_write",   "raw_spin_lock", "mutex_lock_interruptible",
-  };
-  for (std::string_view f : kLocks) {
-    if (name == f) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool KnowledgeBase::IsUnlockFunction(std::string_view name) {
-  static constexpr std::string_view kUnlocks[] = {
-      "mutex_unlock", "spin_unlock", "spin_unlock_irq",  "spin_unlock_irqrestore",
-      "spin_unlock_bh", "read_unlock", "write_unlock",   "up",
-      "up_read",      "up_write",    "raw_spin_unlock",
-  };
-  for (std::string_view f : kUnlocks) {
-    if (name == f) {
-      return true;
-    }
-  }
-  return false;
-}
-
 namespace {
 
 // Interns a fixed name list once; membership is then a scan of ~a dozen
@@ -318,20 +279,12 @@ void KnowledgeBase::AddFreeFunction(std::string name) {
   extra_free_fns_.insert(std::move(name));
 }
 
-bool KnowledgeBase::IsRefcountField(std::string_view field_name) const {
-  return refcount_fields_.contains(field_name);
-}
-
 bool KnowledgeBase::IsRefcountField(Symbol field_name) const {
   return !field_name.empty() && field_index_.contains(field_name.id());
 }
 
 bool KnowledgeBase::IsFreeApi(Symbol name) const {
   return IsFreeFunction(name) || (!name.empty() && free_index_.contains(name.id()));
-}
-
-bool KnowledgeBase::IsFreeApi(std::string_view name) const {
-  return IsFreeFunction(name) || extra_free_fns_.contains(name);
 }
 
 const RefApiInfo* KnowledgeBase::FindApi(Symbol name) const {

@@ -178,23 +178,18 @@ class KnowledgeBase {
   // dialect catalogues. Raw ++/--/= on such a member bypasses the saturating
   // APIs. The match is by field name, not (struct, field) pair — the same
   // approximation the textual discovery pass already makes for structs.
-  bool IsRefcountField(std::string_view field_name) const;
   bool IsRefcountField(Symbol field_name) const;
 
   // Classification helpers --------------------------------------------
-  static bool IsFreeFunction(std::string_view name);    // kfree, vfree, ...
-  static bool IsLockFunction(std::string_view name);    // mutex_lock, spin_lock, ...
-  static bool IsUnlockFunction(std::string_view name);  // mutex_unlock, ...
-  // Symbol variants compare interned ids — no hashing, no char compares.
-  static bool IsFreeFunction(Symbol name);
-  static bool IsLockFunction(Symbol name);
-  static bool IsUnlockFunction(Symbol name);
+  // They compare interned ids — no hashing, no char compares.
+  static bool IsFreeFunction(Symbol name);    // kfree, vfree, ...
+  static bool IsLockFunction(Symbol name);    // mutex_lock, spin_lock, ...
+  static bool IsUnlockFunction(Symbol name);  // mutex_unlock, ...
 
   // Instance variant: the static kernel list plus any dialect-registered
   // deallocators (uacpi_free, g_free, ... — AddFreeFunction). The CPG uses
   // this so ℱ events exist for non-kernel codebases too.
   bool IsFreeApi(Symbol name) const;
-  bool IsFreeApi(std::string_view name) const;
 
   // Ownership sinks: functions that store one of their pointer parameters
   // into longer-lived state (a global or another parameter's field).

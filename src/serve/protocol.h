@@ -7,8 +7,8 @@
 //
 //   kServeScanReq      → kServeScanResp | kServeBusy | kServeErr
 //   kServeStatsReq     → kServeText (JSON object of server counters)
-//   kServeSummariesReq → kServeText (SummariesToJson) | kServeErr
 //   kServeHealthReq    → kServeText ("ok")
+//   any other type     → kServeErr ("unknown request type N"), type 3 too
 //
 // kServeBusy is the backpressure shed: the admission queue is full and the
 // client should back off and retry. kServeErr carries a one-line reason;
@@ -31,7 +31,6 @@ namespace refscan {
 
 constexpr uint8_t kServeScanReq = 1;
 constexpr uint8_t kServeStatsReq = 2;
-constexpr uint8_t kServeSummariesReq = 3;
 constexpr uint8_t kServeHealthReq = 4;
 constexpr uint8_t kServeScanResp = 5;
 constexpr uint8_t kServeText = 6;

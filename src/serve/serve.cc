@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "src/checkers/scan_stages.h"
-#include "src/ipa/summary.h"
 #include "src/serve/protocol.h"
 #include "src/support/faultinject.h"
 #include "src/support/strings.h"
@@ -25,8 +24,6 @@ std::string_view RequestName(uint8_t type) {
       return "scan";
     case kServeStatsReq:
       return "stats";
-    case kServeSummariesReq:
-      return "summaries";
     case kServeHealthReq:
       return "health";
     default:
@@ -168,9 +165,6 @@ bool ScanServer::ServeFrame(int fd, uint8_t type, const std::string& payload) {
         case kServeStatsReq:
           reply = HandleStats();
           break;
-        case kServeSummariesReq:
-          reply = HandleSummaries(payload, reply_type);
-          break;
         case kServeHealthReq:
           reply = "ok";
           break;
@@ -265,29 +259,6 @@ std::string ScanServer::HandleStats() const {
   }
   out += "}}\n";
   return out;
-}
-
-std::string ScanServer::HandleSummaries(std::string_view payload, uint8_t& type) {
-  SourceTree tree;
-  ScanOptions options;
-  if (!DecodeScanRequest(payload, tree, options)) {
-    type = kServeErr;
-    return "malformed summaries request";
-  }
-  // Same front half as `refscan summaries`, against the resident store:
-  // the scan spine up to stage 2.5, rendered as JSON. Quarantined files
-  // are left out of the summaries.
-  options = RequestOptions(std::move(options));
-  options.interprocedural = true;
-  ScanSpine spine(tree, KnowledgeBase::BuiltIn(), std::move(options));
-  std::string json = spine.RunFront() ? SummariesToJson(spine.summaries()) : std::string();
-  const ScanResult result = spine.Finish();
-  if (result.aborted) {
-    type = kServeErr;
-    return result.abort_reason;
-  }
-  type = kServeText;
-  return json;
 }
 
 }  // namespace refscan

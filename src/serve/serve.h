@@ -114,7 +114,6 @@ class ScanServer : public FrameServer {
 
   std::string HandleScan(std::string_view payload, uint8_t& type);
   std::string HandleStats() const;
-  std::string HandleSummaries(std::string_view payload, uint8_t& type);
 
   ServeConfig config_;
   std::shared_ptr<MemoryStore> store_;

@@ -13,16 +13,22 @@ namespace refscan {
 
 namespace {
 
-// Order-sensitive digest of the tree's paths and contents; files() iterates
-// in path order, so equal trees hash equal and any content or membership
-// change flips the value.
-uint64_t TreeFingerprint(const SourceTree& tree) {
+// Order-sensitive digest of the tree's paths and contents, then of the load
+// failures' paths and messages, both in path order: equal loads hash equal,
+// and any content or membership change, or a failure that appears or
+// clears, flips the value.
+uint64_t TreeFingerprint(const SourceTree& tree, const std::vector<LoadFailure>& failures) {
   uint64_t h = 0;
   for (const auto& [path, file] : tree.files()) {
     h = HashMix(h, HashBytes(path));
     h = HashMix(h, HashBytes(file.text()));
   }
-  return HashMix(h, tree.size());
+  h = HashMix(h, tree.size());
+  for (const LoadFailure& f : failures) {
+    h = HashMix(h, HashBytes(f.path));
+    h = HashMix(h, HashBytes(f.what));
+  }
+  return h;
 }
 
 void AppendReportLine(std::string& out, char sign, const BugReport& r) {
@@ -58,10 +64,14 @@ ReportDelta ComputeReportDelta(const std::vector<BugReport>& before,
   return delta;
 }
 
-std::string FormatWatchDelta(uint64_t generation, const ReportDelta& delta, size_t total) {
+std::string FormatWatchDelta(uint64_t generation, const ReportDelta& delta, size_t total,
+                             const std::vector<LoadFailure>& failures) {
   std::string out = StrFormat("generation %llu: %zu report(s), +%zu fresh, -%zu fixed\n",
                               static_cast<unsigned long long>(generation), total,
                               delta.fresh.size(), delta.fixed.size());
+  for (const LoadFailure& f : failures) {
+    out += StrFormat("! %s: %s\n", f.path.c_str(), f.what.c_str());
+  }
   for (const BugReport& r : delta.fresh) {
     AppendReportLine(out, '+', r);
   }
@@ -84,15 +94,19 @@ uint64_t RunWatchLoop(const WatchConfig& watch, ScanOptions options,
   while (!stop.load(std::memory_order_relaxed)) {
     LoadOptions load_options;
     load_options.jobs = options.jobs;
-    const SourceTree tree = LoadSourceTreeFromDisk(watch.tree_dir, load_options);
-    const uint64_t fp = TreeFingerprint(tree);
+    std::vector<LoadFailure> failures;
+    const SourceTree tree = LoadSourceTreeFromDisk(watch.tree_dir, load_options, &failures);
+    std::sort(failures.begin(), failures.end(),
+              [](const LoadFailure& a, const LoadFailure& b) { return a.path < b.path; });
+    const uint64_t fp = TreeFingerprint(tree, failures);
     if (generation == 0 || fp != last_fp) {
       last_fp = fp;
       CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
       ScanResult result = engine.Scan(tree);
       const ReportDelta delta = ComputeReportDelta(last_reports, result.reports);
       ++generation;
-      std::fputs(FormatWatchDelta(generation, delta, result.reports.size()).c_str(), out);
+      std::fputs(FormatWatchDelta(generation, delta, result.reports.size(), failures).c_str(),
+                 out);
       std::fflush(out);
       last_reports = std::move(result.reports);
     }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/checkers/engine.h"
+#include "src/support/fs.h"
 
 namespace refscan {
 
@@ -35,11 +36,16 @@ struct ReportDelta {
 ReportDelta ComputeReportDelta(const std::vector<BugReport>& before,
                                const std::vector<BugReport>& after);
 
-// One generation's delta block, deterministic:
+// One generation's delta block, deterministic: the header, one `!` line
+// per file the loader could not read (LoadSourceTreeFromDisk's failures;
+// the watch loop passes them in path order), then the fresh and the fixed
+// reports:
 //   generation 3: 12 report(s), +2 fresh, -1 fixed
+//   ! drivers/gen/big.c: size 4900000 exceeds the loader's 4194304-byte cap
 //   + P4 drivers/net/foo.c:120 [bar_get] message
 //   - P1 drivers/net/foo.c:88 [baz_probe] message
-std::string FormatWatchDelta(uint64_t generation, const ReportDelta& delta, size_t total);
+std::string FormatWatchDelta(uint64_t generation, const ReportDelta& delta, size_t total,
+                             const std::vector<LoadFailure>& failures);
 
 struct WatchConfig {
   std::string tree_dir;
@@ -47,8 +53,9 @@ struct WatchConfig {
 };
 
 // Polls `tree_dir` until `stop` flips: reload, fingerprint, and — on any
-// content change (and on the first pass) — rescan against `store` and print
-// the delta to `out`. Returns the number of generations scanned.
+// content change, any load failure that appears or clears, and on the first
+// pass — rescan against `store` and print the delta to `out`. Returns the
+// number of generations scanned.
 uint64_t RunWatchLoop(const WatchConfig& watch, ScanOptions options,
                       std::shared_ptr<ObjectStore> store, const std::atomic<bool>& stop,
                       std::FILE* out);

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
-#include <set>
 #include <thread>
 
 #include "src/support/faultinject.h"
@@ -21,6 +20,16 @@ namespace refscan {
 namespace fs = std::filesystem;
 
 namespace {
+
+// Files larger than this are listed as a LoadFailure, never read: the cap
+// guards the process against input from outside it.
+constexpr uintmax_t kMaxFileBytes = 4 * 1024 * 1024;
+
+bool IsSkippedDir(const std::string& name) {
+  return name == ".git" || name == "build" || name == "Documentation";
+}
+
+bool IsSourceExtension(const std::string& ext) { return ext == ".c" || ext == ".h"; }
 
 struct ReadResult {
   std::string text;
@@ -134,13 +143,6 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
     return tree;
   }
 
-  // Set-based filters: one lookup per entry instead of one string compare
-  // per configured name.
-  const std::set<std::string, std::less<>> skip_dirs(options.skip_dirs.begin(),
-                                                     options.skip_dirs.end());
-  const std::set<std::string, std::less<>> extensions(options.extensions.begin(),
-                                                      options.extensions.end());
-
   // Serial walk: collect candidate files (with their tree keys) in
   // directory-iteration order. The reads below fan out over the pool, but
   // insertion is by candidate index, so the tree and the error list come
@@ -158,7 +160,7 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
   while (it != end) {
     const fs::directory_entry& entry = *it;
     if (entry.is_directory(ec)) {
-      if (skip_dirs.find(entry.path().filename().string()) != skip_dirs.end()) {
+      if (IsSkippedDir(entry.path().filename().string())) {
         it.disable_recursion_pending();
       }
       it.increment(ec);
@@ -168,12 +170,12 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
       it.increment(ec);
       continue;
     }
-    if (extensions.find(entry.path().extension().string()) == extensions.end()) {
+    if (!IsSourceExtension(entry.path().extension().string())) {
       it.increment(ec);
       continue;
     }
-    const uintmax_t size = options.max_file_bytes > 0 ? entry.file_size(ec) : 0;
-    const uintmax_t oversized = !ec && size > options.max_file_bytes ? size : 0;
+    const uintmax_t size = entry.file_size(ec);
+    const uintmax_t oversized = !ec && size > kMaxFileBytes ? size : 0;
     // The iterator builds each entry path by appending to `root_path`, so the
     // tree key is the rest of it, taken lexically: no filesystem lookups
     // (fs::relative canonicalised both paths for every file), and a symlink
@@ -186,13 +188,11 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
   }
 
   ThreadPool pool(options.jobs);
-  // A file over the cap is listed as a failure, never read: the cap guards
-  // the process against input from outside it.
   std::vector<ReadResult> contents =
-      ParallelMap(pool, candidates.size(), [&candidates, &options](size_t i) {
+      ParallelMap(pool, candidates.size(), [&candidates](size_t i) {
         if (candidates[i].oversized > 0) {
-          return ReadResult{{}, StrFormat("size %ju exceeds the loader's %zu-byte cap",
-                                          candidates[i].oversized, options.max_file_bytes)};
+          return ReadResult{{}, StrFormat("size %ju exceeds the loader's %ju-byte cap",
+                                          candidates[i].oversized, kMaxFileBytes)};
         }
         return ReadCandidate(candidates[i].path, candidates[i].key);
       });

@@ -18,13 +18,6 @@
 namespace refscan {
 
 struct LoadOptions {
-  // File extensions to load (C sources and headers by default).
-  std::vector<std::string> extensions = {".c", ".h"};
-  // Files larger than this (generated headers etc.) are not read: each is
-  // listed as a LoadFailure and counted in files_failed. 0 = no limit.
-  size_t max_file_bytes = 4 * 1024 * 1024;
-  // Directory names skipped entirely at any depth.
-  std::vector<std::string> skip_dirs = {".git", "build", "Documentation"};
   // Reader threads (0 = one per hardware thread, 1 = fully serial). The
   // loaded tree is identical at every value.
   size_t jobs = 0;
@@ -38,7 +31,7 @@ struct LoadFailure {
   std::string path;
   std::string what;
   int retries = 0;
-  bool over_cap = false;  // larger than LoadOptions::max_file_bytes, never read
+  bool over_cap = false;  // larger than the 4 MiB cap, never read
 };
 
 // Loader accounting. `files_retried` counts every file that consumed a
@@ -53,10 +46,12 @@ struct LoadStats {
   size_t files_retried = 0;
 };
 
-// Recursively loads matching files under `root` into a SourceTree keyed by
-// root-relative paths. Unreadable and oversized files are skipped; the
-// failure list (if non-null) collects them in walk order — identical at
-// every `jobs` value.
+// Recursively loads the `.c` and `.h` files under `root` into a SourceTree
+// keyed by root-relative paths, skipping `.git`, `build` and
+// `Documentation` directories at any depth. A file over 4 MiB (4,194,304
+// bytes; generated headers and the like) is never read. Unreadable and
+// oversized files are skipped; the failure list (if non-null) collects them
+// in walk order — identical at every `jobs` value.
 // Reads pass through the `fs.read` fault-injection site (faultinject.h) and
 // the `stage.load` / `file.load` telemetry spans (telemetry.h).
 SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& options = {},

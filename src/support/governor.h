@@ -1,16 +1,17 @@
-// Cooperative resource governors (DESIGN.md §5.9).
+// Cooperative resource governor (DESIGN.md §5.9).
 //
-// Per-file budgets for the scan pipeline: a wall-clock deadline plus the
-// size/depth/node caps declared in ScanOptions. Overruns raise
-// ResourceLimitError, which the engine's per-file sandboxes convert into a
-// quarantined FileFailure of kind kResourceLimit — no thread is ever
-// killed, so locks, caches and the thread pool stay healthy.
+// The per-file budget of the scan pipeline is a wall-clock deadline
+// (ScanOptions::file_timeout_ms); the input caps are constants of the code
+// they guard (DESIGN.md §5.15). An overrun raises DeadlineExceeded, which
+// the engine's per-file sandboxes convert into a quarantined FileFailure of
+// kind kResourceLimit — no thread is ever killed, so locks, caches and the
+// thread pool stay healthy.
 //
 // The deadline is thread-local: the sandbox running one file's parse or
 // checking installs a ScopedDeadline, and the long loops underneath
-// (parser statements, CFG lowering, per-function checking) poll it with
-// CheckDeadline. Polls amortise the clock read over 8 calls; with the
-// deadline disarmed a poll is one thread-local flag test.
+// (parser statements, CFG lowering, per-function checking, template
+// matching) poll it with CheckDeadline. Polls amortise the clock read over
+// 8 calls; with the deadline disarmed a poll is one thread-local flag test.
 
 #ifndef REFSCAN_SUPPORT_GOVERNOR_H_
 #define REFSCAN_SUPPORT_GOVERNOR_H_
@@ -22,16 +23,10 @@
 
 namespace refscan {
 
-// A per-file resource cap was exceeded (deadline, input size, AST depth or
-// node count). Quarantined as FailureKind::kResourceLimit.
-class ResourceLimitError : public std::runtime_error {
+// A file overran its deadline. Quarantined as FailureKind::kResourceLimit.
+class DeadlineExceeded : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
-};
-
-class DeadlineExceeded : public ResourceLimitError {
- public:
-  using ResourceLimitError::ResourceLimitError;
 };
 
 namespace governor_detail {
@@ -73,7 +68,7 @@ class ScopedDeadline {
 };
 
 // Cooperative poll. `where` names the loop for the diagnostic ("parser",
-// "cfg", "checker").
+// "cfg", "checker", "matcher").
 inline void CheckDeadline(const char* where) {
   auto& st = governor_detail::g_deadline;
   if (!st.armed) {

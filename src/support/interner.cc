@@ -61,7 +61,6 @@ struct Shard {
 struct Interner {
   std::mutex page_mu;
   std::atomic<uint32_t> next_id{0};
-  std::atomic<size_t> text_bytes{0};
   Shard shards[16];
 
   Interner() {
@@ -157,7 +156,6 @@ Symbol Intern(std::string_view text) {
   // happens-before; the atomic page pointer covers first-touch reads.
   e.text = copy;
   e.size = static_cast<uint32_t>(text.size());
-  g.text_bytes.fetch_add(text.size() + 1, std::memory_order_relaxed);
   shard.map.emplace(std::string_view(copy, text.size()), id);
   cached = TlEntry{copy, static_cast<uint32_t>(text.size()), id};
   return Symbol(id);
@@ -176,10 +174,6 @@ Symbol FindSymbol(std::string_view text) {
 
 size_t InternedSymbolCount() {
   return G().next_id.load(std::memory_order_relaxed);
-}
-
-size_t InternedTextBytes() {
-  return G().text_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace refscan

@@ -102,9 +102,6 @@ Symbol FindSymbol(std::string_view text);
 // Number of distinct symbols interned so far (including the empty string).
 size_t InternedSymbolCount();
 
-// Total text bytes owned by the interner (diagnostics).
-size_t InternedTextBytes();
-
 }  // namespace refscan
 
 #endif  // REFSCAN_SUPPORT_INTERNER_H_

@@ -253,17 +253,12 @@ class TelemetrySpan {
   uint64_t start_ns_ = 0;
 };
 
-// Counter / gauge helpers for sites that fire rarely enough that a name
-// lookup per hit is fine (fault fires, governor trips). Hot sites resolve a
-// handle once instead.
+// Counter helper for sites that fire rarely enough that a name lookup per
+// hit is fine (fault fires, governor trips). Hot sites resolve a handle
+// once instead.
 inline void TelemetryCount(std::string_view name, uint64_t n = 1) {
   if (Telemetry* t = CurrentTelemetry()) {
     t->metrics().Counter(name).Add(n);
-  }
-}
-inline void TelemetryGaugeMax(std::string_view name, int64_t v) {
-  if (Telemetry* t = CurrentTelemetry()) {
-    t->metrics().Gauge(name).Max(v);
   }
 }
 

@@ -267,10 +267,10 @@ TEST_F(CacheTest, KbSnapshotRoundTripsDialectRegistries) {
   const std::optional<KnowledgeBase> back = DeserializeKb(SerializeKb(kb));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(FingerprintKnowledgeBase(*back), FingerprintKnowledgeBase(kb));
-  EXPECT_TRUE(back->IsRefcountField("reference_count"));
-  EXPECT_TRUE(back->IsRefcountField("ref_count"));
-  EXPECT_TRUE(back->IsFreeApi("uacpi_free"));
-  EXPECT_TRUE(back->IsFreeApi("g_free"));
+  EXPECT_TRUE(back->IsRefcountField(Intern("reference_count")));
+  EXPECT_TRUE(back->IsRefcountField(Intern("ref_count")));
+  EXPECT_TRUE(back->IsFreeApi(Intern("uacpi_free")));
+  EXPECT_TRUE(back->IsFreeApi(Intern("g_free")));
   const RefApiInfo* unref = back->FindApi("uacpi_shareable_unref");
   ASSERT_NE(unref, nullptr);
   EXPECT_TRUE(unref->tests_zero);
@@ -413,7 +413,7 @@ TEST_F(CacheTest, OverDeepUnitPayloadFailsToDecodeInsteadOfCrashing) {
 }
 
 TEST_F(CacheTest, UnitParsedAtTheDepthCapsRoundTrips) {
-  // 199 nested blocks put the statement at ParseOptions::max_depth (200)
+  // 199 nested blocks put the statement at the parser's nesting cap (200)
   // and 199 negations put `x` at the expression cap: the deepest unit the
   // default parser builds without flattening.
   std::string negations_text;

@@ -207,6 +207,38 @@ TEST_F(CliFlagMatrixTest, IpaRejectsStreamingAndWorkers) {
   }
 }
 
+// `match` checks each file inside stage 3's sandbox, like `scan`: an
+// injected `checker.run` fault and an overrun deadline quarantine the file
+// at stage check (exit 2) instead of passing its matches through.
+TEST_F(CliFlagMatrixTest, MatchQuarantinesAFaultedOrOverdueFileAtStageCheck) {
+  const CliRun faulted = RunCli({"match", dir_ + "/tree", "F_start -> S_G(p0) -> !S_P(p0) -> F_end",
+                                 "--faults", "checker.run:always"});
+  EXPECT_EQ(faulted.rc, 2) << faulted.output;
+  EXPECT_NE(faulted.output.find("drivers/widget/widget.c: check failure"), std::string::npos)
+      << faulted.output;
+
+  // One function whose 300 objects are each dereferenced once: under
+  // `S_D -> S_D(p0) -> F_end` that is 44,850 matches and far more than 50
+  // ms of walks.
+  stdfs::create_directories(dir_ + "/many");
+  std::ofstream many(dir_ + "/many/many.c");
+  many << "int many(";
+  for (int i = 0; i < 300; ++i) {
+    many << (i == 0 ? "" : ", ") << "struct s *p" << i;
+  }
+  many << ")\n{\n";
+  for (int i = 0; i < 300; ++i) {
+    many << "\tuse(p" << i << "->x);\n";
+  }
+  many << "\treturn 0;\n}\n";
+  many.close();
+  const CliRun overdue = RunCli({"match", dir_ + "/many", "S_D -> S_D(p0) -> F_end",
+                                 "--file-timeout-ms", "50", "--jobs", "1"});
+  EXPECT_EQ(overdue.rc, 2) << overdue.output;
+  EXPECT_NE(overdue.output.find("many.c: check failure (resource-limit)"), std::string::npos)
+      << overdue.output;
+}
+
 // `match` walks the CFG with the index of the next template step as its
 // state, which holds fewer than 64 values: a longer template is unparsable.
 TEST_F(CliFlagMatrixTest, MatchRejectsATemplateLongerThanItsWalkEncodes) {

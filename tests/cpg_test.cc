@@ -67,10 +67,10 @@ TEST(ObjectSpellingTest, Shapes) {
 }
 
 TEST(ObjectRootTest, Shapes) {
-  EXPECT_EQ(ObjectRootOfSpelling("serial->kref"), "serial");
-  EXPECT_EQ(ObjectRootOfSpelling("np"), "np");
-  EXPECT_EQ(ObjectRootOfSpelling("*pp"), "pp");
-  EXPECT_EQ(ObjectRootOfSpelling("a.b.c"), "a");
+  EXPECT_EQ(RootSymbol(Intern("serial->kref")), "serial");
+  EXPECT_EQ(RootSymbol(Intern("np")), "np");
+  EXPECT_EQ(RootSymbol(Intern("*pp")), "pp");
+  EXPECT_EQ(RootSymbol(Intern("a.b.c")), "a");
 }
 
 TEST(CpgTest, IncreaseEventFromSpecificApi) {

@@ -1,5 +1,5 @@
-// LoadSourceTreeFromDisk tests: filtering (extensions, skip_dirs,
-// max_file_bytes), error reporting for unreadable inputs, and the
+// LoadSourceTreeFromDisk tests: filtering (extensions, skipped directories,
+// the 4 MiB size cap), error reporting for unreadable inputs, and the
 // parallel-read determinism guarantee (identical tree at every `jobs`).
 
 #include <gtest/gtest.h>
@@ -123,35 +123,29 @@ TEST_F(FsTest, SkipDirsPruneWholeSubtreesAtAnyDepth) {
   const SourceTree tree = LoadSourceTreeFromDisk(root_);
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_NE(tree.Find("drivers/a.c"), nullptr);
-
-  // An empty skip list loads everything.
-  LoadOptions open_options;
-  open_options.skip_dirs.clear();
-  EXPECT_EQ(LoadSourceTreeFromDisk(root_, open_options).size(), 4u);
 }
 
 TEST_F(FsTest, MaxFileBytesFiltersLargeFiles) {
+  // The cap is 4 MiB, inclusive.
+  constexpr size_t kCap = 4 * 1024 * 1024;
   WriteFile("small.c", "int s;\n");
-  WriteFile("large.c", std::string(1024, 'x'));
+  WriteFile("exact.c", std::string(kCap, 'x'));
+  WriteFile("large.c", std::string(kCap + 1, 'x'));
 
-  LoadOptions options;
-  options.max_file_bytes = 100;
   std::vector<LoadFailure> failures;
   LoadStats stats;
-  const SourceTree tree = LoadSourceTreeFromDisk(root_, options, &failures, &stats);
-  EXPECT_EQ(tree.size(), 1u);
+  const SourceTree tree = LoadSourceTreeFromDisk(root_, LoadOptions{}, &failures, &stats);
+  EXPECT_EQ(tree.size(), 2u);
   EXPECT_NE(tree.Find("small.c"), nullptr);
+  ASSERT_NE(tree.Find("exact.c"), nullptr);
+  EXPECT_EQ(tree.Find("exact.c")->text().size(), kCap);
   // The capped file is listed, not dropped without a word.
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].path, "large.c");
-  EXPECT_EQ(failures[0].what, "size 1024 exceeds the loader's 100-byte cap");
+  EXPECT_EQ(failures[0].what, "size 4194305 exceeds the loader's 4194304-byte cap");
   EXPECT_TRUE(failures[0].over_cap);
-  EXPECT_EQ(stats.files_loaded, 1u);
+  EXPECT_EQ(stats.files_loaded, 2u);
   EXPECT_EQ(stats.files_failed, 1u);
-
-  // 0 disables the limit.
-  options.max_file_bytes = 0;
-  EXPECT_EQ(LoadSourceTreeFromDisk(root_, options).size(), 2u);
 }
 
 TEST_F(FsTest, ParallelAndSerialLoadsAreIdentical) {

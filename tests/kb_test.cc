@@ -71,12 +71,12 @@ TEST(KbBuiltInTest, SmartLoops) {
 }
 
 TEST(KbHelpersTest, FreeLockUnlock) {
-  EXPECT_TRUE(KnowledgeBase::IsFreeFunction("kfree"));
-  EXPECT_TRUE(KnowledgeBase::IsFreeFunction("kvfree"));
-  EXPECT_FALSE(KnowledgeBase::IsFreeFunction("of_node_put"));
-  EXPECT_TRUE(KnowledgeBase::IsLockFunction("mutex_lock"));
-  EXPECT_TRUE(KnowledgeBase::IsUnlockFunction("mutex_unlock"));
-  EXPECT_FALSE(KnowledgeBase::IsLockFunction("mutex_unlock"));
+  EXPECT_TRUE(KnowledgeBase::IsFreeFunction(Intern("kfree")));
+  EXPECT_TRUE(KnowledgeBase::IsFreeFunction(Intern("kvfree")));
+  EXPECT_FALSE(KnowledgeBase::IsFreeFunction(Intern("of_node_put")));
+  EXPECT_TRUE(KnowledgeBase::IsLockFunction(Intern("mutex_lock")));
+  EXPECT_TRUE(KnowledgeBase::IsUnlockFunction(Intern("mutex_unlock")));
+  EXPECT_FALSE(KnowledgeBase::IsLockFunction(Intern("mutex_unlock")));
 }
 
 TEST(KbKeywordsTest, NameSoundsLikeRefcounting) {
@@ -319,22 +319,22 @@ TEST(KbRegistryTest, RefcountFieldsDiscoveredFromStructTypes) {
       "struct conn { refcount_t usage; int id; };\n"
       "struct stats { unsigned long hits; int depth; };\n");
   kb.DiscoverFromUnit(unit);
-  EXPECT_TRUE(kb.IsRefcountField("usage"));
+  EXPECT_TRUE(kb.IsRefcountField(Intern("usage")));
   // Plain integer counters never register — the P10 zero-FP guarantee.
-  EXPECT_FALSE(kb.IsRefcountField("hits"));
-  EXPECT_FALSE(kb.IsRefcountField("depth"));
-  EXPECT_FALSE(kb.IsRefcountField("id"));
+  EXPECT_FALSE(kb.IsRefcountField(Intern("hits")));
+  EXPECT_FALSE(kb.IsRefcountField(Intern("depth")));
+  EXPECT_FALSE(kb.IsRefcountField(Intern("id")));
 }
 
 TEST(KbRegistryTest, FreeApiCoversKernelListPlusRegistrations) {
   KnowledgeBase kb = KnowledgeBase::BuiltIn();
-  EXPECT_TRUE(kb.IsFreeApi("kfree"));
-  EXPECT_FALSE(kb.IsFreeApi("g_free"));
+  EXPECT_TRUE(kb.IsFreeApi(Intern("kfree")));
+  EXPECT_FALSE(kb.IsFreeApi(Intern("g_free")));
   kb.AddFreeFunction("g_free");
-  EXPECT_TRUE(kb.IsFreeApi("g_free"));
+  EXPECT_TRUE(kb.IsFreeApi(Intern("g_free")));
   EXPECT_TRUE(kb.extra_free_functions().contains("g_free"));
   // The static kernel classifier is unchanged by instance registrations.
-  EXPECT_FALSE(KnowledgeBase::IsFreeFunction("g_free"));
+  EXPECT_FALSE(KnowledgeBase::IsFreeFunction(Intern("g_free")));
 }
 
 TEST(KbDialectTest, KnownDialectsAreSorted) {
@@ -355,9 +355,9 @@ TEST(KbDialectTest, UacpiCatalogue) {
   EXPECT_EQ(unref->direction, RefDirection::kDecrease);
   EXPECT_TRUE(unref->tests_zero);  // returns the previous count
   EXPECT_TRUE(kb.IsRefcountedStruct("uacpi_shareable"));
-  EXPECT_TRUE(kb.IsRefcountField("reference_count"));
-  EXPECT_TRUE(kb.IsFreeApi("uacpi_free"));
-  EXPECT_TRUE(kb.IsFreeApi("uacpi_kernel_free"));
+  EXPECT_TRUE(kb.IsRefcountField(Intern("reference_count")));
+  EXPECT_TRUE(kb.IsFreeApi(Intern("uacpi_free")));
+  EXPECT_TRUE(kb.IsFreeApi(Intern("uacpi_kernel_free")));
 }
 
 TEST(KbDialectTest, GlibCatalogue) {
@@ -370,8 +370,8 @@ TEST(KbDialectTest, GlibCatalogue) {
   const RefApiInfo* dat = kb.FindApi("g_atomic_int_dec_and_test");
   ASSERT_NE(dat, nullptr);
   EXPECT_TRUE(dat->tests_zero);
-  EXPECT_TRUE(kb.IsRefcountField("ref_count"));
-  EXPECT_TRUE(kb.IsFreeApi("g_free"));
+  EXPECT_TRUE(kb.IsRefcountField(Intern("ref_count")));
+  EXPECT_TRUE(kb.IsFreeApi(Intern("g_free")));
 }
 
 TEST(KbDialectTest, UnknownDialectIsRejectedWithoutSideEffects) {

@@ -6,7 +6,6 @@
 
 #include "src/ast/ast.h"
 #include "src/ast/parser.h"
-#include "src/support/governor.h"
 #include "src/support/source.h"
 
 namespace refscan {
@@ -592,16 +591,6 @@ TEST(ParserDepthTest, DeepParenthesesFlattenInsteadOfExhaustingTheStack) {
   const Expr& ident = *shallow.functions[0].body->stmts[0]->expr;
   EXPECT_EQ(ident.kind, Expr::Kind::kIdent);
   EXPECT_EQ(ident.value, "x");
-}
-
-TEST(ParserDepthTest, ExpressionDepthIsFatalUnderDepthFatal) {
-  ParseOptions options;
-  options.max_depth = 64;
-  options.depth_fatal = true;
-  const SourceFile deep("t.c", ParenthesizedReturn(100));
-  EXPECT_THROW(ParseFile(deep, options), ResourceLimitError);
-  const SourceFile shallow("t.c", ParenthesizedReturn(40));
-  EXPECT_EQ(ParseFile(shallow, options).functions.size(), 1u);
 }
 
 TEST(ParserDepthTest, LongUnaryAndAssignmentChainsAreBounded) {

@@ -165,7 +165,10 @@ std::vector<BugReport> Stage3P6(const std::string& text) {
   const ScanStageContext ctx = MakeScanStageContext(options, cache);
   FileScanState st;
   st.unit = ParseFile(file);
-  const CachedFileReports shard = RunCheckStage(file, st, kb, 0, ctx);
+  const CachedFileReports shard =
+      RunCheckStage(file, st, 0, ctx, [&](const SourceFile& f, TranslationUnit unit) {
+        return CheckOneFile(f, std::move(unit), kb, options);
+      });
   EXPECT_FALSE(st.failure.has_value());
   return shard.reports;
 }

