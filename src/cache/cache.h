@@ -35,8 +35,7 @@
 // through an ObjectStore backend (src/cache/store.h): LocalStore writes to
 // a temporary file and renames, so concurrent scans sharing a cache
 // directory only ever observe complete objects, and appends one index.tsv
-// line per stored object for inspection (readers skip malformed lines);
-// RemoteStore speaks the same get/put to a shared `refscan cached` server.
+// line per stored object for inspection (readers skip malformed lines).
 
 #ifndef REFSCAN_CACHE_CACHE_H_
 #define REFSCAN_CACHE_CACHE_H_
@@ -153,8 +152,7 @@ void Transfer(IO& io, R& shard) {
 class ScanCache {
  public:
   // Backs the cache with a store (MakeScanStore picks it from the scan
-  // options: a LocalStore directory, a RemoteStore for `--cache-server`, or
-  // a resident MemoryStore). The artifact semantics — keys, header framing,
+  // options: a LocalStore directory or a resident MemoryStore). The artifact semantics — keys, header framing,
   // corruption accounting — are the same over every store; only raw blob
   // I/O differs. A null store constructs a disabled cache (every Load
   // misses, every Store is a no-op) so callers need no branches.
@@ -183,8 +181,7 @@ class ScanCache {
   uint64_t corrupt_loads() const { return corrupt_loads_.load(std::memory_order_relaxed); }
 
   // index.tsv bookkeeping: kind, object file name, source path, stored
-  // bytes. Malformed lines are skipped, not fatal. Stores without an index
-  // (RemoteStore) report empty.
+  // bytes. Malformed lines are skipped, not fatal.
   using IndexEntry = CacheIndexEntry;
   std::vector<IndexEntry> ReadIndex() const;
 

@@ -8,11 +8,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <unordered_set>
 
-#include "src/cache/serial.h"
 #include "src/support/fs.h"
 
 namespace refscan {
@@ -20,28 +20,6 @@ namespace refscan {
 namespace stdfs = std::filesystem;
 
 namespace {
-
-// Cache-server frame types (one request frame in, one reply frame out, in
-// lockstep — the put ack keeps the stream framed and gives natural
-// backpressure).
-constexpr uint8_t kCacheGet = 1;    // payload: the object name as a string
-constexpr uint8_t kCacheHit = 2;    // payload: the blob
-constexpr uint8_t kCacheMiss = 3;   // empty
-constexpr uint8_t kCachePut = 4;    // payload: CachePut
-constexpr uint8_t kCachePutOk = 5;  // empty
-
-// A put request. The server reads it as views into the frame's payload.
-struct CachePut {
-  std::string_view name;
-  std::string_view kind;
-  std::string_view source;
-  std::string_view blob;
-};
-
-template <typename IO, Value<CachePut> P>
-void Transfer(IO& io, P& put) {
-  Transfer(io, put.name, put.kind, put.source, put.blob);
-}
 
 // Writes all of `data`, looping over partial writes and EINTR.
 bool WriteFull(int fd, std::string_view data) {
@@ -59,11 +37,10 @@ bool WriteFull(int fd, std::string_view data) {
   return true;
 }
 
-// Object names reach LocalStore from ScanCache's key formatter and, through
-// `refscan cached`, from any client of the socket. Only a relative name made
-// of real segments stays inside the store directory once joined to it: an
-// absolute name, an empty, `.` or `..` segment, or a NUL (which would cut
-// the path short at the syscall) is refused.
+// Only a relative name made of real segments stays inside the store
+// directory once joined to it: an absolute name, an empty, `.` or `..`
+// segment, or a NUL (which would cut the path short at the syscall) is
+// refused.
 bool IsSafeObjectName(std::string_view name) {
   if (name.empty() || name.front() == '/' || name.find('\0') != std::string_view::npos) {
     return false;
@@ -270,106 +247,15 @@ uint64_t MemoryStore::bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// RemoteStore
-
-RemoteStore::RemoteStore(std::string socket_path, BackoffPolicy backoff)
-    : socket_path_(std::move(socket_path)), backoff_(backoff) {}
-
-bool RemoteStore::EnsureConnected() {
-  if (broken_) {
-    return false;
-  }
-  if (fd_.valid()) {
-    return true;
-  }
-  fd_ = ConnectWithRetry(socket_path_, backoff_);
-  if (!fd_.valid()) {
-    broken_ = true;  // no server within the budget: every later call is a cheap miss
-    return false;
-  }
-  return true;
-}
-
-bool RemoteStore::Get(const std::string& name, std::string& blob) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string request = Encode(name);
-  // One replay after a transport failure: get is an idempotent read, so a
-  // server bounce between requests (EPIPE on send, EOF on recv) costs one
-  // reconnect, not the rest of the scan's cache.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (!EnsureConnected()) {
-      return false;
-    }
-    uint8_t type = 0;
-    if (SendFrame(fd_.get(), kCacheGet, request) &&
-        RecvFrame(fd_.get(), type, blob) == RecvOutcome::kFrame) {
-      return type == kCacheHit;
-    }
-    fd_.Reset();
-  }
-  broken_ = true;  // two fresh connections both died mid-conversation
-  return false;
-}
-
-void RemoteStore::Put(const std::string& name, std::string_view blob, std::string_view kind_name,
-                      std::string_view source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string request = Encode(CachePut{name, kind_name, source, blob});
-  // Same one-replay policy as Get: a put is idempotent (content-addressed
-  // name → same bytes), so replaying a maybe-applied put is safe.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (!EnsureConnected()) {
-      return;
-    }
-    uint8_t type = 0;
-    std::string ack;
-    if (SendFrame(fd_.get(), kCachePut, request) &&
-        RecvFrame(fd_.get(), type, ack) == RecvOutcome::kFrame && type == kCachePutOk) {
-      return;
-    }
-    fd_.Reset();
-  }
-  broken_ = true;
-}
-
-// ---------------------------------------------------------------------------
-// CacheServer
-
-CacheServer::CacheServer(std::string dir, std::string socket_path)
-    : FrameServer(std::move(socket_path)), store_(dir) {
-  if (!store_.ok()) {
-    RefuseStart("cannot create cache directory " + dir);
-  }
-}
-
-bool CacheServer::ServeFrame(int fd, uint8_t type, const std::string& payload) {
-  if (type == kCacheGet) {
-    std::string name;
-    metrics().Counter("cached.gets").Add(1);
-    std::string blob;
-    if (Decode(payload, name) && store_.Get(name, blob)) {
-      metrics().Counter("cached.hits").Add(1);
-      return SendFrame(fd, kCacheHit, blob);
-    }
-    return SendFrame(fd, kCacheMiss, {});
-  }
-  if (type == kCachePut) {
-    CachePut put;
-    if (Decode(payload, put)) {
-      metrics().Counter("cached.puts").Add(1);
-      store_.Put(std::string(put.name), put.blob, put.kind, put.source);
-    }
-    return SendFrame(fd, kCachePutOk, {});
-  }
-  return false;  // unknown frame type: not our protocol, drop the connection
-}
-
-// ---------------------------------------------------------------------------
 // GC
 
-CacheGcStats RunCacheGc(const std::string& dir, uint64_t max_bytes) {
-  CacheGcStats stats;
+std::optional<CacheGcStats> RunCacheGc(const std::string& dir, uint64_t max_bytes) {
   const stdfs::path objects = stdfs::path(dir) / "objects";
+  std::error_code ec;
+  if (!stdfs::is_directory(objects, ec)) {
+    return std::nullopt;
+  }
+  CacheGcStats stats;
   struct Obj {
     std::string rel;  // path relative to `dir`, matching index object names
     uint64_t bytes = 0;
@@ -377,7 +263,6 @@ CacheGcStats RunCacheGc(const std::string& dir, uint64_t max_bytes) {
   };
   std::vector<Obj> objs;
   uint64_t total = 0;
-  std::error_code ec;
   for (stdfs::recursive_directory_iterator it(objects, ec), end; !ec && it != end;
        it.increment(ec)) {
     if (!it->is_regular_file(ec)) {

@@ -6,26 +6,20 @@
 // named blobs, and that is the seam this header abstracts: an ObjectStore
 // is a name → blob map with durable puts. Two implementations:
 //
-//   LocalStore   the original on-disk layout: <dir>/objects/<xx>/<rest>,
-//                tmp+rename atomic writes, an append-only index.tsv. Index
-//                appends are one O_APPEND write(2) per entry (lines ≤
-//                PIPE_BUF are appended atomically even across processes;
-//                longer lines take an flock), so N worker processes can
-//                share one cache directory without tearing the index.
+//   LocalStore   the on-disk layout: <dir>/objects/<xx>/<rest>, tmp+rename
+//                atomic writes, an append-only index.tsv. Index appends are
+//                one O_APPEND write(2) per entry (lines ≤ PIPE_BUF are
+//                appended atomically even across processes; longer lines
+//                take an flock), so N scanning processes — shard workers, a
+//                fleet of `--cache-dir` scans — share one cache directory
+//                without tearing the index. A shared directory is how
+//                processes share a warm cache.
 //
-//   RemoteStore  a client for `refscan cached`, the shared cache server:
-//                content-addressed get/put over the same length-prefixed
-//                Unix-socket framing as the shard workers (support/ipc.h).
-//                A fleet of scanners points --cache-server at one warm
-//                store; the first scanner of a commit pays, everyone else
-//                splices. Any transport failure degrades to a miss /
-//                dropped put — the server dying mid-scan can cost time,
-//                never output.
+//   MemoryStore  the resident daemon's in-process store (`refscan serve`).
 //
-// CacheServer is the matching server: a LocalStore behind the shared
-// FrameServer lifecycle (support/server.h). RunCacheGc size-caps a local store by evicting
-// least-recently-used objects (LocalStore::Get touches mtime on every hit,
-// so mtime order is LRU order, not write order).
+// RunCacheGc size-caps a local store by evicting least-recently-used
+// objects (LocalStore::Get touches mtime on every hit, so mtime order is
+// LRU order, not write order).
 
 #ifndef REFSCAN_CACHE_STORE_H_
 #define REFSCAN_CACHE_STORE_H_
@@ -34,13 +28,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
-
-#include "src/support/ipc.h"
-#include "src/support/server.h"
 
 namespace refscan {
 
@@ -58,7 +50,7 @@ class ObjectStore {
  public:
   virtual ~ObjectStore() = default;
 
-  // Fetches the blob stored under `name`. False = absent or unreachable
+  // Fetches the blob stored under `name`. False = absent or unreadable
   // (the caller treats both as a miss).
   virtual bool Get(const std::string& name, std::string& blob) = 0;
 
@@ -75,7 +67,7 @@ class ObjectStore {
 // On-disk store. An inaccessible directory yields ok() == false; callers
 // degrade to a disabled cache. A name that could reach outside the directory
 // (absolute, or with an empty, `.` or `..` segment) reads as a miss and is
-// never written: CacheServer hands client-supplied names straight to it.
+// never written.
 class LocalStore : public ObjectStore {
  public:
   explicit LocalStore(std::string dir);
@@ -120,63 +112,21 @@ class MemoryStore : public ObjectStore {
   uint64_t bytes_ = 0;
 };
 
-// Client for a CacheServer. One connection, serialized by a mutex (cache
-// traffic is small next to parsing; a connection pool is not worth the
-// states). Connects lazily on first use with the bounded jittered backoff
-// of `backoff` (one immediate try plus retries — a server still binding its
-// socket, or restarting, is a transient, not an outage). A transport
-// failure mid-conversation reconnects and replays the request once (get/put
-// are idempotent content-addressed ops); only when the whole budget is
-// exhausted does the store mark itself broken and degrade every later call
-// to a cheap miss, so a fleet scan outlives its cache server.
-class RemoteStore : public ObjectStore {
- public:
-  explicit RemoteStore(std::string socket_path, BackoffPolicy backoff = {});
-
-  bool Get(const std::string& name, std::string& blob) override;
-  void Put(const std::string& name, std::string_view blob, std::string_view kind_name,
-           std::string_view source) override;
-  std::vector<CacheIndexEntry> Index() const override { return {}; }
-
- private:
-  bool EnsureConnected();  // caller holds mu_
-
-  std::string socket_path_;
-  BackoffPolicy backoff_;
-  std::mutex mu_;
-  OwnedFd fd_;
-  bool broken_ = false;
-};
-
-// Cache server: serves get/put for one LocalStore over a Unix socket, on
-// the shared daemon lifecycle (support/server.h). The LocalStore's atomic
-// object writes and index appends make concurrent connections safe. An
-// unusable directory makes Start fail. Counts `cached.gets`, `cached.hits`
-// and `cached.puts` in metrics().
-class CacheServer : public FrameServer {
- public:
-  CacheServer(std::string dir, std::string socket_path);
-  ~CacheServer() override { Stop(); }
-
- private:
-  bool ServeFrame(int fd, uint8_t type, const std::string& payload) override;
-
-  LocalStore store_;
-};
-
 // Size-capped LRU eviction for a local cache directory (`refscan cache gc`).
 // Deletes least-recently-used objects (mtime order; LocalStore::Get touches
 // mtime on hit) until the objects/ tree holds at most `max_bytes`, then
 // compacts index.tsv down to the surviving objects (dropping dead and
 // superseded-duplicate lines). Best-effort under concurrent writers: a
 // racing store can push the total back over the cap, never corrupt it.
+// A `dir` without an objects/ directory is not a cache: nullopt, and
+// nothing is written.
 struct CacheGcStats {
   uint64_t kept_objects = 0;
   uint64_t kept_bytes = 0;
   uint64_t evicted_objects = 0;
   uint64_t evicted_bytes = 0;
 };
-CacheGcStats RunCacheGc(const std::string& dir, uint64_t max_bytes);
+std::optional<CacheGcStats> RunCacheGc(const std::string& dir, uint64_t max_bytes);
 
 }  // namespace refscan
 

@@ -69,24 +69,18 @@ struct ScanOptions {
   // and — when the post-discovery KB fingerprint also matches — splice
   // their cached report shards (skipping CFG/CPG construction and checking
   // entirely). Reports are byte-identical to a cold scan at every `jobs`
-  // value; the cache can only cost time, never change output.
+  // value; the cache can only cost time, never change output. Many
+  // processes may share one directory (src/cache/store.h): that is how
+  // shard workers and a fleet of scans share a warm cache.
   std::string cache_dir;
 
-  // Unix-socket path of a `refscan cached` shared artifact server
-  // (src/cache/store.h). When set it takes precedence over cache_dir: cache
-  // gets/puts go over the socket, so N scanning processes (or machines
-  // sharing the socket via a forwarder) split one warm store. Location, not
-  // content — excluded from the options fingerprint, and an unreachable
-  // server degrades every call to a miss.
-  std::string cache_server;
-
-  // In-process artifact store injection: when set it wins over cache_server
-  // and cache_dir. The resident scan service (`refscan serve`) points every
-  // request at one shared MemoryStore so KB snapshots, facts and report
-  // shards stay hot across requests. Like the other cache knobs this is a
-  // location, not content — excluded from the options fingerprint, and it
-  // never travels on any wire (shard workers and serve requests get their
-  // store from their own side of the socket).
+  // In-process artifact store injection: when set it wins over cache_dir.
+  // The resident scan service (`refscan serve`) points every request at one
+  // shared MemoryStore so KB snapshots, facts and report shards stay hot
+  // across requests. Like cache_dir this is a location, not content —
+  // excluded from the options fingerprint, and it never travels on any wire
+  // (shard workers and serve requests get their store from their own side
+  // of the socket).
   std::shared_ptr<ObjectStore> object_store;
 
   // Precision knobs (the design-choice ablation toggles these):

@@ -132,9 +132,6 @@ std::shared_ptr<ObjectStore> MakeScanStore(const ScanOptions& options) {
   if (options.object_store != nullptr) {
     return options.object_store;  // resident injection wins over any location
   }
-  if (!options.cache_server.empty()) {
-    return std::make_shared<RemoteStore>(options.cache_server);
-  }
   if (options.cache_dir.empty()) {
     return nullptr;
   }
@@ -177,9 +174,9 @@ void Transfer(IO& io, O& o) {
   Transfer(io, o.nesting_threshold, o.discover_from_source, o.enabled_patterns,
            o.prune_null_branches, o.model_ownership_transfer, o.dialects,
            NotFingerprinted(o.jobs), NotFingerprinted(o.cache_dir),
-           NotFingerprinted(o.cache_server), NotFingerprinted(o.interprocedural),
-           NotFingerprinted(o.fault_spec), NotFingerprinted(o.file_timeout_ms),
-           NotFingerprinted(o.max_failure_ratio), NotFingerprinted(o.streaming));
+           NotFingerprinted(o.interprocedural), NotFingerprinted(o.fault_spec),
+           NotFingerprinted(o.file_timeout_ms), NotFingerprinted(o.max_failure_ratio),
+           NotFingerprinted(o.streaming));
 }
 
 uint64_t ScanOptionsFingerprint(const ScanOptions& options) {

@@ -48,11 +48,10 @@ struct FileScanState {
 };
 
 // Builds the object store the options ask for: the injected object_store
-// when set (the resident server's shared MemoryStore), else a RemoteStore
-// client when cache_server is set (takes precedence over cache_dir), a
-// LocalStore for cache_dir, null (disabled cache) otherwise. A local
-// directory that cannot be created degrades to null, matching ScanCache's
-// historical behaviour.
+// when set (the resident server's shared MemoryStore), else a LocalStore
+// for cache_dir, null (disabled cache) otherwise. A local directory that
+// cannot be created degrades to null, matching ScanCache's historical
+// behaviour.
 std::shared_ptr<ObjectStore> MakeScanStore(const ScanOptions& options);
 
 // ---- The scan wire (serial.h) ------------------------------------------

@@ -434,7 +434,6 @@ std::vector<BugReport> RunTemplateChecker(const SemanticTemplate& tmpl, const So
   // splicing one in would pass those off as matches.
   ScanOptions local = options;
   local.cache_dir.clear();
-  local.cache_server.clear();
   local.object_store = nullptr;
   TemplateScan spine(tmpl, tree, std::move(kb), local);
   if (spine.RunFront()) {

@@ -4,13 +4,13 @@
 // load failures behave exactly as a local scan), ships it with the full
 // options image, and reconstructs the ScanResult from the reply. Transport
 // failure is never an error the user sees twice: the client retries with
-// the same bounded jittered backoff the cache client uses, and only after
-// the budget is exhausted does it return nullopt — the CLI then falls back
-// to a local in-process scan, whose stdout is byte-identical by
-// construction. A *reachable* server that fails the request (kServeErr:
-// injected fault, deadline, drain) is different: that becomes a degraded
-// result (exit 2), because silently re-running a request the server
-// rejected would mask the failure the operator asked to see.
+// a bounded jittered backoff (BackoffPolicy), and only after the budget is
+// exhausted does it return nullopt — the CLI then falls back to a local
+// in-process scan, whose stdout is byte-identical by construction. A
+// *reachable* server that fails the request (kServeErr: injected fault,
+// deadline, drain) is different: that becomes a degraded result (exit 2),
+// because silently re-running a request the server rejected would mask the
+// failure the operator asked to see.
 
 #ifndef REFSCAN_SERVE_CLIENT_H_
 #define REFSCAN_SERVE_CLIENT_H_

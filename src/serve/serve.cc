@@ -198,15 +198,14 @@ bool ScanServer::ServeFrame(int fd, uint8_t type, const std::string& payload) {
 }
 
 ScanOptions ScanServer::RequestOptions(ScanOptions options) const {
-  // Requests scan against the resident store, never a path or socket of
-  // the client's choosing, and a client fault spec must not arm sites in
+  // Requests scan against the resident store, never a directory of the
+  // client's choosing, and a client fault spec must not arm sites in
   // the server process beyond its own request... which is exactly what
   // ScanOptions::fault_spec would do (ScopedFaultArm is process-global for
   // the scan's duration). Strip it: fault injection into the server is the
   // server operator's knob (REFSCAN_FAULTS / serve.* sites).
   options.object_store = store_;
   options.cache_dir.clear();
-  options.cache_server.clear();
   options.fault_spec.clear();
   if (config_.request_timeout_ms > 0) {
     options.file_timeout_ms = options.file_timeout_ms == 0

@@ -86,7 +86,6 @@ uint64_t RunWatchLoop(const WatchConfig& watch, ScanOptions options,
                       std::FILE* out) {
   options.object_store = std::move(store);
   options.cache_dir.clear();
-  options.cache_server.clear();
   uint64_t generation = 0;
   uint64_t last_fp = 0;
   std::vector<BugReport> last_reports;

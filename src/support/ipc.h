@@ -1,18 +1,17 @@
 // Unix-domain socket transport with length-prefixed frames (DESIGN.md
 // §5.13).
 //
-// Three features ride on this one primitive: sharded multi-process scanning
-// (src/checkers/sharded), the shared content-addressed cache server
-// (`refscan cached`, src/cache/store) and the resident scan service
-// (`refscan serve`, src/serve). All speak the same trivially parseable wire
-// format — one frame is
+// Two features ride on this one primitive: sharded multi-process scanning
+// (src/checkers/sharded) and the resident scan service (`refscan serve`,
+// src/serve). Both speak the same trivially parseable wire format — one
+// frame is
 //
 //   [u32 payload length, little-endian] [u8 type] [payload bytes]
 //
-// — and the two daemons share one server lifecycle on top of it,
-// FrameServer (support/server.h). Payload encoding is the cache layer's ByteWriter/ByteReader
-// format (src/cache/serial.h): every length bounds-checked, corruption
-// degrades to a protocol error, never UB.
+// — and the daemon's server lifecycle sits on top of it, FrameServer
+// (support/server.h). Payload encoding is the cache layer's
+// ByteWriter/ByteReader format (src/cache/serial.h): every length
+// bounds-checked, corruption degrades to a protocol error, never UB.
 //
 // Error model: every call reports failure through a bool + optional
 // std::string* out-param instead of throwing. Peers dying mid-conversation
@@ -76,12 +75,12 @@ OwnedFd UnixListen(const std::string& path, std::string* error = nullptr);
 // Connects to the Unix-domain socket at `path`.
 OwnedFd UnixConnect(const std::string& path, std::string* error = nullptr);
 
-// Bounded reconnect policy shared by every IPC client (RemoteStore, the
-// `scan --remote` client): jittered exponential backoff between connect
-// attempts. The jitter is a deterministic hash of (jitter_seed, attempt) —
-// not wall clock or rand() — so tests and replayed fault runs see the same
-// delays; different clients decorrelate by seeding differently (pid, worker
-// id). attempts <= 1 means a single try, no sleeping.
+// Bounded reconnect policy for IPC clients (the `scan --remote` client):
+// jittered exponential backoff between connect attempts. The jitter is a
+// deterministic hash of (jitter_seed, attempt) — not wall clock or rand() —
+// so tests and replayed fault runs see the same delays; different clients
+// decorrelate by seeding differently (pid, worker id). attempts <= 1 means
+// a single try, no sleeping.
 struct BackoffPolicy {
   int attempts = 5;
   uint32_t base_delay_ms = 10;  // delay before the first retry

@@ -23,12 +23,6 @@ FrameServer::FrameServer(std::string socket_path) : socket_path_(std::move(socke
 FrameServer::~FrameServer() { Stop(); }
 
 bool FrameServer::Start(std::string* error) {
-  if (!start_error_.empty()) {
-    if (error != nullptr) {
-      *error = start_error_;
-    }
-    return false;
-  }
   listen_fd_ = UnixListen(socket_path_, error);
   if (!listen_fd_.valid()) {
     return false;

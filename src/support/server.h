@@ -1,10 +1,9 @@
-// The one Unix-socket daemon lifecycle (DESIGN.md §5.14).
+// The Unix-socket daemon lifecycle (DESIGN.md §5.14).
 //
-// Both resident servers — the shared cache (`refscan cached`,
-// src/cache/store) and the resident scan service (`refscan serve`,
-// src/serve) — are a FrameServer: a listener, an accept thread, one thread
-// per live connection reading frames in lockstep (the accept loop joins a
-// connection's thread once it ends), and two ways down:
+// The resident scan service (`refscan serve`, src/serve) is a FrameServer:
+// a listener, an accept thread, one thread per live connection reading
+// frames in lockstep (the accept loop joins a connection's thread once it
+// ends), and two ways down:
 //
 //   Drain  the SIGTERM path: stop accepting and unlink the socket (a
 //          connect() after SIGTERM fails fast), let requests already
@@ -52,7 +51,7 @@ class FrameServer {
   FrameServer& operator=(const FrameServer&) = delete;
 
   // Binds the socket and starts the accept thread. False + `error` if the
-  // socket is unusable or the subclass refused to start.
+  // socket is unusable.
   bool Start(std::string* error = nullptr);
 
   // Graceful shutdown (see the header comment). Returns true when every
@@ -78,9 +77,6 @@ class FrameServer {
   // Runs when a drain overruns its budget, before writes are cut.
   virtual void Escalate() {}
 
-  // Makes Start fail with `reason` (a subclass whose resources are unusable).
-  void RefuseStart(std::string reason) { start_error_ = std::move(reason); }
-
   // Connections whose thread has not finished.
   size_t live_connections() const;
 
@@ -103,7 +99,6 @@ class FrameServer {
   void JoinConnections(bool all);
 
   std::string socket_path_;
-  std::string start_error_;
   OwnedFd listen_fd_;
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};

@@ -14,7 +14,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -694,11 +696,12 @@ TEST_F(CacheTest, CacheGcEvictsLruObjectsDownToTheByteBudget) {
                            stdfs::file_time_type(std::chrono::seconds(1000000 + i)));
   }
 
-  const CacheGcStats gc = RunCacheGc(cache_dir_, 450);
-  EXPECT_EQ(gc.kept_objects, 4u);  // 4 * 100 <= 450 < 5 * 100
-  EXPECT_EQ(gc.kept_bytes, 400u);
-  EXPECT_EQ(gc.evicted_objects, 6u);
-  EXPECT_EQ(gc.evicted_bytes, 600u);
+  const std::optional<CacheGcStats> gc = RunCacheGc(cache_dir_, 450);
+  ASSERT_TRUE(gc.has_value());
+  EXPECT_EQ(gc->kept_objects, 4u);  // 4 * 100 <= 450 < 5 * 100
+  EXPECT_EQ(gc->kept_bytes, 400u);
+  EXPECT_EQ(gc->evicted_objects, 6u);
+  EXPECT_EQ(gc->evicted_bytes, 600u);
 
   // The oldest six are gone, the newest four still load; the index was
   // compacted to exactly the survivors.
@@ -729,13 +732,28 @@ TEST_F(CacheTest, GetRefreshesMtimeSoGcEvictsARecentlyReadObjectLast) {
   std::string blob;
   ASSERT_TRUE(store.Get(name(0), blob));
 
-  const CacheGcStats gc = RunCacheGc(cache_dir_, 100);
-  EXPECT_EQ(gc.kept_objects, 1u);
+  const std::optional<CacheGcStats> gc = RunCacheGc(cache_dir_, 100);
+  ASSERT_TRUE(gc.has_value());
+  EXPECT_EQ(gc->kept_objects, 1u);
   LocalStore after(cache_dir_);
   EXPECT_TRUE(after.Get(name(0), blob));
   EXPECT_EQ(blob, std::string(100, 'a'));
   EXPECT_FALSE(after.Get(name(1), blob));
   EXPECT_FALSE(after.Get(name(2), blob));
+}
+
+// `cache gc` on a directory that holds no objects/ (a source tree, a typo)
+// or on a missing one is refused and writes nothing: no index.tsv appears.
+TEST_F(CacheTest, CacheGcRefusesADirectoryThatIsNotACache) {
+  stdfs::create_directories(cache_dir_);
+  {
+    std::ofstream out(stdfs::path(cache_dir_) / "a.c");
+    out << "int x;\n";
+  }
+  EXPECT_FALSE(RunCacheGc(cache_dir_, 0).has_value());
+  EXPECT_FALSE(RunCacheGc(cache_dir_ + "/missing", 0).has_value());
+  EXPECT_EQ(std::distance(stdfs::directory_iterator(cache_dir_), stdfs::directory_iterator()), 1);
+  EXPECT_TRUE(stdfs::exists(stdfs::path(cache_dir_) / "a.c"));
 }
 
 TEST(CacheHashTest, BitFlipsAndZeroRunsGiveDistinctHashes) {
@@ -770,10 +788,9 @@ TEST(CacheHashTest, BitFlipsAndZeroRunsGiveDistinctHashes) {
   EXPECT_EQ(lo.size(), inputs.size());
 }
 
-TEST_F(CacheTest, CacheServerRefusesObjectNamesOutsideItsDirectory) {
-  const std::string socket = cache_dir_ + ".sock";
-  CacheServer server(cache_dir_, socket);
-  ASSERT_TRUE(server.Start());
+TEST_F(CacheTest, LocalStoreRefusesObjectNamesOutsideItsDirectory) {
+  LocalStore store(cache_dir_);
+  ASSERT_TRUE(store.ok());
   // A file beside the cache directory, and one a put must never create.
   const stdfs::path outside = cache_dir_ + "_outside.txt";
   const stdfs::path probe = cache_dir_ + "_escape_probe.txt";
@@ -781,47 +798,21 @@ TEST_F(CacheTest, CacheServerRefusesObjectNamesOutsideItsDirectory) {
     std::ofstream out(outside, std::ios::binary);
     out << "secret";
   }
-  const std::string dir_name = stdfs::path(cache_dir_).filename().string();
+  // An object the unnormalised spellings below would reach.
+  store.Put("objects/x.facts", "planted", "facts", "a.c");
+  const std::string up = "../" + stdfs::path(cache_dir_).filename().string();
 
-  // Raw frames on one connection, as a hostile client sends them (the
-  // protocol's frame types: 1 get, 2 hit, 3 miss, 4 put, 5 put ack).
-  OwnedFd conn = UnixConnect(socket);
-  ASSERT_TRUE(conn.valid());
-  const auto request = [&](uint8_t type, const ByteWriter& w, std::string& reply) {
-    uint8_t reply_type = 0;
-    if (!SendFrame(conn.get(), type, w.bytes()) ||
-        RecvFrame(conn.get(), reply_type, reply) != RecvOutcome::kFrame) {
-      return uint8_t{0};
-    }
-    return reply_type;
-  };
-  const auto get = [&](const std::string& name, std::string& reply) {
-    ByteWriter w;
-    w.Str(name);
-    return request(1, w, reply);
-  };
-  const auto put = [&](const std::string& name, const std::string& blob) {
-    ByteWriter w;
-    w.Str(name);
-    w.Str("facts");
-    w.Str("a.c");
-    w.Str(blob);
-    std::string reply;
-    return request(4, w, reply);
-  };
-
-  const std::string up = "../" + dir_name;
   const std::vector<std::string> hostile_gets = {
       up + "_outside.txt", outside.string(), "objects/../" + up + "_outside.txt",
       "objects//x.facts",  "objects/./x.facts", "./x.facts", "objects/x.facts/", ""};
-  std::string reply;
+  std::string blob;
   for (const std::string& name : hostile_gets) {
-    EXPECT_EQ(get(name, reply), 3) << "get " << name;  // a miss, not the file
+    EXPECT_FALSE(store.Get(name, blob)) << "get " << name;  // a miss, not the file
   }
   const std::vector<std::string> hostile_puts = {
       up + "_escape_probe.txt", probe.string(), "objects/../" + up + "_escape_probe.txt"};
   for (const std::string& name : hostile_puts) {
-    EXPECT_EQ(put(name, "planted"), 5) << "put " << name;  // acked, dropped
+    store.Put(name, "planted", "facts", "a.c");  // dropped
   }
   EXPECT_FALSE(stdfs::exists(probe));
   std::ifstream in(outside, std::ios::binary);
@@ -829,57 +820,23 @@ TEST_F(CacheTest, CacheServerRefusesObjectNamesOutsideItsDirectory) {
   outside_text << in.rdbuf();
   EXPECT_EQ(outside_text.str(), "secret");
 
-  // The same connection still serves well-formed names.
-  EXPECT_EQ(put("objects/fe/ed.facts", "kept"), 5);
-  EXPECT_EQ(get("objects/fe/ed.facts", reply), 2);
-  EXPECT_EQ(reply, "kept");
-  conn.Reset();
-  server.Stop();
-  ::unlink(socket.c_str());
+  // The same store still serves well-formed names.
+  store.Put("objects/fe/ed.facts", "kept", "facts", "a.c");
+  ASSERT_TRUE(store.Get("objects/fe/ed.facts", blob));
+  EXPECT_EQ(blob, "kept");
   stdfs::remove(outside);
   stdfs::remove(probe);
 }
 
-TEST_F(CacheTest, CacheServerServesGetsAndPutsAcrossClients) {
-  const std::string socket = cache_dir_ + ".sock";
-  CacheServer server(cache_dir_, socket);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-
-  RemoteStore writer(socket);
-  writer.Put("feed0001.facts", "shared-blob", "facts", "a.c");
-  std::string blob;
-  ASSERT_TRUE(writer.Get("feed0001.facts", blob));
-  EXPECT_EQ(blob, "shared-blob");
-
-  // A second client (a different "process" in fleet terms) sees the same
-  // object: the store is shared server-side, not per-connection.
-  RemoteStore reader(socket);
-  blob.clear();
-  ASSERT_TRUE(reader.Get("feed0001.facts", blob));
-  EXPECT_EQ(blob, "shared-blob");
-  EXPECT_FALSE(reader.Get("feed0002.facts", blob));  // miss, not error
-
-  EXPECT_EQ(server.metrics().CounterValue("cached.puts"), 1u);
-  EXPECT_EQ(server.metrics().CounterValue("cached.gets"), 3u);
-  EXPECT_EQ(server.metrics().CounterValue("cached.hits"), 2u);
-  server.Stop();
-  ::unlink(socket.c_str());
-}
-
-TEST_F(CacheTest, CorruptServerObjectDegradesToMissNotWrongFacts) {
-  const std::string socket = cache_dir_ + ".sock";
-  CacheServer server(cache_dir_, socket);
-  ASSERT_TRUE(server.Start());
-
-  ScanCache cache(std::make_shared<RemoteStore>(socket));
+TEST_F(CacheTest, CorruptStoredObjectDegradesToMissNotWrongFacts) {
+  ScanCache cache(std::make_shared<LocalStore>(cache_dir_));
   ASSERT_TRUE(cache.enabled());
   const CacheKey key = MakeFileKey("a.c", "int x;\n", 1);
   DiscoveryFacts facts;
   cache.StoreFacts(key, facts, "a.c");
   ASSERT_TRUE(cache.LoadFacts(key).has_value());
 
-  // Flip bytes in the stored object on disk, behind the server's back.
+  // Overwrite the stored object on disk, behind the store's back.
   bool corrupted = false;
   for (const auto& entry : stdfs::recursive_directory_iterator(cache_dir_)) {
     if (entry.is_regular_file() && entry.path().extension() == ".facts") {
@@ -890,77 +847,9 @@ TEST_F(CacheTest, CorruptServerObjectDegradesToMissNotWrongFacts) {
   }
   ASSERT_TRUE(corrupted);
 
-  ScanCache fresh(std::make_shared<RemoteStore>(socket));
+  ScanCache fresh(std::make_shared<LocalStore>(cache_dir_));
   EXPECT_FALSE(fresh.LoadFacts(key).has_value());
   EXPECT_EQ(fresh.corrupt_loads(), 1u);
-  server.Stop();
-  ::unlink(socket.c_str());
-}
-
-TEST_F(CacheTest, RemoteStoreReconnectsAcrossAServerRestart) {
-  const std::string socket = cache_dir_ + ".sock";
-  auto server = std::make_unique<CacheServer>(cache_dir_, socket);
-  ASSERT_TRUE(server->Start());
-
-  // A patient client: enough backoff budget to outlive the bounce below.
-  BackoffPolicy backoff;
-  backoff.attempts = 10;
-  backoff.base_delay_ms = 1;
-  backoff.max_delay_ms = 5;
-  RemoteStore client(socket, backoff);
-  client.Put("feed0003.facts", "durable-blob", "facts", "a.c");
-  std::string blob;
-  ASSERT_TRUE(client.Get("feed0003.facts", blob));
-
-  // Bounce the server. The client's connection is now a dead fd; the next
-  // call must reconnect (one replay — get is idempotent) and hit the object
-  // the first server persisted to disk.
-  server.reset();
-  ::unlink(socket.c_str());
-  server = std::make_unique<CacheServer>(cache_dir_, socket);
-  ASSERT_TRUE(server->Start());
-
-  blob.clear();
-  EXPECT_TRUE(client.Get("feed0003.facts", blob));
-  EXPECT_EQ(blob, "durable-blob");
-  server->Stop();
-  ::unlink(socket.c_str());
-}
-
-TEST_F(CacheTest, CacheServerDrainWakesParkedReadersAndRefusesNew) {
-  const std::string socket = cache_dir_ + ".sock";
-  CacheServer server(cache_dir_, socket);
-  ASSERT_TRUE(server.Start());
-
-  // One client with a completed put, then parked idle (its connection body
-  // is blocked in a frame read server-side); one hostile client parked
-  // mid-frame. Drain must wake both without hanging and finish in budget.
-  RemoteStore parked(socket);
-  parked.Put("feed0004.facts", "drained-blob", "facts", "a.c");
-  std::string blob;
-  ASSERT_TRUE(parked.Get("feed0004.facts", blob));
-  OwnedFd midframe = UnixConnect(socket);
-  ASSERT_TRUE(midframe.valid());
-  const char partial[] = {50, 0, 0, 0, 1};  // promises 50 bytes, sends none
-  ASSERT_EQ(::write(midframe.get(), partial, sizeof(partial)),
-            static_cast<ssize_t>(sizeof(partial)));
-
-  EXPECT_TRUE(server.Drain(5000));
-  // The listener is gone and the object survived the drain.
-  EXPECT_FALSE(UnixConnect(socket).valid());
-  LocalStore store(cache_dir_);
-  blob.clear();
-  EXPECT_TRUE(store.Get("feed0004.facts", blob));
-  EXPECT_EQ(blob, "drained-blob");
-}
-
-TEST_F(CacheTest, UnreachableCacheServerDegradesEveryCallToAMiss) {
-  ScanCache cache(std::make_shared<RemoteStore>("/tmp/refscan-no-such-server.sock"));
-  ASSERT_TRUE(cache.enabled());
-  const CacheKey key = MakeFileKey("a.c", "int x;\n", 1);
-  DiscoveryFacts facts;
-  cache.StoreFacts(key, facts, "a.c");          // swallowed, no throw
-  EXPECT_FALSE(cache.LoadFacts(key).has_value());  // miss, no throw
 }
 
 }  // namespace

@@ -175,7 +175,8 @@ TEST_F(CliFlagMatrixTest, FlagsOutsideTheirSubcommandExit64) {
       // --remote scans on the daemon, with its own threads and store.
       {"scan", tree, "--remote", dir_ + "/no.sock", "--workers", "2"},
       {"scan", tree, "--remote", dir_ + "/no.sock", "--cache-dir", dir_ + "/cache"},
-      {"stats", tree, "--remote", dir_ + "/no.sock", "--cache-server", dir_ + "/c.sock"},
+      // ...and arms faults only from its own REFSCAN_FAULTS.
+      {"stats", tree, "--remote", dir_ + "/no.sock", "--faults", "parser.parse:always"},
       // --poll-ms and --jobs configure serve's --watch loop only.
       {"serve", dir_ + "/serve.sock", "--poll-ms", "5"},
       {"serve", dir_ + "/serve.sock", "--jobs", "2"},
@@ -185,6 +186,26 @@ TEST_F(CliFlagMatrixTest, FlagsOutsideTheirSubcommandExit64) {
   for (const auto& args : rejected) {
     EXPECT_EQ(RunCli(args).rc, 64) << args[0] << " " << args[2];
   }
+}
+
+// `cache gc` refuses a directory without objects/, or a missing one, with
+// exit 1 (as a scan of a tree without sources) and writes nothing there; a
+// directory a scan filled is collected.
+TEST_F(CliFlagMatrixTest, CacheGcRefusesADirectoryThatIsNotACache) {
+  const std::string sources = dir_ + "/tree/lib";
+  const CliRun refused = RunCli({"cache", "gc", sources, "--max-bytes", "0"});
+  EXPECT_EQ(refused.rc, 1) << refused.output;
+  EXPECT_NE(refused.output.find("not a cache directory"), std::string::npos) << refused.output;
+  EXPECT_FALSE(stdfs::exists(sources + "/index.tsv"));
+  EXPECT_EQ(RunCli({"cache", "gc", dir_ + "/missing", "--max-bytes", "0"}).rc, 1);
+  EXPECT_FALSE(stdfs::exists(dir_ + "/missing"));
+
+  const std::string cache = dir_ + "/cache";
+  RunCli({"scan", dir_ + "/tree", "--cache-dir", cache});
+  const CliRun gc = RunCli({"cache", "gc", cache, "--max-bytes", "0"});
+  EXPECT_EQ(gc.rc, 0) << gc.output;
+  EXPECT_NE(gc.output.find("cache gc: kept 0 object(s) / 0 bytes"), std::string::npos)
+      << gc.output;
 }
 
 // Stage 2.5 summarises every unit at once, in the scanning process: the

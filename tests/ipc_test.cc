@@ -1,5 +1,5 @@
 // Tests for the Unix-socket frame transport (src/support/ipc) that the
-// sharded scan and the cache server both ride on.
+// sharded scan and the serve daemon both ride on.
 
 #include "src/support/ipc.h"
 

@@ -179,7 +179,6 @@ ScanOptions AllNonDefaultOptions() {
   o.dialects = {"glib", "uacpi"};
   o.jobs = 3;
   o.cache_dir = "/var/cache/refscan";
-  o.cache_server = "/run/refscan-cached.sock";
   o.prune_null_branches = false;
   o.model_ownership_transfer = false;
   o.interprocedural = true;
@@ -307,7 +306,6 @@ TEST(ScanOptionsWireTest, EveryWireFieldRoundTrips) {
   EXPECT_EQ(got.dialects, sent.dialects);
   EXPECT_EQ(got.jobs, sent.jobs);
   EXPECT_EQ(got.cache_dir, sent.cache_dir);
-  EXPECT_EQ(got.cache_server, sent.cache_server);
   EXPECT_EQ(got.prune_null_branches, sent.prune_null_branches);
   EXPECT_EQ(got.model_ownership_transfer, sent.model_ownership_transfer);
   EXPECT_EQ(got.interprocedural, sent.interprocedural);
@@ -340,7 +338,6 @@ TEST(ScanOptionsWireTest, FingerprintCoversExactlyTheArtifactFields) {
        true},
       {"jobs", [](ScanOptions& o) { o.jobs = 8; }, false},
       {"cache_dir", [](ScanOptions& o) { o.cache_dir = "/tmp/c"; }, false},
-      {"cache_server", [](ScanOptions& o) { o.cache_server = "/tmp/s.sock"; }, false},
       {"object_store", [](ScanOptions& o) { o.object_store = std::make_shared<MemoryStore>(); },
        false},
       {"interprocedural", [](ScanOptions& o) { o.interprocedural = true; }, false},

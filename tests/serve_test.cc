@@ -335,14 +335,12 @@ TEST(ServeTest, RequestOptionsCapJobsAtTheHardwareThreadCount) {
   ScanOptions huge;
   huge.jobs = size_t{1} << 40;
   huge.cache_dir = "/tmp/client-cache";
-  huge.cache_server = "/tmp/client.sock";
   huge.fault_spec = "checker.run:always";
   huge.file_timeout_ms = 60000;
   const ScanOptions cleaned = server.RequestOptions(huge);
   EXPECT_EQ(cleaned.jobs, hardware);
   EXPECT_EQ(cleaned.object_store, server.store());
   EXPECT_TRUE(cleaned.cache_dir.empty());
-  EXPECT_TRUE(cleaned.cache_server.empty());
   EXPECT_TRUE(cleaned.fault_spec.empty());
   EXPECT_EQ(cleaned.file_timeout_ms, 500u);
 
@@ -462,6 +460,40 @@ TEST(ServeTest, DrainFinishesInFlightAndRefusesNew) {
   // The listener is gone: new connections fail outright.
   OwnedFd refused = UnixConnect(config.socket_path);
   EXPECT_FALSE(refused.valid());
+}
+
+TEST(ServeTest, DrainWakesParkedReadersAndRefusesNew) {
+  ServeConfig config;
+  config.socket_path = TestSocketPath("parked");
+  config.drain_timeout_ms = 5000;
+  ScanServer server(config);
+  ASSERT_TRUE(server.Start());
+
+  // One client idle after a health reply (its connection thread is blocked
+  // in a frame read server-side); one hostile client stopped mid-frame.
+  // Drain must wake both without hanging and finish in budget.
+  OwnedFd idle = UnixConnect(config.socket_path);
+  ASSERT_TRUE(idle.valid());
+  ASSERT_TRUE(SendFrame(idle.get(), kServeHealthReq, ""));
+  uint8_t type = 0;
+  std::string payload;
+  ASSERT_EQ(RecvFrame(idle.get(), type, payload), RecvOutcome::kFrame);
+  ASSERT_EQ(type, kServeText);
+  OwnedFd midframe = UnixConnect(config.socket_path);
+  ASSERT_TRUE(midframe.valid());
+  const char partial[] = {50, 0, 0, 0, kServeScanReq};  // promises 50 bytes, sends none
+  ASSERT_EQ(::write(midframe.get(), partial, sizeof(partial)),
+            static_cast<ssize_t>(sizeof(partial)));
+  // Both connections hold a thread before the drain starts.
+  for (int wait = 0;
+       wait < 100 && server.metrics().GaugeValue("server.connection_threads") < 2; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server.metrics().GaugeValue("server.connection_threads"), 2);
+
+  EXPECT_TRUE(server.Drain());
+  // The listener is gone: new connections fail outright.
+  EXPECT_FALSE(UnixConnect(config.socket_path).valid());
 }
 
 TEST(ServeTest, HostilePeersDoNotWedgeTheServer) {

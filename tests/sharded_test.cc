@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/cache/store.h"
 #include "src/checkers/engine.h"
 #include "src/checkers/report.h"
 #include "src/corpus/generator.h"
@@ -225,38 +224,31 @@ TEST(ShardedScanTest, KbSnapshotStoreRuleMatchesInProcess) {
   stdfs::remove_all(sharded_dir);
 }
 
-TEST(ShardedScanTest, WorkerFleetSharesOneCacheServer) {
+TEST(ShardedScanTest, WorkerFleetSharesOneCacheDir) {
   const SourceTree tree = TestTree();
-  const std::string store_dir = TempDir("serverstore");
-  const std::string socket = "/tmp/refscan-sharded-test-" +
-                             std::to_string(::getpid()) + "-cached.sock";
-  CacheServer server(store_dir, socket);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-
+  const std::string cache_dir = TempDir("fleetcache");
   ScanOptions options;
   options.jobs = 2;
-  options.cache_server = socket;
+  options.cache_dir = cache_dir;
 
   ScanOptions plain;
   plain.jobs = 2;
   CheckerEngine engine(KnowledgeBase::BuiltIn(), plain);
   const ScanResult want = engine.Scan(tree);
 
+  // A cold fleet fills the shared directory: every file misses.
   const ScanResult cold = ShardedScan(tree, options, Config(4));
   EXPECT_EQ(ReportsToJson(want.reports), ReportsToJson(cold.reports));
   EXPECT_EQ(cold.stats.cache_misses, cold.stats.files);
-  EXPECT_GT(server.metrics().CounterValue("cached.puts"), 0u);
 
-  // The warm fleet: every worker hits the pre-warmed shared store, so at
-  // least 90% of the parse work is skipped (here: all of it).
+  // The warm fleet: every worker hits the directory the cold fleet filled,
+  // and no file is parsed.
   const ScanResult fleet_warm = ShardedScan(tree, options, Config(4));
   EXPECT_EQ(ReportsToJson(want.reports), ReportsToJson(fleet_warm.reports));
   EXPECT_EQ(fleet_warm.stats.cache_hits, fleet_warm.stats.files);
-  EXPECT_GE(fleet_warm.stats.cache_parse_skips * 10, fleet_warm.stats.files * 9);
+  EXPECT_EQ(fleet_warm.stats.cache_parse_skips, fleet_warm.stats.files);
 
-  server.Stop();
-  stdfs::remove_all(store_dir);
+  stdfs::remove_all(cache_dir);
 }
 
 TEST(ShardedScanTest, KilledWorkerDegradesToSurvivingSubsetScan) {

@@ -10,9 +10,8 @@
 //
 // The six tree subcommands share one flow (RunTreeCommand): arm --faults
 // and telemetry, load or generate the tree, run the scan spine, then write
-// --trace-out and --metrics-out. The two daemons (`cached`, `serve`) share
-// another (RunDaemon). Which flags every subcommand honours is one table,
-// kFlagTable; a flag outside its subcommand's row exits 64.
+// --trace-out and --metrics-out. Which flags every subcommand honours is one
+// table, kFlagTable; a flag outside its subcommand's row exits 64.
 //
 // Exit codes are disjoint (ScanExitCode, DESIGN.md §5.9): 0 = clean scan,
 // 10 = completed healthy with >= 1 report, 2 = completed degraded (some
@@ -34,7 +33,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -69,8 +67,8 @@ int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  refscan scan <dir> [--fix] [--json] [--stats] [--patterns LIST] [--workers N]\n"
-               "                    [--remote SOCKET] [--cache-dir DIR] [--cache-server PATH]\n"
-               "                    [--no-cache] [--streaming] [TREE FLAGS]\n"
+               "                    [--remote SOCKET] [--cache-dir DIR] [--no-cache] [--streaming]\n"
+               "                    [TREE FLAGS]\n"
                "  refscan stats <dir> [scan's flags but --fix]   scan, print only the stats table\n"
                "  refscan demo [--emit <dir>] [--kernelish N] [scan's flags]\n"
                "  refscan match <dir> \"<template>\" [TREE FLAGS]   e.g. \"F_start -> "
@@ -78,14 +76,12 @@ int Usage() {
                "  refscan deviations <dir> [TREE FLAGS]\n"
                "  refscan summaries <dir> [--json] [TREE FLAGS]\n"
                "  refscan dump <file.c> [tokens|ast|cfg|cpg]\n"
-               "  refscan cached <dir> [--socket PATH]      serve <dir> as a shared\n"
-               "                                            content-addressed cache\n"
                "  refscan serve <socket> [--watch TREE [--poll-ms N] [--jobs N]] [--sessions N]\n"
                "                [--max-pending N] [--request-timeout-ms N] [--drain-timeout-ms N]\n"
                "                                            resident scan service: keeps the\n"
                "                                            artifact store warm and answers\n"
-               "                                            scan/stats/summaries/health\n"
-               "                                            requests; SIGTERM drains\n"
+               "                                            scan/stats/health requests;\n"
+               "                                            SIGTERM drains\n"
                "  refscan health <socket> [--stats]         ping a serve daemon (--stats\n"
                "                                            prints its counters JSON)\n"
                "  refscan cache gc <dir> --max-bytes N      evict LRU cache objects over N\n"
@@ -104,11 +100,9 @@ int Usage() {
                "                output is identical at every thread count\n"
                "  --cache-dir DIR   persistent incremental scan cache: rescans replay\n"
                "                    cached parses and reports for unchanged files;\n"
-               "                    output is byte-identical to an uncached scan\n"
-               "  --no-cache        ignore any --cache-dir / --cache-server (cold scan)\n"
-               "  --cache-server PATH   Unix socket of a `refscan cached` server; shares one\n"
-               "                        warm artifact store across processes (takes\n"
-               "                        precedence over --cache-dir)\n"
+               "                    output is byte-identical to an uncached scan; many\n"
+               "                    processes may share one DIR\n"
+               "  --no-cache        ignore --cache-dir (cold scan)\n"
                "  --workers N       shard the scan across N worker subprocesses; output is\n"
                "                    byte-identical to --workers 0 at any N (0 = in-process,\n"
                "                    the default); exits 64 with --interprocedural\n"
@@ -122,7 +116,7 @@ int Usage() {
                "  --remote SOCKET   run the scan on a `refscan serve` daemon (warm resident\n"
                "                    store); output is byte-identical to a local scan, and an\n"
                "                    unreachable server falls back to scanning locally;\n"
-               "                    --workers, --cache-dir and --cache-server exit 64 with it\n"
+               "                    --workers, --cache-dir and --faults exit 64 with it\n"
                "  --stats           print fault-isolation and cache counters (text and JSON)\n"
                "  --faults SPEC     arm the deterministic fault-injection registry for this\n"
                "                    run, e.g. 'parser.parse:file=*.broken.c' — see\n"
@@ -148,10 +142,9 @@ enum Command : unsigned {
   kDeviations = 1u << 4,
   kSummaries = 1u << 5,
   kServe = 1u << 6,
-  kCached = 1u << 7,
-  kHealth = 1u << 8,
-  kCacheGc = 1u << 9,
-  kWorker = 1u << 10,
+  kHealth = 1u << 7,
+  kCacheGc = 1u << 8,
+  kWorker = 1u << 9,
 };
 constexpr unsigned kScanLike = kScan | kStats | kDemo;  // run the checkers over the tree
 constexpr unsigned kAnyTree = kScanLike | kMatch | kDeviations | kSummaries;
@@ -167,7 +160,6 @@ struct CliFlags {
   size_t jobs = 0;  // 0 = hardware concurrency
   std::string emit_dir;
   std::string cache_dir;
-  std::string cache_server;
   size_t workers = 0;   // 0 = in-process scan
   std::string remote;   // serve daemon socket; empty = scan locally
   bool streaming = false;
@@ -182,7 +174,7 @@ struct CliFlags {
   bool stats_only = false;  // `refscan stats`: suppress the report listing
 
   // The daemon subcommands.
-  std::string socket;     // cached, worker
+  std::string socket;     // worker
   std::string watch_dir;  // serve --watch
   size_t sessions = refscan::ServeConfig{}.sessions;
   size_t max_pending = refscan::ServeConfig{}.max_pending;
@@ -280,7 +272,6 @@ constexpr FlagRule kFlagTable[] = {
     {"--stats", nullptr, kScanLike | kHealth, Switch<&CliFlags::stats>},
     {"--patterns", "a comma-separated list (e.g. 1,4,8)", kScanLike, ParsePatterns},
     {"--cache-dir", "a directory", kScanLike, Text<&CliFlags::cache_dir>},
-    {"--cache-server", "a socket path", kScanLike, Text<&CliFlags::cache_server>},
     {"--no-cache", nullptr, kScanLike, Switch<&CliFlags::no_cache>},
     {"--workers", "a number", kScanLike, Count<&CliFlags::workers>},
     {"--remote", "a socket path", kScanLike, Text<&CliFlags::remote>},
@@ -288,7 +279,7 @@ constexpr FlagRule kFlagTable[] = {
     {"--fix", nullptr, kScan | kDemo, Switch<&CliFlags::print_fixes>},
     {"--emit", "a directory", kDemo, Text<&CliFlags::emit_dir>},
     {"--kernelish", "a number", kDemo, Count<&CliFlags::kernelish>},
-    {"--socket", "a socket path", kCached | kWorker, Text<&CliFlags::socket>},
+    {"--socket", "a socket path", kWorker, Text<&CliFlags::socket>},
     {"--id", "a number", kWorker, Count<&CliFlags::worker_id>},
     {"--watch", "a directory", kServe, Text<&CliFlags::watch_dir>},
     {"--sessions", "a number", kServe, Count<&CliFlags::sessions>},
@@ -384,7 +375,6 @@ refscan::ScanOptions ScanOptionsFor(const CliFlags& flags) {
   options.streaming = flags.streaming;
   if (!flags.no_cache) {
     options.cache_dir = flags.cache_dir;
-    options.cache_server = flags.cache_server;
   }
   return options;
 }
@@ -465,7 +455,7 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
 
   const int exit_code = ScanExitCodeFor(result);
 
-  const bool cache_on = !options.cache_dir.empty() || !options.cache_server.empty();
+  const bool cache_on = !options.cache_dir.empty();
   if (flags.json) {
     if (cache_on) {
       // Keep stdout byte-identical between cold and warm scans: cache
@@ -624,8 +614,9 @@ int RunTreeCommand(unsigned command, int argc, char** argv) {
     return Usage();
   }
   if (!flags.remote.empty()) {
-    // The daemon scans with its own threads and its resident store.
-    for (const char* local : {"--workers", "--cache-dir", "--cache-server"}) {
+    // The daemon scans with its own threads and its resident store, and
+    // arms faults only from its own REFSCAN_FAULTS.
+    for (const char* local : {"--workers", "--cache-dir", "--faults"}) {
       if (flags.given.contains(local)) {
         std::fprintf(stderr, "%s does not apply with --remote\n", local);
         return Usage();
@@ -728,45 +719,6 @@ unsigned long long CounterOf(const refscan::MetricsRegistry& metrics, std::strin
   return static_cast<unsigned long long>(metrics.CounterValue(name));
 }
 
-// The one lifecycle of the daemon subcommands (`cached`, `serve`): block
-// SIGINT/SIGTERM before Start spawns any thread (every thread inherits the
-// mask, so sigwait here is the one consumer and no thread can die of the
-// signal's default action), serve in the foreground with `side` (serve's
-// --watch loop) running alongside until a signal arrives, then drain —
-// requests already received finish and flush; only a hung connection
-// forces the escalation — and print `farewell(clean)`.
-int RunDaemon(refscan::FrameServer& server, const char* name, const std::string& banner,
-              uint32_t drain_timeout_ms,
-              const std::function<void(const std::atomic<bool>& stop)>& side,
-              const std::function<std::string(bool clean)>& farewell) {
-  sigset_t set;
-  sigemptyset(&set);
-  sigaddset(&set, SIGINT);
-  sigaddset(&set, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &set, nullptr);
-  std::string error;
-  if (!server.Start(&error)) {
-    std::fprintf(stderr, "refscan %s: %s\n", name, error.c_str());
-    return refscan::kExitHardFailure;
-  }
-  std::printf("refscan %s: %s\n", name, banner.c_str());
-  std::fflush(stdout);
-  std::atomic<bool> stop{false};
-  std::thread side_thread;
-  if (side) {
-    side_thread = std::thread([&side, &stop] { side(stop); });
-  }
-  int sig = 0;
-  sigwait(&set, &sig);
-  stop.store(true, std::memory_order_relaxed);
-  if (side_thread.joinable()) {
-    side_thread.join();
-  }
-  const bool clean = server.Drain(drain_timeout_ms);
-  std::printf("refscan %s: %s\n", name, farewell(clean).c_str());
-  return clean ? 0 : refscan::kExitHardFailure;
-}
-
 int RealMain(int argc, char** argv) {
   using namespace refscan;
 
@@ -786,23 +738,6 @@ int RealMain(int argc, char** argv) {
     return RunShardWorker(flags.socket, static_cast<int>(flags.worker_id));
   }
 
-  if (command == "cached") {
-    CliFlags flags;
-    if (!ParseFlags(argc, argv, 3, kCached, flags)) {
-      return Usage();
-    }
-    const std::string dir = argv[2];
-    const std::string socket = flags.socket.empty() ? dir + "/cached.sock" : flags.socket;
-    CacheServer server(dir, socket);
-    return RunDaemon(server, "cached", "serving " + dir + " on " + socket,
-                     ServeConfig{}.drain_timeout_ms, {}, [&server](bool /*clean*/) {
-                       const MetricsRegistry& m = server.metrics();
-                       return StrFormat("%llu get(s), %llu hit(s), %llu put(s)",
-                                        CounterOf(m, "cached.gets"), CounterOf(m, "cached.hits"),
-                                        CounterOf(m, "cached.puts"));
-                     });
-  }
-
   if (command == "serve") {
     CliFlags flags;
     if (!ParseFlags(argc, argv, 3, kServe, flags)) {
@@ -820,27 +755,51 @@ int RealMain(int argc, char** argv) {
     config.request_timeout_ms = flags.request_timeout_ms;
     config.drain_timeout_ms = flags.drain_timeout_ms;
     ScanServer server(config);
-    std::function<void(const std::atomic<bool>&)> watch_loop;
+    // Block SIGINT/SIGTERM before Start spawns any thread: every thread
+    // inherits the mask, so sigwait below is the one consumer and no thread
+    // can die of the signal's default action.
+    sigset_t set;
+    sigemptyset(&set);
+    sigaddset(&set, SIGINT);
+    sigaddset(&set, SIGTERM);
+    pthread_sigmask(SIG_BLOCK, &set, nullptr);
+    std::string error;
+    if (!server.Start(&error)) {
+      std::fprintf(stderr, "refscan serve: %s\n", error.c_str());
+      return kExitHardFailure;
+    }
+    std::printf("refscan serve: listening on %s\n", config.socket_path.c_str());
+    std::fflush(stdout);
+    // Serve in the foreground, with the --watch loop alongside, until a
+    // signal arrives.
+    std::atomic<bool> stop{false};
+    std::thread watch_thread;
     if (!flags.watch_dir.empty()) {
-      watch_loop = [&server, &flags](const std::atomic<bool>& stop) {
+      watch_thread = std::thread([&server, &flags, &stop] {
         WatchConfig watch;
         watch.tree_dir = flags.watch_dir;
         watch.poll_ms = flags.poll_ms;
         ScanOptions options;
         options.jobs = flags.jobs;
         RunWatchLoop(watch, options, server.store(), stop, stdout);
-      };
+      });
     }
-    return RunDaemon(server, "serve", "listening on " + config.socket_path,
-                     config.drain_timeout_ms, watch_loop, [&server](bool clean) {
-                       const MetricsRegistry& m = server.metrics();
-                       return StrFormat("drained%s; %llu request(s), %llu scan(s), %llu shed, "
-                                        "%llu faulted, %llu timed out",
-                                        clean ? "" : " (escalated)",
-                                        CounterOf(m, "serve.requests"), CounterOf(m, "serve.scans"),
-                                        CounterOf(m, "serve.shed"), CounterOf(m, "serve.faulted"),
-                                        CounterOf(m, "serve.timed_out"));
-                     });
+    int sig = 0;
+    sigwait(&set, &sig);
+    stop.store(true, std::memory_order_relaxed);
+    if (watch_thread.joinable()) {
+      watch_thread.join();
+    }
+    // Requests already received finish and flush; only a hung connection
+    // forces the escalation.
+    const bool clean = server.Drain();
+    const MetricsRegistry& m = server.metrics();
+    std::printf("refscan serve: drained%s; %llu request(s), %llu scan(s), %llu shed, "
+                "%llu faulted, %llu timed out\n",
+                clean ? "" : " (escalated)", CounterOf(m, "serve.requests"),
+                CounterOf(m, "serve.scans"), CounterOf(m, "serve.shed"),
+                CounterOf(m, "serve.faulted"), CounterOf(m, "serve.timed_out"));
+    return clean ? 0 : kExitHardFailure;
   }
 
   if (command == "health") {
@@ -869,13 +828,17 @@ int RealMain(int argc, char** argv) {
       std::fprintf(stderr, "cache gc needs --max-bytes N\n");
       return Usage();
     }
-    const CacheGcStats gc = RunCacheGc(argv[3], flags.max_bytes);
+    const std::optional<CacheGcStats> gc = RunCacheGc(argv[3], flags.max_bytes);
+    if (!gc) {
+      std::fprintf(stderr, "cache gc: %s is not a cache directory (no objects/)\n", argv[3]);
+      return kExitHardFailure;
+    }
     std::printf("cache gc: kept %llu object(s) / %llu bytes, evicted %llu object(s) / "
                 "%llu bytes\n",
-                static_cast<unsigned long long>(gc.kept_objects),
-                static_cast<unsigned long long>(gc.kept_bytes),
-                static_cast<unsigned long long>(gc.evicted_objects),
-                static_cast<unsigned long long>(gc.evicted_bytes));
+                static_cast<unsigned long long>(gc->kept_objects),
+                static_cast<unsigned long long>(gc->kept_bytes),
+                static_cast<unsigned long long>(gc->evicted_objects),
+                static_cast<unsigned long long>(gc->evicted_bytes));
     return 0;
   }
 
