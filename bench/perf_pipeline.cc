@@ -11,7 +11,6 @@
 
 #include "src/ast/parser.h"
 #include "src/checkers/engine.h"
-#include "src/checkers/sharded.h"
 #include "src/corpus/generator.h"
 #include "src/cpg/cpg.h"
 #include "src/embed/corpus_text.h"
@@ -205,62 +204,6 @@ BENCHMARK(BM_FullTreeScanParallel)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The sharded multi-process scan (DESIGN.md §5.13) at 1/2/4 worker
-// subprocesses, cold (no cache). Arg is the worker count; compare against
-// BM_FullTreeScan for the fork/IPC overhead and against it on a multi-core
-// host for the wall-clock speedup (acceptance target: >= 1.5x cold at 4
-// workers on >= 2 cores; on a 1-vCPU runner the comparison is CPU-bound and
-// the interesting number is the overhead staying single-digit percent).
-void BM_ShardedScan(benchmark::State& state) {
-  static const Corpus* corpus = new Corpus(GenerateKernelCorpus());
-  ScanOptions options;
-  ShardedScanConfig config;
-  config.workers = static_cast<size_t>(state.range(0));
-  config.worker_cmd = REFSCAN_CLI_PATH;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ShardedScan(corpus->tree, options, config));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(corpus->tree.size()));
-}
-BENCHMARK(BM_ShardedScan)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The warm-fleet configuration: every worker shares one pre-warmed local
-// object store, so a 0-changed-files rescan should skip parse+check for
-// every file in every shard (the >= 90% parse-skip acceptance criterion of
-// DESIGN.md §5.13). Compare against BM_ShardedScan at the same worker count
-// for the cache win, and against BM_IncrementalRescan/0 for the marginal
-// cost of the process fan-out on an already-warm tree.
-void BM_ShardedScanWarmShared(benchmark::State& state) {
-  static const Corpus* corpus = new Corpus(GenerateKernelCorpus());
-  namespace stdfs = std::filesystem;
-  const std::string cache_dir =
-      (stdfs::temp_directory_path() / "refscan_bench_sharded_warm").string();
-  ScanOptions options;
-  options.cache_dir = cache_dir;
-  ShardedScanConfig config;
-  config.workers = static_cast<size_t>(state.range(0));
-  config.worker_cmd = REFSCAN_CLI_PATH;
-  stdfs::remove_all(cache_dir);
-  benchmark::DoNotOptimize(ShardedScan(corpus->tree, options, config));  // prime
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ShardedScan(corpus->tree, options, config));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(corpus->tree.size()));
-  stdfs::remove_all(cache_dir);
-}
-BENCHMARK(BM_ShardedScanWarmShared)
-    ->Arg(2)
-    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -27,9 +27,7 @@
 # Covered benchmarks: the cold full-tree scan (BM_FullTreeScan, its
 # threaded variant, and BM_FullTreeScanAllFamilies — the P10-P12 + dialect
 # configuration of DESIGN.md §5.12), the warm incremental rescan at 0/1/10
-# percent change rates (BM_IncrementalRescan), the sharded multi-process
-# scan cold and over a shared warm store (BM_ShardedScan,
-# BM_ShardedScanWarmShared — DESIGN.md §5.13), the parallel on-disk tree
+# percent change rates (BM_IncrementalRescan), the parallel on-disk tree
 # load (BM_ParallelTreeLoad), the memory-layer micro-benches
 # (BM_InternerLookup, BM_KbFindApi — DESIGN.md §5.11), and the ~1 MLOC
 # kernel-realism scan with streaming off/on (BM_KernelishScan — DESIGN.md
@@ -62,7 +60,7 @@ RUN_JSON="$(mktemp "${TMPDIR:-/tmp}/refscan_bench_run.XXXXXX.json")"
 trap 'rm -f "$RUN_JSON"' EXIT
 
 "$PERF_BIN" \
-  --benchmark_filter='BM_FullTreeScan|BM_FullTreeScanAllFamilies|BM_FullTreeScanParallel|BM_IncrementalRescan|BM_ShardedScan|BM_ParallelTreeLoad|BM_InternerLookup|BM_KbFindApi|BM_KernelishScan' \
+  --benchmark_filter='BM_FullTreeScan|BM_FullTreeScanAllFamilies|BM_FullTreeScanParallel|BM_IncrementalRescan|BM_ParallelTreeLoad|BM_InternerLookup|BM_KbFindApi|BM_KernelishScan' \
   --benchmark_out="$RUN_JSON" \
   --benchmark_out_format=json \
   --benchmark_repetitions=1

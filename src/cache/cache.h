@@ -99,9 +99,8 @@ struct CachedFileReports {
   std::vector<DegradedFunction> degraded;
 };
 
-// Field lists (serial.h) of the artifacts that also travel on the process
-// wires: facts in the shard kFacts frame, report shards in kResults and the
-// serve reply. They are persisted formats, so their bytes must not move.
+// Field lists (serial.h) of the persisted artifacts. BugReport's also
+// travels in the serve reply. Their bytes must not move.
 template <typename IO, Value<DiscoveryFacts::Field> F>
 void Transfer(IO& io, F& f) {
   Transfer(io, f.direct_refcounter, f.nested_tag, f.name);

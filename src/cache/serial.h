@@ -31,9 +31,9 @@
 //              file and KB-snapshot keys, and the options and KB
 //              fingerprints. Their bytes must not move without a cache
 //              format version bump; tests/serial_test.cc pins their digests.
-//   wire       the scan request and reply (src/checkers/scan_stages.h) and
-//              the shard-worker frames (src/checkers/sharded.cc). They pass
-//              between processes of one binary, so they may change freely.
+//   wire       the serve daemon's scan request and reply
+//              (src/checkers/scan_stages.h). They pass between processes of
+//              one binary, so they may change freely.
 
 #ifndef REFSCAN_CACHE_SERIAL_H_
 #define REFSCAN_CACHE_SERIAL_H_

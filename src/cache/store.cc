@@ -132,7 +132,7 @@ void LocalStore::Put(const std::string& name, std::string_view blob, std::string
   }
   // Write-then-rename: readers (including concurrent scans sharing this
   // directory) only ever see complete objects. The tmp name mixes in the
-  // pid so worker processes sharing a cache never collide.
+  // pid so processes sharing a cache never collide.
   const stdfs::path tmp =
       target.parent_path() /
       (target.filename().string() + ".tmp" + std::to_string(::getpid()) + "." +
@@ -169,7 +169,7 @@ void LocalStore::Put(const std::string& name, std::string_view blob, std::string
 }
 
 // One O_APPEND write(2) per entry: appends of a single line land atomically
-// at the end of the file even across processes, so N workers sharing a
+// at the end of the file even across processes, so N scans sharing a
 // cache directory never tear each other's index lines. Lines past PIPE_BUF
 // (deep source paths) fall back to an exclusive flock for the same
 // guarantee at any size.

@@ -10,10 +10,10 @@
 //                atomic writes, an append-only index.tsv. Index appends are
 //                one O_APPEND write(2) per entry (lines ≤ PIPE_BUF are
 //                appended atomically even across processes; longer lines
-//                take an flock), so N scanning processes — shard workers, a
-//                fleet of `--cache-dir` scans — share one cache directory
-//                without tearing the index. A shared directory is how
-//                processes share a warm cache.
+//                take an flock), so any number of `--cache-dir` scans on
+//                one host share one cache directory without tearing the
+//                index. A shared directory is how processes share a warm
+//                cache.
 //
 //   MemoryStore  the resident daemon's in-process store (`refscan serve`).
 //

@@ -70,17 +70,17 @@ struct ScanOptions {
   // their cached report shards (skipping CFG/CPG construction and checking
   // entirely). Reports are byte-identical to a cold scan at every `jobs`
   // value; the cache can only cost time, never change output. Many
-  // processes may share one directory (src/cache/store.h): that is how
-  // shard workers and a fleet of scans share a warm cache.
+  // processes may share one directory (src/cache/store.h): that is how a
+  // fleet of scans shares a warm cache.
   std::string cache_dir;
 
   // In-process artifact store injection: when set it wins over cache_dir.
   // The resident scan service (`refscan serve`) points every request at one
   // shared MemoryStore so KB snapshots, facts and report shards stay hot
   // across requests. Like cache_dir this is a location, not content —
-  // excluded from the options fingerprint, and it never travels on any wire
-  // (shard workers and serve requests get their store from their own side
-  // of the socket).
+  // excluded from the options fingerprint, and it never travels on the
+  // wire (a serve request gets its store from the daemon's side of the
+  // socket).
   std::shared_ptr<ObjectStore> object_store;
 
   // Precision knobs (the design-choice ablation toggles these):

@@ -128,6 +128,13 @@ CachedFileReports CheckOneFile(const SourceFile& file, TranslationUnit unit,
   return shard;
 }
 
+namespace {
+
+// Builds the object store the options ask for: the injected object_store
+// when set (the resident server's shared MemoryStore), else a LocalStore
+// for cache_dir, null (disabled cache) otherwise. A local directory that
+// cannot be created degrades to null, matching ScanCache's historical
+// behaviour.
 std::shared_ptr<ObjectStore> MakeScanStore(const ScanOptions& options) {
   if (options.object_store != nullptr) {
     return options.object_store;  // resident injection wins over any location
@@ -141,6 +148,8 @@ std::shared_ptr<ObjectStore> MakeScanStore(const ScanOptions& options) {
   }
   return local;
 }
+
+}  // namespace
 
 // The one ScanOptions field list. The wire carries every field; the
 // options fingerprint, and so every cache key, carries only those that can
@@ -446,6 +455,7 @@ ScanSpine::ScanSpine(const SourceTree& tree, KnowledgeBase seed, ScanOptions opt
       kb_(std::move(seed)),
       cache_(MakeScanStore(options_)),
       ctx_(MakeScanStageContext(options_, cache_)),
+      pool_(options_.jobs),
       metrics_(std::make_unique<Metrics>()) {
   if (keep_units) {
     ctx_.need_units = true;
@@ -458,7 +468,7 @@ ScanSpine::ScanSpine(const SourceTree& tree, KnowledgeBase seed, ScanOptions opt
     ApplyDialect(kb_, dialect);
   }
   // Files in path order: index i is the fan-out key for both halves, so
-  // merge order never depends on thread scheduling or sharding.
+  // merge order never depends on thread scheduling.
   files_.reserve(tree.size());
   for (const auto& [path, file] : tree.files()) {
     files_.push_back(&file);
@@ -480,30 +490,6 @@ ScanSpine::ScanSpine(const SourceTree& tree, KnowledgeBase seed, ScanOptions opt
 }
 
 ScanSpine::~ScanSpine() = default;
-
-ThreadPool& ScanSpine::pool() {
-  if (!pool_) {
-    pool_.emplace(options_.jobs);
-  }
-  return *pool_;
-}
-
-bool ScanSpine::FanOutParse(std::vector<FileScanState>& states) {
-  states = ParallelMap(pool(), files_.size(),
-                       [&](size_t i) { return RunParseStage(*files_[i], ctx_); });
-  return true;
-}
-
-bool ScanSpine::FanOutCheck(uint64_t kb_fp, std::vector<FileScanState>& states,
-                            std::vector<CachedFileReports>& shards) {
-  const UnitCheck check = [this](const SourceFile& file, TranslationUnit unit) {
-    return CheckUnit(file, std::move(unit));
-  };
-  shards = ParallelMap(pool(), files_.size(), [&](size_t i) {
-    return RunCheckStage(*files_[i], states[i], kb_fp, ctx_, check);
-  });
-  return true;
-}
 
 CachedFileReports ScanSpine::CheckUnit(const SourceFile& file, TranslationUnit unit) {
   return CheckOneFile(file, std::move(unit), kb_, options_);
@@ -543,9 +529,8 @@ bool ScanSpine::RunFront() {
   // wall-clock-dependent can ever be replayed.
   {
     TelemetrySpan stage_span("stage.parse");
-    if (!FanOutParse(states_)) {
-      return false;
-    }
+    states_ = ParallelMap(pool_, files_.size(),
+                          [&](size_t i) { return RunParseStage(*files_[i], ctx_); });
   }
   if (BreakerTrips(" in the parse stage")) {
     return false;
@@ -584,7 +569,7 @@ bool ScanSpine::RunFront() {
           unit_ptrs.push_back(&*st.unit);
         }
       }
-      summaries_ = ComputeSummaries(unit_ptrs, kb_, SummaryOptions{}, pool());
+      summaries_ = ComputeSummaries(unit_ptrs, kb_, SummaryOptions{}, pool_);
       m.summarized_functions.Add(summaries_.summaries.size());
     } catch (const std::exception& e) {
       FileFailure f;
@@ -621,9 +606,12 @@ bool ScanSpine::RunBack() {
   std::vector<CachedFileReports> shards;
   {
     TelemetrySpan stage_span("stage.check");
-    if (!FanOutCheck(kb_fp, states_, shards)) {
-      return false;
-    }
+    const UnitCheck check = [this](const SourceFile& file, TranslationUnit unit) {
+      return CheckUnit(file, std::move(unit));
+    };
+    shards = ParallelMap(pool_, files_.size(), [&](size_t i) {
+      return RunCheckStage(*files_[i], states_[i], kb_fp, ctx_, check);
+    });
   }
   if (BreakerTrips("")) {
     return false;
@@ -639,13 +627,12 @@ bool ScanSpine::RunBack() {
         m.cache_parse_skips.Add(1);
       }
     }
-    m.cache_corrupt.Add(CorruptLoads());
+    m.cache_corrupt.Add(cache_.corrupt_loads());
   }
 
   // Merge the shards in file order: the concatenation equals what a
   // single-threaded loop produces, so DeduplicateReports (whose tie-breaks
-  // are first-seen-wins) yields byte-identical output at any thread or
-  // worker count.
+  // are first-seen-wins) yields byte-identical output at any thread count.
   TelemetrySpan merge_span("stage.merge");
   std::vector<BugReport> raw;
   for (size_t i = 0; i < shards.size(); ++i) {

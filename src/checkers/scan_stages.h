@@ -6,13 +6,10 @@
 // breaker #1, stage 2 (dialects, discovery barrier, KB snapshot) and stage
 // 2.5 (interprocedural summaries); its back half runs stage 3, breaker #2,
 // the cache accounting, the file-ordered merge, dedup, the
-// `refscan: ignore` filter and the stats/metrics publication. Only the
-// per-file fan-out of the two halves varies: in-process it is ParallelMap
-// over RunParseStage and RunCheckStage; the sharded coordinator
-// (src/checkers/sharded) overrides it with its worker exchange, and the
-// shard worker runs the same per-file bodies. A file's FileScanState and
-// report shard cannot depend on which process computed them, because only
-// one implementation exists.
+// `refscan: ignore` filter and the stats/metrics publication. Both halves
+// fan out over the spine's thread team: ParallelMap over RunParseStage and
+// RunCheckStage, indexed by file, so a file's FileScanState and report
+// shard cannot depend on the thread that computed them.
 //
 // Each stage body runs inside the DESIGN.md §5.9 sandbox: a fresh deadline
 // per attempt, one transient-I/O retry while idempotent, and exception →
@@ -47,20 +44,13 @@ struct FileScanState {
   std::optional<FileFailure> failure;  // set = quarantined, skip later stages
 };
 
-// Builds the object store the options ask for: the injected object_store
-// when set (the resident server's shared MemoryStore), else a LocalStore
-// for cache_dir, null (disabled cache) otherwise. A local directory that
-// cannot be created degrades to null, matching ScanCache's historical
-// behaviour.
-std::shared_ptr<ObjectStore> MakeScanStore(const ScanOptions& options);
-
 // ---- The scan wire (serial.h) ------------------------------------------
 //
-// The serve daemon's request and reply (src/serve/protocol.h) and the shard
-// workers' frames (src/checkers/sharded) carry these formats between
-// processes of one binary. A request is the options and every file, so the
-// far side needs no filesystem access; `object_store` never travels (it is
-// a live pointer into the sending process, and each side supplies its own).
+// The serve daemon's request and reply (src/serve/protocol.h) carry these
+// formats between processes of one binary. A request is the options and
+// every file, so the far side needs no filesystem access; `object_store`
+// never travels (it is a live pointer into the sending process, and each
+// side supplies its own).
 // A reply is everything a ScanResult holds, so a remote scan's output is
 // indistinguishable from a local one. The ScanOptions field list also feeds
 // ScanOptionsFingerprint, which skips the fields marked as unable to change
@@ -73,14 +63,6 @@ bool DecodeScanResult(std::string_view payload, ScanResult& result);
 template <typename IO, Value<FileFailure> F>
 void Transfer(IO& io, F& f) {
   Transfer(io, f.path, f.stage, f.kind, f.what, f.retries);
-}
-
-// A file's bookkeeping in the shard workers' kFacts and kResults frames:
-// what the coordinator's spine reads after each stage. The key and the unit
-// stay in the worker; the facts and the report shard travel beside it.
-template <typename IO, Value<FileScanState> S>
-void Transfer(IO& io, S& st) {
-  Transfer(io, st.failure, st.retried, st.parsed, st.report_hit);
 }
 
 // Derived per-scan constants shared by every file's stage bodies.
@@ -146,11 +128,11 @@ CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st, uint6
                                 const ScanStageContext& ctx, const UnitCheck& check);
 
 // One scan of one tree: the skeleton every tree-level client runs.
-// CheckerEngine::Scan and ShardedScan run both halves; `match` runs both
-// with template matching as its per-unit check (CheckUnit); `deviations`,
-// `summaries` and the baselines run the front half and walk its units and
-// KB. Call RunFront, then RunBack while it returns true (or walk the front
-// half's output instead), then Finish once.
+// CheckerEngine::Scan runs both halves; `match` runs both with template
+// matching as its per-unit check (CheckUnit); `deviations`, `summaries` and
+// the baselines run the front half and walk its units and KB. Call
+// RunFront, then RunBack while it returns true (or walk the front half's
+// output instead), then Finish once.
 class ScanSpine {
  public:
   // Seeds the KB with `seed` plus options.dialects and arms
@@ -164,18 +146,16 @@ class ScanSpine {
   ScanSpine(const ScanSpine&) = delete;
   ScanSpine& operator=(const ScanSpine&) = delete;
 
-  // Stage 1, breaker #1, stage 2, stage 2.5. False when the scan stopped:
-  // it aborted, or the fan-out lost a worker.
+  // Stage 1, breaker #1, stage 2, stage 2.5. False when the scan aborted.
   bool RunFront();
   // Stage 3, breaker #2, cache accounting, merge, dedup and suppression.
-  // Frees each unit as it checks it. False when the scan stopped.
+  // Frees each unit as it checks it. False when the scan aborted.
   bool RunBack();
   // Collects the quarantined files, publishes the stats and the scan.*
   // metrics, and hands over the result. Call once, after whichever halves
-  // ran; not after a lost worker, whose scan the caller rescues instead.
+  // ran.
   ScanResult Finish();
 
-  const ScanOptions& options() const { return options_; }
   const std::vector<const SourceFile*>& files() const { return files_; }
   // One per file, in file order; quarantined files carry `failure`.
   std::vector<FileScanState>& states() { return states_; }
@@ -186,22 +166,13 @@ class ScanSpine {
   const SummaryResult& summaries() const { return summaries_; }
 
  protected:
-  // The per-file fan-out. The defaults are in-process: ParallelMap over
-  // RunParseStage, and over RunCheckStage with CheckUnit. Each returns
-  // false when it lost a worker.
-  virtual bool FanOutParse(std::vector<FileScanState>& states);
-  virtual bool FanOutCheck(uint64_t kb_fp, std::vector<FileScanState>& states,
-                           std::vector<CachedFileReports>& shards);
   // Stage 3's check of one parsed file, inside RunCheckStage's sandbox:
   // CheckOneFile unless a client matches instead.
   virtual CachedFileReports CheckUnit(const SourceFile& file, TranslationUnit unit);
-  // Cache objects that failed validation during this scan, in any process.
-  virtual uint64_t CorruptLoads() const { return cache_.corrupt_loads(); }
 
  private:
   struct Metrics;
 
-  ThreadPool& pool();
   // Breaker #1 and #2: sets the abort reason when more than
   // options.max_failure_ratio of the files are quarantined.
   bool BreakerTrips(const char* where);
@@ -214,7 +185,7 @@ class ScanSpine {
   KnowledgeBase kb_;
   ScanCache cache_;
   ScanStageContext ctx_;
-  std::optional<ThreadPool> pool_;  // built on first use: the coordinator never needs it
+  ThreadPool pool_;
   std::vector<FileScanState> states_;
   SummaryResult summaries_;
   std::vector<FileFailure> tree_failures_;  // whole-tree stage failures ("<tree>")

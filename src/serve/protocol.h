@@ -14,9 +14,9 @@
 // client should back off and retry. kServeErr carries a one-line reason;
 // the client surfaces it as a degraded scan (exit 2), never as silence.
 //
-// A scan request (EncodeScanRequest, src/checkers/scan_stages.h, the same
-// format as the shard-worker kJob frame) carries the options and every
-// file, so the server needs no filesystem access and the client's loaded
+// A scan request (EncodeScanRequest, src/checkers/scan_stages.h) carries
+// the options and every file, so the server needs no filesystem access and
+// the client's loaded
 // tree is scanned bit-for-bit. The reply (EncodeScanResult) carries the
 // whole ScanResult, so a remote scan is indistinguishable from a local one.
 

@@ -16,9 +16,8 @@ namespace {
 // Known site names: rejecting unknown sites at parse time turns a typo in a
 // CI spec into a hard error instead of a silently un-faulted run.
 constexpr std::string_view kKnownSites[] = {
-    "fs.read",      "cache.load",    "cache.store",  "parser.parse",
-    "checker.run",  "ipa.summarize", "worker.facts", "worker.results",
-    "serve.accept", "serve.request", "ipc.write",
+    "fs.read",       "cache.load",   "cache.store",   "parser.parse", "checker.run",
+    "ipa.summarize", "serve.accept", "serve.request", "ipc.write",
 };
 
 bool IsKnownSite(std::string_view site) {

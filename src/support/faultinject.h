@@ -15,8 +15,6 @@
 //   parser.parse     one file parse (subject: file path)
 //   checker.run      one file's checking stage (subject: file path)
 //   ipa.summarize    the whole-tree summary stage (subject: "<tree>")
-//   worker.facts     a shard worker's facts exchange (subject: worker id)
-//   worker.results   a shard worker's results exchange (subject: worker id)
 //   serve.accept     one accepted serve connection (subject: accept counter)
 //   serve.request    one resident-server request (subject: request name,
 //                    e.g. "scan" — see src/serve)

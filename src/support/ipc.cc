@@ -7,9 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "src/support/faultinject.h"
 
@@ -145,21 +143,6 @@ uint32_t BackoffDelayMs(const BackoffPolicy& policy, int attempt) {
   x ^= x >> 31;
   const uint64_t half = delay / 2;
   return static_cast<uint32_t>(half + x % (delay - half + 1));
-}
-
-OwnedFd ConnectWithRetry(const std::string& path, const BackoffPolicy& policy,
-                         std::string* error) {
-  const int attempts = std::max(policy.attempts, 1);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(BackoffDelayMs(policy, attempt - 1)));
-    }
-    OwnedFd fd = UnixConnect(path, error);
-    if (fd.valid()) {
-      return fd;
-    }
-  }
-  return OwnedFd();
 }
 
 OwnedFd UnixAccept(int listen_fd, int timeout_ms, std::string* error) {

@@ -1,10 +1,8 @@
 // Unix-domain socket transport with length-prefixed frames (DESIGN.md
-// §5.13).
+// §5.14).
 //
-// Two features ride on this one primitive: sharded multi-process scanning
-// (src/checkers/sharded) and the resident scan service (`refscan serve`,
-// src/serve). Both speak the same trivially parseable wire format — one
-// frame is
+// The resident scan service (`refscan serve`, src/serve) rides on this one
+// primitive. It speaks a trivially parseable wire format — one frame is
 //
 //   [u32 payload length, little-endian] [u8 type] [payload bytes]
 //
@@ -15,9 +13,9 @@
 //
 // Error model: every call reports failure through a bool + optional
 // std::string* out-param instead of throwing. Peers dying mid-conversation
-// are an expected event (a crashed shard worker must degrade, not abort the
-// scan), so sends use MSG_NOSIGNAL — a closed peer yields EPIPE, not a
-// process-killing SIGPIPE — and receives treat a clean EOF at a frame
+// are an expected event (a client that hangs up must cost its own request,
+// not the daemon), so sends use MSG_NOSIGNAL — a closed peer yields EPIPE,
+// not a process-killing SIGPIPE — and receives treat a clean EOF at a frame
 // boundary as its own distinct outcome (RecvOutcome::kClosed).
 
 #ifndef REFSCAN_SUPPORT_IPC_H_
@@ -63,8 +61,8 @@ class OwnedFd {
 
 // Frames larger than this are rejected on both send and receive: a garbage
 // length prefix (corrupt peer, wrong protocol) must fail fast instead of
-// provoking a multi-gigabyte allocation. 1 GiB comfortably covers a whole
-// serialized shard of kernel-sized translation units.
+// provoking a multi-gigabyte allocation. 1 GiB comfortably covers a scan
+// request carrying a kernel-sized tree.
 inline constexpr uint32_t kMaxFrameBytes = 1u << 30;
 
 // Creates, binds and listens on a Unix-domain stream socket at `path`
@@ -75,12 +73,12 @@ OwnedFd UnixListen(const std::string& path, std::string* error = nullptr);
 // Connects to the Unix-domain socket at `path`.
 OwnedFd UnixConnect(const std::string& path, std::string* error = nullptr);
 
-// Bounded reconnect policy for IPC clients (the `scan --remote` client):
-// jittered exponential backoff between connect attempts. The jitter is a
-// deterministic hash of (jitter_seed, attempt) — not wall clock or rand() —
-// so tests and replayed fault runs see the same delays; different clients
-// decorrelate by seeding differently (pid, worker id). attempts <= 1 means
-// a single try, no sleeping.
+// Bounded retry policy for the `scan --remote` client (RemoteScan, which
+// retries its whole exchange): jittered exponential backoff between
+// attempts. The jitter is a deterministic hash of (jitter_seed, attempt) —
+// not wall clock or rand() — so tests and replayed fault runs see the same
+// delays; different clients decorrelate by seeding differently. attempts
+// <= 1 means a single try, no sleeping.
 struct BackoffPolicy {
   int attempts = 5;
   uint32_t base_delay_ms = 10;  // delay before the first retry
@@ -92,13 +90,6 @@ struct BackoffPolicy {
 // failed try and the second). Equal-jitter: half the capped exponential
 // deterministically, half from the seed hash. Exposed for tests.
 uint32_t BackoffDelayMs(const BackoffPolicy& policy, int attempt);
-
-// UnixConnect with up to policy.attempts tries, sleeping BackoffDelayMs
-// between them. The first attempt is immediate, so a healthy server costs
-// nothing extra. Returns an invalid fd (and the last connect error) after
-// the budget is exhausted.
-OwnedFd ConnectWithRetry(const std::string& path, const BackoffPolicy& policy,
-                         std::string* error = nullptr);
 
 // Accepts one connection, waiting at most `timeout_ms` (0 = block forever).
 // Returns an invalid fd on timeout or error.

@@ -25,8 +25,10 @@ struct CliRun {
   std::string output;  // stdout and stderr together
 };
 
-CliRun RunCli(const std::vector<std::string>& args) {
-  std::string command = REFSCAN_CLI_PATH;
+// Runs the binary with `args`, and with `env` (shell assignments such as
+// "NAME='value'") in its environment.
+CliRun RunCli(const std::vector<std::string>& args, const std::string& env = "") {
+  std::string command = env.empty() ? REFSCAN_CLI_PATH : env + " " + REFSCAN_CLI_PATH;
   for (const std::string& arg : args) {
     command += " '" + arg + "'";  // no argument here contains a single quote
   }
@@ -169,18 +171,21 @@ TEST_F(CliFlagMatrixTest, FlagsOutsideTheirSubcommandExit64) {
       {"scan", tree, "--emit", dir_ + "/out"},
       {"scan", tree, "--kernelish", "2"},
       {"stats", tree, "--fix"},
-      {"summaries", tree, "--workers", "2"},
+      {"summaries", tree, "--no-cache"},
       {"match", tree, "F_start -> S_P(p0) -> F_end", "--streaming"},
       {"deviations", tree, "--remote", dir_ + "/no.sock"},
-      // --remote scans on the daemon, with its own threads and store.
-      {"scan", tree, "--remote", dir_ + "/no.sock", "--workers", "2"},
+      // --remote scans on the daemon, through its own resident store.
       {"scan", tree, "--remote", dir_ + "/no.sock", "--cache-dir", dir_ + "/cache"},
+      {"scan", tree, "--remote", dir_ + "/no.sock", "--no-cache"},
       // ...and arms faults only from its own REFSCAN_FAULTS.
       {"stats", tree, "--remote", dir_ + "/no.sock", "--faults", "parser.parse:always"},
       // --poll-ms and --jobs configure serve's --watch loop only.
       {"serve", dir_ + "/serve.sock", "--poll-ms", "5"},
       {"serve", dir_ + "/serve.sock", "--jobs", "2"},
-      {"worker", "--socket", dir_ + "/w.sock", "--id", "abc"},
+      // Threads are the one way to scan in parallel: there are no worker
+      // processes to ask for.
+      {"scan", tree, "--workers", "2"},
+      {"worker", "--socket", dir_ + "/w.sock", "--id", "0"},
       {"scan", tree, "--jobs", "-1"},  // a number is digits only
   };
   for (const auto& args : rejected) {
@@ -208,24 +213,52 @@ TEST_F(CliFlagMatrixTest, CacheGcRefusesADirectoryThatIsNotACache) {
       << gc.output;
 }
 
-// Stage 2.5 summarises every unit at once, in the scanning process: the
-// flags that would stream units or shard them exit 64 with --ipa.
+// Stage 2.5 summarises every unit at once, in the scanning process:
+// --streaming, which drops each unit after stage 1, exits 64 with --ipa.
 TEST_F(CliFlagMatrixTest, IpaRejectsStreamingAndWorkers) {
-  const std::string tree = dir_ + "/tree";
   for (const auto& sub : Subcommands()) {
     if (sub[0] != "scan" && sub[0] != "stats" && sub[0] != "demo") {
       continue;
     }
     for (const std::vector<std::string>& flags :
          {std::vector<std::string>{"--ipa", "--streaming"},
-          std::vector<std::string>{"--ipa", "--workers", "2"},
-          std::vector<std::string>{"--workers", "2", "--interprocedural"}}) {
+          std::vector<std::string>{"--streaming", "--interprocedural"}}) {
       const CliRun run = RunCli(With(sub, flags));
       EXPECT_EQ(run.rc, 64) << sub[0] << " " << flags[1] << ": " << run.output;
       EXPECT_NE(run.output.find("does not apply with --ipa"), std::string::npos) << sub[0];
     }
     EXPECT_NE(RunCli(With(sub, {"--ipa"})).rc, 64) << sub[0];
   }
+}
+
+// The daemon arms faults only from its own REFSCAN_FAULTS, so a spec in the
+// client's environment would reach nothing but the loader: next to --remote
+// it exits 64 with the message --faults gives. An empty one, and the same
+// spec on a local scan, go ahead.
+TEST_F(CliFlagMatrixTest, RemoteRejectsAFaultSpecInTheEnvironment) {
+  const std::string tree = dir_ + "/tree";
+  const std::string sock = dir_ + "/no.sock";
+  const CliRun flag = RunCli({"scan", tree, "--remote", sock, "--faults", "parser.parse:always"});
+  EXPECT_EQ(flag.rc, 64) << flag.output;
+  EXPECT_NE(flag.output.find("--faults does not apply with --remote"), std::string::npos)
+      << flag.output;
+  for (const std::string sub : {"scan", "stats", "demo"}) {
+    std::vector<std::string> args = {sub};
+    if (sub != "demo") {
+      args.push_back(tree);
+    }
+    const CliRun env =
+        RunCli(With(args, {"--remote", sock}), "REFSCAN_FAULTS='parser.parse:always'");
+    EXPECT_EQ(env.rc, 64) << sub << ": " << env.output;
+    EXPECT_NE(env.output.find("REFSCAN_FAULTS does not apply with --remote"), std::string::npos)
+        << sub << ": " << env.output;
+  }
+  // Empty, it arms nothing: the unreachable daemon falls back to a local
+  // scan that exits as an unfaulted one.
+  const int clean_rc = RunCli({"scan", tree}).rc;
+  EXPECT_NE(clean_rc, 2);
+  EXPECT_EQ(RunCli({"scan", tree, "--remote", sock}, "REFSCAN_FAULTS=''").rc, clean_rc);
+  EXPECT_EQ(RunCli({"scan", tree}, "REFSCAN_FAULTS='parser.parse:always'").rc, 2);
 }
 
 // `match` checks each file inside stage 3's sandbox, like `scan`: an

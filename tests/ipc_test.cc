@@ -1,5 +1,5 @@
 // Tests for the Unix-socket frame transport (src/support/ipc) that the
-// sharded scan and the serve daemon both ride on.
+// serve daemon rides on.
 
 #include "src/support/ipc.h"
 
@@ -211,38 +211,6 @@ TEST(BackoffTest, DelaysAreDeterministicJitteredAndCapped) {
     any_differ = any_differ || BackoffDelayMs(policy, attempt) != BackoffDelayMs(other, attempt);
   }
   EXPECT_TRUE(any_differ);
-}
-
-TEST(BackoffTest, ConnectWithRetryOutlastsALateServer) {
-  const std::string path = TestSocketPath("lateserver");
-  ::unlink(path.c_str());
-  std::thread late_server([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    OwnedFd listener = UnixListen(path);
-    ASSERT_TRUE(listener.valid());
-    OwnedFd conn = UnixAccept(listener.get(), 5000);
-    EXPECT_TRUE(conn.valid());
-  });
-  BackoffPolicy policy;
-  policy.attempts = 20;
-  policy.base_delay_ms = 20;
-  policy.max_delay_ms = 50;
-  std::string error;
-  OwnedFd fd = ConnectWithRetry(path, policy, &error);
-  EXPECT_TRUE(fd.valid()) << error;
-  late_server.join();
-  ::unlink(path.c_str());
-}
-
-TEST(BackoffTest, ConnectWithRetryGivesUpAfterBudget) {
-  BackoffPolicy policy;
-  policy.attempts = 3;
-  policy.base_delay_ms = 1;
-  policy.max_delay_ms = 2;
-  std::string error;
-  OwnedFd fd = ConnectWithRetry("/tmp/refscan-ipc-test-no-such-server.sock", policy, &error);
-  EXPECT_FALSE(fd.valid());
-  EXPECT_FALSE(error.empty());
 }
 
 TEST(IpcFaultTest, InjectedWriteFaultTruncatesMidFrameDeterministically) {

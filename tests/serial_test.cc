@@ -208,16 +208,6 @@ ScanResult SampleResult() {
   return result;
 }
 
-FileScanState SampleState() {
-  FileScanState st;
-  st.failure = FileFailure{"drivers/w/widget.c", FailureStage::kCheck, FailureKind::kResourceLimit,
-                           "deadline", 0};
-  st.retried = true;
-  st.parsed = true;
-  st.report_hit = true;
-  return st;
-}
-
 TEST(SerialDigestTest, PersistedBytesKeepTheirVersion5Digests) {
   EXPECT_EQ(Hex(HashBytes(SerializeFacts(SampleFacts()))), "30d1c9600e2060ff");
   EXPECT_EQ(Hex(HashBytes(SerializeUnit(SampleUnit()))), "5883dc4d1ab3a330");
@@ -413,17 +403,6 @@ INSTANTIATE_TEST_SUITE_P(
                [](std::string_view b) {
                  ScanResult result;
                  return DecodeScanResult(b, result);
-               }},
-        Format{"shard_facts_record", [] { return Encode(SampleState(), SampleFacts()); },
-               [](std::string_view b) {
-                 FileScanState st;
-                 return Decode(b, st, st.facts);
-               }},
-        Format{"shard_results_record", [] { return Encode(SampleState(), SampleReports()); },
-               [](std::string_view b) {
-                 FileScanState st;
-                 CachedFileReports shard;
-                 return Decode(b, st, shard);
                }}),
     [](const ::testing::TestParamInfo<Format>& p) { return std::string(p.param.name); });
 

@@ -570,6 +570,35 @@ TEST(ServeTest, UnreachableServerYieldsNulloptAfterBudget) {
   EXPECT_FALSE(note.empty());
 }
 
+// A client that starts before its daemon: RemoteScan's retry loop backs off
+// until the socket appears ~60 ms later, and the scan it then gets equals
+// the local one.
+TEST(ServeTest, RemoteScanOutlastsALateServer) {
+  const SourceTree tree = TestTree(8);
+  ServeConfig config;
+  config.socket_path = TestSocketPath("lateserver");
+  ::unlink(config.socket_path.c_str());
+  ScanServer server(config);
+  bool started = false;
+  std::thread late_server([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    started = server.Start();
+  });
+  BackoffPolicy policy;
+  policy.attempts = 40;
+  policy.base_delay_ms = 20;
+  policy.max_delay_ms = 50;
+  std::string note;
+  const std::optional<ScanResult> remote =
+      RemoteScan(tree, ScanOptions{}, config.socket_path, policy, &note);
+  late_server.join();
+  ASSERT_TRUE(started);
+  ASSERT_TRUE(remote.has_value()) << note;
+  ExpectSameOutput(LocalScan(tree, ScanOptions{}), *remote);
+  EXPECT_TRUE(server.Drain());
+  EXPECT_EQ(server.metrics().CounterValue("serve.scans"), 1u);
+}
+
 TEST(WatchTest, ReportDeltaTracksFreshAndFixed) {
   BugReport a;
   a.anti_pattern = 1;

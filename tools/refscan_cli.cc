@@ -44,7 +44,6 @@
 #include "src/checkers/deviations.h"
 #include "src/checkers/engine.h"
 #include "src/checkers/scan_stages.h"
-#include "src/checkers/sharded.h"
 #include "src/ipa/summary.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
@@ -66,7 +65,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  refscan scan <dir> [--fix] [--json] [--stats] [--patterns LIST] [--workers N]\n"
+               "  refscan scan <dir> [--fix] [--json] [--stats] [--patterns LIST]\n"
                "                    [--remote SOCKET] [--cache-dir DIR] [--no-cache] [--streaming]\n"
                "                    [TREE FLAGS]\n"
                "  refscan stats <dir> [scan's flags but --fix]   scan, print only the stats table\n"
@@ -85,7 +84,6 @@ int Usage() {
                "  refscan health <socket> [--stats]         ping a serve daemon (--stats\n"
                "                                            prints its counters JSON)\n"
                "  refscan cache gc <dir> --max-bytes N      evict LRU cache objects over N\n"
-               "  refscan worker --socket PATH --id N       (internal) shard worker process\n"
                "\n"
                "  TREE FLAGS (any tree subcommand): --dialect --no-discovery --ipa --jobs --faults\n"
                "  --file-timeout-ms --max-failure-ratio --trace-out --metrics-out; others exit 64\n"
@@ -103,9 +101,6 @@ int Usage() {
                "                    output is byte-identical to an uncached scan; many\n"
                "                    processes may share one DIR\n"
                "  --no-cache        ignore --cache-dir (cold scan)\n"
-               "  --workers N       shard the scan across N worker subprocesses; output is\n"
-               "                    byte-identical to --workers 0 at any N (0 = in-process,\n"
-               "                    the default); exits 64 with --interprocedural\n"
                "  --streaming       bounded-memory unit lifecycle for multi-MLOC trees: each\n"
                "                    file's AST is dropped after stage 1 and re-parsed just in\n"
                "                    time in stage 3, so at most --jobs ASTs coexist; output is\n"
@@ -116,7 +111,8 @@ int Usage() {
                "  --remote SOCKET   run the scan on a `refscan serve` daemon (warm resident\n"
                "                    store); output is byte-identical to a local scan, and an\n"
                "                    unreachable server falls back to scanning locally;\n"
-               "                    --workers, --cache-dir and --faults exit 64 with it\n"
+               "                    --cache-dir, --no-cache, --faults and a non-empty\n"
+               "                    REFSCAN_FAULTS exit 64 with it\n"
                "  --stats           print fault-isolation and cache counters (text and JSON)\n"
                "  --faults SPEC     arm the deterministic fault-injection registry for this\n"
                "                    run, e.g. 'parser.parse:file=*.broken.c' — see\n"
@@ -144,7 +140,6 @@ enum Command : unsigned {
   kServe = 1u << 6,
   kHealth = 1u << 7,
   kCacheGc = 1u << 8,
-  kWorker = 1u << 9,
 };
 constexpr unsigned kScanLike = kScan | kStats | kDemo;  // run the checkers over the tree
 constexpr unsigned kAnyTree = kScanLike | kMatch | kDeviations | kSummaries;
@@ -160,8 +155,7 @@ struct CliFlags {
   size_t jobs = 0;  // 0 = hardware concurrency
   std::string emit_dir;
   std::string cache_dir;
-  size_t workers = 0;   // 0 = in-process scan
-  std::string remote;   // serve daemon socket; empty = scan locally
+  std::string remote;  // serve daemon socket; empty = scan locally
   bool streaming = false;
   size_t kernelish = 0;  // demo: kernel-realism modules per subsystem
   bool no_cache = false;
@@ -174,14 +168,12 @@ struct CliFlags {
   bool stats_only = false;  // `refscan stats`: suppress the report listing
 
   // The daemon subcommands.
-  std::string socket;     // worker
   std::string watch_dir;  // serve --watch
   size_t sessions = refscan::ServeConfig{}.sessions;
   size_t max_pending = refscan::ServeConfig{}.max_pending;
   uint32_t request_timeout_ms = refscan::ServeConfig{}.request_timeout_ms;
   uint32_t drain_timeout_ms = refscan::ServeConfig{}.drain_timeout_ms;
   uint32_t poll_ms = refscan::WatchConfig{}.poll_ms;
-  size_t worker_id = 0;
   uint64_t max_bytes = 0;
 
   // Canonical names of the flags on the command line.
@@ -250,8 +242,8 @@ bool ParseFailureRatio(CliFlags& flags, const char* text) {
 // Every flag, with the subcommands that honour it (README.md, "Flags per
 // subcommand"). A flag given to a subcommand outside its row is a usage
 // error, never silently ignored. match, deviations and summaries walk every
-// unit of the spine's front half in memory, so the cache, the shard
-// workers, the serve daemon and streaming are not theirs.
+// unit of the spine's front half in memory, so the cache, the serve daemon
+// and streaming are not theirs.
 struct FlagRule {
   const char* name;   // canonical spelling: -j is --jobs, --interprocedural is --ipa
   const char* value;  // what the argument is, for messages; nullptr for a switch
@@ -273,14 +265,11 @@ constexpr FlagRule kFlagTable[] = {
     {"--patterns", "a comma-separated list (e.g. 1,4,8)", kScanLike, ParsePatterns},
     {"--cache-dir", "a directory", kScanLike, Text<&CliFlags::cache_dir>},
     {"--no-cache", nullptr, kScanLike, Switch<&CliFlags::no_cache>},
-    {"--workers", "a number", kScanLike, Count<&CliFlags::workers>},
     {"--remote", "a socket path", kScanLike, Text<&CliFlags::remote>},
     {"--streaming", nullptr, kScanLike, Switch<&CliFlags::streaming>},
     {"--fix", nullptr, kScan | kDemo, Switch<&CliFlags::print_fixes>},
     {"--emit", "a directory", kDemo, Text<&CliFlags::emit_dir>},
     {"--kernelish", "a number", kDemo, Count<&CliFlags::kernelish>},
-    {"--socket", "a socket path", kWorker, Text<&CliFlags::socket>},
-    {"--id", "a number", kWorker, Count<&CliFlags::worker_id>},
     {"--watch", "a directory", kServe, Text<&CliFlags::watch_dir>},
     {"--sessions", "a number", kServe, Count<&CliFlags::sessions>},
     {"--max-pending", "a number", kServe, Count<&CliFlags::max_pending>},
@@ -427,22 +416,8 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
                    note.c_str());
     }
   }
-  ScanResult result;
-  if (remote) {
-    result = std::move(*remote);
-  } else if (flags.workers > 0) {
-    // The worker subprocesses re-exec this binary; they inherit
-    // REFSCAN_FAULTS from the environment, and a --faults spec travels in
-    // the options so worker-side sites fire either way.
-    ShardedScanConfig config;
-    config.workers = flags.workers;
-    config.worker_cmd = "/proc/self/exe";
-    ScanOptions sharded_options = options;
-    sharded_options.fault_spec = flags.fault_spec;
-    result = ShardedScan(tree, sharded_options, config);
-  } else {
-    result = CheckerEngine(KnowledgeBase::BuiltIn(), options).Scan(tree);
-  }
+  ScanResult result = remote ? std::move(*remote)
+                              : CheckerEngine(KnowledgeBase::BuiltIn(), options).Scan(tree);
   AddLoadFailures(result, load_failures, load_stats);
 
   if (result.aborted) {
@@ -614,23 +589,25 @@ int RunTreeCommand(unsigned command, int argc, char** argv) {
     return Usage();
   }
   if (!flags.remote.empty()) {
-    // The daemon scans with its own threads and its resident store, and
-    // arms faults only from its own REFSCAN_FAULTS.
-    for (const char* local : {"--workers", "--cache-dir", "--faults"}) {
+    // The daemon scans through its resident store, and arms faults only
+    // from its own REFSCAN_FAULTS; this process's spec would reach nothing
+    // but the loader.
+    for (const char* local : {"--cache-dir", "--no-cache", "--faults"}) {
       if (flags.given.contains(local)) {
         std::fprintf(stderr, "%s does not apply with --remote\n", local);
         return Usage();
       }
     }
-  }
-  if (flags.interprocedural) {
-    // Stage 2.5 summarises every unit at once, in this process.
-    for (const char* resident : {"--streaming", "--workers"}) {
-      if (flags.given.contains(resident)) {
-        std::fprintf(stderr, "%s does not apply with --ipa\n", resident);
-        return Usage();
-      }
+    const char* env_faults = std::getenv("REFSCAN_FAULTS");
+    if (env_faults != nullptr && *env_faults != '\0') {
+      std::fprintf(stderr, "REFSCAN_FAULTS does not apply with --remote\n");
+      return Usage();
     }
+  }
+  if (flags.interprocedural && flags.given.contains("--streaming")) {
+    // Stage 2.5 summarises every unit at once, in this process.
+    std::fprintf(stderr, "--streaming does not apply with --ipa\n");
+    return Usage();
   }
   std::optional<SemanticTemplate> tmpl;
   if (command == kMatch) {
@@ -726,17 +703,6 @@ int RealMain(int argc, char** argv) {
     return Usage();
   }
   const std::string command = argv[1];
-
-  if (command == "worker") {
-    // Internal: spawned by `scan --workers N`. Not part of the documented
-    // surface, but inert if invoked by hand (it just waits for a
-    // coordinator that never comes, then errors out).
-    CliFlags flags;
-    if (!ParseFlags(argc, argv, 2, kWorker, flags) || flags.socket.empty()) {
-      return Usage();
-    }
-    return RunShardWorker(flags.socket, static_cast<int>(flags.worker_id));
-  }
 
   if (command == "serve") {
     CliFlags flags;
