@@ -29,8 +29,6 @@ std::string_view FailureKindName(FailureKind kind) {
       return "parse";
     case FailureKind::kResourceLimit:
       return "resource-limit";
-    case FailureKind::kCache:
-      return "cache";
     case FailureKind::kInternal:
       return "internal";
   }
@@ -87,8 +85,8 @@ ScanResult CheckerEngine::ScanFileText(std::string path, std::string text) {
 }
 
 const std::vector<ScanStatsField>& ScanStatsFields() {
-  // JSON keys keep their historical names ("quarantined", "retried"); the
-  // metric names carry the struct's fuller spelling under the scan. prefix.
+  // JSON keys keep their historical names ("quarantined"); the metric names
+  // carry the struct's fuller spelling under the scan. prefix.
   static const auto* fields = new std::vector<ScanStatsField>{
       {"files", "scan.files", &ScanStats::files},
       {"functions", "scan.functions", &ScanStats::functions},
@@ -98,7 +96,6 @@ const std::vector<ScanStatsField>& ScanStatsFields() {
       {"refcounted_structs", "scan.refcounted_structs", &ScanStats::refcounted_structs},
       {"summarized_functions", "scan.summarized_functions", &ScanStats::summarized_functions},
       {"quarantined", "scan.files_quarantined", &ScanStats::files_quarantined},
-      {"retried", "scan.files_retried", &ScanStats::files_retried},
       {"functions_degraded", "scan.functions_degraded", &ScanStats::functions_degraded},
       {"cache_hits", "scan.cache_hits", &ScanStats::cache_hits},
       {"cache_misses", "scan.cache_misses", &ScanStats::cache_misses},
@@ -138,7 +135,7 @@ std::string ScanResultToJson(const ScanResult& result, bool include_stats) {
     AppendJsonString(out, FailureKindName(f.kind));
     out += ", \"what\": ";
     AppendJsonString(out, f.what);
-    out += StrFormat(", \"retries\": %d}", f.retries);
+    out += "}";
   }
   if (!result.failures.empty()) {
     out += "\n";

@@ -96,13 +96,8 @@ struct ScanOptions {
 
   // ---- fault isolation & resource governors (DESIGN.md §5.9) ----
   // The input caps (loader size, parser nesting, error budget) are
-  // constants, not options (DESIGN.md §5.15).
-
-  // Fault-injection spec (see support/faultinject.h), armed for the
-  // duration of a scan and restored afterwards; empty = whatever is armed
-  // process-wide (e.g. via REFSCAN_FAULTS). A malformed spec aborts the
-  // scan with a diagnostic rather than silently running un-faulted.
-  std::string fault_spec;
+  // constants, not options (DESIGN.md §5.15). Faults arm for the whole
+  // process (support/faultinject.h), never per scan.
 
   // Per-file wall-clock budget covering parse and context-build + checking
   // (or template matching) separately (cooperative: polled in the parser,
@@ -130,9 +125,9 @@ struct ScanOptions {
 enum class FailureStage : uint8_t { kLoad, kParse, kCheck, kSummarize };
 std::string_view FailureStageName(FailureStage stage);
 
-// Failure taxonomy (DESIGN.md §5.9): I/O, parse, resource cap, cache,
-// anything else.
-enum class FailureKind : uint8_t { kIo, kParse, kResourceLimit, kCache, kInternal };
+// Failure taxonomy (DESIGN.md §5.9): I/O, parse, resource cap, anything
+// else.
+enum class FailureKind : uint8_t { kIo, kParse, kResourceLimit, kInternal };
 std::string_view FailureKindName(FailureKind kind);
 
 // One quarantined file: the scan completed without it, its entry appears in
@@ -142,7 +137,6 @@ struct FileFailure {
   FailureStage stage = FailureStage::kParse;
   FailureKind kind = FailureKind::kInternal;
   std::string what;
-  int retries = 0;  // transient-I/O re-attempts consumed before giving up
 };
 
 // Parses a `--patterns` list ("1,4,8") into `out`. Returns false (leaving
@@ -153,7 +147,7 @@ bool ParsePatternList(std::string_view text, std::set<int>& out);
 // artifacts. `jobs` is excluded (reports are identical at every thread
 // count) and so is `interprocedural` (it only changes the KB, which the
 // report key already fingerprints), so parses cached by a plain scan are
-// reused by an `--ipa` scan and vice versa. fault_spec, file_timeout_ms and
+// reused by an `--ipa` scan and vice versa. file_timeout_ms and
 // max_failure_ratio are excluded: a file that faults or times out stores no
 // artifacts, so nothing wall-clock- or injection-dependent can ever be
 // replayed.
@@ -205,11 +199,8 @@ struct ScanStats {
   size_t refcounted_structs = 0;
   size_t summarized_functions = 0;  // stage 2.5 (0 when interprocedural off)
 
-  // Fault-isolation accounting: files quarantined (they appear in
-  // ScanResult::failures) and files that needed a transient-I/O retry
-  // (whether or not the retry then succeeded).
+  // Files quarantined (they appear in ScanResult::failures).
   size_t files_quarantined = 0;
-  size_t files_retried = 0;
 
   // Function-granular parse casualties (DESIGN.md §5.15): bodies the parser
   // quarantined while the rest of their file kept scanning. Excluded from
@@ -228,12 +219,12 @@ struct ScanStats {
 
 // One ScanStats field: binds the struct member to its `--json` stats key
 // and its `scan.*` counter name in the telemetry registry. ScanResultToJson,
-// the CLI's --stats text section and the engine's metrics materialisation
-// all iterate this table, so the three views cannot drift; the shape is
-// locked by tests/telemetry_test.cc.
+// the CLI's --stats text section and the spine's publication into an armed
+// telemetry session all iterate this table, so the three views cannot
+// drift; the shape is locked by tests/telemetry_test.cc.
 struct ScanStatsField {
   const char* json_key;
-  const char* metric;  // counter name in the scan-local metrics registry
+  const char* metric;  // counter name in the armed session's registry
   size_t ScanStats::* member;
 };
 
@@ -266,8 +257,8 @@ struct ScanResult {
   // function-granular analogue of `failures`. Non-empty ⇒ kExitDegraded.
   std::vector<DegradedFunctionReport> degraded_functions;
 
-  // Circuit breaker (ScanOptions::max_failure_ratio) or a malformed
-  // fault_spec: the scan gave up; `reports` must not be trusted.
+  // Circuit breaker (ScanOptions::max_failure_ratio): the scan gave up;
+  // `reports` must not be trusted.
   bool aborted = false;
   std::string abort_reason;
 };

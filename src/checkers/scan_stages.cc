@@ -1,9 +1,7 @@
 #include "src/checkers/scan_stages.h"
 
-#include <chrono>
-#include <thread>
-
 #include "src/cache/store.h"
+#include "src/support/faultinject.h"
 #include "src/support/governor.h"
 #include "src/support/strings.h"
 #include "src/support/telemetry.h"
@@ -23,64 +21,35 @@ constexpr std::pair<int, FunctionChecker> kFunctionCheckers[] = {
     {11, CheckTestAndFree},      {12, CheckRefcountReset},
 };
 
-// Maps an injected fault to the failure taxonomy by its site prefix.
-FailureKind ClassifyFault(const FaultInjected& e) {
-  if (e.transient_io()) {
-    return FailureKind::kIo;
-  }
-  const std::string& site = e.site();
-  if (site.rfind("fs.", 0) == 0) {
-    return FailureKind::kIo;
-  }
-  if (site.rfind("cache.", 0) == 0) {
-    return FailureKind::kCache;
-  }
-  if (site.rfind("parser.", 0) == 0) {
-    return FailureKind::kParse;
-  }
-  return FailureKind::kInternal;
-}
-
-// Runs one file's pipeline stage inside its sandbox: a fresh ScopedDeadline
-// per attempt, one bounded-backoff retry for transient I/O failures (only
-// while `retry_allowed` — the stage-3 body clears it once it has consumed
-// the cached TranslationUnit), and exception → FileFailure classification.
+// Runs one file's pipeline stage inside its sandbox: one attempt under a
+// fresh ScopedDeadline, and exception → FileFailure classification.
 // Returns false when the file is quarantined (`failure` is filled in); the
 // caller must then discard the file's partial state.
 template <typename Fn>
-bool GuardFileStage(std::string_view path, FailureStage stage, uint32_t timeout_ms,
-                    const bool& retry_allowed, Fn&& body, std::optional<FileFailure>& failure,
-                    bool& retried) {
-  FileFailure f;
-  f.path = std::string(path);
-  f.stage = stage;
-  for (int attempt = 0;; ++attempt) {
-    try {
-      ScopedDeadline deadline(timeout_ms);
-      body();
-      return true;
-    } catch (const FaultInjected& e) {
-      if (e.transient_io() && retry_allowed && attempt == 0) {
-        retried = true;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      f.kind = ClassifyFault(e);
-      f.what = e.what();
-    } catch (const DeadlineExceeded& e) {
-      f.kind = FailureKind::kResourceLimit;
-      f.what = e.what();
-    } catch (const std::exception& e) {
-      f.kind = FailureKind::kInternal;
-      f.what = e.what();
-    } catch (...) {
-      f.kind = FailureKind::kInternal;
-      f.what = "unknown exception";
+bool GuardFileStage(std::string_view path, FailureStage stage, uint32_t timeout_ms, Fn&& body,
+                    std::optional<FileFailure>& failure) {
+  FileFailure f{std::string(path), stage, FailureKind::kInternal, {}};
+  try {
+    ScopedDeadline deadline(timeout_ms);
+    body();
+    return true;
+  } catch (const FaultInjected& e) {
+    // An injected fault sorts by its site: only the parser's is a parse
+    // failure.
+    if (e.site().starts_with("parser.")) {
+      f.kind = FailureKind::kParse;
     }
-    f.retries = retried ? 1 : 0;
-    failure = std::move(f);
-    return false;
+    f.what = e.what();
+  } catch (const DeadlineExceeded& e) {
+    f.kind = FailureKind::kResourceLimit;
+    f.what = e.what();
+  } catch (const std::exception& e) {
+    f.what = e.what();
+  } catch (...) {
+    f.what = "unknown exception";
   }
+  failure = std::move(f);
+  return false;
 }
 
 }  // namespace
@@ -183,9 +152,8 @@ void Transfer(IO& io, O& o) {
   Transfer(io, o.nesting_threshold, o.discover_from_source, o.enabled_patterns,
            o.prune_null_branches, o.model_ownership_transfer, o.dialects,
            NotFingerprinted(o.jobs), NotFingerprinted(o.cache_dir),
-           NotFingerprinted(o.interprocedural), NotFingerprinted(o.fault_spec),
-           NotFingerprinted(o.file_timeout_ms), NotFingerprinted(o.max_failure_ratio),
-           NotFingerprinted(o.streaming));
+           NotFingerprinted(o.interprocedural), NotFingerprinted(o.file_timeout_ms),
+           NotFingerprinted(o.max_failure_ratio), NotFingerprinted(o.streaming));
 }
 
 uint64_t ScanOptionsFingerprint(const ScanOptions& options) {
@@ -267,16 +235,11 @@ FileScanState RunParseStage(const SourceFile& f, const ScanStageContext& ctx) {
   ScanCache& cache = *ctx.cache;
   FileScanState st;
   // One event per file whatever happens inside (cache replay, parse,
-  // retries): the guard's attempt loop runs within this span.
+  // quarantine): the guard runs within this span.
   TelemetrySpan file_span("file.parse", f.path());
-  const bool stage_retry_ok = true;  // stage 1 work is idempotent, retry freely
   const bool ok = GuardFileStage(
-      f.path(), FailureStage::kParse, options.file_timeout_ms, stage_retry_ok,
+      f.path(), FailureStage::kParse, options.file_timeout_ms,
       [&] {
-        st.key = CacheKey{};
-        st.facts = DiscoveryFacts{};
-        st.unit.reset();
-        st.parsed = false;
         if (ctx.use_cache) {
           st.key = MakeFileKey(f.path(), f.text(), ctx.options_fp);
           if (!ctx.need_units) {
@@ -314,7 +277,7 @@ FileScanState RunParseStage(const SourceFile& f, const ScanStageContext& ctx) {
           st.unit.reset();
         }
       },
-      st.failure, st.retried);
+      st.failure);
   if (!ok) {
     // Discard partial state so the KB replay and stage 3 see a file that
     // simply is not there — this is what makes the healthy-subset
@@ -382,14 +345,9 @@ CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st, uint6
   // One event per non-quarantined file, covering splice and cold check
   // alike (the nested cache.load span distinguishes them in a trace).
   TelemetrySpan file_span("file.check", file.path());
-  // Retrying is only safe until the body moves the cached TranslationUnit
-  // into the check — after that a retry would re-check a moved-from
-  // unit and silently produce wrong output, so the body revokes it.
-  bool retry_ok = true;
   const bool ok = GuardFileStage(
-      file.path(), FailureStage::kCheck, options.file_timeout_ms, retry_ok,
+      file.path(), FailureStage::kCheck, options.file_timeout_ms,
       [&] {
-        shard = CachedFileReports{};
         if (ctx.use_cache) {
           if (std::optional<CachedFileReports> cached = cache.LoadReports(st.key, kb_fp)) {
             st.report_hit = true;
@@ -400,7 +358,6 @@ CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st, uint6
         MaybeFault("checker.run", file.path());
         TranslationUnit unit;
         if (st.unit.has_value()) {
-          retry_ok = false;
           unit = std::move(*st.unit);
           st.unit.reset();
         } else {
@@ -415,38 +372,12 @@ CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st, uint6
           cache.StoreReports(st.key, kb_fp, shard, file.path());
         }
       },
-      st.failure, st.retried);
+      st.failure);
   if (!ok) {
     shard = CachedFileReports{};  // discard any partial shard
   }
   return shard;
 }
-
-// Pre-resolved counter handles for one scan. The spine counts in here (one
-// relaxed atomic add per event, no name lookups on the hot path) and
-// materialises the stable ScanStats façade from the registry in Finish via
-// ScanStatsFields(); an armed telemetry session then absorbs the whole
-// registry, so --metrics-out carries the scan counters alongside the
-// support-layer ones (load.*, sched.*, fault.*, governor.*).
-struct ScanSpine::Metrics {
-  MetricsRegistry reg;
-  MetricCounter& files = reg.Counter("scan.files");
-  MetricCounter& functions = reg.Counter("scan.functions");
-  MetricCounter& discovered_apis = reg.Counter("scan.discovered_apis");
-  MetricCounter& discovered_smart_loops = reg.Counter("scan.discovered_smart_loops");
-  MetricCounter& refcounted_structs = reg.Counter("scan.refcounted_structs");
-  MetricCounter& summarized_functions = reg.Counter("scan.summarized_functions");
-  MetricCounter& files_quarantined = reg.Counter("scan.files_quarantined");
-  MetricCounter& files_retried = reg.Counter("scan.files_retried");
-  MetricCounter& functions_degraded = reg.Counter("scan.functions_degraded");
-  MetricCounter& cache_hits = reg.Counter("scan.cache_hits");
-  MetricCounter& cache_misses = reg.Counter("scan.cache_misses");
-  MetricCounter& cache_parse_skips = reg.Counter("scan.cache_parse_skips");
-  MetricCounter& cache_corrupt = reg.Counter("scan.cache_corrupt");
-  MetricCounter& kb_snapshot_hits = reg.Counter("scan.kb_snapshot_hits");
-  MetricCounter& raw_reports = reg.Counter("scan.raw_reports");
-  MetricCounter& reports = reg.Counter("scan.reports");
-};
 
 ScanSpine::ScanSpine(const SourceTree& tree, KnowledgeBase seed, ScanOptions options,
                      bool keep_units)
@@ -455,8 +386,7 @@ ScanSpine::ScanSpine(const SourceTree& tree, KnowledgeBase seed, ScanOptions opt
       kb_(std::move(seed)),
       cache_(MakeScanStore(options_)),
       ctx_(MakeScanStageContext(options_, cache_)),
-      pool_(options_.jobs),
-      metrics_(std::make_unique<Metrics>()) {
+      pool_(options_.jobs) {
   if (keep_units) {
     ctx_.need_units = true;
     ctx_.stream_units = false;
@@ -473,23 +403,7 @@ ScanSpine::ScanSpine(const SourceTree& tree, KnowledgeBase seed, ScanOptions opt
   for (const auto& [path, file] : tree.files()) {
     files_.push_back(&file);
   }
-  // Scoped fault arming from the options: library callers and tests get a
-  // hermetic plan that restores whatever was armed before. A malformed spec
-  // aborts loudly — silently scanning un-faulted would make a fault-matrix
-  // CI job pass vacuously.
-  if (!options_.fault_spec.empty()) {
-    FaultPlan plan;
-    std::string spec_error;
-    if (!ParseFaultSpec(options_.fault_spec, plan, &spec_error)) {
-      result_.aborted = true;
-      result_.abort_reason = "invalid fault spec: " + spec_error;
-      return;
-    }
-    fault_arm_.emplace(std::move(plan));
-  }
 }
-
-ScanSpine::~ScanSpine() = default;
 
 CachedFileReports ScanSpine::CheckUnit(const SourceFile& file, TranslationUnit unit) {
   return CheckOneFile(file, std::move(unit), kb_, options_);
@@ -515,11 +429,7 @@ bool ScanSpine::BreakerTrips(const char* where) {
 }
 
 bool ScanSpine::RunFront() {
-  if (result_.aborted) {
-    return false;  // malformed fault spec
-  }
-  started_ = true;
-  Metrics& m = *metrics_;
+  ScanStats& stats = result_.stats;
 
   // Stage 1: per-file discovery facts — and units where needed — each file
   // inside its sandbox. A throw from the parser (deadline / injected fault)
@@ -543,9 +453,7 @@ bool ScanSpine::RunFront() {
   // serial merge barrier: discovery mutates the KB and the second round
   // depends on what the first one found, so parallelising it would change
   // results. It is also cheap next to parsing and checking.
-  if (RunDiscoverStage(states_, kb_, ctx_)) {
-    m.kb_snapshot_hits.Add(1);
-  }
+  stats.kb_snapshot_hits = RunDiscoverStage(states_, kb_, ctx_) ? 1 : 0;
 
   // Stage 2.5: interprocedural ref-delta summaries (src/ipa). Bottom-up
   // over the call-graph SCCs, parallel within a level; registration into
@@ -570,7 +478,7 @@ bool ScanSpine::RunFront() {
         }
       }
       summaries_ = ComputeSummaries(unit_ptrs, kb_, SummaryOptions{}, pool_);
-      m.summarized_functions.Add(summaries_.summaries.size());
+      stats.summarized_functions = summaries_.summaries.size();
     } catch (const std::exception& e) {
       FileFailure f;
       f.path = "<tree>";
@@ -582,14 +490,14 @@ bool ScanSpine::RunFront() {
   }
 
   // The KB is frozen from here on.
-  m.discovered_apis.Add(kb_.apis().size());
-  m.discovered_smart_loops.Add(kb_.smart_loops().size());
-  m.refcounted_structs.Add(kb_.refcounted_structs().size());
+  stats.discovered_apis = kb_.apis().size();
+  stats.discovered_smart_loops = kb_.smart_loops().size();
+  stats.refcounted_structs = kb_.refcounted_structs().size();
   return true;
 }
 
 bool ScanSpine::RunBack() {
-  Metrics& m = *metrics_;
+  ScanStats& stats = result_.stats;
   summaries_ = SummaryResult{};  // it points into the units stage 3 frees
 
   // A file's stage-3 shard is a pure function of (file content, KB,
@@ -622,12 +530,10 @@ bool ScanSpine::RunBack() {
       if (st.failure) {
         continue;  // quarantined files are neither hits nor misses
       }
-      (st.report_hit ? m.cache_hits : m.cache_misses).Add(1);
-      if (!st.parsed) {
-        m.cache_parse_skips.Add(1);
-      }
+      ++(st.report_hit ? stats.cache_hits : stats.cache_misses);
+      stats.cache_parse_skips += st.parsed ? 0 : 1;
     }
-    m.cache_corrupt.Add(cache_.corrupt_loads());
+    stats.cache_corrupt = cache_.corrupt_loads();
   }
 
   // Merge the shards in file order: the concatenation equals what a
@@ -637,19 +543,19 @@ bool ScanSpine::RunBack() {
   std::vector<BugReport> raw;
   for (size_t i = 0; i < shards.size(); ++i) {
     CachedFileReports& shard = shards[i];
-    m.functions.Add(shard.functions);
+    stats.functions += shard.functions;
     raw.insert(raw.end(), std::make_move_iterator(shard.reports.begin()),
                std::make_move_iterator(shard.reports.end()));
     // Function-granular parse casualties, already in source order within the
     // shard; shards are walked in file order, so the merged list is
     // (file, line)-ordered.
-    m.functions_degraded.Add(shard.degraded.size());
+    stats.functions_degraded += shard.degraded.size();
     for (DegradedFunction& d : shard.degraded) {
       result_.degraded_functions.push_back(
           DegradedFunctionReport{files_[i]->path(), std::move(d.name), d.line, std::move(d.what)});
     }
   }
-  m.raw_reports.Add(raw.size());
+  raw_reports_ = raw.size();
   result_.reports = DeduplicateReports(std::move(raw));
 
   // Suppression comments: a `refscan: ignore` marker on the reported line
@@ -677,34 +583,29 @@ bool ScanSpine::RunBack() {
 }
 
 ScanResult ScanSpine::Finish() {
-  if (!started_) {
-    return std::move(result_);  // the fault spec was malformed: nothing ran
-  }
-  Metrics& m = *metrics_;
-  m.files.Add(files_.size());
+  result_.stats.files = files_.size();
   // Quarantined files in tree (path) order — states already are — then any
   // whole-tree stage failures, unless a breaker gave up on the scan.
   for (FileScanState& st : states_) {
-    if (st.retried) {
-      m.files_retried.Add(1);
-    }
     if (st.failure) {
-      m.files_quarantined.Add(1);
       result_.failures.push_back(std::move(*st.failure));
     }
   }
   if (!result_.aborted) {
     for (FileFailure& f : tree_failures_) {
-      m.files_quarantined.Add(1);
       result_.failures.push_back(std::move(f));
     }
   }
-  m.reports.Add(result_.reports.size());
-  for (const ScanStatsField& f : ScanStatsFields()) {
-    result_.stats.*f.member = static_cast<size_t>(m.reg.CounterValue(f.metric));
-  }
+  result_.stats.files_quarantined = result_.failures.size();
+  // --metrics-out carries the scan counters alongside the support-layer
+  // ones (load.*, sched.*, fault.*, governor.*).
   if (Telemetry* t = CurrentTelemetry()) {
-    t->metrics().MergeFrom(m.reg);
+    MetricsRegistry& reg = t->metrics();
+    for (const ScanStatsField& f : ScanStatsFields()) {
+      reg.Counter(f.metric).Add(result_.stats.*f.member);
+    }
+    reg.Counter("scan.raw_reports").Add(raw_reports_);
+    reg.Counter("scan.reports").Add(result_.reports.size());
   }
   return std::move(result_);
 }

@@ -11,15 +11,14 @@
 // RunCheckStage, indexed by file, so a file's FileScanState and report
 // shard cannot depend on the thread that computed them.
 //
-// Each stage body runs inside the DESIGN.md §5.9 sandbox: a fresh deadline
-// per attempt, one transient-I/O retry while idempotent, and exception →
-// FileFailure quarantine that resets the file's partial state.
+// Each stage body runs once inside the DESIGN.md §5.9 sandbox: a fresh
+// deadline, and exception → FileFailure quarantine that resets the file's
+// partial state.
 
 #ifndef REFSCAN_CHECKERS_SCAN_STAGES_H_
 #define REFSCAN_CHECKERS_SCAN_STAGES_H_
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -28,7 +27,6 @@
 #include "src/cache/serial.h"
 #include "src/checkers/engine.h"
 #include "src/ipa/summary.h"
-#include "src/support/faultinject.h"
 #include "src/support/threadpool.h"
 
 namespace refscan {
@@ -40,7 +38,6 @@ struct FileScanState {
   std::optional<TranslationUnit> unit;
   bool parsed = false;      // ParseFile ran for this file during this scan
   bool report_hit = false;  // stage-3 shard spliced from the cache
-  bool retried = false;     // a transient-I/O retry was consumed (any stage)
   std::optional<FileFailure> failure;  // set = quarantined, skip later stages
 };
 
@@ -62,7 +59,7 @@ bool DecodeScanResult(std::string_view payload, ScanResult& result);
 
 template <typename IO, Value<FileFailure> F>
 void Transfer(IO& io, F& f) {
-  Transfer(io, f.path, f.stage, f.kind, f.what, f.retries);
+  Transfer(io, f.path, f.stage, f.kind, f.what);
 }
 
 // Derived per-scan constants shared by every file's stage bodies.
@@ -135,14 +132,12 @@ CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st, uint6
 // output instead), then Finish once.
 class ScanSpine {
  public:
-  // Seeds the KB with `seed` plus options.dialects and arms
-  // options.fault_spec for the spine's lifetime; a malformed spec aborts
-  // the scan before it starts. `keep_units`: the caller walks every unit
-  // after the front half, so stage 1 keeps them resident whatever the
-  // cache or streaming would allow.
+  // Seeds the KB with `seed` plus options.dialects. `keep_units`: the
+  // caller walks every unit after the front half, so stage 1 keeps them
+  // resident whatever the cache or streaming would allow.
   ScanSpine(const SourceTree& tree, KnowledgeBase seed, ScanOptions options,
             bool keep_units = false);
-  virtual ~ScanSpine();
+  virtual ~ScanSpine() = default;
   ScanSpine(const ScanSpine&) = delete;
   ScanSpine& operator=(const ScanSpine&) = delete;
 
@@ -151,9 +146,9 @@ class ScanSpine {
   // Stage 3, breaker #2, cache accounting, merge, dedup and suppression.
   // Frees each unit as it checks it. False when the scan aborted.
   bool RunBack();
-  // Collects the quarantined files, publishes the stats and the scan.*
-  // metrics, and hands over the result. Call once, after whichever halves
-  // ran.
+  // Collects the quarantined files, publishes the stats as scan.* counters
+  // into the armed telemetry session, and hands over the result. Call once,
+  // after whichever halves ran.
   ScanResult Finish();
 
   const std::vector<const SourceFile*>& files() const { return files_; }
@@ -171,16 +166,12 @@ class ScanSpine {
   virtual CachedFileReports CheckUnit(const SourceFile& file, TranslationUnit unit);
 
  private:
-  struct Metrics;
-
   // Breaker #1 and #2: sets the abort reason when more than
   // options.max_failure_ratio of the files are quarantined.
   bool BreakerTrips(const char* where);
 
   const SourceTree& tree_;
   ScanOptions options_;
-  std::optional<ScopedFaultArm> fault_arm_;
-  bool started_ = false;  // the fault spec parsed and RunFront began
   std::vector<const SourceFile*> files_;
   KnowledgeBase kb_;
   ScanCache cache_;
@@ -189,8 +180,8 @@ class ScanSpine {
   std::vector<FileScanState> states_;
   SummaryResult summaries_;
   std::vector<FileFailure> tree_failures_;  // whole-tree stage failures ("<tree>")
-  std::unique_ptr<Metrics> metrics_;
-  ScanResult result_;
+  size_t raw_reports_ = 0;                  // stage-3 reports before dedup
+  ScanResult result_;  // its stats are counted in place as the stages run
 };
 
 }  // namespace refscan

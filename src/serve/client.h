@@ -1,10 +1,10 @@
 // Client side of the resident scan service: `refscan scan --remote SOCKET`.
 //
-// The client still loads the tree from disk itself (so fs.read faults and
-// load failures behave exactly as a local scan), ships it with the full
-// options image, and reconstructs the ScanResult from the reply. Transport
-// failure is never an error the user sees twice: the client retries with
-// a bounded jittered backoff (BackoffPolicy), and only after the budget is
+// The client still loads the tree from disk itself (so load failures
+// behave exactly as a local scan), ships it with the full options image,
+// and reconstructs the ScanResult from the reply. Transport failure is
+// never an error the user sees twice: the client retries with a bounded
+// exponential backoff (BackoffPolicy), and only after the budget is
 // exhausted does it return nullopt — the CLI then falls back to a local
 // in-process scan, whose stdout is byte-identical by construction. A
 // *reachable* server that fails the request (kServeErr: injected fault,

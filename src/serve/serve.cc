@@ -59,11 +59,6 @@ bool ScanServer::Admit(int fd) {
     // inherits the signal mask Start ran under (the CLI blocks SIGTERM).
     watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
   }
-  try {
-    MaybeFault("serve.accept", std::to_string(++accepted_));
-  } catch (const FaultInjected&) {
-    return false;  // injected accept failure: drop the connection on the floor
-  }
   if (live_connections() < config_.sessions + config_.max_pending) {
     return true;
   }
@@ -199,14 +194,9 @@ bool ScanServer::ServeFrame(int fd, uint8_t type, const std::string& payload) {
 
 ScanOptions ScanServer::RequestOptions(ScanOptions options) const {
   // Requests scan against the resident store, never a directory of the
-  // client's choosing, and a client fault spec must not arm sites in
-  // the server process beyond its own request... which is exactly what
-  // ScanOptions::fault_spec would do (ScopedFaultArm is process-global for
-  // the scan's duration). Strip it: fault injection into the server is the
-  // server operator's knob (REFSCAN_FAULTS / serve.* sites).
+  // client's choosing.
   options.object_store = store_;
   options.cache_dir.clear();
-  options.fault_spec.clear();
   if (config_.request_timeout_ms > 0) {
     options.file_timeout_ms = options.file_timeout_ms == 0
                                   ? config_.request_timeout_ms

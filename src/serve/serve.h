@@ -10,9 +10,9 @@
 //                 (deadlines, governors, quarantine) plus a per-request
 //                 catch-all: a request that throws gets a kServeErr reply
 //                 and the connection lives on; the resident store and every
-//                 other request are untouched. Client-supplied fault specs
-//                 and cache locations are stripped server-side — a tenant
-//                 cannot arm faults in, or point I/O out of, the server.
+//                 other request are untouched. Client-supplied cache
+//                 locations are stripped server-side — a tenant cannot
+//                 point I/O out of the server.
 //   deadlines     ServeConfig::request_timeout_ms folds into each request's
 //                 per-file deadline (cooperative), and a watchdog thread
 //                 backstops hung requests: past the deadline it sends
@@ -29,9 +29,8 @@
 //                 queued for a session are released with kServeErr and the
 //                 rest are cut. The CLI runs it on SIGTERM/SIGINT.
 //
-// Fault-injection sites: `serve.accept` (accept loop, subject = decimal
-// accept counter) drops the incoming connection; `serve.request` (dispatch,
-// subject = request name) fails that one request with kServeErr.
+// Fault-injection site: `serve.request` (dispatch, subject = request name)
+// fails that one request with kServeErr.
 
 #ifndef REFSCAN_SERVE_SERVE_H_
 #define REFSCAN_SERVE_SERVE_H_
@@ -83,8 +82,8 @@ class ScanServer : public FrameServer {
   ScanStats last_scan_stats() const;
 
   // A request's options, cleaned for this server: the resident store, no
-  // client cache location or fault spec, the request deadline as a cap,
-  // and at most one thread per hardware thread of this host.
+  // client cache location, the request deadline as a cap, and at most one
+  // thread per hardware thread of this host.
   ScanOptions RequestOptions(ScanOptions options) const;
 
  private:
@@ -117,7 +116,6 @@ class ScanServer : public FrameServer {
 
   ServeConfig config_;
   std::shared_ptr<MemoryStore> store_;
-  uint64_t accepted_ = 0;  // the accept thread's connection counter
 
   std::mutex session_mu_;
   std::condition_variable session_cv_;

@@ -16,8 +16,8 @@ namespace {
 // Known site names: rejecting unknown sites at parse time turns a typo in a
 // CI spec into a hard error instead of a silently un-faulted run.
 constexpr std::string_view kKnownSites[] = {
-    "fs.read",       "cache.load",   "cache.store",   "parser.parse", "checker.run",
-    "ipa.summarize", "serve.accept", "serve.request", "ipc.write",
+    "fs.read",     "cache.load",    "cache.store",   "parser.parse",
+    "checker.run", "ipa.summarize", "serve.request", "ipc.write",
 };
 
 bool IsKnownSite(std::string_view site) {
@@ -115,20 +115,12 @@ void MaybeFaultSlow(std::string_view site, std::string_view subject) {
   // trace/metrics dump shows how much of a degraded run was injected.
   TelemetryCount("fault.fired");
   TelemetryCount(std::string("fault.fired.") + std::string(site));
-  const std::string where = std::string(site) + " (" + std::string(subject) + ")";
-  switch (fired.action) {
-    case FaultRule::Action::kDelay:
-      std::this_thread::sleep_for(std::chrono::milliseconds(fired.delay_ms));
-      return;
-    case FaultRule::Action::kIo:
-      throw FaultInjected(std::string(site), /*transient_io=*/true,
-                          "injected transient I/O fault at " + where);
-    case FaultRule::Action::kTruncate:
-      throw FaultInjected(std::string(site), /*transient_io=*/false,
-                          "injected truncated data at " + where);
-    case FaultRule::Action::kThrow:
-      throw FaultInjected(std::string(site), /*transient_io=*/false, "injected fault at " + where);
+  if (fired.action == FaultRule::Action::kDelay) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(fired.delay_ms));
+    return;
   }
+  throw FaultInjected(std::string(site),
+                      "injected fault at " + std::string(site) + " (" + std::string(subject) + ")");
 }
 
 }  // namespace faultinject_detail
@@ -224,10 +216,6 @@ bool ParseFaultSpec(std::string_view spec, FaultPlan& out, std::string* error) {
 
     if (action.empty() || action == "throw") {
       rule.action = FaultRule::Action::kThrow;
-    } else if (action == "io") {
-      rule.action = FaultRule::Action::kIo;
-    } else if (action == "truncate") {
-      rule.action = FaultRule::Action::kTruncate;
     } else if (action.starts_with("delay=")) {
       rule.action = FaultRule::Action::kDelay;
       uint64_t ms = 0;
@@ -278,18 +266,20 @@ ScopedFaultArm::ScopedFaultArm(FaultPlan plan) {
   ArmFaults(std::move(plan));
 }
 
-ScopedFaultArm::ScopedFaultArm(std::string_view spec) {
-  Registry& reg = GetRegistry();
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    previous_ = reg.plan;
-    previous_armed_ = faultinject_detail::g_armed.load(std::memory_order_relaxed);
-  }
+namespace {
+
+FaultPlan ParseOrThrow(std::string_view spec) {
   FaultPlan plan;
-  if (ParseFaultSpec(spec, plan)) {
-    ArmFaults(std::move(plan));
+  std::string error;
+  if (!ParseFaultSpec(spec, plan, &error)) {
+    throw std::invalid_argument("bad fault spec: " + error);
   }
+  return plan;
 }
+
+}  // namespace
+
+ScopedFaultArm::ScopedFaultArm(std::string_view spec) : ScopedFaultArm(ParseOrThrow(spec)) {}
 
 ScopedFaultArm::~ScopedFaultArm() {
   if (previous_armed_) {

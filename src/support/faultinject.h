@@ -15,7 +15,6 @@
 //   parser.parse     one file parse (subject: file path)
 //   checker.run      one file's checking stage (subject: file path)
 //   ipa.summarize    the whole-tree summary stage (subject: "<tree>")
-//   serve.accept     one accepted serve connection (subject: accept counter)
 //   serve.request    one resident-server request (subject: request name,
 //                    e.g. "scan" — see src/serve)
 //   ipc.write        one outgoing IPC frame; the frame is truncated
@@ -33,22 +32,22 @@
 //                                independent of thread interleaving)
 //              file=GLOB         fire when the subject matches the glob
 //                                (`*` and `?`, matched over the whole path)
-//   actions    throw (default)   throw FaultInjected (permanent failure)
-//              io                throw a *transient* FaultInjected — the
-//                                engine's sandboxes retry these once
-//              truncate          throw a corrupt-data FaultInjected — I/O
-//                                sites degrade it like a truncated object
+//   actions    throw (default)   throw FaultInjected; what that costs is
+//                                the site's: `fs.read` fails the read,
+//                                a sandboxed site quarantines the file,
+//                                `cache.load` counts a corrupt miss,
+//                                `ipc.write` cuts the frame
 //              delay=MS          sleep MS milliseconds, then succeed (pairs
 //                                with ScanOptions::file_timeout_ms)
 //
 // Examples: `fs.read:every=7`, `parser.parse:file=*.broken.c`,
 // `cache.load:once`, `checker.run:file=slow.c:delay=50`.
 //
-// Arming is process-global (`ArmFaults` / `REFSCAN_FAULTS` via
-// ArmFaultsFromEnv) or scoped (`ScopedFaultArm`, used by
-// ScanOptions::fault_spec so library callers and tests stay hermetic).
-// When disarmed, MaybeFault is one relaxed atomic load — the scan pipeline
-// pays nothing for carrying the hooks.
+// Arming is process-global: `REFSCAN_FAULTS` (ArmFaultsFromEnv) or the
+// CLI's `--faults` (ArmFaults), or scoped for a test (`ScopedFaultArm`,
+// which restores the previous plan). When disarmed, MaybeFault is one
+// relaxed atomic load — the scan pipeline pays nothing for carrying the
+// hooks.
 
 #ifndef REFSCAN_SUPPORT_FAULTINJECT_H_
 #define REFSCAN_SUPPORT_FAULTINJECT_H_
@@ -62,24 +61,21 @@
 
 namespace refscan {
 
-// Thrown by an armed site. `transient_io()` marks failures the engine's
-// per-file sandboxes are allowed to retry once (bounded backoff).
+// Thrown by an armed site.
 class FaultInjected : public std::runtime_error {
  public:
-  FaultInjected(std::string site, bool transient_io, const std::string& what)
-      : std::runtime_error(what), site_(std::move(site)), transient_io_(transient_io) {}
+  FaultInjected(std::string site, const std::string& what)
+      : std::runtime_error(what), site_(std::move(site)) {}
 
   const std::string& site() const { return site_; }
-  bool transient_io() const { return transient_io_; }
 
  private:
   std::string site_;
-  bool transient_io_;
 };
 
 struct FaultRule {
   enum class Trigger : uint8_t { kAlways, kOnce, kEvery, kFile };
-  enum class Action : uint8_t { kThrow, kIo, kTruncate, kDelay };
+  enum class Action : uint8_t { kThrow, kDelay };
 
   std::string site;
   Trigger trigger = Trigger::kAlways;
@@ -109,8 +105,10 @@ void DisarmFaults();
 bool ArmFaultsFromEnv(std::string* error = nullptr, const char* var = "REFSCAN_FAULTS");
 
 // RAII arming: installs `plan` and restores the previously-armed plan (or
-// the disarmed state) on destruction. The string overload ignores malformed
-// specs — validate with ParseFaultSpec first when the spec is user input.
+// the disarmed state) on destruction. The string overload throws
+// std::invalid_argument with ParseFaultSpec's diagnostic on a malformed
+// spec, and leaves the previous plan armed: a typo must fail the caller, not
+// run it un-faulted.
 class ScopedFaultArm {
  public:
   explicit ScopedFaultArm(FaultPlan plan);

@@ -5,10 +5,8 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <filesystem>
 #include <memory>
-#include <thread>
 
 #include "src/support/faultinject.h"
 #include "src/support/strings.h"
@@ -35,7 +33,6 @@ struct ReadResult {
   std::string text;
   std::string error;
   bool ok = false;
-  int retries = 0;
 };
 
 // read(2) into [buf, buf + size), retrying EINTR and short reads. Returns the
@@ -69,32 +66,21 @@ ReadResult ReadFileContents(const fs::path& path) {
   return result;
 }
 
-// ReadFileContents behind the `fs.read` fault-injection site. An injected
-// transient I/O failure is retried once after a short backoff (the shape a
-// real flaky NFS mount or overloaded disk produces); a permanent injected
-// failure, like a genuinely unreadable file, reports as such.
+// ReadFileContents behind the `fs.read` fault-injection site: an injected
+// fault fails the read like a genuinely unreadable file, with its own
+// message.
 ReadResult ReadCandidate(const fs::path& path, const std::string& key) {
   TelemetrySpan span("file.load", key);
-  for (int attempt = 0;; ++attempt) {
-    try {
-      MaybeFault("fs.read", key);
-      ReadResult result = ReadFileContents(path);
-      result.retries = attempt;
-      if (!result.ok) {
-        result.error = "unreadable";
-      }
-      return result;
-    } catch (const FaultInjected& e) {
-      if (e.transient_io() && attempt == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      ReadResult result;
-      result.error = e.what();
-      result.retries = attempt;
-      return result;
-    }
+  try {
+    MaybeFault("fs.read", key);
+  } catch (const FaultInjected& e) {
+    return ReadResult{{}, e.what()};
   }
+  ReadResult result = ReadFileContents(path);
+  if (!result.ok) {
+    result.error = "unreadable";
+  }
+  return result;
 }
 
 }  // namespace
@@ -128,17 +114,14 @@ bool ReadOpenFile(int fd, std::string& out) {
 }
 
 SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& options,
-                                  std::vector<LoadFailure>* failures, LoadStats* stats) {
+                                  std::vector<LoadFailure>* failures) {
   TelemetrySpan stage_span("stage.load");
   SourceTree tree;
   std::error_code ec;
   const fs::path root_path(root);
   if (!fs::exists(root_path, ec)) {
     if (failures != nullptr) {
-      failures->push_back({root, "does not exist", 0});
-    }
-    if (stats != nullptr) {
-      ++stats->files_failed;
+      failures->push_back({root, "does not exist"});
     }
     return tree;
   }
@@ -197,34 +180,19 @@ SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& op
         return ReadCandidate(candidates[i].path, candidates[i].key);
       });
 
-  LoadStats local;
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (contents[i].retries > 0) {
-      // Retried ≠ degraded: a retried-then-succeeded read is counted here
-      // and nowhere else, a retried-then-failed one is counted here AND
-      // carries `retries` in its LoadFailure.
-      ++local.files_retried;
-    }
     if (!contents[i].ok) {
-      ++local.files_failed;
       if (failures != nullptr) {
-        failures->push_back({candidates[i].key, contents[i].error, contents[i].retries,
-                             candidates[i].oversized > 0});
+        failures->push_back(
+            {candidates[i].key, contents[i].error, candidates[i].oversized > 0});
       }
       continue;
     }
-    ++local.files_loaded;
     tree.Add(std::move(candidates[i].key), std::move(contents[i].text));
   }
   if (Telemetry* t = CurrentTelemetry()) {
-    t->metrics().Counter("load.files").Add(local.files_loaded);
-    t->metrics().Counter("load.failures").Add(local.files_failed);
-    t->metrics().Counter("load.retries").Add(local.files_retried);
-  }
-  if (stats != nullptr) {
-    stats->files_loaded += local.files_loaded;
-    stats->files_failed += local.files_failed;
-    stats->files_retried += local.files_retried;
+    t->metrics().Counter("load.files").Add(tree.size());
+    t->metrics().Counter("load.failures").Add(candidates.size() - tree.size());
   }
   return tree;
 }

@@ -24,39 +24,25 @@ struct LoadOptions {
 };
 
 // One file the loader could not read. `path` is the tree-relative key the
-// file would have had; `retries` counts re-read attempts (transient I/O
-// failures are retried once with a bounded backoff before giving up). The
-// CLI surfaces these as quarantined entries in the scan report.
+// file would have had. The CLI surfaces these as quarantined entries in the
+// scan report.
 struct LoadFailure {
   std::string path;
   std::string what;
-  int retries = 0;
   bool over_cap = false;  // larger than the 4 MiB cap, never read
-};
-
-// Loader accounting. `files_retried` counts every file that consumed a
-// transient-I/O re-read — including those whose retry then SUCCEEDED, which
-// produce no LoadFailure and would otherwise be invisible. This is the same
-// semantics as ScanStats::files_retried (retried ≠ degraded: only
-// quarantined files are degraded), so the CLI can sum the two counters
-// without double- or under-counting.
-struct LoadStats {
-  size_t files_loaded = 0;
-  size_t files_failed = 0;
-  size_t files_retried = 0;
 };
 
 // Recursively loads the `.c` and `.h` files under `root` into a SourceTree
 // keyed by root-relative paths, skipping `.git`, `build` and
 // `Documentation` directories at any depth. A file over 4 MiB (4,194,304
-// bytes; generated headers and the like) is never read. Unreadable and
-// oversized files are skipped; the failure list (if non-null) collects them
-// in walk order — identical at every `jobs` value.
+// bytes; generated headers and the like) is never read. Each other file is
+// read once: a read that fails (an I/O error, or an injected `fs.read`
+// fault) skips the file. The failure list (if non-null) collects unreadable
+// and oversized files in walk order — identical at every `jobs` value.
 // Reads pass through the `fs.read` fault-injection site (faultinject.h) and
 // the `stage.load` / `file.load` telemetry spans (telemetry.h).
 SourceTree LoadSourceTreeFromDisk(const std::string& root, const LoadOptions& options = {},
-                                  std::vector<LoadFailure>* failures = nullptr,
-                                  LoadStats* stats = nullptr);
+                                  std::vector<LoadFailure>* failures = nullptr);
 
 // Reads the whole of the open file `fd` into `out`: one fstat for the size,
 // then read(2) straight into a string of exactly that size, with no stream

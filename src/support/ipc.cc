@@ -132,17 +132,7 @@ uint32_t BackoffDelayMs(const BackoffPolicy& policy, int attempt) {
   for (int i = 0; i < attempt && delay < policy.max_delay_ms; ++i) {
     delay *= 2;
   }
-  delay = std::min<uint64_t>(delay, policy.max_delay_ms);
-  if (delay <= 1) {
-    return static_cast<uint32_t>(delay);
-  }
-  // splitmix64 over (seed, attempt): deterministic, well-spread jitter.
-  uint64_t x = policy.jitter_seed + 0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(attempt) + 1);
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  const uint64_t half = delay / 2;
-  return static_cast<uint32_t>(half + x % (delay - half + 1));
+  return static_cast<uint32_t>(std::min<uint64_t>(delay, policy.max_delay_ms));
 }
 
 OwnedFd UnixAccept(int listen_fd, int timeout_ms, std::string* error) {

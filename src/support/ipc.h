@@ -74,21 +74,17 @@ OwnedFd UnixListen(const std::string& path, std::string* error = nullptr);
 OwnedFd UnixConnect(const std::string& path, std::string* error = nullptr);
 
 // Bounded retry policy for the `scan --remote` client (RemoteScan, which
-// retries its whole exchange): jittered exponential backoff between
-// attempts. The jitter is a deterministic hash of (jitter_seed, attempt) —
-// not wall clock or rand() — so tests and replayed fault runs see the same
-// delays; different clients decorrelate by seeding differently. attempts
-// <= 1 means a single try, no sleeping.
+// retries its whole exchange): capped exponential backoff between attempts.
+// attempts <= 1 means a single try, no sleeping.
 struct BackoffPolicy {
   int attempts = 5;
   uint32_t base_delay_ms = 10;  // delay before the first retry
   uint32_t max_delay_ms = 500;  // exponential growth cap
-  uint64_t jitter_seed = 0;
 };
 
 // Delay before retry number `attempt` (0-based: the sleep between the first
-// failed try and the second). Equal-jitter: half the capped exponential
-// deterministically, half from the seed hash. Exposed for tests.
+// failed try and the second): base_delay_ms doubled `attempt` times, capped
+// at max_delay_ms. Exposed for tests.
 uint32_t BackoffDelayMs(const BackoffPolicy& policy, int attempt);
 
 // Accepts one connection, waiting at most `timeout_ms` (0 = block forever).

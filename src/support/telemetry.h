@@ -1,7 +1,7 @@
 // Scan observability: tracing spans + metrics registry (DESIGN.md §5.10).
 //
 // A degraded or slow scan must be diagnosable from its artifacts alone —
-// "where did the time go, which stage regressed, which files were retried"
+// "where did the time go, which stage regressed, which files were dropped"
 // — without attaching a debugger. Two cooperating pieces:
 //
 //   * Spans. `TelemetrySpan` is an RAII scoped timer: sites in the pipeline
@@ -19,11 +19,10 @@
 //   * Metrics. `MetricsRegistry` holds named counters (monotonic u64),
 //     gauges (last/max i64) and log-scale latency histograms, exposed in
 //     Prometheus text exposition format (`--metrics-out`, sorted by name).
-//     The scan engine counts into a scan-local registry through pre-resolved
-//     handles and materialises the stable `ScanStats` façade from it at the
-//     end, then merges the scan's registry into the armed session (counters
-//     add, gauges max, histograms merge) so `--metrics-out` sees both the
-//     engine's counters and the support-layer ones (pool, governor, faults).
+//     The scan spine counts its `ScanStats` in place and, at the end of a
+//     scan, adds each field to the armed session's `scan.*` counters, so
+//     `--metrics-out` sees both the engine's counters and the support-layer
+//     ones (pool, governor, faults).
 //
 // Determinism contract (asserted by tests/telemetry_test.cc and CI):
 // counters and gauges are deterministic for a given input — identical at
@@ -117,12 +116,11 @@ class MetricsRegistry {
   MetricGauge& Gauge(std::string_view name);
   MetricHistogram& Histogram(std::string_view name);
 
-  // 0 / absent-safe readers (for tests and the ScanStats façade).
+  // 0 / absent-safe readers (for tests and the daemons' status lines).
   uint64_t CounterValue(std::string_view name) const;
   int64_t GaugeValue(std::string_view name) const;
 
-  // Sums counters, maxes gauges, merges histogram buckets. Used to fold a
-  // scan-local registry into the armed session.
+  // Sums counters, maxes gauges, merges histogram buckets.
   void MergeFrom(const MetricsRegistry& other);
 
   // Prometheus text exposition format, metrics sorted by name: counters as

@@ -54,12 +54,18 @@ ScanResult ScanTree(const SourceTree& tree, ScanOptions options) {
   return engine.Scan(tree);
 }
 
+// One scan with `spec` armed for its duration.
+ScanResult ScanFaulted(const SourceTree& tree, std::string_view spec, ScanOptions options = {}) {
+  ScopedFaultArm arm(spec);
+  return ScanTree(tree, std::move(options));
+}
+
 // ---- spec parsing ----
 
 TEST(FaultSpecTest, ParsesTriggersActionsAndSeed) {
   FaultPlan plan;
   ASSERT_TRUE(ParseFaultSpec(
-      "seed=42, fs.read:every=7, parser.parse:file=*.broken.c, cache.load:once:truncate, "
+      "seed=42, fs.read:every=7, parser.parse:file=*.broken.c, cache.load:once:throw, "
       "checker.run:always:delay=5",
       plan));
   EXPECT_EQ(plan.seed, 42u);
@@ -69,7 +75,8 @@ TEST(FaultSpecTest, ParsesTriggersActionsAndSeed) {
   EXPECT_EQ(plan.rules[0].every_n, 7u);
   EXPECT_EQ(plan.rules[1].trigger, FaultRule::Trigger::kFile);
   EXPECT_EQ(plan.rules[1].glob, "*.broken.c");
-  EXPECT_EQ(plan.rules[2].action, FaultRule::Action::kTruncate);
+  EXPECT_EQ(plan.rules[2].trigger, FaultRule::Trigger::kOnce);
+  EXPECT_EQ(plan.rules[2].action, FaultRule::Action::kThrow);
   EXPECT_EQ(plan.rules[3].action, FaultRule::Action::kDelay);
   EXPECT_EQ(plan.rules[3].delay_ms, 5u);
 }
@@ -84,6 +91,11 @@ TEST(FaultSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseFaultSpec("fs.read:file=", plan, &error));
   EXPECT_FALSE(ParseFaultSpec("fs.read:always:delay=999999", plan, &error));
   EXPECT_FALSE(ParseFaultSpec("fs.read:whenever", plan, &error));
+  // `throw` and `delay=MS` are the only actions.
+  EXPECT_FALSE(ParseFaultSpec("fs.read:once:io", plan, &error));
+  EXPECT_NE(error.find("unknown action 'io'"), std::string::npos) << error;
+  EXPECT_FALSE(ParseFaultSpec("cache.load:always:truncate", plan, &error));
+  EXPECT_NE(error.find("unknown action 'truncate'"), std::string::npos) << error;
   // A failed parse must leave `plan` untouched.
   ASSERT_TRUE(ParseFaultSpec("fs.read:always", plan));
   EXPECT_FALSE(ParseFaultSpec("garbage", plan, &error));
@@ -121,21 +133,10 @@ TEST(FaultRegistryTest, ScopedArmFiresAndRestores) {
 }
 
 TEST(FaultRegistryTest, OnceFiresOncePerSubject) {
-  ScopedFaultArm arm(std::string_view("fs.read:once:io"));
+  ScopedFaultArm arm(std::string_view("fs.read:once"));
   EXPECT_THROW(MaybeFault("fs.read", "a.c"), FaultInjected);
   EXPECT_NO_THROW(MaybeFault("fs.read", "a.c"));  // second hit: counter spent
   EXPECT_THROW(MaybeFault("fs.read", "b.c"), FaultInjected);  // fresh subject
-}
-
-TEST(FaultRegistryTest, TransientIoIsMarked) {
-  ScopedFaultArm arm(std::string_view("fs.read:always:io"));
-  try {
-    MaybeFault("fs.read", "a.c");
-    FAIL() << "expected FaultInjected";
-  } catch (const FaultInjected& e) {
-    EXPECT_TRUE(e.transient_io());
-    EXPECT_EQ(e.site(), "fs.read");
-  }
 }
 
 TEST(FaultRegistryTest, EverySelectsByHashNotCallOrder) {
@@ -171,9 +172,7 @@ TEST(FaultRegistryTest, EverySelectsByHashNotCallOrder) {
 // ---- per-file sandboxes & quarantine ----
 
 TEST(FaultIsolationTest, ParseFaultQuarantinesExactlyThatFile) {
-  ScanOptions options;
-  options.fault_spec = "parser.parse:file=*broken.c";
-  const ScanResult degraded = ScanTree(ThreeFileTree(), options);
+  const ScanResult degraded = ScanFaulted(ThreeFileTree(), "parser.parse:file=*broken.c");
   const ScanResult healthy = ScanTree(HealthySubset(), ScanOptions{});
 
   EXPECT_FALSE(degraded.aborted);
@@ -197,11 +196,10 @@ TEST(FaultIsolationTest, QuarantineDeterministicAcrossJobs) {
   }
   ScanOptions serial;
   serial.jobs = 1;
-  serial.fault_spec = "seed=9,parser.parse:every=3";
   ScanOptions wide = serial;
   wide.jobs = 4;
-  const ScanResult a = ScanTree(tree, serial);
-  const ScanResult b = ScanTree(tree, wide);
+  const ScanResult a = ScanFaulted(tree, "seed=9,parser.parse:every=3", serial);
+  const ScanResult b = ScanFaulted(tree, "seed=9,parser.parse:every=3", wide);
 
   ASSERT_EQ(a.failures.size(), b.failures.size());
   for (size_t i = 0; i < a.failures.size(); ++i) {
@@ -213,28 +211,11 @@ TEST(FaultIsolationTest, QuarantineDeterministicAcrossJobs) {
   EXPECT_FALSE(a.reports.empty());
 }
 
-TEST(FaultIsolationTest, TransientIoIsRetriedAndSucceeds) {
-  // `once:io`: the first parse attempt per file throws a transient failure,
-  // the sandbox retries, the retry succeeds — nothing is quarantined and
-  // the output matches a clean scan.
-  ScanOptions options;
-  options.fault_spec = "parser.parse:once:io";
-  const ScanResult retried = ScanTree(ThreeFileTree(), options);
-  const ScanResult clean = ScanTree(ThreeFileTree(), ScanOptions{});
-
-  EXPECT_TRUE(retried.failures.empty());
-  EXPECT_EQ(retried.stats.files_quarantined, 0u);
-  EXPECT_EQ(retried.stats.files_retried, 3u);
-  EXPECT_EQ(ReportsToJson(retried.reports), ReportsToJson(clean.reports));
-}
-
 TEST(FaultIsolationTest, CheckStageFaultQuarantinesAfterDiscovery) {
   // A stage-3 failure quarantines the file but its stage-1 facts already fed
   // the KB, so the healthy files' reports match the *full* clean scan with
   // the broken file's own reports removed.
-  ScanOptions options;
-  options.fault_spec = "checker.run:file=*broken.c";
-  const ScanResult degraded = ScanTree(ThreeFileTree(), options);
+  const ScanResult degraded = ScanFaulted(ThreeFileTree(), "checker.run:file=*broken.c");
   ScanResult clean = ScanTree(ThreeFileTree(), ScanOptions{});
 
   ASSERT_EQ(degraded.failures.size(), 1u);
@@ -246,18 +227,28 @@ TEST(FaultIsolationTest, CheckStageFaultQuarantinesAfterDiscovery) {
   EXPECT_EQ(ReportsToJson(degraded.reports), ReportsToJson(clean.reports));
 }
 
+// A spec that does not parse must fail the caller, not leave it to run
+// un-faulted, and the plan armed before stays in force.
 TEST(FaultIsolationTest, BadFaultSpecAbortsLoudly) {
-  ScanOptions options;
-  options.fault_spec = "parser.parse:whenever";
-  const ScanResult result = ScanTree(ThreeFileTree(), options);
-  EXPECT_TRUE(result.aborted);
-  EXPECT_NE(result.abort_reason.find("invalid fault spec"), std::string::npos);
-  EXPECT_TRUE(result.reports.empty());
+  ScopedFaultArm outer(std::string_view("checker.run:file=*broken.c"));
+  for (const std::string_view bad : {"parser.parse:whenever", "parser.parse:once:io"}) {
+    try {
+      ScopedFaultArm inner(bad);
+      ADD_FAILURE() << "armed a malformed spec: " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad fault spec"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(MaybeFault("checker.run", "drivers/b/broken.c"), FaultInjected);
+  EXPECT_NO_THROW(MaybeFault("parser.parse", "drivers/b/broken.c"));
+  const ScanResult result = ScanTree(ThreeFileTree(), ScanOptions{});
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures[0].stage, FailureStage::kCheck);
 }
 
 TEST(FaultIsolationTest, CircuitBreakerAbortsMostlyBrokenTree) {
+  ScopedFaultArm arm(std::string_view("parser.parse:always"));
   ScanOptions options;
-  options.fault_spec = "parser.parse:always";
   options.max_failure_ratio = 0.5;
   const ScanResult result = ScanTree(ThreeFileTree(), options);
   EXPECT_TRUE(result.aborted);
@@ -265,18 +256,14 @@ TEST(FaultIsolationTest, CircuitBreakerAbortsMostlyBrokenTree) {
   EXPECT_EQ(result.failures.size(), 3u);
 
   // Off by default: the same scan without the breaker completes (degraded).
-  ScanOptions no_breaker;
-  no_breaker.fault_spec = "parser.parse:always";
-  const ScanResult completed = ScanTree(ThreeFileTree(), no_breaker);
+  const ScanResult completed = ScanTree(ThreeFileTree(), ScanOptions{});
   EXPECT_FALSE(completed.aborted);
   EXPECT_EQ(completed.failures.size(), 3u);
   EXPECT_TRUE(completed.reports.empty());
 }
 
 TEST(FaultIsolationTest, ScanResultJsonCarriesDegradedEntries) {
-  ScanOptions options;
-  options.fault_spec = "parser.parse:file=*broken.c";
-  const ScanResult result = ScanTree(ThreeFileTree(), options);
+  const ScanResult result = ScanFaulted(ThreeFileTree(), "parser.parse:file=*broken.c");
   const std::string json = ScanResultToJson(result, /*include_stats=*/true);
   EXPECT_NE(json.find("\"degraded\": ["), std::string::npos);
   EXPECT_NE(json.find("\"path\": \"drivers/b/broken.c\""), std::string::npos);
@@ -311,9 +298,8 @@ TEST_F(FaultCacheTest, ArmedRescanQuarantinesColdAndWarm) {
   // replay from the cache.
   ScanOptions options;
   options.cache_dir = cache_dir_;
-  options.fault_spec = "parser.parse:file=*broken.c";
-  const ScanResult cold = ScanTree(ThreeFileTree(), options);
-  const ScanResult warm = ScanTree(ThreeFileTree(), options);
+  const ScanResult cold = ScanFaulted(ThreeFileTree(), "parser.parse:file=*broken.c", options);
+  const ScanResult warm = ScanFaulted(ThreeFileTree(), "parser.parse:file=*broken.c", options);
 
   ASSERT_EQ(cold.failures.size(), 1u);
   ASSERT_EQ(warm.failures.size(), 1u);
@@ -330,9 +316,7 @@ TEST_F(FaultCacheTest, CorruptCacheLoadsDegradeToMisses) {
   clean_options.cache_dir = cache_dir_;
   const ScanResult cold = ScanTree(ThreeFileTree(), clean_options);
 
-  ScanOptions faulty = clean_options;
-  faulty.fault_spec = "cache.load:always:truncate";
-  const ScanResult warm = ScanTree(ThreeFileTree(), faulty);
+  const ScanResult warm = ScanFaulted(ThreeFileTree(), "cache.load:always", clean_options);
 
   // Every load "corrupted": the scan silently falls back to a cold scan —
   // same reports, no quarantine, and the corruption is visible in stats.
@@ -343,14 +327,11 @@ TEST_F(FaultCacheTest, CorruptCacheLoadsDegradeToMisses) {
 }
 
 TEST_F(FaultCacheTest, FailedStoresLeaveNextScanCold) {
-  ScanOptions faulty;
-  faulty.cache_dir = cache_dir_;
-  faulty.fault_spec = "cache.store:always";
-  const ScanResult first = ScanTree(ThreeFileTree(), faulty);
-  EXPECT_TRUE(first.failures.empty());  // store failures never quarantine
-
   ScanOptions clean_options;
   clean_options.cache_dir = cache_dir_;
+  const ScanResult first = ScanFaulted(ThreeFileTree(), "cache.store:always", clean_options);
+  EXPECT_TRUE(first.failures.empty());  // store failures never quarantine
+
   const ScanResult second = ScanTree(ThreeFileTree(), clean_options);
   EXPECT_EQ(second.stats.cache_hits, 0u);  // nothing was ever stored
   EXPECT_EQ(ReportsToJson(first.reports), ReportsToJson(second.reports));
@@ -361,8 +342,7 @@ TEST_F(FaultCacheTest, FailedStoresLeaveNextScanCold) {
 TEST(FaultIsolationTest, SummaryStageFaultDegradesToIntraprocedural) {
   ScanOptions ipa_options;
   ipa_options.interprocedural = true;
-  ipa_options.fault_spec = "ipa.summarize:always";
-  const ScanResult degraded = ScanTree(ThreeFileTree(), ipa_options);
+  const ScanResult degraded = ScanFaulted(ThreeFileTree(), "ipa.summarize:always", ipa_options);
 
   ASSERT_EQ(degraded.failures.size(), 1u);
   EXPECT_EQ(degraded.failures[0].path, "<tree>");
@@ -409,9 +389,8 @@ TEST(ResourceGovernorTest, InjectedDelayTripsFileDeadline) {
   tree.Add("drivers/a/alpha.c", LeakyFile("alpha"));
 
   ScanOptions options;
-  options.fault_spec = "parser.parse:file=*slow.c:delay=200";
   options.file_timeout_ms = 50;
-  const ScanResult result = ScanTree(tree, options);
+  const ScanResult result = ScanFaulted(tree, "parser.parse:file=*slow.c:delay=200", options);
 
   ASSERT_EQ(result.failures.size(), 1u);
   EXPECT_EQ(result.failures[0].path, "drivers/s/slow.c");

@@ -182,7 +182,6 @@ ScanOptions AllNonDefaultOptions() {
   o.prune_null_branches = false;
   o.model_ownership_transfer = false;
   o.interprocedural = true;
-  o.fault_spec = "parser.file:file=a.c";
   o.file_timeout_ms = 2500;
   o.max_failure_ratio = 0.25;
   o.streaming = true;
@@ -201,7 +200,7 @@ ScanResult SampleResult() {
   result.reports = SampleReports().reports;
   result.stats.files = 2;
   result.stats.cache_hits = 1;
-  result.failures.push_back({"lib/empty.c", FailureStage::kParse, FailureKind::kIo, "EIO", 1});
+  result.failures.push_back({"lib/empty.c", FailureStage::kParse, FailureKind::kIo, "EIO"});
   result.degraded_functions.push_back({"drivers/w/widget.c", "widget_broken", 30, "derailed"});
   result.aborted = true;
   result.abort_reason = "1 of 2 files failed";
@@ -299,7 +298,6 @@ TEST(ScanOptionsWireTest, EveryWireFieldRoundTrips) {
   EXPECT_EQ(got.prune_null_branches, sent.prune_null_branches);
   EXPECT_EQ(got.model_ownership_transfer, sent.model_ownership_transfer);
   EXPECT_EQ(got.interprocedural, sent.interprocedural);
-  EXPECT_EQ(got.fault_spec, sent.fault_spec);
   EXPECT_EQ(got.file_timeout_ms, sent.file_timeout_ms);
   EXPECT_EQ(got.max_failure_ratio, sent.max_failure_ratio);
   EXPECT_EQ(got.streaming, sent.streaming);
@@ -331,7 +329,6 @@ TEST(ScanOptionsWireTest, FingerprintCoversExactlyTheArtifactFields) {
       {"object_store", [](ScanOptions& o) { o.object_store = std::make_shared<MemoryStore>(); },
        false},
       {"interprocedural", [](ScanOptions& o) { o.interprocedural = true; }, false},
-      {"fault_spec", [](ScanOptions& o) { o.fault_spec = "parser.file"; }, false},
       {"file_timeout_ms", [](ScanOptions& o) { o.file_timeout_ms = 100; }, false},
       {"max_failure_ratio", [](ScanOptions& o) { o.max_failure_ratio = 0.5; }, false},
       {"streaming", [](ScanOptions& o) { o.streaming = true; }, false},

@@ -112,7 +112,6 @@ TEST(ServeProtocolTest, ScanResultRoundTripIncludingFailures) {
   f.stage = FailureStage::kCheck;
   f.kind = FailureKind::kResourceLimit;
   f.what = "deadline";
-  f.retries = 1;
   result.failures.push_back(f);
   result.stats.files_quarantined = 1;
   result.degraded_functions.push_back(
@@ -126,7 +125,6 @@ TEST(ServeProtocolTest, ScanResultRoundTripIncludingFailures) {
   EXPECT_EQ(decoded.stats.files_quarantined, 1u);
   ASSERT_EQ(decoded.failures.size(), 1u);
   EXPECT_EQ(decoded.failures[0].kind, FailureKind::kResourceLimit);
-  EXPECT_EQ(decoded.failures[0].retries, 1);
   // The degraded-functions section travels over the wire too (exit-2
   // parity between a remote and a local scan depends on it).
   EXPECT_EQ(decoded.stats.functions_degraded, 1u);
@@ -271,8 +269,8 @@ TEST(ServeTest, InjectedRequestFaultDegradesOnlyThatRequest) {
   EXPECT_EQ(server.metrics().CounterValue("serve.faulted"), 1u);
 }
 
-// RequestOptions cleans a request's locations and fault spec but passes its
-// dialects through: a remote scan folds them into the KB like a local one.
+// RequestOptions cleans a request's locations but passes its dialects
+// through: a remote scan folds them into the KB like a local one.
 TEST(ServeTest, ScansHonourRequestDialects) {
   CorpusOptions corpus_options;
   corpus_options.new_family_modules = true;
@@ -303,26 +301,6 @@ TEST(ServeTest, ScansHonourRequestDialects) {
   server.Drain();
 }
 
-TEST(ServeTest, ClientFaultSpecIsStrippedServerSide) {
-  const SourceTree tree = TestTree(8);
-  ServeConfig config;
-  config.socket_path = TestSocketPath("stripspec");
-  ScanServer server(config);
-  ASSERT_TRUE(server.Start());
-
-  ScanOptions options;
-  options.fault_spec = "checker.run:always";  // would quarantine every file
-  std::optional<ScanResult> result =
-      RemoteScan(tree, options, config.socket_path, FastBackoff(), nullptr);
-  ASSERT_TRUE(result.has_value());
-  // The server must have refused to arm a tenant's spec in its own process:
-  // nothing quarantined, nothing faulted.
-  EXPECT_TRUE(result->failures.empty());
-  options.fault_spec.clear();
-  ExpectSameOutput(LocalScan(tree, options), *result);
-  server.Drain();
-}
-
 // The cleaning step alone, on a server that is never started: no request is
 // sent, so no huge `jobs` value ever reaches a thread pool.
 TEST(ServeTest, RequestOptionsCapJobsAtTheHardwareThreadCount) {
@@ -335,13 +313,11 @@ TEST(ServeTest, RequestOptionsCapJobsAtTheHardwareThreadCount) {
   ScanOptions huge;
   huge.jobs = size_t{1} << 40;
   huge.cache_dir = "/tmp/client-cache";
-  huge.fault_spec = "checker.run:always";
   huge.file_timeout_ms = 60000;
   const ScanOptions cleaned = server.RequestOptions(huge);
   EXPECT_EQ(cleaned.jobs, hardware);
   EXPECT_EQ(cleaned.object_store, server.store());
   EXPECT_TRUE(cleaned.cache_dir.empty());
-  EXPECT_TRUE(cleaned.fault_spec.empty());
   EXPECT_EQ(cleaned.file_timeout_ms, 500u);
 
   // Within the cap a request keeps its own value; 0 already means one

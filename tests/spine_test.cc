@@ -17,6 +17,7 @@
 #include "src/checkers/template_matcher.h"
 #include "src/corpus/generator.h"
 #include "src/ipa/summary.h"
+#include "src/support/faultinject.h"
 
 namespace refscan {
 namespace {
@@ -98,11 +99,10 @@ class ClientQuarantineTest : public ::testing::Test {
     return *corpus;
   }
 
-  ClientQuarantineTest() : rest_(WithoutDrivers(SharedCorpus().tree)) {
-    faulted_.jobs = 2;
-    faulted_.fault_spec = "parser.parse:file=drivers/*";
-    plain_.jobs = 2;
-  }
+  ClientQuarantineTest() : rest_(WithoutDrivers(SharedCorpus().tree)) { options_.jobs = 2; }
+
+  // What each faulted run arms for its duration.
+  static constexpr std::string_view kDriversFault = "parser.parse:file=drivers/*";
 
   // Every quarantined file is a drivers/ file that failed in the parse
   // stage, and every drivers/ file is quarantined.
@@ -119,16 +119,19 @@ class ClientQuarantineTest : public ::testing::Test {
   const SourceTree& tree() const { return SharedCorpus().tree; }
 
   SourceTree rest_;
-  ScanOptions faulted_;
-  ScanOptions plain_;
+  ScanOptions options_;
 };
 
 TEST_F(ClientQuarantineTest, DeviationsReportTheHealthyRest) {
   ASSERT_LT(rest_.size(), tree().size());
   ScanResult scan;
-  const std::vector<DeviationReport> got = DetectDeviations(tree(), faulted_, &scan);
+  std::vector<DeviationReport> got;
+  {
+    ScopedFaultArm arm(kDriversFault);
+    got = DetectDeviations(tree(), options_, &scan);
+  }
   ExpectDriversQuarantined(scan);
-  const std::vector<DeviationReport> want = DetectDeviations(rest_, plain_);
+  const std::vector<DeviationReport> want = DetectDeviations(rest_, options_);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].api, want[i].api);
@@ -148,9 +151,13 @@ TEST_F(ClientQuarantineTest, SummariesReportTheHealthyRest) {
   };
   ScanResult faulted_scan;
   ScanResult rest_scan;
-  const std::string got = summarize(tree(), faulted_, faulted_scan);
+  std::string got;
+  {
+    ScopedFaultArm arm(kDriversFault);
+    got = summarize(tree(), options_, faulted_scan);
+  }
   ExpectDriversQuarantined(faulted_scan);
-  EXPECT_EQ(got, summarize(rest_, plain_, rest_scan));
+  EXPECT_EQ(got, summarize(rest_, options_, rest_scan));
   EXPECT_TRUE(rest_scan.failures.empty());
 }
 
@@ -158,11 +165,14 @@ TEST_F(ClientQuarantineTest, MatchReportsTheHealthyRest) {
   const auto tmpl = ParseTemplate(kUadTemplate);
   ASSERT_TRUE(tmpl.has_value());
   ScanResult scan;
-  const std::vector<BugReport> got =
-      RunTemplateChecker(*tmpl, tree(), KnowledgeBase::BuiltIn(), faulted_, &scan);
+  std::vector<BugReport> got;
+  {
+    ScopedFaultArm arm(kDriversFault);
+    got = RunTemplateChecker(*tmpl, tree(), KnowledgeBase::BuiltIn(), options_, &scan);
+  }
   ExpectDriversQuarantined(scan);
   EXPECT_EQ(ReportsToJson(got),
-            ReportsToJson(RunTemplateChecker(*tmpl, rest_, KnowledgeBase::BuiltIn(), plain_)));
+            ReportsToJson(RunTemplateChecker(*tmpl, rest_, KnowledgeBase::BuiltIn(), options_)));
 }
 
 }  // namespace

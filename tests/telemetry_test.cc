@@ -2,8 +2,7 @@
 // text exposition, the Chrome trace export, and the determinism contract —
 // event (name, arg) multisets and non-sched counters identical at every
 // `jobs` value. Also locks the ScanStats field-table shape (stats JSON
-// completeness), the disjoint exit-code mapping, and the retried-vs-
-// degraded accounting consistency.
+// completeness) and the disjoint exit-code mapping.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "src/checkers/engine.h"
-#include "src/support/faultinject.h"
 #include "src/support/fs.h"
 #include "src/support/telemetry.h"
 
@@ -532,26 +530,6 @@ TEST(ScanExitCodeTest, CodesAreDisjointAndOrdered) {
   const std::set<int> codes = {kExitClean, kExitHardFailure, kExitDegraded, kExitReports,
                                kExitUsage};
   EXPECT_EQ(codes.size(), 5u);  // pairwise distinct
-}
-
-// ---- retried-vs-degraded consistency (bugfix regression) -----------------
-
-TEST(RetryAccountingTest, RetriedThenSucceededIsCountedButNotDegraded) {
-  ScanOptions options;
-  options.jobs = 2;
-  options.fault_spec = "parser.parse:once:io";  // every parse retried once, then fine
-  const ScanResult result = ScanTree(SmallTree(), options);
-  EXPECT_FALSE(result.aborted);
-  EXPECT_TRUE(result.failures.empty());  // retried != degraded
-  EXPECT_EQ(result.stats.files_retried, 3u);
-  EXPECT_EQ(result.stats.files_quarantined, 0u);
-  EXPECT_EQ(ScanExitCodeFor(result), kExitReports);  // healthy scan, reports found
-
-  // The three views agree: text counters, JSON stats, JSON degraded array.
-  const std::string json = ScanResultToJson(result, /*include_stats=*/true);
-  EXPECT_NE(json.find("\"retried\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"quarantined\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"degraded\": []"), std::string::npos);
 }
 
 }  // namespace

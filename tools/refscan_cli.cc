@@ -321,15 +321,14 @@ bool ParseFlags(int argc, char** argv, int first, unsigned command, CliFlags& fl
 // list (stage "load") and keeps the whole list deterministically ordered:
 // by path, with whole-tree entries ("<tree>") last.
 void AddLoadFailures(refscan::ScanResult& result,
-                     const std::vector<refscan::LoadFailure>& load_failures,
-                     const refscan::LoadStats& load_stats) {
+                     const std::vector<refscan::LoadFailure>& load_failures) {
   using namespace refscan;
   std::vector<FileFailure> all;
   all.reserve(load_failures.size() + result.failures.size());
   for (const LoadFailure& lf : load_failures) {
     all.push_back(FileFailure{lf.path, FailureStage::kLoad,
                               lf.over_cap ? FailureKind::kResourceLimit : FailureKind::kIo,
-                              lf.what, lf.retries});
+                              lf.what});
   }
   for (FileFailure& f : result.failures) {
     all.push_back(std::move(f));
@@ -345,11 +344,6 @@ void AddLoadFailures(refscan::ScanResult& result,
                    });
   result.failures = std::move(all);
   result.stats.files_quarantined += load_failures.size();
-  // Loader retry accounting comes from LoadStats, not from counting retries
-  // in the failure list: a retried-then-SUCCEEDED read produces no
-  // LoadFailure. Same semantics as the engine's files_retried — retried !=
-  // degraded, only quarantined files appear in the degraded list.
-  result.stats.files_retried += load_stats.files_retried;
 }
 
 refscan::ScanOptions ScanOptionsFor(const CliFlags& flags) {
@@ -374,13 +368,9 @@ void PrintDegraded(std::FILE* out, const refscan::ScanResult& result) {
   if (!result.failures.empty()) {
     std::fprintf(out, "\n## Degraded files\n\n");
     for (const FileFailure& f : result.failures) {
-      std::fprintf(out, "%s: %s failure (%s): %s", f.path.c_str(),
+      std::fprintf(out, "%s: %s failure (%s): %s\n", f.path.c_str(),
                    std::string(FailureStageName(f.stage)).c_str(),
                    std::string(FailureKindName(f.kind)).c_str(), f.what.c_str());
-      if (f.retries > 0) {
-        std::fprintf(out, " [after %d retry]", f.retries);
-      }
-      std::fprintf(out, "\n");
     }
     std::fprintf(out,
                  "\n%zu file(s) quarantined; the reports above cover the healthy remainder.\n",
@@ -400,8 +390,7 @@ void PrintDegraded(std::FILE* out, const refscan::ScanResult& result) {
 }
 
 int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
-            const std::vector<refscan::LoadFailure>& load_failures,
-            const refscan::LoadStats& load_stats) {
+            const std::vector<refscan::LoadFailure>& load_failures) {
   using namespace refscan;
   const ScanOptions options = ScanOptionsFor(flags);
   std::optional<ScanResult> remote;
@@ -418,7 +407,7 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
   }
   ScanResult result = remote ? std::move(*remote)
                               : CheckerEngine(KnowledgeBase::BuiltIn(), options).Scan(tree);
-  AddLoadFailures(result, load_failures, load_stats);
+  AddLoadFailures(result, load_failures);
 
   if (result.aborted) {
     std::fprintf(stderr, "scan aborted: %s\n", result.abort_reason.c_str());
@@ -494,8 +483,7 @@ int RunScan(const refscan::SourceTree& tree, const CliFlags& flags,
 // scan's, with "found something" standing in for scan reports.
 int RunClient(unsigned command, const refscan::SourceTree& tree, const CliFlags& flags,
               const std::optional<refscan::SemanticTemplate>& tmpl,
-              const std::vector<refscan::LoadFailure>& load_failures,
-              const refscan::LoadStats& load_stats) {
+              const std::vector<refscan::LoadFailure>& load_failures) {
   using namespace refscan;
   ScanOptions options = ScanOptionsFor(flags);
   ScanResult scan;
@@ -528,7 +516,7 @@ int RunClient(unsigned command, const refscan::SourceTree& tree, const CliFlags&
     }
     scan = spine.Finish();
   }
-  AddLoadFailures(scan, load_failures, load_stats);
+  AddLoadFailures(scan, load_failures);
   if (scan.aborted) {
     std::fprintf(stderr, "scan aborted: %s\n", scan.abort_reason.c_str());
     return kExitHardFailure;
@@ -622,9 +610,8 @@ int RunTreeCommand(unsigned command, int argc, char** argv) {
     flags.stats_only = true;
   }
   // Arm --faults process-wide before the tree load so fs.read rules fire
-  // during it (ScanOptions::fault_spec would only cover the scan). A
-  // malformed spec on the command line is a usage error (the env-var
-  // variant stays a hard failure: nothing was typed to correct).
+  // during it. A malformed spec on the command line is a usage error (the
+  // env-var variant stays a hard failure: nothing was typed to correct).
   if (!flags.fault_spec.empty()) {
     FaultPlan plan;
     std::string fault_error;
@@ -645,7 +632,6 @@ int RunTreeCommand(unsigned command, int argc, char** argv) {
 
   SourceTree tree;
   std::vector<LoadFailure> load_failures;
-  LoadStats load_stats;
   if (command == kDemo) {
     std::printf("generating the synthetic kernel corpus and scanning it...\n\n");
     CorpusOptions corpus_options;
@@ -657,7 +643,7 @@ int RunTreeCommand(unsigned command, int argc, char** argv) {
   } else {
     LoadOptions load_options;
     load_options.jobs = flags.jobs;
-    tree = LoadSourceTreeFromDisk(argv[2], load_options, &load_failures, &load_stats);
+    tree = LoadSourceTreeFromDisk(argv[2], load_options, &load_failures);
     for (const LoadFailure& f : load_failures) {
       std::fprintf(stderr, "warning: %s: %s\n", f.path.c_str(), f.what.c_str());
     }
@@ -667,9 +653,8 @@ int RunTreeCommand(unsigned command, int argc, char** argv) {
     }
   }
 
-  int rc = (command & kScanLike) != 0
-               ? RunScan(tree, flags, load_failures, load_stats)
-               : RunClient(command, tree, flags, tmpl, load_failures, load_stats);
+  int rc = (command & kScanLike) != 0 ? RunScan(tree, flags, load_failures)
+                                       : RunClient(command, tree, flags, tmpl, load_failures);
   telemetry_arm.reset();
   if (!flags.trace_out.empty() && !WriteTextFile(flags.trace_out, session.TraceToChromeJson())) {
     return kExitHardFailure;
