@@ -22,15 +22,18 @@ constexpr std::pair<int, FunctionChecker> kFunctionCheckers[] = {
 };
 
 // Runs one file's pipeline stage inside its sandbox: one attempt under a
-// fresh ScopedDeadline, and exception → FileFailure classification.
-// Returns false when the file is quarantined (`failure` is filled in); the
-// caller must then discard the file's partial state.
+// fresh ScopedDeadline (never later than an enclosing one), and exception →
+// FileFailure classification. A file whose deadline has already passed is
+// quarantined without running `body`. Returns false when the file is
+// quarantined (`failure` is filled in); the caller must then discard the
+// file's partial state.
 template <typename Fn>
 bool GuardFileStage(std::string_view path, FailureStage stage, uint32_t timeout_ms, Fn&& body,
                     std::optional<FileFailure>& failure) {
   FileFailure f{std::string(path), stage, FailureKind::kInternal, {}};
   try {
     ScopedDeadline deadline(timeout_ms);
+    CheckDeadlineNow();
     body();
     return true;
   } catch (const FaultInjected& e) {
@@ -216,43 +219,27 @@ bool DecodeScanResult(std::string_view payload, ScanResult& result) {
   return Decode(payload, result);
 }
 
-ScanStageContext MakeScanStageContext(const ScanOptions& options, ScanCache& cache) {
-  ScanStageContext ctx;
-  ctx.options = &options;
-  ctx.cache = &cache;
-  ctx.use_cache = cache.enabled();
-  ctx.options_fp = ctx.use_cache ? ScanOptionsFingerprint(options) : 0;
-  ctx.want_facts = options.discover_from_source;
-  // Streaming never survives interprocedural mode: stage 2.5 needs every
-  // AST resident at once, which is exactly what streaming forbids.
-  ctx.stream_units = options.streaming && !options.interprocedural;
-  ctx.need_units = (!ctx.use_cache || options.interprocedural) && !ctx.stream_units;
-  return ctx;
-}
-
-FileScanState RunParseStage(const SourceFile& f, const ScanStageContext& ctx) {
-  const ScanOptions& options = *ctx.options;
-  ScanCache& cache = *ctx.cache;
+FileScanState ScanSpine::RunParseStage(const SourceFile& f) {
   FileScanState st;
   // One event per file whatever happens inside (cache replay, parse,
   // quarantine): the guard runs within this span.
   TelemetrySpan file_span("file.parse", f.path());
   const bool ok = GuardFileStage(
-      f.path(), FailureStage::kParse, options.file_timeout_ms,
+      f.path(), FailureStage::kParse, options_.file_timeout_ms,
       [&] {
-        if (ctx.use_cache) {
-          st.key = MakeFileKey(f.path(), f.text(), ctx.options_fp);
-          if (!ctx.need_units) {
-            if (!ctx.want_facts) {
+        if (cache_.enabled()) {
+          st.key = MakeFileKey(f.path(), f.text(), options_fp_);
+          if (!need_units_) {
+            if (!want_facts_) {
               return;  // discovery off: nothing is needed before stage 3
             }
-            if (std::optional<DiscoveryFacts> facts = cache.LoadFacts(st.key)) {
+            if (std::optional<DiscoveryFacts> facts = cache_.LoadFacts(st.key)) {
               st.facts = std::move(*facts);
               return;
             }
-          } else if (std::optional<TranslationUnit> unit = cache.LoadUnit(st.key)) {
+          } else if (std::optional<TranslationUnit> unit = cache_.LoadUnit(st.key)) {
             st.unit = std::move(*unit);
-            if (ctx.want_facts) {
+            if (want_facts_) {
               st.facts = ExtractDiscoveryFacts(*st.unit);
             }
             return;
@@ -260,16 +247,16 @@ FileScanState RunParseStage(const SourceFile& f, const ScanStageContext& ctx) {
         }
         st.unit = ParseFile(f);
         st.parsed = true;
-        if (ctx.want_facts) {
+        if (want_facts_) {
           st.facts = ExtractDiscoveryFacts(*st.unit);
         }
-        if (ctx.use_cache) {
-          cache.StoreUnit(st.key, *st.unit, f.path());
-          if (ctx.want_facts) {
-            cache.StoreFacts(st.key, st.facts, f.path());
+        if (cache_.enabled()) {
+          cache_.StoreUnit(st.key, *st.unit, f.path());
+          if (want_facts_) {
+            cache_.StoreFacts(st.key, st.facts, f.path());
           }
         }
-        if (ctx.stream_units) {
+        if (stream_units_) {
           // Streaming lifecycle: the facts are extracted (and the cache
           // fed), so the AST has served stage 1's purpose. Drop it here —
           // stage 3 re-parses just-in-time — and whole-tree peak RSS stays
@@ -289,20 +276,19 @@ FileScanState RunParseStage(const SourceFile& f, const ScanStageContext& ctx) {
   return st;
 }
 
-bool RunDiscoverStage(const std::vector<FileScanState>& states, KnowledgeBase& kb,
-                      const ScanStageContext& ctx) {
-  if (!ctx.want_facts) {
+bool ScanSpine::RunDiscoverStage() {
+  if (!want_facts_) {
     return false;
   }
   TelemetrySpan stage_span("stage.discover");
-  const int nesting_threshold = ctx.options->nesting_threshold;
+  const int nesting_threshold = options_.nesting_threshold;
   // Quarantined files are excluded from both the replay and the snapshot
   // key: the KB — and therefore every healthy file's report shard — is
   // exactly what a scan of the healthy subset alone would build.
   std::vector<const DiscoveryFacts*> live;
-  live.reserve(states.size());
+  live.reserve(states_.size());
   size_t parsed = 0;
-  for (const FileScanState& st : states) {
+  for (const FileScanState& st : states_) {
     if (!st.failure) {
       live.push_back(&st.facts);
       parsed += st.parsed ? 1 : 0;
@@ -313,11 +299,11 @@ bool RunDiscoverStage(const std::vector<FileScanState>& states, KnowledgeBase& k
   // post-discovery KB is a pure function of the pre-discovery KB and the
   // ordered facts, which is exactly what the snapshot key hashes.
   CacheKey kb_key;
-  if (ctx.use_cache) {
-    kb_key = MakeKbSnapshotKey(FingerprintKnowledgeBase(kb), nesting_threshold, live,
-                               ctx.options_fp);
-    if (std::optional<KnowledgeBase> snapshot = ctx.cache->LoadKb(kb_key)) {
-      kb = std::move(*snapshot);
+  if (cache_.enabled()) {
+    kb_key = MakeKbSnapshotKey(FingerprintKnowledgeBase(kb_), nesting_threshold, live,
+                               options_fp_);
+    if (std::optional<KnowledgeBase> snapshot = cache_.LoadKb(kb_key)) {
+      kb_ = std::move(*snapshot);
       return true;
     }
   }
@@ -325,19 +311,18 @@ bool RunDiscoverStage(const std::vector<FileScanState>& states, KnowledgeBase& k
   // wrappers of discovered APIs classify too.
   for (int round = 0; round < 2; ++round) {
     for (const DiscoveryFacts* facts : live) {
-      kb.DiscoverFromFacts(*facts, nesting_threshold);
+      kb_.DiscoverFromFacts(*facts, nesting_threshold);
     }
   }
-  if (ctx.use_cache && (parsed == 0 || parsed == live.size())) {
-    ctx.cache->StoreKb(kb_key, kb, "<tree>");
+  if (cache_.enabled() && (parsed == 0 || parsed == live.size())) {
+    cache_.StoreKb(kb_key, kb_, "<tree>");
   }
   return false;
 }
 
-CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st, uint64_t kb_fp,
-                                const ScanStageContext& ctx, const UnitCheck& check) {
-  const ScanOptions& options = *ctx.options;
-  ScanCache& cache = *ctx.cache;
+CachedFileReports ScanSpine::RunCheckStage(size_t i, uint64_t kb_fp) {
+  const SourceFile& file = *files_[i];
+  FileScanState& st = states_[i];
   CachedFileReports shard;
   if (st.failure) {
     return shard;  // quarantined in stage 1: empty shard, nothing to check
@@ -346,10 +331,10 @@ CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st, uint6
   // alike (the nested cache.load span distinguishes them in a trace).
   TelemetrySpan file_span("file.check", file.path());
   const bool ok = GuardFileStage(
-      file.path(), FailureStage::kCheck, options.file_timeout_ms,
+      file.path(), FailureStage::kCheck, options_.file_timeout_ms,
       [&] {
-        if (ctx.use_cache) {
-          if (std::optional<CachedFileReports> cached = cache.LoadReports(st.key, kb_fp)) {
+        if (cache_.enabled()) {
+          if (std::optional<CachedFileReports> cached = cache_.LoadReports(st.key, kb_fp)) {
             st.report_hit = true;
             shard = std::move(*cached);
             return;
@@ -367,9 +352,9 @@ CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st, uint6
           unit = ParseFile(file);
           st.parsed = true;
         }
-        shard = check(file, std::move(unit));
-        if (ctx.use_cache) {
-          cache.StoreReports(st.key, kb_fp, shard, file.path());
+        shard = CheckUnit(file, std::move(unit));
+        if (cache_.enabled()) {
+          cache_.StoreReports(st.key, kb_fp, shard, file.path());
         }
       },
       st.failure);
@@ -385,12 +370,14 @@ ScanSpine::ScanSpine(const SourceTree& tree, KnowledgeBase seed, ScanOptions opt
       options_(std::move(options)),
       kb_(std::move(seed)),
       cache_(MakeScanStore(options_)),
-      ctx_(MakeScanStageContext(options_, cache_)),
+      options_fp_(cache_.enabled() ? ScanOptionsFingerprint(options_) : 0),
+      want_facts_(options_.discover_from_source),
+      // Streaming never survives interprocedural mode: stage 2.5 needs every
+      // AST resident at once, which is exactly what streaming forbids.
+      stream_units_(options_.streaming && !options_.interprocedural && !keep_units),
+      need_units_((!cache_.enabled() || options_.interprocedural || keep_units) &&
+                  !stream_units_),
       pool_(options_.jobs) {
-  if (keep_units) {
-    ctx_.need_units = true;
-    ctx_.stream_units = false;
-  }
   // Dialect catalogues merge into the seed before any discovery runs, so
   // discovered wrappers classify against them exactly like builtin APIs.
   // Unknown names were rejected at the CLI; here they are simply inert.
@@ -440,7 +427,7 @@ bool ScanSpine::RunFront() {
   {
     TelemetrySpan stage_span("stage.parse");
     states_ = ParallelMap(pool_, files_.size(),
-                          [&](size_t i) { return RunParseStage(*files_[i], ctx_); });
+                          [&](size_t i) { return RunParseStage(*files_[i]); });
   }
   if (BreakerTrips(" in the parse stage")) {
     return false;
@@ -453,7 +440,7 @@ bool ScanSpine::RunFront() {
   // serial merge barrier: discovery mutates the KB and the second round
   // depends on what the first one found, so parallelising it would change
   // results. It is also cheap next to parsing and checking.
-  stats.kb_snapshot_hits = RunDiscoverStage(states_, kb_, ctx_) ? 1 : 0;
+  stats.kb_snapshot_hits = RunDiscoverStage() ? 1 : 0;
 
   // Stage 2.5: interprocedural ref-delta summaries (src/ipa). Bottom-up
   // over the call-graph SCCs, parallel within a level; registration into
@@ -505,7 +492,7 @@ bool ScanSpine::RunBack() {
   // still valid. Any content change that altered discovery shifts this
   // fingerprint and invalidates every stored shard at once — the
   // conservative, correct reaction.
-  const uint64_t kb_fp = ctx_.use_cache ? FingerprintKnowledgeBase(kb_) : 0;
+  const uint64_t kb_fp = cache_.enabled() ? FingerprintKnowledgeBase(kb_) : 0;
 
   // Stage 3: build contexts and run the enabled checkers (the KB is
   // read-only; KnowledgeBase lookups are safe for concurrent readers). Each
@@ -514,18 +501,13 @@ bool ScanSpine::RunBack() {
   std::vector<CachedFileReports> shards;
   {
     TelemetrySpan stage_span("stage.check");
-    const UnitCheck check = [this](const SourceFile& file, TranslationUnit unit) {
-      return CheckUnit(file, std::move(unit));
-    };
-    shards = ParallelMap(pool_, files_.size(), [&](size_t i) {
-      return RunCheckStage(*files_[i], states_[i], kb_fp, ctx_, check);
-    });
+    shards = ParallelMap(pool_, files_.size(), [&](size_t i) { return RunCheckStage(i, kb_fp); });
   }
   if (BreakerTrips("")) {
     return false;
   }
 
-  if (ctx_.use_cache) {
+  if (cache_.enabled()) {
     for (const FileScanState& st : states_) {
       if (st.failure) {
         continue;  // quarantined files are neither hits nor misses

@@ -12,13 +12,13 @@
 // shard cannot depend on the thread that computed them.
 //
 // Each stage body runs once inside the DESIGN.md §5.9 sandbox: a fresh
-// deadline, and exception → FileFailure quarantine that resets the file's
+// deadline (never later than an enclosing one, and checked as the sandbox
+// opens), and exception → FileFailure quarantine that resets the file's
 // partial state.
 
 #ifndef REFSCAN_CHECKERS_SCAN_STAGES_H_
 #define REFSCAN_CHECKERS_SCAN_STAGES_H_
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -62,67 +62,12 @@ void Transfer(IO& io, F& f) {
   Transfer(io, f.path, f.stage, f.kind, f.what);
 }
 
-// Derived per-scan constants shared by every file's stage bodies.
-struct ScanStageContext {
-  const ScanOptions* options = nullptr;
-  ScanCache* cache = nullptr;
-  bool use_cache = false;
-  uint64_t options_fp = 0;
-  bool want_facts = false;  // discovery enabled: stage 1 must yield facts
-  // Whether stage 1 must materialise a TranslationUnit for every file. With
-  // no cache, stage 3 consumes the units; in interprocedural mode, stage
-  // 2.5 walks them. With the cache and neither, a file whose facts (and
-  // later, reports) hit can go through the whole scan without ever being
-  // parsed — the incremental fast path.
-  bool need_units = false;
-  // Streaming unit lifecycle (ScanOptions::streaming, DESIGN.md §5.15):
-  // stage 1 still parses where it must (facts, cache fill) but drops the
-  // unit before returning, and stage 3 re-parses just-in-time, so at most
-  // `jobs` ASTs coexist. Forced off by interprocedural mode (stage 2.5
-  // walks every unit at once).
-  bool stream_units = false;
-};
-ScanStageContext MakeScanStageContext(const ScanOptions& options, ScanCache& cache);
-
-// Stage 1 for one file: obtain its discovery facts — and unit where needed.
-// Cache hits replay the stored facts/unit instead of parsing; misses parse,
-// extract, and populate the cache for the next scan. A quarantined file
-// comes back with `failure` set and all partial state discarded, so the KB
-// replay and stage 3 see a file that simply is not there.
-FileScanState RunParseStage(const SourceFile& file, const ScanStageContext& ctx);
-
-// Stage 2, the discovery barrier: replays the live (non-quarantined) files' facts into `kb` in file
-// order, two rounds, unless the cache holds a tree-level KB snapshot for
-// exactly these facts, which replaces both rounds. A no-op with discovery
-// off. Returns true on a snapshot hit.
-//
-// Every cached scan looks the snapshot up, but only a scan whose stage 1
-// parsed all of its live files (cold) or none of them (an unchanged tree)
-// stores one. A scan with a diff yields a facts sequence that the next diff
-// changes again, so its snapshot would never be read back; a cold or
-// unchanged scan's is exactly what the next unchanged rescan looks up.
-bool RunDiscoverStage(const std::vector<FileScanState>& states, KnowledgeBase& kb,
-                      const ScanStageContext& ctx);
-
-// Stage 3's work on one parsed file, returning its raw report shard: the
-// enabled checkers (CheckOneFile) for a scan, the template matcher for
-// `match`.
-using UnitCheck = std::function<CachedFileReports(const SourceFile& file, TranslationUnit unit)>;
-
 // Runs every enabled checker over one parsed file. The functions are
 // checked one at a time through one FunctionContext rebuilt in place, so
 // the file's CFGs, CPGs and walks share their storage; the deadline is
 // polled once per function. The KB is immutable and read concurrently.
 CachedFileReports CheckOneFile(const SourceFile& file, TranslationUnit unit,
                                const KnowledgeBase& kb, const ScanOptions& options);
-
-// Stage 3 for one file: splice the cached report shard when the KB
-// fingerprint proves it valid, otherwise run `check` on the file's unit
-// (re-parsed if stage 1 did not keep it), behind the `checker.run` fault
-// site. A file quarantined earlier returns an empty shard untouched; a
-// stage-3 quarantine sets `st.failure` and returns an empty shard.
-CachedFileReports RunCheckStage(const SourceFile& file, FileScanState& st, uint64_t kb_fp,
-                                const ScanStageContext& ctx, const UnitCheck& check);
 
 // One scan of one tree: the skeleton every tree-level client runs.
 // CheckerEngine::Scan runs both halves; `match` runs both with template
@@ -166,6 +111,34 @@ class ScanSpine {
   virtual CachedFileReports CheckUnit(const SourceFile& file, TranslationUnit unit);
 
  private:
+  // Stage 1 for one file: obtain its discovery facts — and unit where
+  // needed. Cache hits replay the stored facts/unit instead of parsing;
+  // misses parse, extract, and populate the cache for the next scan. A
+  // quarantined file comes back with `failure` set and all partial state
+  // discarded, so the KB replay and stage 3 see a file that simply is not
+  // there.
+  FileScanState RunParseStage(const SourceFile& file);
+
+  // Stage 2, the discovery barrier: replays the live (non-quarantined)
+  // files' facts into the KB in file order, two rounds, unless the cache
+  // holds a tree-level KB snapshot for exactly these facts, which replaces
+  // both rounds. A no-op with discovery off. Returns true on a snapshot hit.
+  //
+  // Every cached scan looks the snapshot up, but only a scan whose stage 1
+  // parsed all of its live files (cold) or none of them (an unchanged tree)
+  // stores one. A scan with a diff yields a facts sequence that the next
+  // diff changes again, so its snapshot would never be read back; a cold or
+  // unchanged scan's is exactly what the next unchanged rescan looks up.
+  bool RunDiscoverStage();
+
+  // Stage 3 for file `i`: splice the cached report shard when the KB
+  // fingerprint proves it valid, otherwise run CheckUnit on the file's unit
+  // (re-parsed if stage 1 did not keep it), behind the `checker.run` fault
+  // site. A file quarantined earlier returns an empty shard untouched; a
+  // stage-3 quarantine sets its state's `failure` and returns an empty
+  // shard.
+  CachedFileReports RunCheckStage(size_t i, uint64_t kb_fp);
+
   // Breaker #1 and #2: sets the abort reason when more than
   // options.max_failure_ratio of the files are quarantined.
   bool BreakerTrips(const char* where);
@@ -175,7 +148,20 @@ class ScanSpine {
   std::vector<const SourceFile*> files_;
   KnowledgeBase kb_;
   ScanCache cache_;
-  ScanStageContext ctx_;
+  uint64_t options_fp_ = 0;  // cache keys' options fingerprint (0 uncached)
+  bool want_facts_ = false;  // discovery enabled: stage 1 must yield facts
+  // Streaming unit lifecycle (ScanOptions::streaming, DESIGN.md §5.15):
+  // stage 1 still parses where it must (facts, cache fill) but drops the
+  // unit before returning, and stage 3 re-parses just-in-time, so at most
+  // `jobs` ASTs coexist. Forced off by interprocedural mode (stage 2.5
+  // walks every unit at once).
+  bool stream_units_ = false;
+  // Whether stage 1 must materialise a TranslationUnit for every file. With
+  // no cache, stage 3 consumes the units; in interprocedural mode, stage
+  // 2.5 walks them. With the cache and neither, a file whose facts (and
+  // later, reports) hit can go through the whole scan without ever being
+  // parsed — the incremental fast path.
+  bool need_units_ = false;
   ThreadPool pool_;
   std::vector<FileScanState> states_;
   SummaryResult summaries_;

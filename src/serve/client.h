@@ -8,7 +8,7 @@
 // exhausted does it return nullopt — the CLI then falls back to a local
 // in-process scan, whose stdout is byte-identical by construction. A
 // *reachable* server that fails the request (kServeErr: injected fault,
-// deadline, drain) is different: that becomes a degraded result (exit 2),
+// drain) is different: that becomes a degraded result (exit 2),
 // because silently re-running a request the server rejected would mask the
 // failure the operator asked to see.
 

@@ -1,12 +1,17 @@
 #include "src/serve/serve.h"
 
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <iterator>
+#include <utility>
 
 #include "src/checkers/scan_stages.h"
 #include "src/serve/protocol.h"
 #include "src/support/faultinject.h"
+#include "src/support/governor.h"
 #include "src/support/strings.h"
 #include "src/support/threadpool.h"
 
@@ -14,9 +19,10 @@ namespace refscan {
 
 namespace {
 
-// How often the watchdog re-checks deadlines. Bounds how late a deadline
-// reply can be, not request latency.
-constexpr int kWatchdogPollMs = 25;
+// How often the accept loop re-checks stopping_. Bounds how long a drain
+// waits for the loop to notice; it does not limit how long clients may stay
+// connected.
+constexpr int kAcceptPollMs = 200;
 
 std::string_view RequestName(uint8_t type) {
   switch (type) {
@@ -34,41 +40,130 @@ std::string_view RequestName(uint8_t type) {
 }  // namespace
 
 ScanServer::ScanServer(ServeConfig config)
-    : FrameServer(config.socket_path),
-      config_(std::move(config)),
-      store_(std::make_shared<MemoryStore>()) {
+    : config_(std::move(config)), store_(std::make_shared<MemoryStore>()) {
   config_.sessions = std::max<size_t>(config_.sessions, 1);
 }
 
-ScanServer::~ScanServer() {
-  Stop();
-  watchdog_stop_.store(true, std::memory_order_relaxed);
-  if (watchdog_thread_.joinable()) {
-    watchdog_thread_.join();
-  }
-}
+ScanServer::~ScanServer() { Shutdown(0); }
 
 ScanStats ScanServer::last_scan_stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return last_stats_;
 }
 
-bool ScanServer::Admit(int fd) {
-  if (config_.request_timeout_ms > 0 && !watchdog_thread_.joinable()) {
-    // Spawned from the accept thread, like every other server thread, so it
-    // inherits the signal mask Start ran under (the CLI blocks SIGTERM).
-    watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
+bool ScanServer::Start(std::string* error) {
+  listen_fd_ = UnixListen(config_.socket_path, error);
+  if (!listen_fd_.valid()) {
+    return false;
   }
-  if (live_connections() < config_.sessions + config_.max_pending) {
-    return true;
+  stopping_.store(false, std::memory_order_relaxed);
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  return true;
+}
+
+void ScanServer::AcceptLoop() {
+  while (!stopping_.load(std::memory_order_relaxed)) {
+    OwnedFd conn = UnixAccept(listen_fd_.get(), kAcceptPollMs);
+    JoinConnections(/*all=*/false);
+    if (!conn.valid() || !Admit(conn.get())) {
+      continue;  // timeout, transient error or refused; re-check stopping_
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto self = connections_.emplace(connections_.end());
+    self->fd = conn.get();
+    ++active_;
+    self->thread = std::thread(
+        [this, self, c = std::move(conn)]() mutable { ServeConnection(self, std::move(c)); });
+    metrics_.Gauge("server.connection_threads").Set(static_cast<int64_t>(connections_.size()));
+  }
+}
+
+bool ScanServer::Admit(int fd) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (active_ < config_.sessions + config_.max_pending) {
+      return true;
+    }
   }
   // Admission queue full: shed with an explicit busy reply so the client
   // backs off instead of parking in our accept backlog. Count before
   // sending — a client that has the busy reply in hand must already see it
   // in the counters.
-  metrics().Counter("serve.shed").Add(1);
+  metrics_.Counter("serve.shed").Add(1);
   SendFrame(fd, kServeBusy, "server busy");
   return false;
+}
+
+void ScanServer::ServeConnection(std::list<Connection>::iterator self, OwnedFd conn) {
+  uint8_t type = 0;
+  std::string payload;
+  while (RecvFrame(conn.get(), type, payload) == RecvOutcome::kFrame) {
+    ServeFrame(conn.get(), type, payload);
+  }
+  // Close under the lock, so ShutdownAll never lands on a recycled
+  // descriptor.
+  std::lock_guard<std::mutex> lock(mu_);
+  conn.Reset();
+  self->done = true;
+  --active_;
+  idle_cv_.notify_all();
+}
+
+void ScanServer::ShutdownAll(int how) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const Connection& c : connections_) {
+    if (!c.done) {
+      ::shutdown(c.fd, how);
+    }
+  }
+}
+
+void ScanServer::JoinConnections(bool all) {
+  std::list<Connection> joining;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      const auto next = std::next(it);
+      if (all || it->done) {
+        joining.splice(joining.end(), connections_, it);
+      }
+      it = next;
+    }
+    metrics_.Gauge("server.connection_threads").Set(static_cast<int64_t>(connections_.size()));
+  }
+  for (Connection& c : joining) {
+    c.thread.join();
+  }
+}
+
+bool ScanServer::Shutdown(uint32_t timeout_ms) {
+  if (!accept_thread_.joinable()) {
+    return true;
+  }
+  // Reject new work first: stop the accept loop and remove the socket file,
+  // so a connect() after SIGTERM fails fast instead of queueing behind a
+  // listener nobody will ever accept from. The thread list is stable from
+  // here on.
+  stopping_.store(true, std::memory_order_relaxed);
+  accept_thread_.join();
+  listen_fd_.Reset();
+  ::unlink(config_.socket_path.c_str());
+  // A connection thread mid-request finishes the exchange and flushes its
+  // reply before SHUT_RD's EOF reaches its next read; parked readers wake
+  // at once with a clean EOF.
+  ShutdownAll(SHUT_RD);
+  bool clean = false;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    clean = idle_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                              [this] { return active_ == 0; });
+  }
+  if (!clean) {
+    Escalate();
+    ShutdownAll(SHUT_RDWR);
+  }
+  JoinConnections(/*all=*/true);
+  return clean;
 }
 
 void ScanServer::Escalate() {
@@ -77,36 +172,6 @@ void ScanServer::Escalate() {
     aborting_ = true;
   }
   session_cv_.notify_all();
-}
-
-void ScanServer::WatchdogLoop() {
-  while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-    const auto now = std::chrono::steady_clock::now();
-    std::vector<std::shared_ptr<ReplyState>> overdue;
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      for (const Pending& p : pending_) {
-        if (now >= p.deadline) {
-          overdue.push_back(p.reply);
-        }
-      }
-    }
-    for (const std::shared_ptr<ReplyState>& rs : overdue) {
-      std::lock_guard<std::mutex> lock(rs->mu);
-      if (rs->replied) {
-        continue;
-      }
-      rs->replied = true;
-      // Count before sending: a client holding the deadline reply must
-      // already see it in the counters.
-      metrics().Counter("serve.timed_out").Add(1);
-      SendFrame(rs->fd, kServeErr, "request deadline exceeded");
-      // Sever the connection: the hung session thread's eventual result is
-      // discarded, and the client is not left waiting on a dead session.
-      ::shutdown(rs->fd, SHUT_RDWR);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(kWatchdogPollMs));
-  }
 }
 
 bool ScanServer::AcquireSession() {
@@ -127,69 +192,53 @@ void ScanServer::ReleaseSession() {
   session_cv_.notify_one();
 }
 
-void ScanServer::Reply(ReplyState& rs, uint8_t type, const std::string& payload) {
-  std::lock_guard<std::mutex> lock(rs.mu);
-  if (rs.replied) {
-    return;  // the watchdog answered (and severed) this one already
-  }
-  rs.replied = true;
-  SendFrame(rs.fd, type, payload);
-}
-
-bool ScanServer::ServeFrame(int fd, uint8_t type, const std::string& payload) {
-  metrics().Counter("serve.requests").Add(1);
-  auto rs = std::make_shared<ReplyState>();
-  rs->fd = fd;
-  if (config_.request_timeout_ms > 0) {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_.push_back(Pending{
-        rs, std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(config_.request_timeout_ms)});
-  }
+void ScanServer::ServeFrame(int fd, uint8_t type, const std::string& payload) {
+  metrics_.Counter("serve.requests").Add(1);
+  // The request's one time bound, from before the session wait on: the
+  // scan's sandboxes and every thread of its team run under it.
+  const ScopedDeadline deadline(config_.request_timeout_ms);
   if (!AcquireSession()) {
-    Reply(*rs, kServeErr, "server draining");
-  } else {
-    uint8_t reply_type = kServeText;
-    std::string reply;
-    try {
-      MaybeFault("serve.request", std::string(RequestName(type)));
-      switch (type) {
-        case kServeScanReq:
-          reply = HandleScan(payload, reply_type);
-          break;
-        case kServeStatsReq:
-          reply = HandleStats();
-          break;
-        case kServeHealthReq:
-          reply = "ok";
-          break;
-        default:
-          reply_type = kServeErr;
-          reply = StrFormat("unknown request type %u", type);
-          break;
-      }
-    } catch (const std::exception& e) {
-      // Request isolation: whatever escaped the scan sandbox fails THIS
-      // request; the store, the connection, and every other session are
-      // untouched.
-      metrics().Counter("serve.faulted").Add(1);
-      reply_type = kServeErr;
-      reply = e.what();
-    } catch (...) {
-      metrics().Counter("serve.faulted").Add(1);
-      reply_type = kServeErr;
-      reply = "unknown exception";
+    SendFrame(fd, kServeErr, "server draining");
+    return;
+  }
+  uint8_t reply_type = kServeText;
+  std::string reply;
+  try {
+    MaybeFault("serve.request", std::string(RequestName(type)));
+    switch (type) {
+      case kServeScanReq:
+        reply = HandleScan(payload, reply_type);
+        break;
+      case kServeStatsReq:
+        reply = HandleStats();
+        break;
+      case kServeHealthReq:
+        reply = "ok";
+        break;
+      default:
+        reply_type = kServeErr;
+        reply = StrFormat("unknown request type %u", type);
+        break;
     }
-    Reply(*rs, reply_type, reply);
-    ReleaseSession();
+  } catch (const std::exception& e) {
+    // Request isolation: whatever escaped the scan sandbox fails THIS
+    // request; the store, the connection, and every other session are
+    // untouched.
+    metrics_.Counter("serve.faulted").Add(1);
+    reply_type = kServeErr;
+    reply = e.what();
+  } catch (...) {
+    metrics_.Counter("serve.faulted").Add(1);
+    reply_type = kServeErr;
+    reply = "unknown exception";
   }
-  if (config_.request_timeout_ms > 0) {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                  [&](const Pending& p) { return p.reply == rs; }),
-                   pending_.end());
+  // Count before replying: a client holding the late reply must already
+  // see it in the counters.
+  if (DeadlinePassed()) {
+    metrics_.Counter("serve.timed_out").Add(1);
   }
-  return true;
+  SendFrame(fd, reply_type, reply);
+  ReleaseSession();
 }
 
 ScanOptions ScanServer::RequestOptions(ScanOptions options) const {
@@ -197,11 +246,6 @@ ScanOptions ScanServer::RequestOptions(ScanOptions options) const {
   // client's choosing.
   options.object_store = store_;
   options.cache_dir.clear();
-  if (config_.request_timeout_ms > 0) {
-    options.file_timeout_ms = options.file_timeout_ms == 0
-                                  ? config_.request_timeout_ms
-                                  : std::min(options.file_timeout_ms, config_.request_timeout_ms);
-  }
   // Each session starts `jobs` - 1 threads for its request. Reports are
   // identical at every `jobs`, so the cap moves no output; it only stops a
   // client from asking the daemon for more threads than the host has.
@@ -218,7 +262,7 @@ std::string ScanServer::HandleScan(std::string_view payload, uint8_t& type) {
   }
   CheckerEngine engine(KnowledgeBase::BuiltIn(), RequestOptions(std::move(options)));
   const ScanResult result = engine.Scan(tree);
-  metrics().Counter("serve.scans").Add(1);
+  metrics_.Counter("serve.scans").Add(1);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     last_stats_ = result.stats;
@@ -233,7 +277,7 @@ std::string ScanServer::HandleStats() const {
   for (const char* name : {"requests", "scans", "shed", "faulted", "timed_out"}) {
     out += StrFormat("\"%s\":%llu,", name,
                      static_cast<unsigned long long>(
-                         metrics().CounterValue(std::string("serve.") + name)));
+                         metrics_.CounterValue(std::string("serve.") + name)));
   }
   out += StrFormat("\"store_objects\":%zu,\"store_bytes\":%llu,", store_->objects(),
                    static_cast<unsigned long long>(store_->bytes()));

@@ -12,10 +12,17 @@
 // (parser statements, CFG lowering, per-function checking, template
 // matching) poll it with CheckDeadline. Polls amortise the clock read over
 // 8 calls; with the deadline disarmed a poll is one thread-local flag test.
+//
+// Deadlines nest and follow their work. A ScopedDeadline inside another
+// keeps the sooner of the two, so a file's budget can shorten an enclosing
+// request deadline (`refscan serve --request-timeout-ms`) but never extend
+// it. A ParallelFor batch runs every member, on whichever thread, under the
+// deadline of the thread that started it (threadpool.h).
 
 #ifndef REFSCAN_SUPPORT_GOVERNOR_H_
 #define REFSCAN_SUPPORT_GOVERNOR_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
@@ -29,13 +36,15 @@ class DeadlineExceeded : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-namespace governor_detail {
-
+// One thread's deadline. ParallelFor copies its starter's onto every
+// member of the batch.
 struct DeadlineState {
   std::chrono::steady_clock::time_point deadline{};
   bool armed = false;
   uint32_t tick = 0;
 };
+
+namespace governor_detail {
 
 // constinit: a constant-initialized thread_local needs no TLS init wrapper
 // on access (GCC 12's UBSan also misreads the wrapper's store as a store
@@ -46,17 +55,23 @@ extern constinit thread_local DeadlineState g_deadline;
 
 }  // namespace governor_detail
 
-// Installs a wall-clock budget for the current thread; 0 = no deadline.
-// Nests: the previous state is restored on destruction.
+// Installs a wall-clock budget for the current thread, or keeps the
+// enclosing armed deadline when that one is sooner; 0 inherits the
+// enclosing state. The enclosing state is restored on destruction.
 class ScopedDeadline {
  public:
   explicit ScopedDeadline(uint32_t budget_ms) : saved_(governor_detail::g_deadline) {
     if (budget_ms > 0) {
-      governor_detail::g_deadline.deadline =
+      const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::milliseconds(budget_ms);
-      governor_detail::g_deadline.armed = true;
-      governor_detail::g_deadline.tick = 0;
+      governor_detail::g_deadline = DeadlineState{
+          saved_.armed ? std::min(saved_.deadline, deadline) : deadline, true, 0};
     }
+  }
+  // Runs the current thread under `carried`, the state of the thread that
+  // handed it work.
+  explicit ScopedDeadline(const DeadlineState& carried) : saved_(governor_detail::g_deadline) {
+    governor_detail::g_deadline = carried;
   }
   ~ScopedDeadline() { governor_detail::g_deadline = saved_; }
 
@@ -64,8 +79,22 @@ class ScopedDeadline {
   ScopedDeadline& operator=(const ScopedDeadline&) = delete;
 
  private:
-  governor_detail::DeadlineState saved_;
+  DeadlineState saved_;
 };
+
+// The current thread's deadline, to carry onto a thread working for it.
+inline DeadlineState CurrentDeadline() { return governor_detail::g_deadline; }
+
+// True when the current thread's deadline is armed and has passed.
+inline bool DeadlinePassed() {
+  const auto& st = governor_detail::g_deadline;
+  return st.armed && std::chrono::steady_clock::now() >= st.deadline;
+}
+
+// Throws DeadlineExceeded when the deadline has already passed, reading the
+// clock on every call. A sandbox calls it once as it opens, so work whose
+// time is spent never starts.
+void CheckDeadlineNow();
 
 // Cooperative poll. `where` names the loop for the diagnostic ("parser",
 // "cfg", "checker", "matcher").

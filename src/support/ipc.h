@@ -6,8 +6,8 @@
 //
 //   [u32 payload length, little-endian] [u8 type] [payload bytes]
 //
-// — and the daemon's server lifecycle sits on top of it, FrameServer
-// (support/server.h). Payload encoding is the cache layer's
+// — and the daemon, ScanServer (src/serve/serve.h), sits on top of it.
+// Payload encoding is the cache layer's
 // ByteWriter/ByteReader format (src/cache/serial.h): every length
 // bounds-checked, corruption degrades to a protocol error, never UB.
 //
@@ -48,11 +48,6 @@ class OwnedFd {
 
   int get() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
-  int Release() {
-    const int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
   void Reset();
 
  private:

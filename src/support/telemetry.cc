@@ -62,47 +62,6 @@ int64_t MetricsRegistry::GaugeValue(std::string_view name) const {
   return it == gauges_.end() ? 0 : it->second->value();
 }
 
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  // Snapshot `other` under its own lock, then fold into this one. Two locks
-  // are never held at once, so merge directions cannot deadlock.
-  const auto counters = other.CounterSnapshot();
-  const auto gauges = other.GaugeSnapshot();
-  struct HistSnapshot {
-    std::string name;
-    uint64_t buckets[MetricHistogram::kBuckets + 1];
-    uint64_t count;
-    uint64_t sum_ns;
-  };
-  std::vector<HistSnapshot> hists;
-  {
-    std::lock_guard<std::mutex> lock(other.mutex_);
-    for (const auto& [name, h] : other.histograms_) {
-      HistSnapshot s;
-      s.name = name;
-      for (size_t i = 0; i <= MetricHistogram::kBuckets; ++i) {
-        s.buckets[i] = h->bucket(i);
-      }
-      s.count = h->count();
-      s.sum_ns = h->sum_ns();
-      hists.push_back(std::move(s));
-    }
-  }
-  for (const auto& [name, value] : counters) {
-    Counter(name).Add(value);
-  }
-  for (const auto& [name, value] : gauges) {
-    Gauge(name).Max(value);
-  }
-  for (const HistSnapshot& s : hists) {
-    MetricHistogram& h = Histogram(s.name);
-    for (size_t i = 0; i <= MetricHistogram::kBuckets; ++i) {
-      h.buckets_[i].fetch_add(s.buckets[i], std::memory_order_relaxed);
-    }
-    h.count_.fetch_add(s.count, std::memory_order_relaxed);
-    h.sum_ns_.fetch_add(s.sum_ns, std::memory_order_relaxed);
-  }
-}
-
 std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::CounterSnapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::pair<std::string, uint64_t>> out;

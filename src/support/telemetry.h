@@ -71,16 +71,10 @@ class MetricCounter {
   std::atomic<uint64_t> value_{0};
 };
 
-// Last-written / high-watermark value. `Set` overwrites, `Max` keeps the
-// largest value ever recorded (queue depths, utilization peaks).
+// Last-written value.
 class MetricGauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Max(int64_t v) {
-    int64_t cur = value_.load(std::memory_order_relaxed);
-    while (v > cur && !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -101,7 +95,6 @@ class MetricHistogram {
   static uint64_t BucketBoundNs(size_t i) { return uint64_t{1} << (10 + i); }
 
  private:
-  friend class MetricsRegistry;
   std::atomic<uint64_t> buckets_[kBuckets + 1] = {};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_ns_{0};
@@ -119,9 +112,6 @@ class MetricsRegistry {
   // 0 / absent-safe readers (for tests and the daemons' status lines).
   uint64_t CounterValue(std::string_view name) const;
   int64_t GaugeValue(std::string_view name) const;
-
-  // Sums counters, maxes gauges, merges histogram buckets.
-  void MergeFrom(const MetricsRegistry& other);
 
   // Prometheus text exposition format, metrics sorted by name: counters as
   // `refscan_<name>`, gauges likewise, histograms as

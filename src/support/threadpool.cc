@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/support/governor.h"
 #include "src/support/telemetry.h"
 
 namespace refscan {
@@ -121,9 +122,13 @@ void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
   const size_t count = end - begin;
   ForBatch batch;
   batch.cursor.store(begin, std::memory_order_relaxed);
+  // Every member works under the deadline of the thread that started the
+  // batch, and gets its own back when it leaves.
+  const DeadlineState deadline = CurrentDeadline();
   // Iterations are claimed one at a time from the shared cursor, so a few
   // expensive items cannot serialise the batch behind one member.
-  const std::function<void()> drain = [&batch, end, &fn] {
+  const std::function<void()> drain = [&batch, end, &fn, &deadline] {
+    const ScopedDeadline carried(deadline);
     for (size_t i; (i = batch.cursor.fetch_add(1, std::memory_order_relaxed)) < end;) {
       RunIteration(batch, fn, i);
     }

@@ -19,6 +19,9 @@
 //     is running on the same pool (from a second thread, or nested inside an
 //     iteration) runs inline on its caller instead of waiting, so misuse
 //     costs parallelism, never a deadlock or a torn batch.
+//   * Every member runs the batch under the deadline of the thread that
+//     started it (governor.h), so a deadline follows its work onto the team;
+//     a helper gets its own deadline state back when it leaves.
 //
 // Iterations MAY throw: every iteration still runs, the barrier collects
 // every exception, and one aggregate ParallelForError is raised after the
@@ -102,10 +105,11 @@ class ThreadPool {
 // Runs fn(i) for every i in [begin, end), spread over the pool's threads
 // plus the calling thread. Iterations are claimed one at a time from a
 // shared cursor, so long items load-balance; the call returns once every
-// iteration has finished. fn must be safe to invoke concurrently. A
-// throwing iteration does not stop the batch: every other iteration still
-// runs, and the collected exceptions surface as one ParallelForError after
-// the barrier (identical behaviour at parallelism 1).
+// iteration has finished. fn must be safe to invoke concurrently, and runs
+// under the calling thread's deadline on every thread. A throwing iteration
+// does not stop the batch: every other iteration still runs, and the
+// collected exceptions surface as one ParallelForError after the barrier
+// (identical behaviour at parallelism 1).
 void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
                  const std::function<void(size_t)>& fn);
 

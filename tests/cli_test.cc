@@ -261,6 +261,22 @@ TEST_F(CliFlagMatrixTest, RemoteRejectsAFaultSpecInTheEnvironment) {
   EXPECT_EQ(RunCli({"scan", tree}, "REFSCAN_FAULTS='parser.parse:always'").rc, 2);
 }
 
+// main arms REFSCAN_FAULTS before any subcommand runs, and --faults would
+// replace that plan: the two together exit 64 in every tree subcommand, so
+// neither spec is silently dropped. An empty REFSCAN_FAULTS arms nothing.
+TEST_F(CliFlagMatrixTest, FaultsRejectsAFaultSpecInTheEnvironment) {
+  for (const std::vector<std::string>& sub : Subcommands()) {
+    const CliRun both = RunCli(With(sub, {"--faults", "checker.run:always"}),
+                               "REFSCAN_FAULTS='parser.parse:always'");
+    EXPECT_EQ(both.rc, 64) << sub[0] << ": " << both.output;
+    EXPECT_NE(both.output.find("--faults does not apply with REFSCAN_FAULTS"), std::string::npos)
+        << sub[0] << ": " << both.output;
+  }
+  const CliRun empty =
+      RunCli({"scan", dir_ + "/tree", "--faults", "checker.run:always"}, "REFSCAN_FAULTS=''");
+  EXPECT_EQ(empty.rc, 2) << empty.output;
+}
+
 // `match` checks each file inside stage 3's sandbox, like `scan`: an
 // injected `checker.run` fault and an overrun deadline quarantine the file
 // at stage check (exit 2) instead of passing its matches through.

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/checkers/engine.h"
@@ -414,6 +416,71 @@ TEST(ResourceGovernorTest, DeadlineIsPerFileNotPerScan) {
   const ScanResult result = ScanTree(tree, options);
   EXPECT_TRUE(result.failures.empty());
   EXPECT_EQ(result.reports.size(), 8u);
+}
+
+// Deadlines nest: an inner budget can only shorten an armed outer
+// deadline, a budget of 0 inherits it, and each scope restores the
+// enclosing state on exit.
+TEST(ResourceGovernorTest, NestedDeadlinesKeepTheSoonerAndRestoreOnExit) {
+  ASSERT_FALSE(CurrentDeadline().armed);
+  {
+    const ScopedDeadline outer(60'000);
+    const DeadlineState armed = CurrentDeadline();
+    ASSERT_TRUE(armed.armed);
+    {
+      const ScopedDeadline later(120'000);
+      EXPECT_EQ(CurrentDeadline().deadline, armed.deadline);
+      {
+        const ScopedDeadline inherit(0);
+        EXPECT_TRUE(CurrentDeadline().armed);
+        EXPECT_EQ(CurrentDeadline().deadline, armed.deadline);
+      }
+      const ScopedDeadline sooner(1);
+      EXPECT_LT(CurrentDeadline().deadline, armed.deadline);
+    }
+    EXPECT_TRUE(CurrentDeadline().armed);
+    EXPECT_EQ(CurrentDeadline().deadline, armed.deadline);
+  }
+  EXPECT_FALSE(CurrentDeadline().armed);
+  {
+    const ScopedDeadline none(0);
+    EXPECT_FALSE(CurrentDeadline().armed);
+    EXPECT_FALSE(DeadlinePassed());
+  }
+
+  // Under an expired outer deadline a generous inner budget has already
+  // passed too.
+  const ScopedDeadline expired(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const ScopedDeadline generous(60'000);
+  EXPECT_TRUE(DeadlinePassed());
+  EXPECT_THROW(CheckDeadlineNow(), DeadlineExceeded);
+}
+
+// A scan under an expired enclosing deadline quarantines every file as it
+// opens its sandbox, so an injected one-second parse delay never runs.
+TEST(ResourceGovernorTest, ExpiredOuterDeadlineQuarantinesEveryFileWithoutRunningIt) {
+  SourceTree tree;
+  for (int i = 0; i < 8; ++i) {
+    tree.Add("drivers/x/f" + std::to_string(i) + ".c", LeakyFile("f" + std::to_string(i)));
+  }
+  ScanOptions options;
+  options.jobs = 4;
+  options.file_timeout_ms = 10'000;
+  ScopedFaultArm arm("parser.parse:always:delay=1000");
+  const ScopedDeadline expired(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const auto start = std::chrono::steady_clock::now();
+  const ScanResult result = ScanTree(tree, options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 500);
+  ASSERT_EQ(result.failures.size(), tree.size());
+  for (const FileFailure& f : result.failures) {
+    EXPECT_EQ(f.stage, FailureStage::kParse) << f.path;
+    EXPECT_EQ(f.kind, FailureKind::kResourceLimit) << f.path;
+  }
+  EXPECT_TRUE(result.reports.empty());
 }
 
 }  // namespace

@@ -169,22 +169,6 @@ TEST_F(FsTest, ParallelAndSerialLoadsAreIdentical) {
   }
 }
 
-TEST_F(FsTest, UnreadableFileIsReportedAndSkipped) {
-  if (::geteuid() == 0) {
-    GTEST_SKIP() << "root reads chmod-000 files; permission test is meaningless";
-  }
-  WriteFile("ok.c", "int ok;\n");
-  WriteFile("secret.c", "int secret;\n");
-  stdfs::permissions(stdfs::path(root_) / "secret.c", stdfs::perms::none);
-
-  std::vector<LoadFailure> failures;
-  const SourceTree tree = LoadSourceTreeFromDisk(root_, LoadOptions{}, &failures);
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_NE(tree.Find("ok.c"), nullptr);
-  ASSERT_EQ(failures.size(), 1u);
-  EXPECT_NE(failures[0].path.find("secret.c"), std::string::npos);
-}
-
 TEST_F(FsTest, MissingRootReportsAnError) {
   std::vector<LoadFailure> failures;
   const SourceTree tree =
@@ -205,13 +189,14 @@ TEST_F(FsTest, UnreadableFileYieldsStructuredLoadFailure) {
   std::vector<LoadFailure> failures;
   const SourceTree tree = LoadSourceTreeFromDisk(root_, LoadOptions{}, &failures);
   EXPECT_EQ(tree.size(), 1u);
+  EXPECT_NE(tree.Find("ok.c"), nullptr);
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].path, "secret.c");  // tree-relative key, not the OS path
   EXPECT_EQ(failures[0].what, "unreadable");
 }
 
 // /proc/self/mem opens for any process, root included, and fails a read at
-// offset 0 with EIO (page 0 is never mapped): an I/O error the chmod tests
+// offset 0 with EIO (page 0 is never mapped): an I/O error the chmod test
 // above cannot produce as root. The file is read once, listed, and skipped.
 TEST_F(FsTest, ReadErrorYieldsOneLoadFailureAndTheRestLoads) {
   WriteFile("a.c", "int a;\n");

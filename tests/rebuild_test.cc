@@ -161,16 +161,7 @@ std::vector<BugReport> Stage3P6(const std::string& text) {
   const SourceFile file(kPath, text);
   ScanOptions options;
   options.enabled_patterns = {6};
-  ScanCache cache(nullptr);
-  const ScanStageContext ctx = MakeScanStageContext(options, cache);
-  FileScanState st;
-  st.unit = ParseFile(file);
-  const CachedFileReports shard =
-      RunCheckStage(file, st, 0, ctx, [&](const SourceFile& f, TranslationUnit unit) {
-        return CheckOneFile(f, std::move(unit), kb, options);
-      });
-  EXPECT_FALSE(st.failure.has_value());
-  return shard.reports;
+  return CheckOneFile(file, ParseFile(file), kb, options).reports;
 }
 
 // CheckInterUnpaired over a full UnitContext.

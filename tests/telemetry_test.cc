@@ -198,8 +198,7 @@ TEST(MetricsRegistryTest, CountersGaugesAndLookups) {
   MetricsRegistry reg;
   reg.Counter("a.count").Add(3);
   reg.Counter("a.count").Add(2);
-  reg.Gauge("a.depth").Max(7);
-  reg.Gauge("a.depth").Max(4);  // lower: ignored
+  reg.Gauge("a.depth").Set(7);
   EXPECT_EQ(reg.CounterValue("a.count"), 5u);
   EXPECT_EQ(reg.GaugeValue("a.depth"), 7);
   EXPECT_EQ(reg.CounterValue("never.touched"), 0u);  // absent-safe
@@ -216,24 +215,6 @@ TEST(MetricsRegistryTest, HandleStaysValidAcrossInserts) {
   EXPECT_EQ(reg.CounterValue("first"), 1u);
 }
 
-TEST(MetricsRegistryTest, MergeAddsCountersMaxesGaugesAndMergesHistograms) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.Counter("n").Add(2);
-  b.Counter("n").Add(3);
-  b.Counter("only_b").Add(1);
-  a.Gauge("g").Max(10);
-  b.Gauge("g").Max(4);
-  a.Histogram("h").Record(2048);
-  b.Histogram("h").Record(4096);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.CounterValue("n"), 5u);
-  EXPECT_EQ(a.CounterValue("only_b"), 1u);
-  EXPECT_EQ(a.GaugeValue("g"), 10);
-  EXPECT_EQ(a.Histogram("h").count(), 2u);
-  EXPECT_EQ(a.Histogram("h").sum_ns(), 2048u + 4096u);
-}
-
 TEST(MetricsRegistryTest, HistogramBucketsAreCumulativeLog2) {
   MetricHistogram h;
   h.Record(1);        // below the first bound (1µs): bucket 0
@@ -246,7 +227,7 @@ TEST(MetricsRegistryTest, HistogramBucketsAreCumulativeLog2) {
 TEST(MetricsRegistryTest, PrometheusExpositionShape) {
   MetricsRegistry reg;
   reg.Counter("scan.files").Add(4);
-  reg.Gauge("sched.queue_depth_max").Max(3);
+  reg.Gauge("sched.queue_depth_max").Set(3);
   reg.Histogram("span.stage.parse").Record(5000);
   const std::string text = reg.ToPrometheusText();
   EXPECT_NE(text.find("# TYPE refscan_scan_files counter"), std::string::npos);

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/support/governor.h"
 #include "src/support/threadpool.h"
 
 namespace refscan {
@@ -229,6 +233,44 @@ TEST(ThreadPoolTest, ConcurrentPoolsDoNotInterfere) {
   tb.join();
   EXPECT_EQ(a.load(), size_t{124750});
   EXPECT_EQ(b.load(), size_t{124750});
+}
+
+// A batch runs under the deadline of the thread that started it, whichever
+// member claims an iteration: under an expired one every iteration trips,
+// and a batch started disarmed never does.
+TEST(ThreadPoolTest, BatchMembersRunUnderTheStartersDeadline) {
+  ThreadPool pool(4);
+  constexpr size_t kIterations = 64;
+  std::mutex mu;
+  std::condition_variable joined;
+  std::set<std::thread::id> members;
+  const auto poll = [&](size_t) {
+    {
+      // Hold each iteration until a second member has joined, so the batch
+      // provably spans threads.
+      std::unique_lock<std::mutex> lock(mu);
+      members.insert(std::this_thread::get_id());
+      joined.notify_all();
+      joined.wait_for(lock, std::chrono::seconds(10), [&] { return members.size() > 1; });
+    }
+    for (int k = 0; k < 8; ++k) {
+      CheckDeadline("test");  // eight polls: the amortised clock read lands in one
+    }
+  };
+  {
+    const ScopedDeadline expired(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(DeadlinePassed());
+    try {
+      ParallelFor(pool, 0, kIterations, poll);
+      ADD_FAILURE() << "a batch under an expired deadline must trip";
+    } catch (const ParallelForError& e) {
+      EXPECT_EQ(e.failures().size(), kIterations);
+    }
+  }
+  EXPECT_GT(members.size(), 1u);
+  EXPECT_FALSE(CurrentDeadline().armed);
+  EXPECT_NO_THROW(ParallelFor(pool, 0, kIterations, poll));
 }
 
 }  // namespace

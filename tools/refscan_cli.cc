@@ -576,6 +576,8 @@ int RunTreeCommand(unsigned command, int argc, char** argv) {
   if (!ParseFlags(argc, argv, first_flag, command, flags)) {
     return Usage();
   }
+  const char* env_faults = std::getenv("REFSCAN_FAULTS");
+  const bool env_faults_armed = env_faults != nullptr && *env_faults != '\0';
   if (!flags.remote.empty()) {
     // The daemon scans through its resident store, and arms faults only
     // from its own REFSCAN_FAULTS; this process's spec would reach nothing
@@ -586,11 +588,15 @@ int RunTreeCommand(unsigned command, int argc, char** argv) {
         return Usage();
       }
     }
-    const char* env_faults = std::getenv("REFSCAN_FAULTS");
-    if (env_faults != nullptr && *env_faults != '\0') {
+    if (env_faults_armed) {
       std::fprintf(stderr, "REFSCAN_FAULTS does not apply with --remote\n");
       return Usage();
     }
+  }
+  if (env_faults_armed && flags.given.contains("--faults")) {
+    // main armed REFSCAN_FAULTS already, and --faults would replace it.
+    std::fprintf(stderr, "--faults does not apply with REFSCAN_FAULTS\n");
+    return Usage();
   }
   if (flags.interprocedural && flags.given.contains("--streaming")) {
     // Stage 2.5 summarises every unit at once, in this process.
